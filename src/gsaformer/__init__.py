@@ -6,6 +6,7 @@ from .cca import CcaLayerParams, cca_forward, cca_op_count, compress_encoder_out
 from .gsa import (
     GsaConfig,
     GsaLayerParams,
+    grouped_attention,
     gsa_forward,
     gsa_op_count,
     merge_outputs,
@@ -21,7 +22,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AttentionMask", "OpCounter", "row_softmax", "scaled_dot_attention",
     "CcaLayerParams", "cca_forward", "cca_op_count", "compress_encoder_output",
-    "GsaConfig", "GsaLayerParams", "gsa_forward", "gsa_op_count",
+    "GsaConfig", "GsaLayerParams", "grouped_attention", "gsa_forward", "gsa_op_count",
     "merge_outputs", "partition_groups", "summarize_group",
     "ForecasterModel", "ModelConfig", "build_decoder_input",
     "ComputationTape", "Tensor", "backward", "load_checkpoint", "save_checkpoint",

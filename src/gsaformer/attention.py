@@ -25,8 +25,11 @@ class OpCounter:
 
     score_elements: cumulative count of score-matrix entries computed (one
     entry = one d-length query-key dot product).  peak_score_buffer: the
-    largest score matrix alive at once; score matrices are materialized one
-    at a time, so this is the max of the per-call sizes.
+    largest logical score matrix, i.e. the max of the per-call sizes.  One
+    call is one query block against one key block (one head of canonical
+    attention, one group of one GSA head, or one head's summary rows); the
+    fused GSA op reports each group's matrix separately even though it
+    holds all groups of a layer in one array.
     """
 
     def __init__(self):
@@ -99,34 +102,50 @@ class AttentionMask:
         return AttentionMask.custom(a & b)
 
 
+def softmax_last_axis(s: np.ndarray, allow: Optional[np.ndarray] = None) -> np.ndarray:
+    """Softmax over the last axis of s, overwriting s, with max-subtraction.
+
+    allow (broadcast against s; None = all allowed) marks the entries that
+    may carry weight: the others come out exactly 0, and a row with no
+    allowed entry comes out all-zero.  Returns s.
+    """
+    if allow is not None:
+        np.copyto(s, -np.inf, where=~allow)
+    row_max = s.max(axis=-1, keepdims=True)
+    if allow is not None:
+        # rows with no allowed entry: shift by 0; exp(-inf) underflows to
+        # exactly 0, which is what the mask contract wants
+        row_max[~np.isfinite(row_max)] = 0.0
+    s -= row_max
+    np.exp(s, out=s)
+    denom = s.sum(axis=-1, keepdims=True)
+    denom[denom <= 0.0] = 1.0
+    s /= denom
+    return s
+
+
+def softmax_last_axis_backward(p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Score gradient P * (G - sum_j G_j P_j) of a last-axis softmax with
+    output p and output gradient g, overwriting g; exact zeros in p kill
+    masked entries.  Returns g."""
+    inner = (g * p).sum(axis=-1, keepdims=True)
+    g -= inner
+    g *= p
+    return g
+
+
 def row_softmax(scores: Tensor, mask: AttentionMask) -> Tensor:
     """Row-wise softmax with max-subtraction; masked entries are exactly 0
     and fully masked rows come out all-zero."""
     if scores.data.ndim != 2:
         raise DimensionError(f"row_softmax expects a matrix, got {scores.shape}")
-    allow = mask.matrix(*scores.shape)
-    s = scores.data
-    if allow is None:
-        e = np.exp(s - s.max(axis=1, keepdims=True))
-    else:
-        masked = np.where(allow, s, -np.inf)
-        row_max = masked.max(axis=1, keepdims=True)
-        # rows with no allowed entry: shift by 0; exp(-inf) underflows to
-        # exactly 0, which is what the mask contract wants
-        row_max = np.where(np.isfinite(row_max), row_max, 0.0)
-        e = np.exp(masked - row_max)
-    denom = e.sum(axis=1, keepdims=True)
-    safe = np.where(denom > 0.0, denom, 1.0)
-    p = e / safe
+    p = softmax_last_axis(scores.data.copy(), mask.matrix(*scores.shape))
     out = Tensor(p)
 
     def backward():
         if out.grad is None:
             return
-        g = out.grad
-        # dS = P * (G - sum_j G_j P_j); exact zeros in P kill masked entries
-        inner = (g * p).sum(axis=1, keepdims=True)
-        accumulate_grad(scores, p * (g - inner))
+        accumulate_grad(scores, softmax_last_axis_backward(p, out.grad.copy()))
 
     return _record("row_softmax", out, (scores,), backward)
 

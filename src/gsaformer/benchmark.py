@@ -2,9 +2,11 @@
 recording instrumented score-element counts, peak score-buffer sizes, and
 wall-clock time per training iteration, as plot-ready CSV.
 
-Memory is reported as score-buffer elements, not process RSS: groups are
-processed one at a time inside a forward pass, so the peak buffer directly
-reflects the mechanism's working-set claim and is deterministic.
+Memory is reported as score-buffer elements, not process RSS: the peak is
+the largest logical score matrix (one group of one head for GSA, one head
+for canonical attention), so it reflects the mechanism's working-set claim
+and is deterministic.  The fused GSA op holds all groups of a layer in one
+array, so the real buffer is heads * m times the logical one.
 """
 
 from __future__ import annotations

@@ -72,8 +72,8 @@ def compress_encoder_output(h_enc: Tensor, c: Tensor) -> Tensor:
 
 
 def cca_op_count(l_dec: int, l_enc: int, l_comp: int, heads: int = 1) -> int:
-    """Closed-form score-element count: l_dec keys per query after
-    compression, per head."""
+    """Closed-form score-element count: each of the l_dec queries scores
+    min(l_enc, l_comp) keys after compression, per head."""
     return heads * l_dec * min(l_enc, l_comp)
 
 

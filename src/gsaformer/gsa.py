@@ -9,28 +9,40 @@ each other, each group's summary output is average-pooled to one row, and
 that row is blended back into the group's local output as
 alpha_j * local + beta_j * pooled.  Score-element cost per head is
 m*l_g^2 + (m*l_s)^2, linear in l for fixed l_g and l_s.
+
+gsa_forward runs every group of every head through one batched tape op,
+grouped_attention, with a hand-written backward.  partition_groups,
+summarize_group, global_summary_attention and merge_outputs are the same
+steps for a single group; tests build the loop-based reference from them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .attention import AttentionMask, OpCounter, scaled_dot_attention
+from .attention import (
+    AttentionMask,
+    OpCounter,
+    scaled_dot_attention,
+    softmax_last_axis,
+    softmax_last_axis_backward,
+)
 from .tensor import (
     DimensionError,
     Tensor,
+    _record,
+    accumulate_grad,
+    active_tape,
     broadcast_add,
-    concat_cols,
-    concat_rows,
     matmul,
     mean_rows,
     multiply,
     pad_rows,
-    slice_cols,
     slice_rows,
     sum_rows,
 )
@@ -191,17 +203,8 @@ def gsa_op_count(l: int, l_g: int, l_s: int, global_path: bool = True) -> int:
     return count
 
 
-def gsa_forward(x: Tensor, params: GsaLayerParams, cfg: GsaConfig,
-                counter: OpCounter, real_len: Optional[int] = None) -> Tensor:
-    """One grouped self-attention layer over an l-by-d sequence.
-
-    Rows at index >= real_len (default: all rows real) are padding: their
-    projected queries/keys/values are zeroed and they are masked out as
-    keys, so outputs at real positions never depend on pad values.
-    """
-    l, d = x.shape
-    if d != cfg.d:
-        raise DimensionError(f"input dim {d} != configured d {cfg.d}")
+def _check_lengths(l: int, real_len: Optional[int], cfg: GsaConfig) -> tuple[int, int]:
+    """(real_len, m): the real row count (default l) and the group count."""
     if l > cfg.m_max * cfg.l_g:
         raise LengthError(
             f"sequence length {l} exceeds configured maximum {cfg.m_max * cfg.l_g}")
@@ -210,71 +213,187 @@ def gsa_forward(x: Tensor, params: GsaLayerParams, cfg: GsaConfig,
     if not 1 <= real_len <= l:
         raise LengthError(f"real_len {real_len} outside [1, {l}]")
     m = math.ceil(real_len / cfg.l_g)
-    padded_len = m * cfg.l_g
-    if l > padded_len:
+    if l > m * cfg.l_g:
         # extra whole groups of padding would change the group layout (and
         # add all-zero summary rows to the global pass); only completing
         # the final group is allowed
         raise LengthError(
             f"{l} rows with real_len {real_len} spans more than the "
             f"{m} groups the real rows occupy")
+    return real_len, m
 
+
+def _grouped(rows: np.ndarray, m: int, l_g: int, heads: int) -> np.ndarray:
+    """View an (m*l_g, d) array as (heads, m, l_g, d_h) blocks."""
+    d = rows.shape[1]
+    return rows.reshape(m, l_g, heads, d // heads).transpose(2, 0, 1, 3)
+
+
+def _to_groups(a: np.ndarray, m: int, l_g: int, heads: int, real_len: int) -> np.ndarray:
+    """(l, d) rows as (heads, m, l_g, d_h) blocks with every row at index
+    >= real_len zero: a view when all m*l_g rows are real, else a padded
+    copy."""
+    if real_len == m * l_g:
+        return _grouped(a, m, l_g, heads)
+    padded = np.zeros((m * l_g, a.shape[1]))
+    padded[:real_len] = a[:real_len]
+    return _grouped(padded, m, l_g, heads)
+
+
+def _from_groups(blocks: np.ndarray, l: int, real_len: int) -> np.ndarray:
+    """Inverse of _to_groups: the first l rows, rows >= real_len zeroed."""
+    heads, m, l_g, dh = blocks.shape
+    rows = np.empty((m * l_g, heads * dh))
+    _grouped(rows, m, l_g, heads)[...] = blocks
+    rows[real_len:] = 0.0
+    return rows[:l]
+
+
+def _local_allow(cfg: GsaConfig, m: int, real_len: int) -> Optional[np.ndarray]:
+    """(m, l_g, l_g) allow array of the group scores: keys past real_len
+    (in the last group) are masked, and so is the upper triangle when
+    causal; None when nothing is masked."""
+    valid = real_len - (m - 1) * cfg.l_g
+    if valid == cfg.l_g and not cfg.causal:
+        return None
+    allow = np.ones((m, cfg.l_g, cfg.l_g), dtype=bool)
+    allow[-1, :, valid:] = False
+    if cfg.causal:
+        allow &= np.tril(np.ones((cfg.l_g, cfg.l_g), dtype=bool))
+    return allow
+
+
+def _sum_last_to_first(parts: np.ndarray) -> np.ndarray:
+    """Sum over the leading axis one term at a time, last index first: the
+    order in which replaying a per-group loop's tape accumulates, so the
+    fused gradients agree with that loop bit for bit."""
+    return functools.reduce(np.add, parts[::-1])
+
+
+def grouped_attention(q: Tensor, k: Tensor, v: Tensor, params: GsaLayerParams,
+                      cfg: GsaConfig, real_len: Optional[int],
+                      counter: OpCounter) -> Tensor:
+    """Local attention in every group of every head, plus (when cfg.uses_global)
+    the summary projection, global summary attention, pooling and alpha/beta
+    merge, as one tape op with one backward rule.
+
+    q, k, v are the projected l-by-d streams; rows at index >= real_len
+    (default: all real) are treated as zero and masked as keys.  Returns the
+    l-by-d head outputs side by side, ready for the output projection.  The
+    counter sees one l_g-by-l_g matrix per head and group and one
+    m*l_s-by-m*l_s matrix per head, although all of them are computed in
+    one batched array.
+    """
+    l, d = q.shape
+    if k.shape != (l, d) or v.shape != (l, d) or d != cfg.d:
+        raise DimensionError(
+            f"grouped attention: Q {q.shape}, K {k.shape}, V {v.shape} for d={cfg.d}")
+    real_len, m = _check_lengths(l, real_len, cfg)
+    heads, l_g, l_s = cfg.heads, cfg.l_g, cfg.l_s
+    dh = d // heads
+    scale = 1.0 / np.sqrt(dh)
+    use_global = cfg.uses_global
+    inputs = (q, k, v)
+    if use_global:
+        inputs += (params.e_q, params.e_k, params.e_v, params.alpha, params.beta)
+    taped = active_tape() is not None and any(t.requires_grad for t in inputs)
+
+    qg, kg, vg = (_to_groups(t.data, m, l_g, heads, real_len) for t in (q, k, v))
+    for _ in range(heads * m):
+        counter.add_scores(l_g, l_g)
+    p = np.matmul(qg, kg.swapaxes(-1, -2))
+    p *= scale
+    softmax_last_axis(p, _local_allow(cfg, m, real_len))
+    out_rows = np.empty((m * l_g, d))
+    o = _grouped(out_rows, m, l_g, heads)
+    np.matmul(p, vg, out=o)
+    if not taped:
+        del p   # only the backward needs the probabilities
+
+    if use_global:
+        n_s = m * l_s
+        # (heads, m*l_s, d_h): every group's l_s summary rows, in group order
+        qs, ks, vs = (np.matmul(e.data, x).reshape(heads, n_s, dh)
+                      for e, x in ((params.e_q, qg), (params.e_k, kg), (params.e_v, vg)))
+        for _ in range(heads):
+            counter.add_scores(n_s, n_s)
+        pg = np.matmul(qs, ks.swapaxes(-1, -2))
+        pg *= scale
+        softmax_last_axis(pg)
+        og = np.matmul(pg, vs).reshape(heads, m, l_s, dh)
+        pooled = og.mean(axis=2) if cfg.pool_mode == "mean" else og.sum(axis=2)
+        slots = np.arange(m) if cfg.merge_per_group else np.zeros(m, dtype=int)
+        alpha = params.alpha.data[0, slots]
+        beta = params.beta.data[0, slots]
+        o_local = o.copy() if taped else None
+        o *= alpha[:, None, None]
+        o += (pooled * beta[:, None])[:, :, None, :]
+
+    out = Tensor(out_rows[:l])
+    if not taped:
+        return out
+
+    def backward():
+        if out.grad is None:
+            return
+        g = _to_groups(out.grad, m, l_g, heads, l)
+        d_local = g * alpha[:, None, None] if use_global else g
+        # local attention inside every group
+        d_p = np.matmul(d_local, vg.swapaxes(-1, -2))
+        d_v = np.matmul(p.swapaxes(-1, -2), d_local)
+        softmax_last_axis_backward(p, d_p)
+        d_p *= scale
+        d_q = np.matmul(d_p, kg)
+        d_k = np.matmul(qg.swapaxes(-1, -2), d_p).swapaxes(-1, -2)
+        if use_global:
+            # merge: out_j = alpha_j * local_j + beta_j * pooled_j
+            g_cols = g.sum(axis=2)
+            slot_grads = ((g * o_local).reshape(heads, m, -1).sum(axis=-1),
+                          (g_cols * pooled).sum(axis=-1))
+            for param, d_slot in zip((params.alpha, params.beta), slot_grads):
+                full = np.zeros(param.shape)
+                if cfg.merge_per_group:
+                    full[0, :m] = _sum_last_to_first(d_slot)
+                else:
+                    full[0, 0] = _sum_last_to_first(d_slot.reshape(-1))
+                accumulate_grad(param, full)
+            d_pooled = g_cols * beta[:, None]
+            if cfg.pool_mode == "mean":
+                d_pooled /= l_s
+            d_og = np.repeat(d_pooled[:, :, None, :], l_s, axis=2).reshape(heads, n_s, dh)
+            # global summary attention
+            d_pg = np.matmul(d_og, vs.swapaxes(-1, -2))
+            d_vs = np.matmul(pg.swapaxes(-1, -2), d_og)
+            softmax_last_axis_backward(pg, d_pg)
+            d_pg *= scale
+            d_qs = np.matmul(d_pg, ks)
+            d_ks = np.matmul(qs.swapaxes(-1, -2), d_pg).swapaxes(-1, -2)
+            # summary projections, shared by every group and head
+            for e, x, d_s, d_x in ((params.e_q, qg, d_qs, d_q), (params.e_k, kg, d_ks, d_k),
+                                   (params.e_v, vg, d_vs, d_v)):
+                d_s = d_s.reshape(heads, m, l_s, dh)
+                d_e = np.matmul(d_s, x.swapaxes(-1, -2)).reshape(-1, l_s, l_g)
+                accumulate_grad(e, _sum_last_to_first(d_e))
+                d_x += np.matmul(e.data.T, d_s)
+        for t, d_t in ((q, d_q), (k, d_k), (v, d_v)):
+            accumulate_grad(t, _from_groups(d_t, l, real_len))
+
+    return _record("grouped_attention", out, inputs, backward)
+
+
+def gsa_forward(x: Tensor, params: GsaLayerParams, cfg: GsaConfig,
+                counter: OpCounter, real_len: Optional[int] = None) -> Tensor:
+    """One grouped self-attention layer over an l-by-d sequence.
+
+    Rows at index >= real_len (default: all rows real) are padding: their
+    projected queries/keys/values are zeroed and they are masked out as
+    keys, so outputs at real positions never depend on pad values.
+    """
+    d = x.shape[1]
+    if d != cfg.d:
+        raise DimensionError(f"input dim {d} != configured d {cfg.d}")
     q = broadcast_add(matmul(x, params.w_q), params.b_q)
     k = broadcast_add(matmul(x, params.w_k), params.b_k)
     v = broadcast_add(matmul(x, params.w_v), params.b_v)
-    if real_len < padded_len:
-        # pad rows picked up the projection bias (and any garbage the caller
-        # left beyond real_len); zero them before anything downstream
-        keep = np.zeros((l, d))
-        keep[:real_len] = 1.0
-        keep_t = Tensor(keep)
-        q, k, v = multiply(q, keep_t), multiply(k, keep_t), multiply(v, keep_t)
-
-    dh = d // cfg.heads
-    use_global = cfg.uses_global
-    head_outs = []
-    for h in range(cfg.heads):
-        lo, hi = h * dh, (h + 1) * dh
-        qh = slice_cols(q, lo, hi) if cfg.heads > 1 else q
-        kh = slice_cols(k, lo, hi) if cfg.heads > 1 else k
-        vh = slice_cols(v, lo, hi) if cfg.heads > 1 else v
-        q_groups, _, _ = partition_groups(qh, cfg.l_g)
-        k_groups, _, _ = partition_groups(kh, cfg.l_g)
-        v_groups, _, _ = partition_groups(vh, cfg.l_g)
-
-        local = []
-        for j in range(m):
-            valid = min(max(real_len - j * cfg.l_g, 0), cfg.l_g)
-            mask = AttentionMask.key_padding(valid) if valid < cfg.l_g else AttentionMask.none()
-            if cfg.causal:
-                mask = mask.combined_with(AttentionMask.causal(), cfg.l_g, cfg.l_g)
-            local.append(scaled_dot_attention(
-                q_groups[j], k_groups[j], v_groups[j], mask, counter))
-
-        if use_global:
-            summaries = [summarize_group(q_groups[j], k_groups[j], v_groups[j],
-                                         params.e_q, params.e_k, params.e_v)
-                         for j in range(m)]
-            o_s = global_summary_attention(
-                concat_rows([s[0] for s in summaries]),
-                concat_rows([s[1] for s in summaries]),
-                concat_rows([s[2] for s in summaries]),
-                cfg.l_s, counter)
-            merged = []
-            for j in range(m):
-                seg = slice_rows(o_s, j * cfg.l_s, (j + 1) * cfg.l_s)
-                idx = j if cfg.merge_per_group else 0
-                alpha_j = slice_cols(params.alpha, idx, idx + 1)
-                beta_j = slice_cols(params.beta, idx, idx + 1)
-                merged.append(merge_outputs(local[j], seg, alpha_j, beta_j,
-                                            cfg.pool_mode))
-        else:
-            merged = local
-
-        head_out = concat_rows(merged)
-        if padded_len > l:
-            head_out = slice_rows(head_out, 0, l)
-        head_outs.append(head_out)
-
-    combined = concat_cols(head_outs) if cfg.heads > 1 else head_outs[0]
+    combined = grouped_attention(q, k, v, params, cfg, real_len, counter)
     return broadcast_add(matmul(combined, params.w_o), params.b_o)

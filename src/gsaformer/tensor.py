@@ -1,7 +1,8 @@
 """Dense float64 tensors with reverse-mode gradients on a recorded tape.
 
 Values are numpy arrays (row-major); every arithmetic op validates shapes,
-rejects non-finite results, and, when a tape is active and an input wants
+rejects non-finite results (through the Tensor constructor, which checks
+every op output once), and, when a tape is active and an input wants
 gradients, records a backward rule.  Replaying the tape in reverse order
 propagates gradients, accumulating (+=) into each requires_grad tensor.
 """
@@ -130,13 +131,18 @@ def active_tape() -> Optional[ComputationTape]:
 
 
 def accumulate_grad(t: Tensor, g: np.ndarray) -> None:
-    """Add g into t.grad (allocating on first use); no-op for tensors that
-    do not require gradients."""
+    """Add g into t.grad (a private copy of g on first use); no-op for
+    tensors that do not require gradients.  g must match t's shape."""
     if not t.requires_grad:
         return
+    if g.shape != t.data.shape:
+        raise DimensionError(
+            f"gradient of shape {g.shape} for a tensor of shape {t.data.shape}")
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # a copy, never g itself: backward rules pass views of out.grad
+        t.grad = g.copy()
+    else:
+        t.grad += g
 
 
 def _record(name: str, out: Tensor, inputs: Sequence[Tensor],
@@ -146,12 +152,6 @@ def _record(name: str, out: Tensor, inputs: Sequence[Tensor],
         out.requires_grad = True
         tape.record(name, out, backward_fn)
     return out
-
-
-def _finite(arr: np.ndarray, op: str) -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
-        raise NumericsError(f"{op} produced non-finite values")
-    return arr
 
 
 def _require_2d(t: Tensor, op: str) -> None:
@@ -165,7 +165,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise DimensionError(
             f"matmul: inner extents differ: {a.shape} x {b.shape}")
-    out = Tensor(_finite(a.data @ b.data, "matmul"))
+    out = Tensor(a.data @ b.data)
 
     def backward():
         if out.grad is None:
@@ -214,7 +214,7 @@ def broadcast_add(a: Tensor, b) -> Tensor:
     gradient over any broadcast axes of b."""
     _require_2d(a, "broadcast_add")
     if isinstance(b, (int, float)):
-        out = Tensor(_finite(a.data + float(b), "broadcast_add"))
+        out = Tensor(a.data + float(b))
 
         def backward_const():
             if out.grad is None:
@@ -225,7 +225,7 @@ def broadcast_add(a: Tensor, b) -> Tensor:
 
     _require_2d(b, "broadcast_add")
     _broadcast_check(a, b, "broadcast_add")
-    out = Tensor(_finite(a.data + b.data, "broadcast_add"))
+    out = Tensor(a.data + b.data)
 
     def backward():
         if out.grad is None:
@@ -242,7 +242,7 @@ def subtract(a: Tensor, b) -> Tensor:
     _require_2d(a, "subtract")
     _require_2d(b, "subtract")
     _broadcast_check(a, b, "subtract")
-    out = Tensor(_finite(a.data - b.data, "subtract"))
+    out = Tensor(a.data - b.data)
 
     def backward():
         if out.grad is None:
@@ -258,7 +258,7 @@ def multiply(a: Tensor, b) -> Tensor:
     _require_2d(a, "multiply")
     if isinstance(b, (int, float)):
         c = float(b)
-        out = Tensor(_finite(a.data * c, "multiply"))
+        out = Tensor(a.data * c)
 
         def backward_const():
             if out.grad is None:
@@ -269,7 +269,7 @@ def multiply(a: Tensor, b) -> Tensor:
 
     _require_2d(b, "multiply")
     _broadcast_check(a, b, "multiply")
-    out = Tensor(_finite(a.data * b.data, "multiply"))
+    out = Tensor(a.data * b.data)
 
     def backward():
         if out.grad is None:
@@ -442,7 +442,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
     var = x.data.var(axis=1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mu) * inv
-    out = Tensor(_finite(xhat * gain.data + bias.data, "layer_norm"))
+    out = Tensor(xhat * gain.data + bias.data)
 
     def backward():
         if out.grad is None:

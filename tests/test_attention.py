@@ -32,6 +32,11 @@ class TestRowSoftmax:
         out = row_softmax(Tensor([[math.log(2.0), 0.0]]), AttentionMask.none())
         npt.assert_allclose(out.data, [[2.0 / 3.0, 1.0 / 3.0]], atol=1e-15)
 
+    def test_scores_left_untouched(self):
+        scores = Tensor([[5.0, 3.0, 1.0]])
+        row_softmax(scores, AttentionMask.custom(np.array([[True, True, False]])))
+        npt.assert_array_equal(scores.data, [[5.0, 3.0, 1.0]])
+
     def test_single_survivor(self):
         allow = np.array([[True, False]])
         out = row_softmax(Tensor([[5.0, 3.0]]), AttentionMask.custom(allow))

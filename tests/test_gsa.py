@@ -1,6 +1,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsaformer.attention import AttentionMask, OpCounter, scaled_dot_attention
 from gsaformer.gsa import (
@@ -15,7 +17,8 @@ from gsaformer.gsa import (
     partition_groups,
     summarize_group,
 )
-from gsaformer.tensor import ComputationTape, Tensor, backward, matmul
+from gsaformer.tensor import ComputationTape, Tensor, backward, matmul, multiply, sum_all
+from helpers import loop_gsa_forward, naive_gsa
 
 
 def make_params(cfg, seed=0, beta=0.0):
@@ -392,56 +395,6 @@ class TestConfigToggles:
         npt.assert_allclose(out.data[8:], np.zeros((8, 8)), atol=1e-15)
 
 
-def naive_gsa(x, params, cfg):
-    """Loop-built reference for the whole layer: project, partition with
-    zero padding, per-group attention with pad keys masked, summary
-    projection, global attention, pooled merge, output projection."""
-    from helpers import naive_attention, naive_matmul
-    l, d = x.shape
-    m = int(np.ceil(l / cfg.l_g))
-    padded = m * cfg.l_g
-    q = naive_matmul(x, params.w_q.data) + params.b_q.data
-    k = naive_matmul(x, params.w_k.data) + params.b_k.data
-    v = naive_matmul(x, params.w_v.data) + params.b_v.data
-    q = np.vstack([q, np.zeros((padded - l, d))])
-    k = np.vstack([k, np.zeros((padded - l, d))])
-    v = np.vstack([v, np.zeros((padded - l, d))])
-    dh = d // cfg.heads
-    head_outs = []
-    for h in range(cfg.heads):
-        sl = slice(h * dh, (h + 1) * dh)
-        locals_, summaries = [], []
-        for j in range(m):
-            rows = slice(j * cfg.l_g, (j + 1) * cfg.l_g)
-            valid = min(max(l - j * cfg.l_g, 0), cfg.l_g)
-            allow = np.zeros((cfg.l_g, cfg.l_g), dtype=bool)
-            allow[:, :valid] = True
-            if cfg.causal:
-                allow &= np.tril(np.ones((cfg.l_g, cfg.l_g), dtype=bool))
-            locals_.append(naive_attention(q[rows, sl], k[rows, sl],
-                                           v[rows, sl], allow=allow))
-            summaries.append((naive_matmul(params.e_q.data, q[rows, sl]),
-                              naive_matmul(params.e_k.data, k[rows, sl]),
-                              naive_matmul(params.e_v.data, v[rows, sl])))
-        if cfg.uses_global:
-            qs = np.vstack([s[0] for s in summaries])
-            ks = np.vstack([s[1] for s in summaries])
-            vs = np.vstack([s[2] for s in summaries])
-            os_ = naive_attention(qs, ks, vs)
-            merged = []
-            for j in range(m):
-                seg = os_[j * cfg.l_s:(j + 1) * cfg.l_s]
-                pooled = seg.mean(axis=0) if cfg.pool_mode == "mean" else seg.sum(axis=0)
-                idx = j if cfg.merge_per_group else 0
-                merged.append(params.alpha.data[0, idx] * locals_[j]
-                              + params.beta.data[0, idx] * pooled)
-        else:
-            merged = locals_
-        head_outs.append(np.vstack(merged)[:l])
-    combined = np.hstack(head_outs)
-    return naive_matmul(combined, params.w_o.data) + params.b_o.data
-
-
 class TestEndToEndOracle:
     @pytest.mark.parametrize("l,heads,causal,global_path,pool,per_group", [
         (20, 1, False, True, "mean", True),
@@ -465,3 +418,88 @@ class TestEndToEndOracle:
         out = gsa_forward(Tensor(x), params, cfg, OpCounter())
         expected = naive_gsa(x, params, cfg)
         npt.assert_allclose(out.data, expected, atol=1e-12)
+
+
+@st.composite
+def gsa_cases(draw):
+    """A random layer shape, padding and toggle setting, with a seed."""
+    l_g = draw(st.integers(2, 8))
+    m = draw(st.integers(1, 4))
+    real_len = draw(st.integers((m - 1) * l_g + 1, m * l_g))
+    heads = draw(st.sampled_from([1, 2, 4]))
+    cfg = GsaConfig(
+        l_g=l_g, l_s=draw(st.integers(1, l_g - 1)),
+        d=heads * draw(st.integers(1, 3)), heads=heads,
+        m_max=m + draw(st.integers(0, 1)), causal=draw(st.booleans()),
+        global_path=draw(st.booleans()),
+        pool_mode=draw(st.sampled_from(["mean", "sum"])),
+        merge_per_group=draw(st.booleans()))
+    l = draw(st.integers(real_len, m * l_g))
+    return cfg, l, real_len, draw(st.integers(0, 2 ** 16))
+
+
+def _forward_and_grads(forward, x, params, weights):
+    """Output and every input and parameter gradient of sum(forward * weights)."""
+    for t in [x, *params.named().values()]:
+        t.zero_grad()
+    with ComputationTape() as tape:
+        out = forward()
+        backward(sum_all(multiply(out, weights)), tape)
+    grads = {name: t.grad for name, t in params.named().items()}
+    grads["x"] = x.grad
+    return out.data, grads
+
+
+class TestFusedOpProperties:
+    """gsa_forward (one fused op) against the per-head, per-group loop."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(gsa_cases())
+    def test_matches_loop_oracle_forward_and_gradients(self, case):
+        cfg, l, real_len, seed = case
+        rng = np.random.default_rng(seed)
+        params = make_params(cfg, seed=seed)
+        params.alpha.data[:] = rng.uniform(0.5, 1.5, params.alpha.shape)
+        params.beta.data[:] = rng.uniform(-0.5, 0.5, params.beta.shape)
+        x = Tensor(rng.normal(size=(l, cfg.d)), requires_grad=True)
+        weights = Tensor(rng.normal(size=(l, cfg.d)))
+        fused_counter, loop_counter = OpCounter(), OpCounter()
+        out, grads = _forward_and_grads(
+            lambda: gsa_forward(x, params, cfg, fused_counter, real_len=real_len),
+            x, params, weights)
+        loop_out, loop_grads = _forward_and_grads(
+            lambda: loop_gsa_forward(x, params, cfg, loop_counter, real_len=real_len),
+            x, params, weights)
+        assert np.abs(out - loop_out).max() < 1e-12
+        npt.assert_allclose(out, naive_gsa(x.data, params, cfg, real_len), atol=1e-12)
+        assert grads.keys() == loop_grads.keys()
+        for name, g in grads.items():
+            expected = loop_grads[name]
+            if expected is None:
+                assert g is None, name
+            else:
+                assert np.abs(g - expected).max() < 1e-12, name
+        assert fused_counter.score_elements == loop_counter.score_elements
+        assert fused_counter.peak_score_buffer == loop_counter.peak_score_buffer
+
+    def test_tape_length_independent_of_group_count(self):
+        lengths = {}
+        for l in (32, 128):
+            cfg = GsaConfig(l_g=8, l_s=2, d=8, heads=2, m_max=16)
+            params = make_params(cfg, beta=0.5)
+            x = Tensor(np.random.default_rng(l).normal(size=(l, 8)))
+            with ComputationTape() as tape:
+                gsa_forward(x, params, cfg, OpCounter())
+            lengths[l] = len(tape)
+        assert lengths[32] == lengths[128]
+
+    def test_no_tape_leaves_inputs_untouched(self):
+        cfg = GsaConfig(l_g=8, l_s=2, d=8, heads=2, m_max=3)
+        params = make_params(cfg, beta=0.5)
+        x = np.random.default_rng(40).normal(size=(20, 8))
+        before = {name: t.data.copy() for name, t in params.named().items()}
+        first = gsa_forward(Tensor(x), params, cfg, OpCounter()).data
+        second = gsa_forward(Tensor(x), params, cfg, OpCounter()).data
+        npt.assert_array_equal(first, second)
+        for name, t in params.named().items():
+            npt.assert_array_equal(t.data, before[name])

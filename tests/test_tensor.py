@@ -11,6 +11,7 @@ from gsaformer.tensor import (
     NumericsError,
     RankError,
     Tensor,
+    accumulate_grad,
     backward,
     broadcast_add,
     concat_cols,
@@ -201,6 +202,23 @@ class TestBackward:
             backward(loss, tape)
         npt.assert_array_equal(x.grad, [[8.0]])
 
+    def test_accumulate_grad_copies_on_first_write(self):
+        t = Tensor(np.zeros((2, 2)), requires_grad=True)
+        g = np.array([[1.0, 2.0], [3.0, 4.0]])
+        accumulate_grad(t, g)
+        assert t.grad is not g and not np.shares_memory(t.grad, g)
+        accumulate_grad(t, g)
+        npt.assert_array_equal(g, [[1.0, 2.0], [3.0, 4.0]])
+        npt.assert_array_equal(t.grad, 2.0 * g)
+
+    def test_accumulate_grad_rejects_wrong_shape(self):
+        t = Tensor(np.zeros((2, 2)), requires_grad=True)
+        with pytest.raises(DimensionError):
+            accumulate_grad(t, np.ones((1, 2)))
+        accumulate_grad(t, np.ones((2, 2)))
+        with pytest.raises(DimensionError):
+            accumulate_grad(t, np.ones((1, 2)))   # would broadcast into +=
+
 
 class TestOtherOps:
     def test_slice_and_concat_rows_roundtrip(self):
@@ -273,6 +291,14 @@ class TestNumerics:
                     subtract(a, b), mean_rows(a), sum_all(a), relu(a),
                     transpose(a)):
             assert np.all(np.isfinite(out.data))
+
+    def test_overflowing_op_raises(self):
+        big = Tensor([[1e300]])
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericsError):
+                multiply(big, 1e300)
+            with pytest.raises(NumericsError):
+                matmul(big, big)
 
 
 class TestCheckpoint:
