@@ -14,7 +14,8 @@ import logging
 import math
 import os
 import sys
-from dataclasses import fields
+import typing
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -25,35 +26,26 @@ from .benchmark import (
     emit_csv_report,
     run_scaling_benchmark,
 )
-from .data import DataError, load_csv, make_windows, synthetic_series, write_csv
+from .data import DataConfig, DataError, load_csv, make_windows, synthetic_series, write_csv
 from .gsa import ConfigError
-from .model import (
-    ForecasterModel,
-    ModelConfig,
-    model_config_from_mapping,
-    model_config_to_text,
-)
+from .model import ForecasterModel, ModelConfig, model_config_to_text
 from .tensor import Tensor
 from .training import TrainConfig, evaluate, grad_check, mse_loss, train
 
 log = logging.getLogger("gsaformer")
 
-_MODEL_FIELDS = {f.name for f in fields(ModelConfig)}
-_TRAIN_FIELDS = {f.name for f in fields(TrainConfig)}
-_DATA_FIELDS = {"target", "split_train", "split_val", "split_test",
-                "window_stride", "synth_kind", "synth_rows", "synth_features"}
-_KNOWN_FIELDS = _MODEL_FIELDS | _TRAIN_FIELDS | _DATA_FIELDS
 
-_DATA_DEFAULTS = {
-    "target": "OT",
-    "split_train": "0.7",
-    "split_val": "0.1",
-    "split_test": "0.2",
-    "window_stride": "1",
-    "synth_kind": "sine_mix",
-    "synth_rows": "2000",
-    "synth_features": "2",
-}
+def _names(cls) -> set[str]:
+    return {f.name for f in fields(cls)}
+
+
+_MODEL_KEYS = _names(ModelConfig)
+_TRAIN_KEYS = _names(TrainConfig)
+_DATA_KEYS = _names(DataConfig)
+_SYNTH_KEYS = {"synth_kind", "synth_rows", "synth_features"}
+_KNOWN_KEYS = _MODEL_KEYS | _TRAIN_KEYS | _DATA_KEYS
+# model shape, label_len and seed: the BenchConfig fields that are settings
+_BENCH_KEYS = _names(BenchConfig) & _KNOWN_KEYS
 
 
 class UsageError(Exception):
@@ -85,90 +77,111 @@ def read_config_file(path: str) -> dict[str, str]:
     return mapping
 
 
-def build_settings(args) -> dict[str, str]:
-    """Merge config file and --set overrides; reject unknown keys."""
+def _parse_value(key: str, kind, raw: str):
+    """raw converted to kind: bool, int, float, str or Optional[one of them]."""
+    if type(None) in typing.get_args(kind):
+        if raw == "None":
+            return None
+        kind = typing.get_args(kind)[0]
+    if kind is bool:
+        if raw.lower() in ("true", "1", "yes"):
+            return True
+        if raw.lower() in ("false", "0", "no"):
+            return False
+    elif kind in (int, float):
+        try:
+            value = kind(raw)
+        except ValueError:
+            pass
+        else:
+            if math.isfinite(value):
+                return value
+    else:
+        return raw
+    raise ConfigError(f"{key}: expected {kind.__name__}, got {raw!r}")
+
+
+def config_from_mapping(cls, mapping: dict[str, str], **given):
+    """The config dataclass cls built from key=value strings, each converted
+    to its field's declared type; keyword arguments fill in fields the
+    mapping does not set.  Unknown keys and missing required fields raise
+    ConfigError."""
+    types = typing.get_type_hints(cls)
+    kwargs = dict(given)
+    for key, raw in mapping.items():
+        if key not in types:
+            raise ConfigError(
+                f"unknown {cls.__name__} key {key!r}; known: {sorted(types)}")
+        kwargs[key] = _parse_value(key, types[key], raw)
+    missing = [f.name for f in fields(cls) if f.name not in kwargs
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ConfigError(f"{cls.__name__} needs {missing}")
+    return cls(**kwargs)
+
+
+def _build(cls, mapping: dict[str, str], **given):
+    """config_from_mapping over the keys of mapping that are fields of cls."""
+    names = _names(cls)
+    return config_from_mapping(cls, {k: v for k, v in mapping.items() if k in names},
+                               **given)
+
+
+def _data_keys(args) -> set[str]:
+    """DataConfig keys of a verb that reads a series: target for a --csv
+    file, the synth_* keys for synthetic data."""
+    return _DATA_KEYS - (_SYNTH_KEYS if args.csv else {"target"})
+
+
+def build_settings(args, used: set[str]) -> dict[str, str]:
+    """The settings of the keys in used, from the config file and then the
+    --set overrides.  An unknown key is an error, and so is a --set key the
+    verb does not use; a config file may hold keys for other verbs, and
+    those are skipped."""
     mapping: dict[str, str] = {}
     if args.config:
         if not Path(args.config).exists():
             raise UsageError(f"config file not found: {args.config}")
         mapping.update(read_config_file(args.config))
+    overrides: dict[str, str] = {}
     for item in args.set or []:
         if "=" not in item:
             raise UsageError(f"--set expects key=value, got {item!r}")
         key, value = item.split("=", 1)
-        mapping[key.strip()] = value.strip()
+        overrides[key.strip()] = value.strip()
+    mapping.update(overrides)
     for key in mapping:
-        if key not in _KNOWN_FIELDS:
+        if key not in _KNOWN_KEYS:
             raise ConfigError(
-                f"unknown config key {key!r}; known keys: {sorted(_KNOWN_FIELDS)}")
-    return mapping
+                f"unknown config key {key!r}; known keys: {sorted(_KNOWN_KEYS)}")
+    for key in overrides:
+        if key not in used:
+            raise ConfigError(f"{args.verb} does not use config key {key!r} "
+                              f"here; it uses: {sorted(used)}")
+    return {k: v for k, v in mapping.items() if k in used}
 
 
-def _coerce(value: str, template) -> object:
-    if isinstance(template, bool):
-        if value.lower() in ("true", "1", "yes"):
-            return True
-        if value.lower() in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"expected boolean, got {value!r}")
-    if isinstance(template, float):
-        return float(value)
-    if isinstance(template, int):
-        return int(value)
-    if template is None:   # optional numeric fields (patience, clip, ...)
-        try:
-            return int(value)
-        except ValueError:
-            return float(value)
-    return value
-
-
-def split_settings(mapping: dict[str, str], seed: int,
-                   ) -> tuple[dict, TrainConfig, dict[str, str]]:
-    model_kwargs = {k: v for k, v in mapping.items() if k in _MODEL_FIELDS}
-    train_kwargs = {}
-    defaults = TrainConfig()
-    for key, raw in mapping.items():
-        if key in _TRAIN_FIELDS:
-            train_kwargs[key] = _coerce(raw, getattr(defaults, key))
-    train_kwargs.setdefault("seed", seed)
-    data_settings = dict(_DATA_DEFAULTS)
-    data_settings.update({k: v for k, v in mapping.items() if k in _DATA_FIELDS})
-    return model_kwargs, TrainConfig(**train_kwargs), data_settings
-
-
-def _model_config(model_kwargs: dict[str, str], **required) -> ModelConfig:
-    merged = {k: str(v) for k, v in required.items()}
-    merged.update(model_kwargs)
-    return model_config_from_mapping(merged)
-
-
-def _load_series(args, data_settings, train_cfg):
+def _load_series(args, data_cfg: DataConfig, seed: int):
     if args.csv:
         if not Path(args.csv).exists():
             raise UsageError(f"csv file not found: {args.csv}")
-        return load_csv(args.csv, data_settings["target"])
-    log.info("no --csv given; using synthetic %s series", data_settings["synth_kind"])
-    return synthetic_series(data_settings["synth_kind"],
-                            int(data_settings["synth_rows"]),
-                            int(data_settings["synth_features"]),
-                            train_cfg.seed)
+        return load_csv(args.csv, data_cfg.target)
+    log.info("no --csv given; using synthetic %s series", data_cfg.synth_kind)
+    return synthetic_series(data_cfg.synth_kind, data_cfg.synth_rows,
+                            data_cfg.synth_features, seed)
 
 
 def cmd_train(args) -> int:
-    mapping = build_settings(args)
-    model_kwargs, train_cfg, data_settings = split_settings(mapping, args.seed)
-    series = _load_series(args, data_settings, train_cfg)
-    model_kwargs.setdefault("seq_len", "96")
-    model_kwargs.setdefault("pred_len", "24")
-    model_kwargs.setdefault("n_features_in", str(series.values.shape[1]))
-    model_kwargs.setdefault("n_features_out", str(series.values.shape[1]))
-    cfg = _model_config(model_kwargs)
-    ratios = (float(data_settings["split_train"]), float(data_settings["split_val"]),
-              float(data_settings["split_test"]))
+    mapping = build_settings(args, _MODEL_KEYS | _TRAIN_KEYS | _data_keys(args))
+    train_cfg = _build(TrainConfig, mapping, seed=args.seed)
+    data_cfg = _build(DataConfig, mapping)
+    series = _load_series(args, data_cfg, train_cfg.seed)
+    n_features = series.values.shape[1]
+    cfg = _build(ModelConfig, mapping, seq_len=96, pred_len=24,
+                 n_features_in=n_features, n_features_out=n_features)
     train_set, val_set, _ = make_windows(series, cfg.seq_len, cfg.pred_len,
-                                         split_ratios=ratios,
-                                         stride=int(data_settings["window_stride"]))
+                                         split_ratios=data_cfg.split_ratios,
+                                         stride=data_cfg.window_stride)
     log.info("training on %d windows, validating on %d", len(train_set), len(val_set))
     model = ForecasterModel(cfg, seed=train_cfg.seed)
     out = Path(args.out)
@@ -185,23 +198,22 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    mapping = build_settings(args)
-    _, train_cfg, data_settings = split_settings(mapping, args.seed)
+    mapping = build_settings(args, {"seed"} | _data_keys(args))
+    train_cfg = _build(TrainConfig, mapping, seed=args.seed)
+    data_cfg = _build(DataConfig, mapping)
     ckpt_dir = Path(args.checkpoint).parent
     cfg_path = Path(args.model_config) if args.model_config else ckpt_dir / "model.cfg"
     if not Path(args.checkpoint).exists():
         raise UsageError(f"checkpoint not found: {args.checkpoint}")
     if not cfg_path.exists():
         raise UsageError(f"model config not found: {cfg_path}")
-    cfg = model_config_from_mapping(read_config_file(cfg_path))
+    cfg = config_from_mapping(ModelConfig, read_config_file(cfg_path))
     model = ForecasterModel(cfg, seed=train_cfg.seed)
     model.load(args.checkpoint)
-    series = _load_series(args, data_settings, train_cfg)
-    ratios = (float(data_settings["split_train"]), float(data_settings["split_val"]),
-              float(data_settings["split_test"]))
+    series = _load_series(args, data_cfg, train_cfg.seed)
     _, _, test_set = make_windows(series, cfg.seq_len, cfg.pred_len,
-                                  split_ratios=ratios,
-                                  stride=int(data_settings["window_stride"]))
+                                  split_ratios=data_cfg.split_ratios,
+                                  stride=data_cfg.window_stride)
     test_mse = evaluate(model, test_set)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -214,17 +226,14 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    mapping = build_settings(args)
+    mapping = build_settings(args, _BENCH_KEYS)
     lengths = sorted(int(x) for x in args.lengths.split(","))
     mechanisms = [m.strip() for m in args.mechanisms.split(",")]
     for m in mechanisms:
         if m not in MECHANISMS:
             raise UsageError(f"unknown mechanism {m!r}; choose from {MECHANISMS}")
-    bench_cfg = BenchConfig(seed=args.seed, timing=not args.no_timing,
-                            min_cell_seconds=args.min_cell_seconds)
-    for key in ("d", "heads", "ffn_hidden", "e_l", "d_l", "l_g", "l_s", "l_comp"):
-        if key in mapping:
-            setattr(bench_cfg, key, int(mapping[key]))
+    bench_cfg = _build(BenchConfig, mapping, seed=args.seed, timing=not args.no_timing,
+                       min_cell_seconds=args.min_cell_seconds)
     report = run_scaling_benchmark(lengths, mechanisms, bench_cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -247,25 +256,23 @@ GRADCHECK_PRESETS = {
 
 
 def cmd_gradcheck(args) -> int:
-    mapping = build_settings(args)
+    mapping = build_settings(args, _MODEL_KEYS | {"seed"})
     if args.preset not in GRADCHECK_PRESETS:
         raise UsageError(f"unknown preset {args.preset!r}; "
                          f"choose from {sorted(GRADCHECK_PRESETS)}")
-    preset = dict(GRADCHECK_PRESETS[args.preset])
-    preset.update({k: int(v) for k, v in mapping.items()
-                   if k in _MODEL_FIELDS and k in preset})
-    cfg = ModelConfig(**preset)
-    model = ForecasterModel(cfg, seed=args.seed)
+    cfg = _build(ModelConfig, mapping, **GRADCHECK_PRESETS[args.preset])
+    seed = _build(TrainConfig, mapping, seed=args.seed).seed
+    model = ForecasterModel(cfg, seed=seed)
     # wake the global summary path so its parameters carry real gradients
     for name, p in model.parameters().items():
         if name.endswith(".beta"):
             p.data[:] = 0.37
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(seed)
     x = Tensor(rng.normal(size=(cfg.seq_len, cfg.n_features_in)))
     y = Tensor(rng.normal(size=(cfg.pred_len, cfg.n_features_out)))
     report = grad_check(lambda: mse_loss(model.forward(x), y),
                         model.parameters(), epsilon=args.epsilon,
-                        tolerance=args.tolerance, seed=args.seed)
+                        tolerance=args.tolerance, seed=seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     report_text = "\n".join(report.lines()) + "\n"
@@ -281,10 +288,14 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    mapping = build_settings(args)
-    _, train_cfg, data_settings = split_settings(mapping, args.seed)
-    series = synthetic_series(args.kind or data_settings["synth_kind"],
-                              args.rows, args.features, train_cfg.seed)
+    mapping = build_settings(args, _SYNTH_KEYS | {"seed"})
+    seed = _build(TrainConfig, mapping, seed=args.seed).seed
+    data_cfg = _build(DataConfig, mapping)
+    # an explicit flag beats the setting
+    kind = args.kind if args.kind is not None else data_cfg.synth_kind
+    rows = args.rows if args.rows is not None else data_cfg.synth_rows
+    features = args.features if args.features is not None else data_cfg.synth_features
+    series = synthetic_series(kind, rows, features, seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "synth.csv"
@@ -339,9 +350,12 @@ def build_parser() -> _Parser:
     p_synth = subs.add_parser("synth", help="write a synthetic CSV")
     _add_common(p_synth)
     p_synth.add_argument("--kind", default=None,
-                         help="sine_mix, trend_plus_season, or white_noise")
-    p_synth.add_argument("--rows", type=int, default=2000)
-    p_synth.add_argument("--features", type=int, default=2)
+                         help="sine_mix, trend_plus_season, or white_noise "
+                              "(default: the synth_kind setting, sine_mix)")
+    p_synth.add_argument("--rows", type=int, default=None,
+                         help="default: the synth_rows setting, 2000")
+    p_synth.add_argument("--features", type=int, default=None,
+                         help="default: the synth_features setting, 2")
     return parser
 
 

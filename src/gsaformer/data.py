@@ -16,6 +16,23 @@ class DataError(ValueError):
 
 
 @dataclass
+class DataConfig:
+    """Where a series comes from and how it is split into windows."""
+    target: str = "OT"             # target column of a CSV file
+    split_train: float = 0.7
+    split_val: float = 0.1
+    split_test: float = 0.2
+    window_stride: int = 1
+    synth_kind: str = "sine_mix"   # the synthetic series used without a CSV
+    synth_rows: int = 2000
+    synth_features: int = 2
+
+    @property
+    def split_ratios(self) -> tuple[float, float, float]:
+        return (self.split_train, self.split_val, self.split_test)
+
+
+@dataclass
 class TimeSeries:
     timestamps: list[str]
     values: np.ndarray            # T x F, float64

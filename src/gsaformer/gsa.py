@@ -44,7 +44,6 @@ from .tensor import (
     multiply,
     pad_rows,
     slice_rows,
-    sum_rows,
 )
 
 
@@ -65,8 +64,6 @@ class GsaConfig:
     m_max: int                  # group count at the configured max length
     causal: bool = False
     global_path: bool = True    # False reproduces the local-only ablation
-    pool_mode: str = "mean"     # "mean" (default) or "sum" summary pooling
-    merge_per_group: bool = True  # False: one alpha/beta shared by all groups
 
     def __post_init__(self):
         if self.l_g <= 0 or self.l_s <= 0:
@@ -77,8 +74,6 @@ class GsaConfig:
             raise ConfigError(f"d={self.d} not divisible by heads={self.heads}")
         if self.m_max <= 0:
             raise ConfigError(f"m_max must be positive, got {self.m_max}")
-        if self.pool_mode not in ("mean", "sum"):
-            raise ConfigError(f"pool_mode must be 'mean' or 'sum', got {self.pool_mode!r}")
 
     @property
     def uses_global(self) -> bool:
@@ -124,13 +119,12 @@ class GsaLayerParams:
 
         # alpha=1, beta=0: the layer starts as pure local attention and the
         # gradient to beta is already nonzero, so the global path can learn on
-        n_merge = cfg.m_max if cfg.merge_per_group else 1
         return cls(
             w_q=proj(), w_k=proj(), w_v=proj(), w_o=proj(),
             b_q=bias(), b_k=bias(), b_v=bias(), b_o=bias(),
             e_q=summary(), e_k=summary(), e_v=summary(),
-            alpha=Tensor(np.ones((1, n_merge)), requires_grad=True),
-            beta=Tensor(np.zeros((1, n_merge)), requires_grad=True),
+            alpha=Tensor(np.ones((1, cfg.m_max)), requires_grad=True),
+            beta=Tensor(np.zeros((1, cfg.m_max)), requires_grad=True),
         )
 
     def named(self, prefix: str = "") -> dict[str, Tensor]:
@@ -178,16 +172,12 @@ def global_summary_attention(q_cat: Tensor, k_cat: Tensor, v_cat: Tensor,
     return scaled_dot_attention(q_cat, k_cat, v_cat, AttentionMask.none(), counter)
 
 
-def _pool(seg: Tensor, pool_mode: str) -> Tensor:
-    return mean_rows(seg) if pool_mode == "mean" else sum_rows(seg)
-
-
 def merge_outputs(o_local: Tensor, o_summary_segment: Tensor,
-                  alpha_j, beta_j, pool_mode: str = "mean") -> Tensor:
-    """alpha_j * local output + beta_j * pooled summary row, the pooled row
-    broadcast onto every group row.  alpha_j/beta_j may be 1x1 tensors
+                  alpha_j, beta_j) -> Tensor:
+    """alpha_j * local output + beta_j * mean-pooled summary row, the pooled
+    row broadcast onto every group row.  alpha_j/beta_j may be 1x1 tensors
     (learnable) or plain floats."""
-    pooled = _pool(o_summary_segment, pool_mode)
+    pooled = mean_rows(o_summary_segment)
     return broadcast_add(multiply(o_local, alpha_j), multiply(pooled, beta_j))
 
 
@@ -321,10 +311,9 @@ def grouped_attention(q: Tensor, k: Tensor, v: Tensor, params: GsaLayerParams,
         pg *= scale
         softmax_last_axis(pg)
         og = np.matmul(pg, vs).reshape(heads, m, l_s, dh)
-        pooled = og.mean(axis=2) if cfg.pool_mode == "mean" else og.sum(axis=2)
-        slots = np.arange(m) if cfg.merge_per_group else np.zeros(m, dtype=int)
-        alpha = params.alpha.data[0, slots]
-        beta = params.beta.data[0, slots]
+        pooled = og.mean(axis=2)
+        alpha = params.alpha.data[0, :m]
+        beta = params.beta.data[0, :m]
         o_local = o.copy() if taped else None
         o *= alpha[:, None, None]
         o += (pooled * beta[:, None])[:, :, None, :]
@@ -352,14 +341,9 @@ def grouped_attention(q: Tensor, k: Tensor, v: Tensor, params: GsaLayerParams,
                           (g_cols * pooled).sum(axis=-1))
             for param, d_slot in zip((params.alpha, params.beta), slot_grads):
                 full = np.zeros(param.shape)
-                if cfg.merge_per_group:
-                    full[0, :m] = _sum_last_to_first(d_slot)
-                else:
-                    full[0, 0] = _sum_last_to_first(d_slot.reshape(-1))
+                full[0, :m] = _sum_last_to_first(d_slot)
                 accumulate_grad(param, full)
-            d_pooled = g_cols * beta[:, None]
-            if cfg.pool_mode == "mean":
-                d_pooled /= l_s
+            d_pooled = g_cols * beta[:, None] / l_s
             d_og = np.repeat(d_pooled[:, :, None, :], l_s, axis=2).reshape(heads, n_s, dh)
             # global summary attention
             d_pg = np.matmul(d_og, vs.swapaxes(-1, -2))

@@ -46,9 +46,6 @@ class ModelConfig:
     label_len: int = -1            # -1 means seq_len // 2
     ffn_hidden: int = 128
     ablation_local_only: bool = False
-    pool_mode: str = "mean"
-    merge_per_group: bool = True
-    decoder_unmasked: bool = False  # ablation escape hatch; leaks future rows
 
     def __post_init__(self):
         if self.label_len < 0:
@@ -59,6 +56,8 @@ class ModelConfig:
         if self.seq_len <= 0 or self.pred_len < 0:
             raise ConfigError(
                 f"bad lengths: seq_len={self.seq_len}, pred_len={self.pred_len}")
+        if self.heads < 1:
+            raise ConfigError(f"heads must be >= 1, got {self.heads}")
         if self.d % self.heads != 0:
             raise ConfigError(f"d={self.d} not divisible by heads={self.heads}")
 
@@ -70,18 +69,13 @@ class ModelConfig:
         return GsaConfig(
             l_g=self.l_g, l_s=self.l_s, d=self.d, heads=self.heads,
             m_max=math.ceil(self.seq_len / self.l_g), causal=False,
-            global_path=not self.ablation_local_only,
-            pool_mode=self.pool_mode, merge_per_group=self.merge_per_group)
+            global_path=not self.ablation_local_only)
 
     def decoder_gsa(self) -> GsaConfig:
         return GsaConfig(
             l_g=self.l_g, l_s=self.l_s, d=self.d, heads=self.heads,
             m_max=max(math.ceil(self.dec_len / self.l_g), 1),
-            causal=not self.decoder_unmasked, global_path=False,
-            pool_mode=self.pool_mode, merge_per_group=self.merge_per_group)
-
-
-_CONFIG_FIELDS = {f.name: f.type for f in fields(ModelConfig)}
+            causal=True, global_path=False)
 
 
 def model_config_to_text(cfg: ModelConfig) -> str:
@@ -89,29 +83,6 @@ def model_config_to_text(cfg: ModelConfig) -> str:
     for f in fields(ModelConfig):
         lines.append(f"{f.name}={getattr(cfg, f.name)}")
     return "\n".join(lines) + "\n"
-
-
-def parse_config_value(name: str, raw: str):
-    kind = _CONFIG_FIELDS[name]
-    if kind == "bool" or kind is bool:
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"{name}: expected a boolean, got {raw!r}")
-    if kind == "int" or kind is int:
-        return int(raw)
-    return raw
-
-
-def model_config_from_mapping(mapping: dict[str, str]) -> ModelConfig:
-    kwargs = {}
-    for key, raw in mapping.items():
-        if key not in _CONFIG_FIELDS:
-            raise ConfigError(
-                f"unknown model config key {key!r}; known: {sorted(_CONFIG_FIELDS)}")
-        kwargs[key] = parse_config_value(key, raw)
-    return ModelConfig(**kwargs)
 
 
 def sinusoidal_table(max_len: int, d: int) -> np.ndarray:

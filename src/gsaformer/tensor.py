@@ -297,20 +297,6 @@ def mean_rows(a: Tensor) -> Tensor:
     return _record("mean_rows", out, (a,), backward)
 
 
-def sum_rows(a: Tensor) -> Tensor:
-    _require_2d(a, "sum_rows")
-    if a.data.size == 0:
-        raise DimensionError(f"sum_rows: empty tensor of shape {a.shape}")
-    out = Tensor(a.data.sum(axis=0, keepdims=True))
-
-    def backward():
-        if out.grad is None:
-            return
-        accumulate_grad(a, np.repeat(out.grad, a.shape[0], axis=0))
-
-    return _record("sum_rows", out, (a,), backward)
-
-
 def sum_all(a: Tensor) -> Tensor:
     _require_2d(a, "sum_all")
     out = Tensor(np.array([[a.data.sum()]]))

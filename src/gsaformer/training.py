@@ -44,6 +44,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ContractError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if self.batch_size < 1:
+            raise ContractError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
 def mse_loss(pred: Tensor, target: Tensor) -> Tensor:

@@ -137,11 +137,10 @@ def loop_gsa_forward(x, params, cfg, counter, real_len=None):
                 cfg.l_s, counter)
             merged = []
             for j in range(m):
-                idx = j if cfg.merge_per_group else 0
                 merged.append(merge_outputs(
                     local[j], slice_rows(o_s, j * cfg.l_s, (j + 1) * cfg.l_s),
-                    slice_cols(params.alpha, idx, idx + 1),
-                    slice_cols(params.beta, idx, idx + 1), cfg.pool_mode))
+                    slice_cols(params.alpha, j, j + 1),
+                    slice_cols(params.beta, j, j + 1)))
         head_out = concat_rows(merged)
         if m * cfg.l_g > l:
             head_out = slice_rows(head_out, 0, l)
@@ -188,11 +187,9 @@ def naive_gsa(x, params, cfg, real_len=None):
             os_ = naive_attention(qs, ks, vs)
             merged = []
             for j in range(m):
-                seg = os_[j * cfg.l_s:(j + 1) * cfg.l_s]
-                pooled = seg.mean(axis=0) if cfg.pool_mode == "mean" else seg.sum(axis=0)
-                idx = j if cfg.merge_per_group else 0
-                merged.append(params.alpha.data[0, idx] * locals_[j]
-                              + params.beta.data[0, idx] * pooled)
+                pooled = os_[j * cfg.l_s:(j + 1) * cfg.l_s].mean(axis=0)
+                merged.append(params.alpha.data[0, j] * locals_[j]
+                              + params.beta.data[0, j] * pooled)
         head_outs.append(np.vstack(merged)[:l])
     combined = np.hstack(head_outs)
     return naive_matmul(combined, params.w_o.data) + params.b_o.data

@@ -146,12 +146,6 @@ class TestMergeOutputs:
                             Tensor([[1.0, 1.0], [3.0, 3.0]]), 2.0, 3.0)
         npt.assert_array_equal(out.data, [[8.0, 8.0], [8.0, 8.0]])
 
-    def test_sum_pooling_variant(self):
-        seg = Tensor([[1.0, 1.0], [3.0, 3.0]])
-        out = merge_outputs(Tensor(np.zeros((2, 2))), seg, 0.0, 1.0,
-                            pool_mode="sum")
-        npt.assert_array_equal(out.data, [[4.0, 4.0], [4.0, 4.0]])
-
 
 class TestOpCount:
     def test_reference_values(self):
@@ -310,10 +304,6 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             GsaConfig(l_g=8, l_s=2, d=9, heads=2, m_max=1)
 
-    def test_pool_mode_checked(self):
-        with pytest.raises(ConfigError):
-            GsaConfig(l_g=8, l_s=2, d=8, heads=1, m_max=1, pool_mode="max")
-
 
 class TestRealLenContract:
     def test_causal_with_padded_tail_matches_unpadded(self):
@@ -359,29 +349,6 @@ class TestRealLenContract:
 
 
 class TestConfigToggles:
-    def test_sum_pooling_scales_global_term_by_l_s(self):
-        rng = np.random.default_rng(30)
-        x = Tensor(rng.normal(size=(16, 8)))
-        outs = {}
-        for mode in ("mean", "sum"):
-            cfg = GsaConfig(l_g=8, l_s=2, d=8, heads=1, m_max=2, pool_mode=mode)
-            params = make_params(cfg, seed=30, beta=1.0)
-            params.alpha.data[:] = 0.0
-            params.w_o.data = np.eye(8)
-            params.b_o.data[:] = 0.0
-            outs[mode] = gsa_forward(x, params, cfg, OpCounter()).data
-        npt.assert_allclose(outs["sum"], 2.0 * outs["mean"], atol=1e-12)
-
-    def test_shared_merge_scalars(self):
-        rng = np.random.default_rng(31)
-        cfg = GsaConfig(l_g=8, l_s=2, d=8, heads=1, m_max=3,
-                        merge_per_group=False)
-        params = make_params(cfg, seed=31, beta=0.5)
-        assert params.alpha.shape == (1, 1) and params.beta.shape == (1, 1)
-        out = gsa_forward(Tensor(rng.normal(size=(20, 8))), params, cfg,
-                          OpCounter())
-        assert out.shape == (20, 8)
-
     def test_per_group_merge_uses_group_slot(self):
         rng = np.random.default_rng(32)
         cfg = GsaConfig(l_g=8, l_s=2, d=8, heads=1, m_max=2)
@@ -396,21 +363,19 @@ class TestConfigToggles:
 
 
 class TestEndToEndOracle:
-    @pytest.mark.parametrize("l,heads,causal,global_path,pool,per_group", [
-        (20, 1, False, True, "mean", True),
-        (24, 2, False, True, "sum", True),
-        (13, 1, False, True, "mean", False),
-        (20, 2, True, False, "mean", True),
-        (16, 2, True, True, "mean", True),   # causal forces global off
-        (7, 1, False, False, "mean", True),
+    @pytest.mark.parametrize("l,heads,causal,global_path", [
+        (20, 1, False, True),
+        (24, 2, False, True),
+        (13, 1, False, True),
+        (20, 2, True, False),
+        (16, 2, True, True),   # causal forces global off
+        (7, 1, False, False),
     ])
-    def test_matches_naive_reference(self, l, heads, causal, global_path,
-                                     pool, per_group):
+    def test_matches_naive_reference(self, l, heads, causal, global_path):
         rng = np.random.default_rng(l * 7 + heads)
         cfg = GsaConfig(l_g=8, l_s=2, d=8, heads=heads,
                         m_max=int(np.ceil(l / 8)), causal=causal,
-                        global_path=global_path, pool_mode=pool,
-                        merge_per_group=per_group)
+                        global_path=global_path)
         params = make_params(cfg, seed=l, beta=0.45)
         params.alpha.data[:] = rng.uniform(0.5, 1.5, params.alpha.shape)
         params.beta.data[:] = rng.uniform(-0.5, 0.5, params.beta.shape)
@@ -431,9 +396,7 @@ def gsa_cases(draw):
         l_g=l_g, l_s=draw(st.integers(1, l_g - 1)),
         d=heads * draw(st.integers(1, 3)), heads=heads,
         m_max=m + draw(st.integers(0, 1)), causal=draw(st.booleans()),
-        global_path=draw(st.booleans()),
-        pool_mode=draw(st.sampled_from(["mean", "sum"])),
-        merge_per_group=draw(st.booleans()))
+        global_path=draw(st.booleans()))
     l = draw(st.integers(real_len, m * l_g))
     return cfg, l, real_len, draw(st.integers(0, 2 ** 16))
 

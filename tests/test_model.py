@@ -1,14 +1,16 @@
+from dataclasses import fields
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from gsaformer.attention import OpCounter
+from gsaformer.cli import config_from_mapping
 from gsaformer.gsa import ConfigError
 from gsaformer.model import (
     ForecasterModel,
     ModelConfig,
     build_decoder_input,
-    model_config_from_mapping,
     model_config_to_text,
     sinusoidal_table,
 )
@@ -144,11 +146,6 @@ class TestModelForward:
         assert diff[4:8].max() > 0             # perturbed group changes
         assert diff[8:].max() < 1e-12          # later groups untouched
 
-    def test_unmasked_decoder_escape_hatch_leaks(self):
-        cfg = tiny_config(decoder_unmasked=True)
-        model = ForecasterModel(cfg, seed=7)
-        assert model.decoder_layers[0].gsa_cfg.causal is False
-
 
 class TestCheckpoint:
     def test_roundtrip_bit_identical_predictions(self, tmp_path):
@@ -185,18 +182,25 @@ class TestCheckpoint:
 
 class TestConfigFile:
     def test_text_roundtrip(self):
-        cfg = tiny_config(ablation_local_only=True, pool_mode="sum")
+        cfg = ModelConfig(seq_len=30, pred_len=6, n_features_in=3,
+                          n_features_out=1, d=12, heads=3, e_l=2, d_l=1,
+                          l_g=10, l_s=3, l_comp=20, label_len=5,
+                          ffn_hidden=24, ablation_local_only=True)
+        defaults = ModelConfig(seq_len=1, pred_len=1, n_features_in=2,
+                               n_features_out=2)
+        assert all(getattr(cfg, f.name) != getattr(defaults, f.name)
+                   for f in fields(ModelConfig))
         text = model_config_to_text(cfg)
-        parsed = model_config_from_mapping(dict(
+        parsed = config_from_mapping(ModelConfig, dict(
             line.split("=", 1) for line in text.strip().splitlines()))
         assert parsed == cfg
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown"):
-            model_config_from_mapping({"seq_len": "8", "pred_len": "2",
-                                       "n_features_in": "1",
-                                       "n_features_out": "1",
-                                       "bogus": "1"})
+            config_from_mapping(ModelConfig, {"seq_len": "8", "pred_len": "2",
+                                              "n_features_in": "1",
+                                              "n_features_out": "1",
+                                              "bogus": "1"})
 
 
 class TestPositionalTable:

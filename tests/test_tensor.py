@@ -28,7 +28,6 @@ from gsaformer.tensor import (
     slice_rows,
     subtract,
     sum_all,
-    sum_rows,
     transpose,
 )
 
@@ -251,12 +250,12 @@ class TestOtherOps:
 
         check_op_gradients(loss_fn, [a])
 
-    def test_sum_rows_and_multiply_gradients(self):
+    def test_mean_rows_and_multiply_gradients(self):
         rng = np.random.default_rng(13)
         a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         b = Tensor(rng.normal(size=(1, 4)), requires_grad=True)
         check_op_gradients(
-            lambda: sum_all(multiply(sum_rows(multiply(a, b)), 0.5)), [a, b])
+            lambda: sum_all(multiply(mean_rows(multiply(a, b)), 0.5)), [a, b])
 
     def test_layer_norm_gradients(self):
         rng = np.random.default_rng(14)
