@@ -1,12 +1,13 @@
 """Compressed cross-attention: the encoder output is linearly compressed
 to a fixed row count before serving as keys/values, so cross-attention
 cost is l_dec * l_comp no matter how long the encoder sequence gets.
-Each decoder layer owns its own compression matrix."""
+Each decoder layer owns its own compression matrix, when it needs one."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -18,9 +19,10 @@ from .tensor import DimensionError, Tensor, broadcast_add, matmul
 class CcaLayerParams:
     """Per-decoder-layer compression matrix plus Q/K/V/output projections.
 
-    c is l_comp-by-l_enc and is never shared between layers."""
+    c is l_comp-by-l_enc and is never shared between layers.  It exists
+    only when l_enc > l_comp; otherwise the encoder output is used as is."""
 
-    c: Tensor
+    c: Optional[Tensor]
     w_q: Tensor
     w_k: Tensor
     w_v: Tensor
@@ -41,29 +43,24 @@ class CcaLayerParams:
             return Tensor(np.zeros((1, d)), requires_grad=True)
 
         scale = 1.0 / math.sqrt(l_enc)
+        # drawn even when unused, so later tensors start at the same seed-stream point
+        c = Tensor(rng.uniform(-scale, scale, size=(l_comp, l_enc)), requires_grad=True)
         return cls(
-            c=Tensor(rng.uniform(-scale, scale, size=(l_comp, l_enc)),
-                     requires_grad=True),
+            c=c if l_enc > l_comp else None,
             w_q=proj(), w_k=proj(), w_v=proj(), w_o=proj(),
             b_q=bias(), b_k=bias(), b_v=bias(), b_o=bias(),
         )
 
     def named(self, prefix: str = "") -> dict[str, Tensor]:
-        return {
-            f"{prefix}c": self.c,
-            f"{prefix}w_q": self.w_q, f"{prefix}w_k": self.w_k,
-            f"{prefix}w_v": self.w_v, f"{prefix}w_o": self.w_o,
-            f"{prefix}b_q": self.b_q, f"{prefix}b_k": self.b_k,
-            f"{prefix}b_v": self.b_v, f"{prefix}b_o": self.b_o,
-        }
+        """Every tensor the layer has, in field order."""
+        return {prefix + name: t for name, t in vars(self).items() if t is not None}
 
 
-def compress_encoder_output(h_enc: Tensor, c: Tensor) -> Tensor:
-    """C @ H_enc, shrinking l_enc rows to l_comp.  When the encoder output
-    is already no longer than l_comp, compression is pointless and the
-    input passes through unchanged."""
-    l_comp = c.shape[0]
-    if h_enc.shape[0] <= l_comp:
+def compress_encoder_output(h_enc: Tensor, c: Optional[Tensor]) -> Tensor:
+    """C @ H_enc, shrinking l_enc rows to l_comp.  A layer whose encoder
+    output is no longer than l_comp has no C, and the input passes through
+    unchanged."""
+    if c is None:
         return h_enc
     if c.shape[1] != h_enc.shape[0]:
         raise DimensionError(

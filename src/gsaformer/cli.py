@@ -207,7 +207,11 @@ def cmd_eval(args) -> int:
         raise UsageError(f"checkpoint not found: {args.checkpoint}")
     if not cfg_path.exists():
         raise UsageError(f"model config not found: {cfg_path}")
-    cfg = config_from_mapping(ModelConfig, read_config_file(cfg_path))
+    cfg_mapping = read_config_file(cfg_path)
+    try:
+        cfg = config_from_mapping(ModelConfig, cfg_mapping)
+    except ConfigError as exc:
+        raise ConfigError(f"{cfg_path}: {exc}") from exc
     model = ForecasterModel(cfg, seed=train_cfg.seed)
     model.load(args.checkpoint)
     series = _load_series(args, data_cfg, train_cfg.seed)
@@ -227,7 +231,14 @@ def cmd_eval(args) -> int:
 
 def cmd_bench(args) -> int:
     mapping = build_settings(args, _BENCH_KEYS)
-    lengths = sorted(int(x) for x in args.lengths.split(","))
+    lengths = []
+    for item in args.lengths.split(","):
+        try:
+            lengths.append(int(item))
+        except ValueError:
+            raise UsageError(f"--lengths expects comma-separated integers, "
+                             f"got {item!r}") from None
+    lengths.sort()
     mechanisms = [m.strip() for m in args.mechanisms.split(",")]
     for m in mechanisms:
         if m not in MECHANISMS:

@@ -88,6 +88,8 @@ class GsaLayerParams:
 
     The summary projections e_q/e_k/e_v are single tensors applied to every
     group (shared weights); alpha/beta hold one merge scalar per group slot.
+    These five exist only when cfg.uses_global: a causal or local-only
+    layer never reads them.
     """
 
     w_q: Tensor
@@ -98,11 +100,11 @@ class GsaLayerParams:
     b_k: Tensor
     b_v: Tensor
     b_o: Tensor
-    e_q: Tensor
-    e_k: Tensor
-    e_v: Tensor
-    alpha: Tensor
-    beta: Tensor
+    e_q: Optional[Tensor] = None
+    e_k: Optional[Tensor] = None
+    e_v: Optional[Tensor] = None
+    alpha: Optional[Tensor] = None
+    beta: Optional[Tensor] = None
 
     @classmethod
     def init(cls, cfg: GsaConfig, rng: np.random.Generator) -> "GsaLayerParams":
@@ -117,26 +119,21 @@ class GsaLayerParams:
             a = 1.0 / math.sqrt(cfg.l_g)
             return Tensor(rng.uniform(-a, a, size=(cfg.l_s, cfg.l_g)), requires_grad=True)
 
-        # alpha=1, beta=0: the layer starts as pure local attention and the
-        # gradient to beta is already nonzero, so the global path can learn on
-        return cls(
-            w_q=proj(), w_k=proj(), w_v=proj(), w_o=proj(),
-            b_q=bias(), b_k=bias(), b_v=bias(), b_o=bias(),
-            e_q=summary(), e_k=summary(), e_v=summary(),
-            alpha=Tensor(np.ones((1, cfg.m_max)), requires_grad=True),
-            beta=Tensor(np.zeros((1, cfg.m_max)), requires_grad=True),
-        )
+        params = cls(w_q=proj(), w_k=proj(), w_v=proj(), w_o=proj(),
+                     b_q=bias(), b_k=bias(), b_v=bias(), b_o=bias())
+        # drawn even when unused, so later layers start at the same seed-stream point
+        summaries = summary(), summary(), summary()
+        if cfg.uses_global:
+            params.e_q, params.e_k, params.e_v = summaries
+            # alpha=1, beta=0: the layer starts as pure local attention and the
+            # gradient to beta is already nonzero, so the global path can learn on
+            params.alpha = Tensor(np.ones((1, cfg.m_max)), requires_grad=True)
+            params.beta = Tensor(np.zeros((1, cfg.m_max)), requires_grad=True)
+        return params
 
     def named(self, prefix: str = "") -> dict[str, Tensor]:
-        return {
-            f"{prefix}w_q": self.w_q, f"{prefix}w_k": self.w_k,
-            f"{prefix}w_v": self.w_v, f"{prefix}w_o": self.w_o,
-            f"{prefix}b_q": self.b_q, f"{prefix}b_k": self.b_k,
-            f"{prefix}b_v": self.b_v, f"{prefix}b_o": self.b_o,
-            f"{prefix}e_q": self.e_q, f"{prefix}e_k": self.e_k,
-            f"{prefix}e_v": self.e_v,
-            f"{prefix}alpha": self.alpha, f"{prefix}beta": self.beta,
-        }
+        """Every tensor the layer has, in field order."""
+        return {prefix + name: t for name, t in vars(self).items() if t is not None}
 
 
 def partition_groups(x: Tensor, l_g: int) -> tuple[list[Tensor], int, int]:

@@ -265,11 +265,11 @@ class ForecasterModel:
         missing = sorted(set(params) - set(saved))
         extra = sorted(set(saved) - set(params))
         if missing or extra:
-            raise ConfigError(
-                f"checkpoint does not match model: missing={missing}, extra={extra}")
+            raise ConfigError(f"checkpoint {path} does not match model: "
+                              f"missing={missing}, extra={extra}")
         for name, tensor in params.items():
             if saved[name].shape != tensor.data.shape:
                 raise ConfigError(
-                    f"checkpoint shape mismatch for {name}: "
+                    f"checkpoint {path}: shape mismatch for {name}: "
                     f"{saved[name].shape} vs {tensor.data.shape}")
             tensor.data = saved[name].copy()

@@ -90,10 +90,13 @@ def adam_step(params: Mapping[str, Tensor],
               state: AdamState,
               cfg: TrainConfig,
               learning_rate: Optional[float] = None) -> None:
-    """One Adam update with bias correction over every named parameter."""
+    """One Adam update with bias correction over every named parameter,
+    after clipping the gradients' global norm to cfg.grad_clip when set."""
     for name in params:
         if name not in grads or grads[name] is None:
             raise ContractError(f"adam_step: no gradient for parameter {name!r}")
+    if cfg.grad_clip is not None:
+        _clip_grads(grads, cfg.grad_clip)
     lr = cfg.learning_rate if learning_rate is None else learning_rate
     state.t += 1
     t = state.t
@@ -182,10 +185,7 @@ def train(model: ForecasterModel, train_set: WindowSet, cfg: TrainConfig,
                     # scale so accumulated grads form the batch-mean gradient
                     backward(multiply(window_loss, 1.0 / len(batch)), tape)
                     tape.clear()
-            grads = {name: p.grad if p.grad is not None else np.zeros_like(p.data)
-                     for name, p in params.items()}
-            if cfg.grad_clip is not None:
-                _clip_grads(grads, cfg.grad_clip)
+            grads = {name: p.grad for name, p in params.items()}
             adam_step(params, grads, state, cfg, learning_rate=lr)
             epoch_losses.append(batch_loss)
             history.iteration_losses.append(batch_loss)

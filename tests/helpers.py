@@ -176,9 +176,10 @@ def naive_gsa(x, params, cfg, real_len=None):
                 allow &= np.tril(np.ones((cfg.l_g, cfg.l_g), dtype=bool))
             locals_.append(naive_attention(q[rows, sl], k[rows, sl],
                                            v[rows, sl], allow=allow))
-            summaries.append((naive_matmul(params.e_q.data, q[rows, sl]),
-                              naive_matmul(params.e_k.data, k[rows, sl]),
-                              naive_matmul(params.e_v.data, v[rows, sl])))
+            if cfg.uses_global:
+                summaries.append((naive_matmul(params.e_q.data, q[rows, sl]),
+                                  naive_matmul(params.e_k.data, k[rows, sl]),
+                                  naive_matmul(params.e_v.data, v[rows, sl])))
         merged = locals_
         if cfg.uses_global:
             qs = np.vstack([s[0] for s in summaries])
@@ -193,3 +194,19 @@ def naive_gsa(x, params, cfg, real_len=None):
         head_outs.append(np.vstack(merged)[:l])
     combined = np.hstack(head_outs)
     return naive_matmul(combined, params.w_o.data) + params.b_o.data
+
+
+def old_layout_arrays(model):
+    """The model's parameters plus the tensors every checkpoint written
+    before unused parameters were dropped also held: the summary weights of
+    each decoder layer's causal GSA and each CCA compression matrix."""
+    cfg = model.cfg
+    arrays = {name: p.data for name, p in model.parameters().items()}
+    m_max = max(math.ceil(cfg.dec_len / cfg.l_g), 1)
+    for i in range(cfg.d_l):
+        for e in ("e_q", "e_k", "e_v"):
+            arrays[f"dec{i}.gsa.{e}"] = np.zeros((cfg.l_s, cfg.l_g))
+        arrays[f"dec{i}.gsa.alpha"] = np.ones((1, m_max))
+        arrays[f"dec{i}.gsa.beta"] = np.zeros((1, m_max))
+        arrays.setdefault(f"dec{i}.cca.c", np.zeros((cfg.l_comp, cfg.seq_len)))
+    return arrays

@@ -21,8 +21,7 @@ def make_params(d, l_enc, l_comp, seed=0):
 class TestCompress:
     def test_bypass_when_short(self):
         h = Tensor(np.random.default_rng(0).normal(size=(128, 4)))
-        c = Tensor(np.zeros((256, 999)))
-        out = compress_encoder_output(h, c)
+        out = compress_encoder_output(h, None)
         assert out is h
 
     def test_identity_row_selection(self):
@@ -96,7 +95,7 @@ class TestCcaForward:
         rng = np.random.default_rng(6)
         d, l_enc = 8, 12
         params = make_params(d, l_enc, l_enc, seed=6)
-        params.c.data = np.eye(l_enc)
+        assert params.c is None
         h_dec = Tensor(rng.normal(size=(7, d)))
         h_enc = Tensor(rng.normal(size=(l_enc, d)))
         out = cca_forward(h_dec, h_enc, params, OpCounter())

@@ -23,8 +23,19 @@ from helpers import loop_gsa_forward, naive_gsa
 
 def make_params(cfg, seed=0, beta=0.0):
     params = GsaLayerParams.init(cfg, np.random.default_rng(seed))
-    params.beta.data[:] = beta
+    if params.beta is not None:
+        params.beta.data[:] = beta
     return params
+
+
+def randomize_merge(params, cfg, rng):
+    """Random alpha/beta merge scalars.  They are drawn even for a layer
+    without a global path, so later draws from rng stay the same."""
+    alpha = rng.uniform(0.5, 1.5, (1, cfg.m_max))
+    beta = rng.uniform(-0.5, 0.5, (1, cfg.m_max))
+    if params.alpha is not None:
+        params.alpha.data[:] = alpha
+        params.beta.data[:] = beta
 
 
 def plain_projection_params(cfg, seed=0):
@@ -377,8 +388,7 @@ class TestEndToEndOracle:
                         m_max=int(np.ceil(l / 8)), causal=causal,
                         global_path=global_path)
         params = make_params(cfg, seed=l, beta=0.45)
-        params.alpha.data[:] = rng.uniform(0.5, 1.5, params.alpha.shape)
-        params.beta.data[:] = rng.uniform(-0.5, 0.5, params.beta.shape)
+        randomize_merge(params, cfg, rng)
         x = rng.normal(size=(l, 8))
         out = gsa_forward(Tensor(x), params, cfg, OpCounter())
         expected = naive_gsa(x, params, cfg)
@@ -422,8 +432,7 @@ class TestFusedOpProperties:
         cfg, l, real_len, seed = case
         rng = np.random.default_rng(seed)
         params = make_params(cfg, seed=seed)
-        params.alpha.data[:] = rng.uniform(0.5, 1.5, params.alpha.shape)
-        params.beta.data[:] = rng.uniform(-0.5, 0.5, params.beta.shape)
+        randomize_merge(params, cfg, rng)
         x = Tensor(rng.normal(size=(l, cfg.d)), requires_grad=True)
         weights = Tensor(rng.normal(size=(l, cfg.d)))
         fused_counter, loop_counter = OpCounter(), OpCounter()

@@ -4,8 +4,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from helpers import old_layout_arrays
+
 from gsaformer.attention import OpCounter
-from gsaformer.cli import config_from_mapping
+from gsaformer.benchmark import BenchConfig, model_config_for
+from gsaformer.cli import GRADCHECK_PRESETS, config_from_mapping
 from gsaformer.gsa import ConfigError
 from gsaformer.model import (
     ForecasterModel,
@@ -14,7 +17,8 @@ from gsaformer.model import (
     model_config_to_text,
     sinusoidal_table,
 )
-from gsaformer.tensor import Tensor
+from gsaformer.tensor import ComputationTape, Tensor, backward, save_checkpoint
+from gsaformer.training import mse_loss
 
 
 def tiny_config(**overrides):
@@ -178,6 +182,58 @@ class TestCheckpoint:
         other = ForecasterModel(tiny_config(e_l=2), seed=10)
         with pytest.raises(ConfigError):
             other.load(path)
+
+    def test_old_layout_with_unused_tensors_rejected(self, tmp_path):
+        model = ForecasterModel(tiny_config(), seed=10)
+        path = tmp_path / "old.ckpt"
+        save_checkpoint(path, old_layout_arrays(model))
+        with pytest.raises(ConfigError) as err:
+            model.load(path)
+        message = str(err.value)
+        assert str(path) in message
+        assert "'dec0.gsa.e_q'" in message and "'dec0.cca.c'" in message
+
+
+# the verbs' configs: train's defaults with 2 synthetic features, its local-only
+# ablation, the bench's train_long at L=1440 and the tiny gradcheck preset
+TRAIN_DEFAULTS = dict(seq_len=96, pred_len=24, n_features_in=2, n_features_out=2)
+NARROW_BENCH = BenchConfig(d=8, heads=2, ffn_hidden=8, n_features=2)
+GRADIENT_CONFIGS = {
+    "train": ModelConfig(**TRAIN_DEFAULTS),
+    "train_local_only": ModelConfig(**TRAIN_DEFAULTS, ablation_local_only=True),
+    "train_long": model_config_for("grouped", 1440, NARROW_BENCH),
+    "gradcheck_tiny": ModelConfig(**GRADCHECK_PRESETS["tiny"]),
+}
+
+
+class TestEveryParameterReachesTheLoss:
+    @pytest.mark.parametrize("name", sorted(GRADIENT_CONFIGS))
+    def test_one_backward_gives_every_parameter_a_gradient(self, name):
+        cfg = GRADIENT_CONFIGS[name]
+        model = ForecasterModel(cfg, seed=0)
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.normal(size=(cfg.seq_len, cfg.n_features_in)))
+        y = Tensor(rng.normal(size=(cfg.pred_len, cfg.n_features_out)))
+        with ComputationTape() as tape:
+            backward(mse_loss(model.forward(x), y), tape)
+        missing = [n for n, p in model.parameters().items() if p.grad is None]
+        assert missing == []
+
+    def test_narrow_bench_has_the_bench_parameter_names(self):
+        # width changes no parameter's existence, so the narrow model above
+        # stands for the full-width train_long model
+        full = ForecasterModel(model_config_for("grouped", 1440, BenchConfig()))
+        narrow = ForecasterModel(GRADIENT_CONFIGS["train_long"])
+        assert list(full.parameters()) == list(narrow.parameters())
+
+    def test_unused_paths_allocate_nothing(self):
+        model = ForecasterModel(ModelConfig(**TRAIN_DEFAULTS), seed=0)
+        names = model.parameters()
+        assert "enc0.gsa.e_q" in names and "enc0.gsa.beta" in names
+        causal_unused = {f"dec0.gsa.{n}" for n in ("e_q", "e_k", "e_v", "alpha", "beta")}
+        assert not causal_unused & names.keys()
+        # seq_len 96 <= l_comp 256: no compression
+        assert "dec0.cca.c" not in names
 
 
 class TestConfigFile:

@@ -256,7 +256,8 @@ class TestGradCheck:
             cfg = GsaConfig(l_g=8, l_s=2, d=8, heads=2, m_max=2,
                             global_path=global_path)
             params = GsaLayerParams.init(cfg, rng)
-            params.beta.data[:] = 0.4
+            if params.beta is not None:
+                params.beta.data[:] = 0.4
             report = grad_check(
                 lambda: mse_loss(gsa_forward(x, params, cfg, OpCounter()), y),
                 params.named(), max_coords=10, seed=3)
