@@ -1,5 +1,11 @@
 """Canonical scaled dot-product attention, row softmax, masks, and the
-score-element counter shared by every attention variant."""
+score-element counter shared by every attention variant.
+
+attention_forward/attention_backward are the one score -> softmax -> value
+kernel (and its gradient) on plain arrays, batched over leading axes; the
+fused tape ops multi_head_attention and gsa.grouped_attention both run it.
+scaled_dot_attention and row_softmax compose the same arithmetic from
+separate tape ops and serve as the reference."""
 
 from __future__ import annotations
 
@@ -12,10 +18,9 @@ from .tensor import (
     Tensor,
     _record,
     accumulate_grad,
-    concat_cols,
+    active_tape,
     matmul,
     multiply,
-    slice_cols,
     transpose,
 )
 
@@ -145,7 +150,7 @@ def row_softmax(scores: Tensor, mask: AttentionMask) -> Tensor:
     def backward():
         if out.grad is None:
             return
-        accumulate_grad(scores, softmax_last_axis_backward(p, out.grad.copy()))
+        accumulate_grad(scores, softmax_last_axis_backward(p, out.grad.copy()), owned=True)
 
     return _record("row_softmax", out, (scores,), backward)
 
@@ -167,20 +172,78 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, mask: AttentionMask,
     return matmul(weights, v)
 
 
+def attention_forward(q: np.ndarray, k_t: np.ndarray, v: np.ndarray, scale: float,
+                      allow: Optional[np.ndarray] = None,
+                      out: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
+    """softmax(q @ k_t * scale) @ v over the last two axes, batched over any
+    leading ones; k_t holds the keys transposed and allow masks scores as
+    in softmax_last_axis.  Returns (output, probabilities), the output
+    written into out when given."""
+    p = np.matmul(q, k_t)
+    p *= scale
+    softmax_last_axis(p, allow)
+    return np.matmul(p, v, out=out), p
+
+
+def attention_backward(q: np.ndarray, k_t: np.ndarray, v: np.ndarray, p: np.ndarray,
+                       g: np.ndarray, scale: float) -> tuple[np.ndarray, ...]:
+    """(d_q, d_k_t, d_v) of attention_forward from its inputs, its
+    probabilities p and the output gradient g, with the arithmetic of the
+    matmul/multiply/row_softmax rules; changes none of its arguments."""
+    d_p = np.matmul(g, v.swapaxes(-1, -2))
+    d_v = np.matmul(p.swapaxes(-1, -2), g)
+    softmax_last_axis_backward(p, d_p)
+    d_p *= scale
+    return np.matmul(d_p, k_t.swapaxes(-1, -2)), np.matmul(q.swapaxes(-1, -2), d_p), d_v
+
+
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
                          mask: AttentionMask, counter: OpCounter) -> Tensor:
-    """Slice the feature dim into contiguous head slabs, run the kernel per
-    slab, and concatenate the slab outputs."""
-    d = q.shape[1]
+    """scaled_dot_attention on each of `heads` contiguous column slabs of
+    q, k and v, the slab outputs side by side, as one tape op with one
+    backward rule and the same arithmetic.  Heads run one at a time, so
+    without a tape one head's score matrix is alive at once; with one, each
+    head keeps its probabilities for the backward.  The counter sees one
+    call per head.
+
+    Each head works on contiguous copies of its slabs, not strided views:
+    BLAS rounds one-row products differently for strided operands, and the
+    copies keep every product bit-identical to scaled_dot_attention."""
+    (l_q, d), (l_k, d_k) = q.shape, k.shape
     if d % heads != 0:
         raise DimensionError(f"feature dim {d} not divisible by {heads} heads")
-    if heads == 1:
-        return scaled_dot_attention(q, k, v, mask, counter)
+    if d_k != d or v.shape != k.shape:
+        raise DimensionError(
+            f"attention: Q {q.shape}, K {k.shape}, V {v.shape} do not line up")
     dh = d // heads
-    outs = []
-    for h in range(heads):
-        lo, hi = h * dh, (h + 1) * dh
-        outs.append(scaled_dot_attention(
-            slice_cols(q, lo, hi), slice_cols(k, lo, hi), slice_cols(v, lo, hi),
-            mask, counter))
-    return concat_cols(outs)
+    scale = 1.0 / np.sqrt(dh)
+    allow = mask.matrix(l_q, l_k)
+    taped = active_tape() is not None and any(t.requires_grad for t in (q, k, v))
+    slabs = [slice(h * dh, (h + 1) * dh) for h in range(heads)]
+    out_rows = np.empty((l_q, d))
+    saved = []
+    for cols in slabs:
+        counter.add_scores(l_q, l_k)
+        qh, vh = np.ascontiguousarray(q.data[:, cols]), np.ascontiguousarray(v.data[:, cols])
+        kh_t = np.ascontiguousarray(k.data[:, cols].T)
+        p = attention_forward(qh, kh_t, vh, scale, allow, out=out_rows[:, cols])[1]
+        if taped:
+            saved.append((qh, kh_t, vh, p))
+        del p   # else this head's scores would live on through the next head's
+    out = Tensor(out_rows)
+    if not taped:
+        return out
+
+    def backward():
+        if out.grad is None:
+            return
+        d_q, d_k, d_v = np.empty(q.shape), np.empty(k.shape), np.empty(v.shape)
+        for cols, (qh, kh_t, vh, p) in zip(slabs, saved):
+            g = np.ascontiguousarray(out.grad[:, cols])
+            d_q[:, cols], d_k_t, d_v[:, cols] = attention_backward(qh, kh_t, vh, p, g, scale)
+            d_k[:, cols] = d_k_t.T
+        accumulate_grad(q, d_q, owned=True)
+        accumulate_grad(k, d_k, owned=True)
+        accumulate_grad(v, d_v, owned=True)
+
+    return _record("multi_head_attention", out, (q, k, v), backward)

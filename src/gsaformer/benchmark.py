@@ -21,7 +21,7 @@ import numpy as np
 from .attention import OpCounter
 from .data import DataError, synthetic_series
 from .model import ForecasterModel, ModelConfig
-from .tensor import ComputationTape, Tensor, backward, zero_grads
+from .tensor import ComputationTape, Tensor, atomic_write, backward, zero_grads
 from .training import mse_loss
 
 MECHANISMS = ("grouped", "grouped_local_only", "canonical")
@@ -150,7 +150,7 @@ def emit_csv_report(report: BenchReport, path) -> None:
     if not report.rows:
         raise DataError("emit_csv_report: empty report")
     rows = sorted(report.rows, key=lambda r: (r.mechanism, r.seq_len))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path, newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
         for r in rows:

@@ -12,7 +12,7 @@ from typing import Optional
 import numpy as np
 
 from .attention import AttentionMask, OpCounter, multi_head_attention
-from .tensor import DimensionError, Tensor, broadcast_add, matmul
+from .tensor import DimensionError, Tensor, linear, matmul
 
 
 @dataclass
@@ -82,9 +82,9 @@ def cca_forward(h_dec: Tensor, h_enc: Tensor, params: CcaLayerParams,
     No mask: compressed rows are mixtures of all encoder positions, so a
     key-padding mask has nothing to point at.
     """
-    q = broadcast_add(matmul(h_dec, params.w_q), params.b_q)
+    q = linear(h_dec, params.w_q, params.b_q)
     h_c = compress_encoder_output(h_enc, params.c)
-    k = broadcast_add(matmul(h_c, params.w_k), params.b_k)
-    v = broadcast_add(matmul(h_c, params.w_v), params.b_v)
+    k = linear(h_c, params.w_k, params.b_k)
+    v = linear(h_c, params.w_v, params.b_v)
     attended = multi_head_attention(q, k, v, heads, AttentionMask.none(), counter)
-    return broadcast_add(matmul(attended, params.w_o), params.b_o)
+    return linear(attended, params.w_o, params.b_o)

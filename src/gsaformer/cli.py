@@ -29,7 +29,7 @@ from .benchmark import (
 from .data import DataConfig, DataError, load_csv, make_windows, synthetic_series, write_csv
 from .gsa import ConfigError
 from .model import ForecasterModel, ModelConfig, model_config_to_text
-from .tensor import Tensor
+from .tensor import Tensor, atomic_write
 from .training import TrainConfig, evaluate, grad_check, mse_loss, train
 
 log = logging.getLogger("gsaformer")
@@ -221,7 +221,7 @@ def cmd_eval(args) -> int:
     test_mse = evaluate(model, test_set)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "eval.csv", "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(out / "eval.csv", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["split", "mse", "windows"])
         writer.writerow(["test", repr(test_mse), len(test_set)])

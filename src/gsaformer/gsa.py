@@ -28,9 +28,9 @@ import numpy as np
 from .attention import (
     AttentionMask,
     OpCounter,
+    attention_backward,
+    attention_forward,
     scaled_dot_attention,
-    softmax_last_axis,
-    softmax_last_axis_backward,
 )
 from .tensor import (
     DimensionError,
@@ -39,6 +39,7 @@ from .tensor import (
     accumulate_grad,
     active_tape,
     broadcast_add,
+    linear,
     matmul,
     mean_rows,
     multiply,
@@ -288,12 +289,10 @@ def grouped_attention(q: Tensor, k: Tensor, v: Tensor, params: GsaLayerParams,
     qg, kg, vg = (_to_groups(t.data, m, l_g, heads, real_len) for t in (q, k, v))
     for _ in range(heads * m):
         counter.add_scores(l_g, l_g)
-    p = np.matmul(qg, kg.swapaxes(-1, -2))
-    p *= scale
-    softmax_last_axis(p, _local_allow(cfg, m, real_len))
     out_rows = np.empty((m * l_g, d))
     o = _grouped(out_rows, m, l_g, heads)
-    np.matmul(p, vg, out=o)
+    p = attention_forward(qg, kg.swapaxes(-1, -2), vg, scale,
+                          _local_allow(cfg, m, real_len), out=o)[1]
     if not taped:
         del p   # only the backward needs the probabilities
 
@@ -304,11 +303,8 @@ def grouped_attention(q: Tensor, k: Tensor, v: Tensor, params: GsaLayerParams,
                       for e, x in ((params.e_q, qg), (params.e_k, kg), (params.e_v, vg)))
         for _ in range(heads):
             counter.add_scores(n_s, n_s)
-        pg = np.matmul(qs, ks.swapaxes(-1, -2))
-        pg *= scale
-        softmax_last_axis(pg)
-        og = np.matmul(pg, vs).reshape(heads, m, l_s, dh)
-        pooled = og.mean(axis=2)
+        og, pg = attention_forward(qs, ks.swapaxes(-1, -2), vs, scale)
+        pooled = og.reshape(heads, m, l_s, dh).mean(axis=2)
         alpha = params.alpha.data[0, :m]
         beta = params.beta.data[0, :m]
         o_local = o.copy() if taped else None
@@ -325,12 +321,8 @@ def grouped_attention(q: Tensor, k: Tensor, v: Tensor, params: GsaLayerParams,
         g = _to_groups(out.grad, m, l_g, heads, l)
         d_local = g * alpha[:, None, None] if use_global else g
         # local attention inside every group
-        d_p = np.matmul(d_local, vg.swapaxes(-1, -2))
-        d_v = np.matmul(p.swapaxes(-1, -2), d_local)
-        softmax_last_axis_backward(p, d_p)
-        d_p *= scale
-        d_q = np.matmul(d_p, kg)
-        d_k = np.matmul(qg.swapaxes(-1, -2), d_p).swapaxes(-1, -2)
+        d_q, d_k, d_v = attention_backward(qg, kg.swapaxes(-1, -2), vg, p, d_local, scale)
+        d_k = d_k.swapaxes(-1, -2)
         if use_global:
             # merge: out_j = alpha_j * local_j + beta_j * pooled_j
             g_cols = g.sum(axis=2)
@@ -339,25 +331,21 @@ def grouped_attention(q: Tensor, k: Tensor, v: Tensor, params: GsaLayerParams,
             for param, d_slot in zip((params.alpha, params.beta), slot_grads):
                 full = np.zeros(param.shape)
                 full[0, :m] = _sum_last_to_first(d_slot)
-                accumulate_grad(param, full)
+                accumulate_grad(param, full, owned=True)
             d_pooled = g_cols * beta[:, None] / l_s
             d_og = np.repeat(d_pooled[:, :, None, :], l_s, axis=2).reshape(heads, n_s, dh)
             # global summary attention
-            d_pg = np.matmul(d_og, vs.swapaxes(-1, -2))
-            d_vs = np.matmul(pg.swapaxes(-1, -2), d_og)
-            softmax_last_axis_backward(pg, d_pg)
-            d_pg *= scale
-            d_qs = np.matmul(d_pg, ks)
-            d_ks = np.matmul(qs.swapaxes(-1, -2), d_pg).swapaxes(-1, -2)
+            d_qs, d_ks, d_vs = attention_backward(qs, ks.swapaxes(-1, -2), vs, pg, d_og, scale)
+            d_ks = d_ks.swapaxes(-1, -2)
             # summary projections, shared by every group and head
             for e, x, d_s, d_x in ((params.e_q, qg, d_qs, d_q), (params.e_k, kg, d_ks, d_k),
                                    (params.e_v, vg, d_vs, d_v)):
                 d_s = d_s.reshape(heads, m, l_s, dh)
                 d_e = np.matmul(d_s, x.swapaxes(-1, -2)).reshape(-1, l_s, l_g)
-                accumulate_grad(e, _sum_last_to_first(d_e))
+                accumulate_grad(e, _sum_last_to_first(d_e), owned=True)
                 d_x += np.matmul(e.data.T, d_s)
         for t, d_t in ((q, d_q), (k, d_k), (v, d_v)):
-            accumulate_grad(t, _from_groups(d_t, l, real_len))
+            accumulate_grad(t, _from_groups(d_t, l, real_len), owned=True)
 
     return _record("grouped_attention", out, inputs, backward)
 
@@ -373,8 +361,8 @@ def gsa_forward(x: Tensor, params: GsaLayerParams, cfg: GsaConfig,
     d = x.shape[1]
     if d != cfg.d:
         raise DimensionError(f"input dim {d} != configured d {cfg.d}")
-    q = broadcast_add(matmul(x, params.w_q), params.b_q)
-    k = broadcast_add(matmul(x, params.w_k), params.b_k)
-    v = broadcast_add(matmul(x, params.w_v), params.b_v)
+    q = linear(x, params.w_q, params.b_q)
+    k = linear(x, params.w_k, params.b_k)
+    v = linear(x, params.w_v, params.b_v)
     combined = grouped_attention(q, k, v, params, cfg, real_len, counter)
-    return broadcast_add(matmul(combined, params.w_o), params.b_o)
+    return linear(combined, params.w_o, params.b_o)

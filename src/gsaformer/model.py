@@ -22,8 +22,8 @@ from .tensor import (
     Tensor,
     broadcast_add,
     layer_norm,
+    linear,
     load_checkpoint,
-    matmul,
     relu,
     save_checkpoint,
     slice_rows,
@@ -118,7 +118,7 @@ class _Linear:
         self.b = Tensor(np.zeros((1, n_out)), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return broadcast_add(matmul(x, self.w), self.b)
+        return linear(x, self.w, self.b)
 
     def named(self, prefix: str) -> dict[str, Tensor]:
         return {f"{prefix}w": self.w, f"{prefix}b": self.b}

@@ -9,6 +9,10 @@ propagates gradients, accumulating (+=) into each requires_grad tensor.
 
 from __future__ import annotations
 
+import contextlib
+import math
+import os
+import secrets
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -130,17 +134,26 @@ def active_tape() -> Optional[ComputationTape]:
     return _ACTIVE_TAPE
 
 
-def accumulate_grad(t: Tensor, g: np.ndarray) -> None:
-    """Add g into t.grad (a private copy of g on first use); no-op for
-    tensors that do not require gradients.  g must match t's shape."""
+def accumulate_grad(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
+    """Add g into t.grad; no-op for tensors that do not require gradients.
+    g must match t's shape.
+
+    On the first write t.grad becomes a private C-ordered copy of g, or g
+    itself when owned is True and g is C-ordered.  A backward rule passes
+    owned=True only for an array it has just allocated and will not touch
+    again (a matmul product, a zero-padded slice gradient); pass-through
+    views of out.grad, which other rules may still read or add into, are
+    always copied.  Later writes add into t.grad in place, so t.grad never
+    aliases another tensor's buffer.  Gradients are always C-ordered because
+    numpy's reductions round differently over other layouts.
+    """
     if not t.requires_grad:
         return
     if g.shape != t.data.shape:
         raise DimensionError(
             f"gradient of shape {g.shape} for a tensor of shape {t.data.shape}")
     if t.grad is None:
-        # a copy, never g itself: backward rules pass views of out.grad
-        t.grad = g.copy()
+        t.grad = g if owned and g.flags.c_contiguous else g.copy()
     else:
         t.grad += g
 
@@ -170,10 +183,37 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def backward():
         if out.grad is None:
             return
-        accumulate_grad(a, out.grad @ b.data.T)
-        accumulate_grad(b, a.data.T @ out.grad)
+        accumulate_grad(a, out.grad @ b.data.T, owned=True)
+        accumulate_grad(b, a.data.T @ out.grad, owned=True)
 
     return _record("matmul", out, (a, b), backward)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b, b a 1-by-n row: one tape node whose backward gives b, x
+    and w their gradients in the order (and with the arithmetic) of
+    broadcast_add(matmul(x, w), b)."""
+    _require_2d(x, "linear")
+    _require_2d(w, "linear")
+    if x.shape[1] != w.shape[0]:
+        raise DimensionError(
+            f"linear: inner extents differ: {x.shape} x {w.shape}")
+    if b.shape != (1, w.shape[1]):
+        raise DimensionError(f"linear: bias must be (1, {w.shape[1]}), got {b.shape}")
+    data = x.data @ w.data
+    data += b.data
+    out = Tensor(data)
+
+    def backward():
+        if out.grad is None:
+            return
+        g = out.grad
+        g_b = _reduce_to(g, b.shape)
+        accumulate_grad(b, g_b, owned=g_b is not g)
+        accumulate_grad(x, g @ w.data.T, owned=True)
+        accumulate_grad(w, x.data.T @ g, owned=True)
+
+    return _record("linear", out, (x, w, b), backward)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -248,7 +288,7 @@ def subtract(a: Tensor, b) -> Tensor:
         if out.grad is None:
             return
         accumulate_grad(a, out.grad)
-        accumulate_grad(b, -_reduce_to(out.grad, b.shape))
+        accumulate_grad(b, -_reduce_to(out.grad, b.shape), owned=True)
 
     return _record("subtract", out, (a, b), backward)
 
@@ -263,7 +303,7 @@ def multiply(a: Tensor, b) -> Tensor:
         def backward_const():
             if out.grad is None:
                 return
-            accumulate_grad(a, out.grad * c)
+            accumulate_grad(a, out.grad * c, owned=True)
 
         return _record("multiply", out, (a,), backward_const)
 
@@ -274,8 +314,8 @@ def multiply(a: Tensor, b) -> Tensor:
     def backward():
         if out.grad is None:
             return
-        accumulate_grad(a, out.grad * b.data)
-        accumulate_grad(b, _reduce_to(out.grad * a.data, b.shape))
+        accumulate_grad(a, out.grad * b.data, owned=True)
+        accumulate_grad(b, _reduce_to(out.grad * a.data, b.shape), owned=True)
 
     return _record("multiply", out, (a, b), backward)
 
@@ -292,7 +332,7 @@ def mean_rows(a: Tensor) -> Tensor:
     def backward():
         if out.grad is None:
             return
-        accumulate_grad(a, np.repeat(out.grad / r, r, axis=0))
+        accumulate_grad(a, np.repeat(out.grad / r, r, axis=0), owned=True)
 
     return _record("mean_rows", out, (a,), backward)
 
@@ -304,7 +344,7 @@ def sum_all(a: Tensor) -> Tensor:
     def backward():
         if out.grad is None:
             return
-        accumulate_grad(a, np.full_like(a.data, out.grad[0, 0]))
+        accumulate_grad(a, np.full_like(a.data, out.grad[0, 0]), owned=True)
 
     return _record("sum_all", out, (a,), backward)
 
@@ -316,7 +356,7 @@ def relu(a: Tensor) -> Tensor:
     def backward():
         if out.grad is None:
             return
-        accumulate_grad(a, out.grad * (a.data > 0.0))
+        accumulate_grad(a, out.grad * (a.data > 0.0), owned=True)
 
     return _record("relu", out, (a,), backward)
 
@@ -333,7 +373,7 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
             return
         g = np.zeros_like(a.data)
         g[start:stop] = out.grad
-        accumulate_grad(a, g)
+        accumulate_grad(a, g, owned=True)
 
     return _record("slice_rows", out, (a,), backward)
 
@@ -350,7 +390,7 @@ def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
             return
         g = np.zeros_like(a.data)
         g[:, start:stop] = out.grad
-        accumulate_grad(a, g)
+        accumulate_grad(a, g, owned=True)
 
     return _record("slice_cols", out, (a,), backward)
 
@@ -425,23 +465,27 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
         raise DimensionError(
             f"layer_norm: gain/bias must be (1, {d}), got {gain.shape}/{bias.shape}")
     mu = x.data.mean(axis=1, keepdims=True)
-    var = x.data.var(axis=1, keepdims=True)
+    xhat = x.data - mu
+    # the variance exactly as np.var computes it, from the same x - mu
+    var = np.square(xhat).sum(axis=1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    out = Tensor(xhat * gain.data + bias.data)
+    xhat *= inv
+    data = xhat * gain.data
+    data += bias.data
+    out = Tensor(data)
 
     def backward():
         if out.grad is None:
             return
         g = out.grad
-        accumulate_grad(gain, (g * xhat).sum(axis=0, keepdims=True))
-        accumulate_grad(bias, g.sum(axis=0, keepdims=True))
+        accumulate_grad(gain, (g * xhat).sum(axis=0, keepdims=True), owned=True)
+        accumulate_grad(bias, g.sum(axis=0, keepdims=True), owned=True)
         gx = g * gain.data
         # d/dx of (x - mu) / sqrt(var + eps), per row
         dx = inv * (gx
                     - gx.mean(axis=1, keepdims=True)
                     - xhat * (gx * xhat).mean(axis=1, keepdims=True))
-        accumulate_grad(x, dx)
+        accumulate_grad(x, dx, owned=True)
 
     return _record("layer_norm", out, (x, gain, bias), backward)
 
@@ -474,8 +518,28 @@ CHECKPOINT_MAGIC = "gsaformer-checkpoint v1"
 _HEADER_END = "."
 
 
+@contextlib.contextmanager
+def atomic_write(path, binary: bool = False, **open_kwargs):
+    """Yield a new temp file beside path, open for writing (bytes when
+    binary, else text with open_kwargs).  On a clean exit it replaces path
+    in one os.replace, so readers see the old file or the whole new one; if
+    the body raises, the temp file is removed and path is left as it was.
+    (No fsync: this guards against a failing writer, not power loss.)"""
+    head, tail = os.path.split(os.fspath(path))
+    tmp = os.path.join(head, f".{tail}.{secrets.token_hex(4)}.tmp")
+    fh = open(tmp, "xb" if binary else "x", **open_kwargs)
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def save_checkpoint(path, named: Mapping[str, "Tensor | np.ndarray"]) -> None:
-    """Write named arrays to a single container file.
+    """Write named arrays to a single container file, atomically.
 
     Layout: magic string line, then one `name dim0 dim1 ...` line per
     entry, a lone `.` line, then the raw values in header order as
@@ -487,7 +551,7 @@ def save_checkpoint(path, named: Mapping[str, "Tensor | np.ndarray"]) -> None:
             raise CheckpointError(f"checkpoint name contains whitespace: {name!r}")
         arr = value.data if isinstance(value, Tensor) else np.asarray(value, dtype=np.float64)
         entries.append((name, arr))
-    with open(path, "wb") as fh:
+    with atomic_write(path, binary=True) as fh:
         fh.write((CHECKPOINT_MAGIC + "\n").encode("ascii"))
         for name, arr in entries:
             dims = " ".join(str(d) for d in arr.shape)
@@ -497,29 +561,53 @@ def save_checkpoint(path, named: Mapping[str, "Tensor | np.ndarray"]) -> None:
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
+def _header_entry(line: str, path, line_no: int) -> tuple[str, tuple[int, ...]]:
+    """(name, dims) of one `name dim0 dim1 ...` header line."""
+    fields = line.split()
+    if not fields:
+        raise CheckpointError(f"blank header line {line_no} in {path}")
+    name, dims = fields[0], fields[1:]
+    if not all(d.isdigit() for d in dims):
+        raise CheckpointError(
+            f"bad dims for {name!r} in {path}: expected non-negative integers, "
+            f"got {' '.join(dims)!r}")
+    return name, tuple(int(d) for d in dims)
+
+
 def load_checkpoint(path) -> dict[str, np.ndarray]:
+    """Read a save_checkpoint file.  Anything malformed (no terminator, a
+    bad magic, a non-ASCII, blank or duplicate header entry, a dim that is
+    not a non-negative integer, too many dims, a short or overlong payload)
+    raises CheckpointError naming path."""
     with open(path, "rb") as fh:
         blob = fh.read()
     try:
         header_end = blob.index(b"\n" + _HEADER_END.encode("ascii") + b"\n")
     except ValueError:
         raise CheckpointError(f"no header terminator in {path}") from None
-    header = blob[:header_end].decode("ascii").splitlines()
+    try:
+        header = blob[:header_end].decode("ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(
+            f"non-ASCII byte in the header of {path} at offset {exc.start}") from None
     payload = blob[header_end + 3:]
     if not header or header[0] != CHECKPOINT_MAGIC:
         raise CheckpointError(
             f"bad magic in {path}: expected {CHECKPOINT_MAGIC!r}")
     out: dict[str, np.ndarray] = {}
     offset = 0
-    for line in header[1:]:
-        fields = line.split()
-        name, dims = fields[0], tuple(int(d) for d in fields[1:])
-        count = int(np.prod(dims)) if dims else 1
-        nbytes = count * 8
+    for line_no, line in enumerate(header[1:], start=2):
+        name, dims = _header_entry(line, path, line_no)
+        if name in out:
+            raise CheckpointError(f"duplicate entry {name!r} in {path}")
+        nbytes = math.prod(dims) * 8
         if offset + nbytes > len(payload):
             raise CheckpointError(f"truncated payload in {path} at {name}")
         arr = np.frombuffer(payload[offset:offset + nbytes], dtype="<f8")
-        out[name] = arr.reshape(dims).astype(np.float64)
+        try:
+            out[name] = arr.reshape(dims).astype(np.float64)
+        except ValueError as exc:   # more axes than numpy supports
+            raise CheckpointError(f"bad dims for {name!r} in {path}: {exc}") from None
         offset += nbytes
     if offset != len(payload):
         raise CheckpointError(f"trailing bytes in {path}")

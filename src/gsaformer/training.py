@@ -17,6 +17,7 @@ from .tensor import (
     ContractError,
     DimensionError,
     Tensor,
+    atomic_write,
     backward,
     load_checkpoint,
     multiply,
@@ -104,18 +105,28 @@ def adam_step(params: Mapping[str, Tensor],
     correct2 = 1.0 - cfg.beta2 ** t
     for name, p in params.items():
         g = grads[name]
-        m = state.m.get(name)
-        v = state.v.get(name)
-        if m is None:
-            m = np.zeros_like(p.data)
-            v = np.zeros_like(p.data)
-        m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
-        v = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
-        state.m[name] = m
-        state.v[name] = v
-        m_hat = m / correct1
-        v_hat = v / correct2
-        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+        if name not in state.m:
+            state.m[name] = np.zeros_like(p.data)
+            state.v[name] = np.zeros_like(p.data)
+        m, v = state.m[name], state.v[name]
+        # in place, with the arithmetic and order of
+        #   m = beta1 * m + (1 - beta1) * g
+        #   v = beta2 * v + (1 - beta2) * g * g
+        #   p -= lr * (m / correct1) / (sqrt(v / correct2) + epsilon)
+        tmp = np.multiply(g, 1.0 - cfg.beta1)
+        m *= cfg.beta1
+        m += tmp
+        np.multiply(g, 1.0 - cfg.beta2, out=tmp)
+        tmp *= g
+        v *= cfg.beta2
+        v += tmp
+        denom = np.divide(v, correct2)
+        np.sqrt(denom, out=denom)
+        denom += cfg.epsilon
+        np.divide(m, correct1, out=tmp)
+        tmp *= lr
+        tmp /= denom
+        p.data -= tmp
 
 
 def _clip_grads(grads: dict[str, np.ndarray], max_norm: float) -> None:
@@ -145,7 +156,7 @@ class TrainHistory:
     iteration_losses: list[float] = field(default_factory=list)
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+        with atomic_write(path, newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["epoch", "train_mse", "val_mse"])
             for epoch, train_mse, val_mse in self.epochs:

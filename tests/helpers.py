@@ -99,6 +99,23 @@ def check_op_gradients(build_loss, params, tol=1e-5):
         assert worst < tol, f"gradient mismatch: {worst}"
 
 
+def loop_multi_head_attention(q, k, v, heads, mask, counter):
+    """Multi-head attention as separate tape ops: scaled_dot_attention on
+    each contiguous column slab, slab outputs joined by concat_cols.  The
+    reference for the fused multi_head_attention op."""
+    d = q.shape[1]
+    if heads == 1:
+        return scaled_dot_attention(q, k, v, mask, counter)
+    dh = d // heads
+    outs = []
+    for h in range(heads):
+        lo, hi = h * dh, (h + 1) * dh
+        outs.append(scaled_dot_attention(
+            slice_cols(q, lo, hi), slice_cols(k, lo, hi), slice_cols(v, lo, hi),
+            mask, counter))
+    return concat_cols(outs)
+
+
 def loop_gsa_forward(x, params, cfg, counter, real_len=None):
     """Grouped self-attention one head and one group at a time, built from
     the single-group helpers and canonical attention on the tape, so its

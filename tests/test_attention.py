@@ -3,6 +3,8 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsaformer.attention import (
     AttentionMask,
@@ -20,7 +22,7 @@ from gsaformer.tensor import (
     sum_all,
 )
 
-from helpers import naive_attention
+from helpers import loop_multi_head_attention, naive_attention
 
 
 class TestRowSoftmax:
@@ -210,6 +212,60 @@ class TestMultiHead:
         x = Tensor(np.zeros((2, 6)))
         with pytest.raises(DimensionError):
             multi_head_attention(x, x, x, 4, AttentionMask.none(), OpCounter())
+
+
+@st.composite
+def mha_cases(draw):
+    """(l_q, l_k, heads, d_h, masked, seed); one-row and one-column shapes
+    included, where BLAS takes its vector paths."""
+    return (draw(st.integers(1, 9)), draw(st.integers(1, 9)), draw(st.integers(1, 3)),
+            draw(st.integers(1, 4)), draw(st.booleans()), draw(st.integers(0, 2**16)))
+
+
+def _attend_and_grads(op, arrays, heads, mask, weights):
+    q, k, v = (Tensor(a.copy(), requires_grad=True) for a in arrays)
+    counter = OpCounter()
+    with ComputationTape() as tape:
+        out = op(q, k, v, heads, mask, counter)
+        backward(sum_all(multiply(out, weights)), tape)
+    return (out.data, q.grad, k.grad, v.grad), (counter.score_elements,
+                                                 counter.peak_score_buffer)
+
+
+class TestFusedMultiHead:
+    """multi_head_attention (one tape op) against the per-head composition
+    of slice_cols, scaled_dot_attention and concat_cols, bit for bit."""
+
+    @settings(max_examples=30)
+    @given(mha_cases())
+    def test_matches_per_head_composition_bit_for_bit(self, case):
+        l_q, l_k, heads, dh, masked, seed = case
+        rng = np.random.default_rng(seed)
+        arrays = [rng.normal(size=(n, heads * dh)) for n in (l_q, l_k, l_k)]
+        weights = Tensor(rng.normal(size=(l_q, heads * dh)))
+        mask = (AttentionMask.custom(rng.uniform(size=(l_q, l_k)) > 0.3) if masked
+                else AttentionMask.none())
+        fused, fused_counts = _attend_and_grads(multi_head_attention, arrays, heads,
+                                                mask, weights)
+        loop, loop_counts = _attend_and_grads(loop_multi_head_attention, arrays, heads,
+                                              mask, weights)
+        for a, b in zip(fused, loop):
+            npt.assert_array_equal(a, b)
+        assert fused_counts == loop_counts
+        untaped = multi_head_attention(*(Tensor(a) for a in arrays), heads, mask, OpCounter())
+        npt.assert_array_equal(untaped.data, fused[0])
+
+    def test_one_tape_node(self):
+        q = Tensor(np.random.default_rng(20).normal(size=(5, 8)), requires_grad=True)
+        with ComputationTape() as tape:
+            multi_head_attention(q, q, q, 4, AttentionMask.none(), OpCounter())
+        assert len(tape) == 1
+
+    def test_mismatched_keys_and_values_rejected(self):
+        with pytest.raises(DimensionError):
+            multi_head_attention(Tensor(np.zeros((2, 4))), Tensor(np.zeros((3, 4))),
+                                 Tensor(np.zeros((2, 4))), 2, AttentionMask.none(),
+                                 OpCounter())
 
 
 class TestExtremeMagnitudes:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -132,3 +134,20 @@ class TestCcaForward:
         b = make_params(4, 10, 3, seed=10)
         assert a.c is not b.c
         assert np.abs(a.c.data - b.c.data).max() > 0
+
+
+class TestCcaMemory:
+    def test_no_tape_call_holds_one_head_of_scores_at_a_time(self):
+        d, heads, l_dec, l_enc = 16, 4, 2048, 256
+        rng = np.random.default_rng(9)
+        params = make_params(d, l_enc, l_enc)
+        h_dec = Tensor(rng.normal(size=(l_dec, d)))
+        h_enc = Tensor(rng.normal(size=(l_enc, d)))
+        one_head = l_dec * l_enc * 8     # bytes of one head's score matrix
+        tracemalloc.start()
+        try:
+            cca_forward(h_dec, h_enc, params, OpCounter(), heads=heads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert one_head <= peak < 2 * one_head

@@ -101,6 +101,19 @@ class TestEvalVerb:
         err = capsys.readouterr().err
         assert str(ckpt) in err and "dec0.gsa.e_q" in err and "dec0.cca.c" in err
 
+    def test_malformed_checkpoint_exits_2_naming_it(self, tmp_path, capsys):
+        ckpt = tmp_path / "best.ckpt"
+        self._saved_model(tmp_path).save(ckpt)
+        blob = ckpt.read_bytes()
+        magic_end = blob.index(b"\n") + 1
+        ckpt.write_bytes(blob[:magic_end] + b"\n" + blob[magic_end:])   # a blank header line
+        code = run(["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path),
+                    "--set", "synth_rows=400"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "blank header line" in err
+        assert not (tmp_path / "eval.csv").exists()
+
     def test_bad_model_cfg_key_names_the_file(self, tmp_path, capsys):
         ckpt = tmp_path / "best.ckpt"
         self._saved_model(tmp_path).save(ckpt)

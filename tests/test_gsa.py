@@ -426,7 +426,7 @@ def _forward_and_grads(forward, x, params, weights):
 class TestFusedOpProperties:
     """gsa_forward (one fused op) against the per-head, per-group loop."""
 
-    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=30)
     @given(gsa_cases())
     def test_matches_loop_oracle_forward_and_gradients(self, case):
         cfg, l, real_len, seed = case

@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import fields
 
 import numpy as np
@@ -17,7 +18,7 @@ from gsaformer.model import (
     model_config_to_text,
     sinusoidal_table,
 )
-from gsaformer.tensor import ComputationTape, Tensor, backward, save_checkpoint
+from gsaformer.tensor import ComputationTape, Tensor, backward, multiply, save_checkpoint
 from gsaformer.training import mse_loss
 
 
@@ -234,6 +235,27 @@ class TestEveryParameterReachesTheLoss:
         assert not causal_unused & names.keys()
         # seq_len 96 <= l_comp 256: no compression
         assert "dec0.cca.c" not in names
+
+
+class TestTapeNodes:
+    def test_train_long_step_records_one_node_per_projection_and_attention(self):
+        # one train_long window at narrow width: forward, loss and the batch
+        # scaling of training.train
+        cfg = GRADIENT_CONFIGS["train_long"]
+        model = ForecasterModel(cfg, seed=0)
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.normal(size=(cfg.seq_len, cfg.n_features_in)))
+        y = Tensor(rng.normal(size=(cfg.pred_len, cfg.n_features_out)))
+        with ComputationTape() as tape:
+            multiply(mse_loss(model.forward(x), y), 1.0)
+        counts = Counter(name for name, _, _ in tape._nodes)
+        assert counts == {
+            "linear": 51,               # 6 per encoder, 10 per decoder layer, 2 embeds, head
+            "broadcast_add": 17,        # residuals and position tables
+            "layer_norm": 15, "grouped_attention": 6, "relu": 6,
+            "matmul": 3,                # CCA compression
+            "multi_head_attention": 3, "multiply": 3, "subtract": 1, "sum_all": 1}
+        assert len(tape) == 106
 
 
 class TestConfigFile:

@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from gsaformer.benchmark import BenchReport, BenchRow, emit_csv_report
 from gsaformer.tensor import (
     CheckpointError,
     ComputationTape,
@@ -12,11 +13,13 @@ from gsaformer.tensor import (
     RankError,
     Tensor,
     accumulate_grad,
+    atomic_write,
     backward,
     broadcast_add,
     concat_cols,
     concat_rows,
     layer_norm,
+    linear,
     load_checkpoint,
     matmul,
     mean_rows,
@@ -30,6 +33,7 @@ from gsaformer.tensor import (
     sum_all,
     transpose,
 )
+from gsaformer.training import TrainHistory
 
 from helpers import check_op_gradients, naive_matmul
 
@@ -210,6 +214,21 @@ class TestBackward:
         npt.assert_array_equal(g, [[1.0, 2.0], [3.0, 4.0]])
         npt.assert_array_equal(t.grad, 2.0 * g)
 
+    def test_accumulate_grad_takes_owned_arrays(self):
+        t = Tensor(np.zeros((2, 3)), requires_grad=True)
+        g = np.ones((2, 3))
+        accumulate_grad(t, g, owned=True)
+        assert t.grad is g
+        accumulate_grad(t, g)               # adds in place into the owned buffer
+        npt.assert_array_equal(t.grad, 2.0 * np.ones((2, 3)))
+
+    def test_accumulate_grad_copies_owned_arrays_that_are_not_c_ordered(self):
+        t = Tensor(np.zeros((2, 3)), requires_grad=True)
+        g = np.asfortranarray(np.arange(6.0).reshape(2, 3))
+        accumulate_grad(t, g, owned=True)
+        assert t.grad.flags.c_contiguous and not np.shares_memory(t.grad, g)
+        npt.assert_array_equal(t.grad, g)
+
     def test_accumulate_grad_rejects_wrong_shape(self):
         t = Tensor(np.zeros((2, 2)), requires_grad=True)
         with pytest.raises(DimensionError):
@@ -217,6 +236,83 @@ class TestBackward:
         accumulate_grad(t, np.ones((2, 2)))
         with pytest.raises(DimensionError):
             accumulate_grad(t, np.ones((1, 2)))   # would broadcast into +=
+
+
+class TestLinear:
+    @pytest.mark.parametrize("rows", [1, 5])
+    def test_matches_matmul_plus_bias_bit_for_bit(self, rows):
+        rng = np.random.default_rng(30 + rows)
+        arrays = rng.normal(size=(rows, 4)), rng.normal(size=(4, 3)), rng.normal(size=(1, 3))
+        weights = Tensor(rng.normal(size=(rows, 3)))
+        results = []
+        for op in (linear, lambda x, w, b: broadcast_add(matmul(x, w), b)):
+            x, w, b = (Tensor(a.copy(), requires_grad=True) for a in arrays)
+            with ComputationTape() as tape:
+                out = op(x, w, b)
+                backward(sum_all(multiply(out, weights)), tape)
+            results.append((out.data, x.grad, w.grad, b.grad))
+        for fused, composed in zip(*results):
+            npt.assert_array_equal(fused, composed)
+
+    def test_one_tape_node(self):
+        x, w, b = Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4)), requires_grad=True), \
+            Tensor(np.zeros((1, 4)))
+        with ComputationTape() as tape:
+            linear(x, w, b)
+        assert len(tape) == 1
+
+    def test_shape_errors(self):
+        x, w = Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4)))
+        with pytest.raises(DimensionError):
+            linear(x, Tensor(np.ones((2, 4))), Tensor(np.zeros((1, 4))))
+        with pytest.raises(DimensionError):
+            linear(x, w, Tensor(np.zeros((2, 4))))
+
+    def test_overflow_raises_once(self):
+        big = Tensor([[1e300]])
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericsError):
+                linear(big, big, Tensor([[0.0]]))
+
+
+class TestGradientOwnership:
+    """Rules hand fresh gradient arrays over without a copy; these graphs
+    are where a rule's array, once owned, could be written twice."""
+
+    def test_residual_over_input_that_feeds_three_projections(self):
+        rng = np.random.default_rng(33)
+        x = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+        projections = [(Tensor(rng.normal(size=(4, 4)), requires_grad=True),
+                        Tensor(rng.normal(size=(1, 4)), requires_grad=True))
+                       for _ in range(3)]
+        g = rng.normal(size=(5, 4))
+        with ComputationTape() as tape:
+            q, k, v = (linear(x, w, b) for w, b in projections)
+            mixed = broadcast_add(broadcast_add(q, k), v)
+            y = broadcast_add(x, mixed)              # the residual
+            backward(sum_all(multiply(y, Tensor(g))), tape)
+        (w_q, _), (w_k, _), (w_v, _) = projections
+        # replay order: residual, then v, k, q
+        npt.assert_array_equal(x.grad, ((g + g @ w_v.data.T) + g @ w_k.data.T) + g @ w_q.data.T)
+        for w, b in projections:
+            npt.assert_array_equal(w.grad, x.data.T @ g)
+            npt.assert_array_equal(b.grad, g.sum(axis=0, keepdims=True))
+        for t in (q, k, v, mixed, y):
+            npt.assert_array_equal(t.grad, g)
+
+    def test_matmul_of_a_tensor_with_itself(self):
+        rng = np.random.default_rng(34)
+        a = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+        g = rng.normal(size=(3, 3))
+        with ComputationTape() as tape:
+            backward(sum_all(multiply(matmul(a, a), Tensor(g))), tape)
+        npt.assert_array_equal(a.grad, g @ a.data.T + a.data.T @ g)
+
+    def test_product_of_a_tensor_with_itself(self):
+        a = Tensor([[1.5, -2.0]], requires_grad=True)
+        with ComputationTape() as tape:
+            backward(sum_all(multiply(a, a)), tape)
+        npt.assert_array_equal(a.grad, 2.0 * a.data)
 
 
 class TestOtherOps:
@@ -265,6 +361,16 @@ class TestOtherOps:
         w = Tensor(rng.normal(size=(3, 6)))
         check_op_gradients(lambda: sum_all(multiply(layer_norm(x, g, b), w)),
                            [x, g, b])
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 6), (40, 256)])
+    def test_layer_norm_forward_matches_np_var_bit_for_bit(self, shape):
+        rng = np.random.default_rng(16)
+        x = rng.normal(3.0, 2.0, size=shape)
+        g, b = rng.normal(size=(1, shape[1])), rng.normal(size=(1, shape[1]))
+        eps = 1e-6
+        inv = 1.0 / np.sqrt(x.var(axis=1, keepdims=True) + eps)
+        expected = (x - x.mean(axis=1, keepdims=True)) * inv * g + b
+        npt.assert_array_equal(layer_norm(Tensor(x), Tensor(g), Tensor(b), eps).data, expected)
 
     def test_relu_gradients(self):
         rng = np.random.default_rng(15)
@@ -320,6 +426,22 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("header, what", [
+        (b"w 2\n\nb 1\n", "blank header line 3"),
+        (b"w\xc3\xa9 2\n", "non-ASCII"),
+        (b"w 2 x\n", "bad dims for 'w'"),
+        (b"w -2\n", "bad dims for 'w'"),
+        (b"w 2\nw 1\n", "duplicate entry 'w'"),
+        (b"w" + b" 1" * 70 + b"\n", "bad dims for 'w'"),
+    ], ids=["blank-line", "non-ascii-name", "non-integer-dim", "negative-dim",
+            "duplicate-name", "too-many-dims"])
+    def test_malformed_header_raises_naming_the_file(self, tmp_path, header, what):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(b"gsaformer-checkpoint v1\n" + header + b".\n" + bytes(24))
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value) and what in str(err.value)
+
     def test_truncated_payload_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, {"w": np.ones((2, 2))})
@@ -327,6 +449,53 @@ class TestCheckpoint:
         path.write_bytes(blob[:-8])
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+
+def _write_checkpoint(path, fail):
+    # a non-ASCII name fails to encode after the magic line is out
+    save_checkpoint(path, {"w": np.ones((2, 2)), ("\u00e9" if fail else "b"): np.zeros(2)})
+
+
+def _write_history(path, fail):
+    # the second row fails after the header and first row are out
+    TrainHistory(epochs=[(0, 1.0, 2.0), (1, 0.5, "x" if fail else 1.5)]).write_csv(path)
+
+
+def _write_bench(path, fail):
+    rows = [BenchRow("grouped", n, 1, 1, "x" if fail and n == 64 else 1.0, 1)
+            for n in (32, 64)]
+    emit_csv_report(BenchReport(rows=rows), path)
+
+
+class TestAtomicWrite:
+    def test_failed_write_leaves_previous_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old\n")
+        with pytest.raises(RuntimeError):
+            with atomic_write(path) as fh:
+                fh.write("new, half written")
+                raise RuntimeError("disk full")
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_clean_write_replaces_file(self, tmp_path):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"old")
+        with atomic_write(path, binary=True) as fh:
+            fh.write(b"new")
+        assert path.read_bytes() == b"new"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+    @pytest.mark.parametrize("write", [_write_checkpoint, _write_history, _write_bench],
+                             ids=["checkpoint", "history.csv", "bench.csv"])
+    def test_artefact_writer_that_fails_midway_keeps_previous(self, tmp_path, write):
+        path = tmp_path / "artefact"
+        write(path, fail=False)
+        before = path.read_bytes()
+        with pytest.raises((TypeError, UnicodeEncodeError)):
+            write(path, fail=True)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["artefact"]
 
 
 class TestOperatorSugar:

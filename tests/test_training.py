@@ -85,6 +85,25 @@ class TestAdam:
             adam_step({"p": p}, {"p": 2.0 * p.data}, state, cfg)
         assert float(p.data[0, 0] ** 2) < 9.0
 
+    def test_in_place_update_matches_the_textbook_formula_bit_for_bit(self):
+        cfg = TrainConfig(learning_rate=0.003)
+        rng = np.random.default_rng(21)
+        # starting at 0, the parameter shows the update's last bit
+        p = Tensor(np.zeros((5, 7)), requires_grad=True)
+        data, m, v = p.data.copy(), np.zeros((5, 7)), np.zeros((5, 7))
+        state = AdamState()
+        for t in range(1, 4):
+            g = rng.normal(size=(5, 7))
+            m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
+            v = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
+            m_hat = m / (1.0 - cfg.beta1 ** t)
+            v_hat = v / (1.0 - cfg.beta2 ** t)
+            data = data - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+            adam_step({"p": p}, {"p": g.copy()}, state, cfg)
+            npt.assert_array_equal(p.data, data)
+            npt.assert_array_equal(state.m["p"], m)
+            npt.assert_array_equal(state.v["p"], v)
+
     def test_missing_grad_names_parameter(self):
         cfg = TrainConfig()
         p = Tensor([[1.0]], requires_grad=True)
