@@ -10,7 +10,6 @@ from .gsa import (
     gsa_forward,
     gsa_op_count,
     merge_outputs,
-    partition_groups,
     summarize_group,
 )
 from .model import ForecasterModel, ModelConfig, build_decoder_input
@@ -23,7 +22,7 @@ __all__ = [
     "AttentionMask", "OpCounter", "row_softmax", "scaled_dot_attention",
     "CcaLayerParams", "cca_forward", "cca_op_count", "compress_encoder_output",
     "GsaConfig", "GsaLayerParams", "grouped_attention", "gsa_forward", "gsa_op_count",
-    "merge_outputs", "partition_groups", "summarize_group",
+    "merge_outputs", "summarize_group",
     "ForecasterModel", "ModelConfig", "build_decoder_input",
     "ComputationTape", "Tensor", "backward", "load_checkpoint", "save_checkpoint",
     "TrainConfig", "adam_step", "grad_check", "mse_loss", "train",

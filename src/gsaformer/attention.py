@@ -1,11 +1,14 @@
-"""Canonical scaled dot-product attention, row softmax, masks, and the
-score-element counter shared by every attention variant.
+"""Attention kernel, multi-head attention, the canonical reference, masks,
+and the score-element counter shared by every attention variant.
 
 attention_forward/attention_backward are the one score -> softmax -> value
 kernel (and its gradient) on plain arrays, batched over leading axes; the
-fused tape ops multi_head_attention and gsa.grouped_attention both run it.
-scaled_dot_attention and row_softmax compose the same arithmetic from
-separate tape ops and serve as the reference."""
+fused tape ops multi_head_attention (CCA, unmasked) and
+gsa.grouped_attention (which builds its own boolean allow array) both run
+it.  scaled_dot_attention and row_softmax compose the same arithmetic from
+separate tape ops: they are the canonical reference that the acceptance
+gates and the loop oracles of the tests are built from.  Their mask
+argument, AttentionMask, is either none or a custom allow matrix."""
 
 from __future__ import annotations
 
@@ -55,56 +58,30 @@ class OpCounter:
 class AttentionMask:
     """Which score entries may carry weight (True = attend).
 
-    Kinds: none (full attention), causal (no looking ahead), key_padding
-    (keys at index >= valid_len excluded), or a custom boolean matrix.
-    A masked position gets exactly zero weight after softmax; a fully
-    masked row yields an all-zero output row.
+    Kinds: none (full attention) or a custom boolean matrix.  A masked
+    position gets exactly zero weight after softmax; a fully masked row
+    yields an all-zero output row.
     """
 
-    def __init__(self, kind: str, valid_len: int = 0,
-                 matrix: Optional[np.ndarray] = None):
-        self.kind = kind
-        self.valid_len = valid_len
+    def __init__(self, matrix: Optional[np.ndarray] = None):
         self._matrix = matrix
 
     @classmethod
     def none(cls) -> "AttentionMask":
-        return cls("none")
-
-    @classmethod
-    def causal(cls) -> "AttentionMask":
-        return cls("causal")
-
-    @classmethod
-    def key_padding(cls, valid_len: int) -> "AttentionMask":
-        return cls("key_padding", valid_len=valid_len)
+        return cls()
 
     @classmethod
     def custom(cls, matrix: np.ndarray) -> "AttentionMask":
-        return cls("custom", matrix=np.asarray(matrix, dtype=bool))
+        return cls(np.asarray(matrix, dtype=bool))
 
     def matrix(self, n_q: int, n_k: int) -> Optional[np.ndarray]:
         """Boolean allow-matrix of shape (n_q, n_k), or None for no mask."""
-        if self.kind == "none":
+        if self._matrix is None:
             return None
-        if self.kind == "causal":
-            return np.tril(np.ones((n_q, n_k), dtype=bool))
-        if self.kind == "key_padding":
-            m = np.zeros((n_q, n_k), dtype=bool)
-            m[:, :max(self.valid_len, 0)] = True
-            return m
         if self._matrix.shape != (n_q, n_k):
             raise DimensionError(
                 f"custom mask shape {self._matrix.shape} != scores ({n_q}, {n_k})")
         return self._matrix
-
-    def combined_with(self, other: "AttentionMask", n_q: int, n_k: int) -> "AttentionMask":
-        a, b = self.matrix(n_q, n_k), other.matrix(n_q, n_k)
-        if a is None:
-            return other
-        if b is None:
-            return self
-        return AttentionMask.custom(a & b)
 
 
 def softmax_last_axis(s: np.ndarray, allow: Optional[np.ndarray] = None) -> np.ndarray:
@@ -142,8 +119,6 @@ def softmax_last_axis_backward(p: np.ndarray, g: np.ndarray) -> np.ndarray:
 def row_softmax(scores: Tensor, mask: AttentionMask) -> Tensor:
     """Row-wise softmax with max-subtraction; masked entries are exactly 0
     and fully masked rows come out all-zero."""
-    if scores.data.ndim != 2:
-        raise DimensionError(f"row_softmax expects a matrix, got {scores.shape}")
     p = softmax_last_axis(scores.data.copy(), mask.matrix(*scores.shape))
     out = Tensor(p)
 
@@ -198,17 +173,19 @@ def attention_backward(q: np.ndarray, k_t: np.ndarray, v: np.ndarray, p: np.ndar
 
 
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
-                         mask: AttentionMask, counter: OpCounter) -> Tensor:
-    """scaled_dot_attention on each of `heads` contiguous column slabs of
-    q, k and v, the slab outputs side by side, as one tape op with one
-    backward rule and the same arithmetic.  Heads run one at a time, so
+                         counter: OpCounter) -> Tensor:
+    """Unmasked scaled_dot_attention on each of `heads` contiguous column
+    slabs of q, k and v, the slab outputs side by side, as one tape op with
+    one backward rule and the same arithmetic.  Heads run one at a time, so
     without a tape one head's score matrix is alive at once; with one, each
-    head keeps its probabilities for the backward.  The counter sees one
-    call per head.
+    head keeps only its probabilities for the backward.  The counter sees
+    one call per head.
 
     Each head works on contiguous copies of its slabs, not strided views:
     BLAS rounds one-row products differently for strided operands, and the
-    copies keep every product bit-identical to scaled_dot_attention."""
+    copies keep every product bit-identical to scaled_dot_attention.  The
+    backward makes the same copies again from q, k and v, one head at a
+    time."""
     (l_q, d), (l_k, d_k) = q.shape, k.shape
     if d % heads != 0:
         raise DimensionError(f"feature dim {d} not divisible by {heads} heads")
@@ -217,18 +194,22 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
             f"attention: Q {q.shape}, K {k.shape}, V {v.shape} do not line up")
     dh = d // heads
     scale = 1.0 / np.sqrt(dh)
-    allow = mask.matrix(l_q, l_k)
     taped = active_tape() is not None and any(t.requires_grad for t in (q, k, v))
     slabs = [slice(h * dh, (h + 1) * dh) for h in range(heads)]
+
+    def head(cols: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Contiguous (q, k transposed, v) of one head's columns."""
+        return (np.ascontiguousarray(q.data[:, cols]),
+                np.ascontiguousarray(k.data[:, cols].T),
+                np.ascontiguousarray(v.data[:, cols]))
+
     out_rows = np.empty((l_q, d))
-    saved = []
+    probs = []
     for cols in slabs:
         counter.add_scores(l_q, l_k)
-        qh, vh = np.ascontiguousarray(q.data[:, cols]), np.ascontiguousarray(v.data[:, cols])
-        kh_t = np.ascontiguousarray(k.data[:, cols].T)
-        p = attention_forward(qh, kh_t, vh, scale, allow, out=out_rows[:, cols])[1]
+        p = attention_forward(*head(cols), scale, out=out_rows[:, cols])[1]
         if taped:
-            saved.append((qh, kh_t, vh, p))
+            probs.append(p)
         del p   # else this head's scores would live on through the next head's
     out = Tensor(out_rows)
     if not taped:
@@ -238,9 +219,9 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
         if out.grad is None:
             return
         d_q, d_k, d_v = np.empty(q.shape), np.empty(k.shape), np.empty(v.shape)
-        for cols, (qh, kh_t, vh, p) in zip(slabs, saved):
+        for cols, p in zip(slabs, probs):
             g = np.ascontiguousarray(out.grad[:, cols])
-            d_q[:, cols], d_k_t, d_v[:, cols] = attention_backward(qh, kh_t, vh, p, g, scale)
+            d_q[:, cols], d_k_t, d_v[:, cols] = attention_backward(*head(cols), p, g, scale)
             d_k[:, cols] = d_k_t.T
         accumulate_grad(q, d_q, owned=True)
         accumulate_grad(k, d_k, owned=True)

@@ -29,9 +29,6 @@ MECHANISMS = ("grouped", "grouped_local_only", "canonical")
 CSV_HEADER = ["mechanism", "seq_len", "score_elements", "peak_score_buffer",
               "wall_ms_per_iter", "closed_form_elements"]
 
-DEFAULT_LENGTHS = (180, 360, 720, 1440, 2880)
-
-
 @dataclass
 class BenchConfig:
     d: int = 256

@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from .attention import AttentionMask, OpCounter, multi_head_attention
+from .attention import OpCounter, multi_head_attention
 from .tensor import DimensionError, Tensor, linear, matmul
 
 
@@ -86,5 +86,5 @@ def cca_forward(h_dec: Tensor, h_enc: Tensor, params: CcaLayerParams,
     h_c = compress_encoder_output(h_enc, params.c)
     k = linear(h_c, params.w_k, params.b_k)
     v = linear(h_c, params.w_v, params.b_v)
-    attended = multi_head_attention(q, k, v, heads, AttentionMask.none(), counter)
+    attended = multi_head_attention(q, k, v, heads, counter)
     return linear(attended, params.w_o, params.b_o)

@@ -11,9 +11,11 @@ alpha_j * local + beta_j * pooled.  Score-element cost per head is
 m*l_g^2 + (m*l_s)^2, linear in l for fixed l_g and l_s.
 
 gsa_forward runs every group of every head through one batched tape op,
-grouped_attention, with a hand-written backward.  partition_groups,
-summarize_group, global_summary_attention and merge_outputs are the same
-steps for a single group; tests build the loop-based reference from them.
+grouped_attention, with a hand-written backward.  summarize_group,
+global_summary_attention and merge_outputs are the global path's steps for
+a single group, composed from separate tape ops; the model does not call
+them, and the tests build their loop-based reference from them (cutting
+the sequence into groups is part of that reference, in tests/helpers.py).
 """
 
 from __future__ import annotations
@@ -43,8 +45,6 @@ from .tensor import (
     matmul,
     mean_rows,
     multiply,
-    pad_rows,
-    slice_rows,
 )
 
 
@@ -135,19 +135,6 @@ class GsaLayerParams:
     def named(self, prefix: str = "") -> dict[str, Tensor]:
         """Every tensor the layer has, in field order."""
         return {prefix + name: t for name, t in vars(self).items() if t is not None}
-
-
-def partition_groups(x: Tensor, l_g: int) -> tuple[list[Tensor], int, int]:
-    """Cut x into m = ceil(l / l_g) groups of l_g rows, zero-padding the
-    tail; concatenating the groups and dropping the pad recovers x."""
-    if l_g <= 0:
-        raise ConfigError(f"l_g must be positive, got {l_g}")
-    l = x.shape[0]
-    m = math.ceil(l / l_g)
-    pad = m * l_g - l
-    padded = pad_rows(x, m * l_g)
-    groups = [slice_rows(padded, j * l_g, (j + 1) * l_g) for j in range(m)]
-    return groups, m, pad
 
 
 def summarize_group(q_g: Tensor, k_g: Tensor, v_g: Tensor,

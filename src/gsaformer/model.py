@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Optional
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -76,6 +76,26 @@ class ModelConfig:
             l_g=self.l_g, l_s=self.l_s, d=self.d, heads=self.heads,
             m_max=max(math.ceil(self.dec_len / self.l_g), 1),
             causal=True, global_path=False)
+
+
+def load_matching(path, shapes: Mapping[str, tuple[int, ...]],
+                  optional: Optional[Mapping[str, tuple[int, ...]]] = None,
+                  ) -> dict[str, np.ndarray]:
+    """The entries of checkpoint path, which must hold every name in shapes
+    and no name outside shapes and optional, each with the shape given
+    there.  A mismatch raises ConfigError naming path and the entries."""
+    saved = load_checkpoint(path)
+    allowed = {**(optional or {}), **shapes}
+    missing = sorted(set(shapes) - set(saved))
+    extra = sorted(set(saved) - set(allowed))
+    if missing or extra:
+        raise ConfigError(f"checkpoint {path} does not match: "
+                          f"missing={missing}, extra={extra}")
+    for name, arr in saved.items():
+        if arr.shape != allowed[name]:
+            raise ConfigError(f"checkpoint {path}: shape mismatch for {name}: "
+                              f"{arr.shape} vs {allowed[name]}")
+    return saved
 
 
 def model_config_to_text(cfg: ModelConfig) -> str:
@@ -260,16 +280,7 @@ class ForecasterModel:
         save_checkpoint(path, self.parameters())
 
     def load(self, path) -> None:
-        saved = load_checkpoint(path)
         params = self.parameters()
-        missing = sorted(set(params) - set(saved))
-        extra = sorted(set(saved) - set(params))
-        if missing or extra:
-            raise ConfigError(f"checkpoint {path} does not match model: "
-                              f"missing={missing}, extra={extra}")
-        for name, tensor in params.items():
-            if saved[name].shape != tensor.data.shape:
-                raise ConfigError(
-                    f"checkpoint {path}: shape mismatch for {name}: "
-                    f"{saved[name].shape} vs {tensor.data.shape}")
-            tensor.data = saved[name].copy()
+        saved = load_matching(path, {name: p.shape for name, p in params.items()})
+        for name, p in params.items():
+            p.data = saved[name]

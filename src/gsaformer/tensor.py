@@ -1,8 +1,10 @@
-"""Dense float64 tensors with reverse-mode gradients on a recorded tape.
+"""Dense float64 matrices with reverse-mode gradients on a recorded tape.
 
-Values are numpy arrays (row-major); every arithmetic op validates shapes,
-rejects non-finite results (through the Tensor constructor, which checks
-every op output once), and, when a tape is active and an input wants
+A Tensor's values are a row-major numpy array of exactly 2 axes: the
+constructor lifts scalars and vectors to one row, rejects more than 2 axes
+with RankError and rejects non-finite values, so it is the one place that
+checks rank and finiteness for every op output.  Each op checks only the
+extents it needs to line up and, when a tape is active and an input wants
 gradients, records a backward rule.  Replaying the tape in reverse order
 propagates gradients, accumulating (+=) into each requires_grad tensor.
 """
@@ -48,14 +50,13 @@ def _as_array(values) -> np.ndarray:
         arr = arr.reshape(1, 1)
     elif arr.ndim == 1:
         arr = arr.reshape(1, -1)
-    if arr.ndim > 3:
-        raise RankError(f"tensors support at most 3 axes, got shape {arr.shape}")
+    elif arr.ndim > 2:
+        raise RankError(f"a tensor has at most 2 axes, got shape {arr.shape}")
     return arr
 
 
 class Tensor:
-    """A dense real matrix (1 to 3 axes; ops below require 2) with an
-    optional gradient slot."""
+    """A dense real matrix with an optional gradient slot."""
 
     __slots__ = ("data", "grad", "requires_grad")
 
@@ -70,27 +71,8 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    # thin operator sugar over the module-level ops
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
-    def __add__(self, other) -> "Tensor":
-        return broadcast_add(self, other)
-
-    def __sub__(self, other) -> "Tensor":
-        return subtract(self, other)
-
-    def __mul__(self, other) -> "Tensor":
-        return multiply(self, other)
 
 
 class ComputationTape:
@@ -167,14 +149,7 @@ def _record(name: str, out: Tensor, inputs: Sequence[Tensor],
     return out
 
 
-def _require_2d(t: Tensor, op: str) -> None:
-    if t.data.ndim != 2:
-        raise RankError(f"{op} requires a 2-axis tensor, got shape {t.shape}")
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    _require_2d(a, "matmul")
-    _require_2d(b, "matmul")
     if a.shape[1] != b.shape[0]:
         raise DimensionError(
             f"matmul: inner extents differ: {a.shape} x {b.shape}")
@@ -193,8 +168,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b, b a 1-by-n row: one tape node whose backward gives b, x
     and w their gradients in the order (and with the arithmetic) of
     broadcast_add(matmul(x, w), b)."""
-    _require_2d(x, "linear")
-    _require_2d(w, "linear")
     if x.shape[1] != w.shape[0]:
         raise DimensionError(
             f"linear: inner extents differ: {x.shape} x {w.shape}")
@@ -217,7 +190,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def transpose(a: Tensor) -> Tensor:
-    _require_2d(a, "transpose")
     out = Tensor(a.data.T.copy())
 
     def backward():
@@ -248,22 +220,10 @@ def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.sum(axis=0, keepdims=True)
 
 
-def broadcast_add(a: Tensor, b) -> Tensor:
-    """a + b where b is a same-shape tensor, a 1-by-s row, a 1-by-1 scalar
-    tensor, or a plain number.  The backward rule sums the upstream
-    gradient over any broadcast axes of b."""
-    _require_2d(a, "broadcast_add")
-    if isinstance(b, (int, float)):
-        out = Tensor(a.data + float(b))
-
-        def backward_const():
-            if out.grad is None:
-                return
-            accumulate_grad(a, out.grad)
-
-        return _record("broadcast_add", out, (a,), backward_const)
-
-    _require_2d(b, "broadcast_add")
+def broadcast_add(a: Tensor, b: Tensor) -> Tensor:
+    """a + b where b is a same-shape tensor, a 1-by-s row or a 1-by-1
+    scalar tensor.  The backward rule sums the upstream gradient over any
+    broadcast axes of b."""
     _broadcast_check(a, b, "broadcast_add")
     out = Tensor(a.data + b.data)
 
@@ -276,11 +236,8 @@ def broadcast_add(a: Tensor, b) -> Tensor:
     return _record("broadcast_add", out, (a, b), backward)
 
 
-def subtract(a: Tensor, b) -> Tensor:
-    if isinstance(b, (int, float)):
-        return broadcast_add(a, -float(b))
-    _require_2d(a, "subtract")
-    _require_2d(b, "subtract")
+def subtract(a: Tensor, b: Tensor) -> Tensor:
+    """a - b; b broadcasts like in broadcast_add."""
     _broadcast_check(a, b, "subtract")
     out = Tensor(a.data - b.data)
 
@@ -294,8 +251,8 @@ def subtract(a: Tensor, b) -> Tensor:
 
 
 def multiply(a: Tensor, b) -> Tensor:
-    """Elementwise product; b broadcasts like in broadcast_add."""
-    _require_2d(a, "multiply")
+    """Elementwise product; b is a plain number or a tensor that broadcasts
+    like in broadcast_add."""
     if isinstance(b, (int, float)):
         c = float(b)
         out = Tensor(a.data * c)
@@ -307,7 +264,6 @@ def multiply(a: Tensor, b) -> Tensor:
 
         return _record("multiply", out, (a,), backward_const)
 
-    _require_2d(b, "multiply")
     _broadcast_check(a, b, "multiply")
     out = Tensor(a.data * b.data)
 
@@ -323,7 +279,6 @@ def multiply(a: Tensor, b) -> Tensor:
 def mean_rows(a: Tensor) -> Tensor:
     """Column means as a 1-by-s row; backward spreads 1/r of the upstream
     gradient to every row."""
-    _require_2d(a, "mean_rows")
     r = a.shape[0]
     if r < 1 or a.data.size == 0:
         raise DimensionError(f"mean_rows: empty tensor of shape {a.shape}")
@@ -338,7 +293,6 @@ def mean_rows(a: Tensor) -> Tensor:
 
 
 def sum_all(a: Tensor) -> Tensor:
-    _require_2d(a, "sum_all")
     out = Tensor(np.array([[a.data.sum()]]))
 
     def backward():
@@ -350,7 +304,6 @@ def sum_all(a: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    _require_2d(a, "relu")
     out = Tensor(np.maximum(a.data, 0.0))
 
     def backward():
@@ -362,7 +315,6 @@ def relu(a: Tensor) -> Tensor:
 
 
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    _require_2d(a, "slice_rows")
     if not (0 <= start < stop <= a.shape[0]):
         raise DimensionError(
             f"slice_rows: range [{start}, {stop}) invalid for shape {a.shape}")
@@ -378,88 +330,8 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
     return _record("slice_rows", out, (a,), backward)
 
 
-def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
-    _require_2d(a, "slice_cols")
-    if not (0 <= start < stop <= a.shape[1]):
-        raise DimensionError(
-            f"slice_cols: range [{start}, {stop}) invalid for shape {a.shape}")
-    out = Tensor(a.data[:, start:stop].copy())
-
-    def backward():
-        if out.grad is None:
-            return
-        g = np.zeros_like(a.data)
-        g[:, start:stop] = out.grad
-        accumulate_grad(a, g, owned=True)
-
-    return _record("slice_cols", out, (a,), backward)
-
-
-def concat_rows(parts: Sequence[Tensor]) -> Tensor:
-    if not parts:
-        raise DimensionError("concat_rows: no tensors given")
-    for p in parts:
-        _require_2d(p, "concat_rows")
-    cols = parts[0].shape[1]
-    if any(p.shape[1] != cols for p in parts):
-        raise DimensionError(
-            f"concat_rows: column extents differ: {[p.shape for p in parts]}")
-    out = Tensor(np.concatenate([p.data for p in parts], axis=0))
-    offsets = np.cumsum([0] + [p.shape[0] for p in parts])
-
-    def backward():
-        if out.grad is None:
-            return
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            accumulate_grad(p, out.grad[lo:hi])
-
-    return _record("concat_rows", out, tuple(parts), backward)
-
-
-def concat_cols(parts: Sequence[Tensor]) -> Tensor:
-    if not parts:
-        raise DimensionError("concat_cols: no tensors given")
-    for p in parts:
-        _require_2d(p, "concat_cols")
-    rows = parts[0].shape[0]
-    if any(p.shape[0] != rows for p in parts):
-        raise DimensionError(
-            f"concat_cols: row extents differ: {[p.shape for p in parts]}")
-    out = Tensor(np.concatenate([p.data for p in parts], axis=1))
-    offsets = np.cumsum([0] + [p.shape[1] for p in parts])
-
-    def backward():
-        if out.grad is None:
-            return
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            accumulate_grad(p, out.grad[:, lo:hi])
-
-    return _record("concat_cols", out, tuple(parts), backward)
-
-
-def pad_rows(a: Tensor, total_rows: int) -> Tensor:
-    """Append zero rows until a has total_rows rows."""
-    _require_2d(a, "pad_rows")
-    r, s = a.shape
-    if total_rows < r:
-        raise DimensionError(f"pad_rows: target {total_rows} < current {r}")
-    if total_rows == r:
-        return a
-    data = np.zeros((total_rows, s))
-    data[:r] = a.data
-    out = Tensor(data)
-
-    def backward():
-        if out.grad is None:
-            return
-        accumulate_grad(a, out.grad[:r])
-
-    return _record("pad_rows", out, (a,), backward)
-
-
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
     """Row-wise layer normalization with learnable gain and bias (1-by-d)."""
-    _require_2d(x, "layer_norm")
     d = x.shape[1]
     if gain.shape != (1, d) or bias.shape != (1, d):
         raise DimensionError(
@@ -547,8 +419,9 @@ def save_checkpoint(path, named: Mapping[str, "Tensor | np.ndarray"]) -> None:
     """
     entries = []
     for name, value in named.items():
-        if any(ch.isspace() for ch in name):
-            raise CheckpointError(f"checkpoint name contains whitespace: {name!r}")
+        if not name or not name.isascii() or any(ch.isspace() for ch in name):
+            raise CheckpointError(
+                f"checkpoint name must be non-empty ASCII without whitespace: {name!r}")
         arr = value.data if isinstance(value, Tensor) else np.asarray(value, dtype=np.float64)
         entries.append((name, arr))
     with atomic_write(path, binary=True) as fh:
@@ -575,10 +448,11 @@ def _header_entry(line: str, path, line_no: int) -> tuple[str, tuple[int, ...]]:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
-    """Read a save_checkpoint file.  Anything malformed (no terminator, a
-    bad magic, a non-ASCII, blank or duplicate header entry, a dim that is
-    not a non-negative integer, too many dims, a short or overlong payload)
-    raises CheckpointError naming path."""
+    """Read a save_checkpoint file into fresh float64 arrays, one per entry.
+    Anything malformed (no terminator, a bad magic, a non-ASCII, blank or
+    duplicate header entry, a dim that is not a non-negative integer, too
+    many dims, a short or overlong payload) raises CheckpointError naming
+    path."""
     with open(path, "rb") as fh:
         blob = fh.read()
     try:

@@ -11,7 +11,7 @@ from typing import Callable, Mapping, Optional
 import numpy as np
 
 from .data import DataError, WindowSet
-from .model import ForecasterModel
+from .model import ForecasterModel, load_matching
 from .tensor import (
     ComputationTape,
     ContractError,
@@ -19,7 +19,6 @@ from .tensor import (
     Tensor,
     atomic_write,
     backward,
-    load_checkpoint,
     multiply,
     save_checkpoint,
     subtract,
@@ -231,9 +230,15 @@ def save_training_state(path, params: Mapping[str, Tensor], state: AdamState) ->
 
 
 def load_training_state(path, params: Mapping[str, Tensor]) -> AdamState:
-    arrays = load_checkpoint(path)
+    """Restore params and the Adam state from a save_training_state file.
+    It must hold every parameter and adam.t, and may hold Adam moments of
+    the parameters; nothing else, and every shape must match (else a
+    ConfigError naming path and the entry)."""
+    shapes = {name: p.shape for name, p in params.items()}
+    moments = {f"adam.{mv}.{name}": shape for name, shape in shapes.items() for mv in "mv"}
+    arrays = load_matching(path, {**shapes, "adam.t": (1, 1)}, optional=moments)
     for name, p in params.items():
-        p.data = arrays[name].copy()
+        p.data = arrays[name]
     return AdamState.from_arrays(arrays)
 
 

@@ -1,7 +1,10 @@
 """Hand-rolled oracles shared across the test suite.
 
 These stay loop-based and independent of the library's vectorized paths on
-purpose: they are the other side of every equivalence check.
+purpose: they are the other side of every equivalence check.  The tape ops
+that only these oracles need (column slices, row and column concatenation,
+zero padding, cutting a sequence into groups) live here, not in the
+library.
 """
 
 import math
@@ -10,23 +13,77 @@ import numpy as np
 
 from gsaformer.attention import AttentionMask, scaled_dot_attention
 from gsaformer.gsa import (
+    ConfigError,
     global_summary_attention,
     merge_outputs,
-    partition_groups,
     summarize_group,
 )
 from gsaformer.tensor import (
     ComputationTape,
     Tensor,
+    _record,
+    accumulate_grad,
     backward,
     broadcast_add,
-    concat_cols,
-    concat_rows,
     matmul,
     multiply,
-    slice_cols,
     slice_rows,
+    zero_grads,
 )
+
+
+def slice_cols(a, start, stop):
+    """Columns [start, stop) of a, as a tape op."""
+    out = Tensor(a.data[:, start:stop].copy())
+
+    def backward_fn():
+        if out.grad is None:
+            return
+        g = np.zeros_like(a.data)
+        g[:, start:stop] = out.grad
+        accumulate_grad(a, g, owned=True)
+
+    return _record("slice_cols", out, (a,), backward_fn)
+
+
+def _concat(parts, axis, name):
+    out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
+    bounds = np.cumsum([0] + [p.shape[axis] for p in parts])
+
+    def backward_fn():
+        if out.grad is None:
+            return
+        for p, lo, hi in zip(parts, bounds[:-1], bounds[1:]):
+            accumulate_grad(p, out.grad[lo:hi] if axis == 0 else out.grad[:, lo:hi])
+
+    return _record(name, out, tuple(parts), backward_fn)
+
+
+def concat_rows(parts):
+    return _concat(parts, 0, "concat_rows")
+
+
+def concat_cols(parts):
+    return _concat(parts, 1, "concat_cols")
+
+
+def pad_rows(a, total_rows):
+    """a with zero rows appended up to total_rows rows."""
+    pad = total_rows - a.shape[0]
+    return concat_rows([a, Tensor(np.zeros((pad, a.shape[1])))]) if pad else a
+
+
+def partition_groups(x, l_g):
+    """Cut x into m = ceil(l / l_g) groups of l_g rows, zero-padding the
+    tail; concatenating the groups and dropping the pad recovers x.
+    Returns (groups, m, pad)."""
+    if l_g <= 0:
+        raise ConfigError(f"l_g must be positive, got {l_g}")
+    l = x.shape[0]
+    m = math.ceil(l / l_g)
+    padded = pad_rows(x, m * l_g)
+    groups = [slice_rows(padded, j * l_g, (j + 1) * l_g) for j in range(m)]
+    return groups, m, m * l_g - l
 
 
 def naive_matmul(a, b):
@@ -86,8 +143,7 @@ def fd_grad(loss_fn, param, eps=1e-6):
 
 def check_op_gradients(build_loss, params, tol=1e-5):
     """Analytic grads of a recorded op graph vs central differences."""
-    for p in params:
-        p.zero_grad()
+    zero_grads(params)
     with ComputationTape() as tape:
         loss = build_loss()
         backward(loss, tape)
@@ -99,20 +155,21 @@ def check_op_gradients(build_loss, params, tol=1e-5):
         assert worst < tol, f"gradient mismatch: {worst}"
 
 
-def loop_multi_head_attention(q, k, v, heads, mask, counter):
-    """Multi-head attention as separate tape ops: scaled_dot_attention on
-    each contiguous column slab, slab outputs joined by concat_cols.  The
-    reference for the fused multi_head_attention op."""
+def loop_multi_head_attention(q, k, v, heads, counter):
+    """Multi-head attention as separate tape ops: unmasked
+    scaled_dot_attention on each contiguous column slab, slab outputs
+    joined by concat_cols.  The reference for the fused
+    multi_head_attention op."""
     d = q.shape[1]
     if heads == 1:
-        return scaled_dot_attention(q, k, v, mask, counter)
+        return scaled_dot_attention(q, k, v, AttentionMask.none(), counter)
     dh = d // heads
     outs = []
     for h in range(heads):
         lo, hi = h * dh, (h + 1) * dh
         outs.append(scaled_dot_attention(
             slice_cols(q, lo, hi), slice_cols(k, lo, hi), slice_cols(v, lo, hi),
-            mask, counter))
+            AttentionMask.none(), counter))
     return concat_cols(outs)
 
 
@@ -137,13 +194,14 @@ def loop_gsa_forward(x, params, cfg, counter, real_len=None):
         q_groups, k_groups, v_groups = (partition_groups(t, cfg.l_g)[0] for t in cols)
         local = []
         for j in range(m):
-            valid = min(real_len - j * cfg.l_g, cfg.l_g)
-            mask = (AttentionMask.key_padding(valid) if valid < cfg.l_g
-                    else AttentionMask.none())
+            # pad keys (in the last group) masked, and the future when causal
+            allow = np.ones((cfg.l_g, cfg.l_g), dtype=bool)
+            allow[:, real_len - j * cfg.l_g:] = False
             if cfg.causal:
-                mask = mask.combined_with(AttentionMask.causal(), cfg.l_g, cfg.l_g)
+                allow = np.tril(allow)
             local.append(scaled_dot_attention(
-                q_groups[j], k_groups[j], v_groups[j], mask, counter))
+                q_groups[j], k_groups[j], v_groups[j], AttentionMask.custom(allow),
+                counter))
         merged = local
         if cfg.uses_global:
             summaries = [summarize_group(q_groups[j], k_groups[j], v_groups[j],

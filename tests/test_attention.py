@@ -176,32 +176,12 @@ class TestScaledDotAttention:
                                  AttentionMask.none(), OpCounter())
 
 
-class TestMasks:
-    def test_causal_matrix(self):
-        m = AttentionMask.causal().matrix(3, 3)
-        npt.assert_array_equal(m, np.array([[1, 0, 0], [1, 1, 0], [1, 1, 1]],
-                                           dtype=bool))
-
-    def test_key_padding_matrix(self):
-        m = AttentionMask.key_padding(2).matrix(2, 4)
-        npt.assert_array_equal(m, np.array([[1, 1, 0, 0], [1, 1, 0, 0]],
-                                           dtype=bool))
-
-    def test_combined(self):
-        combined = AttentionMask.causal().combined_with(
-            AttentionMask.key_padding(2), 3, 3)
-        npt.assert_array_equal(combined.matrix(3, 3),
-                               np.array([[1, 0, 0], [1, 1, 0], [1, 1, 0]],
-                                        dtype=bool))
-
-
 class TestMultiHead:
     def test_heads_partition_feature_dim(self):
         rng = np.random.default_rng(10)
         q, k, v = (rng.normal(size=(6, 8)) for _ in range(3))
         counter = OpCounter()
-        out = multi_head_attention(Tensor(q), Tensor(k), Tensor(v), 2,
-                                   AttentionMask.none(), counter)
+        out = multi_head_attention(Tensor(q), Tensor(k), Tensor(v), 2, counter)
         left = naive_attention(q[:, :4], k[:, :4], v[:, :4])
         right = naive_attention(q[:, 4:], k[:, 4:], v[:, 4:])
         npt.assert_allclose(out.data, np.concatenate([left, right], axis=1),
@@ -211,22 +191,22 @@ class TestMultiHead:
     def test_indivisible_heads_rejected(self):
         x = Tensor(np.zeros((2, 6)))
         with pytest.raises(DimensionError):
-            multi_head_attention(x, x, x, 4, AttentionMask.none(), OpCounter())
+            multi_head_attention(x, x, x, 4, OpCounter())
 
 
 @st.composite
 def mha_cases(draw):
-    """(l_q, l_k, heads, d_h, masked, seed); one-row and one-column shapes
+    """(l_q, l_k, heads, d_h, seed); one-row and one-column shapes
     included, where BLAS takes its vector paths."""
     return (draw(st.integers(1, 9)), draw(st.integers(1, 9)), draw(st.integers(1, 3)),
-            draw(st.integers(1, 4)), draw(st.booleans()), draw(st.integers(0, 2**16)))
+            draw(st.integers(1, 4)), draw(st.integers(0, 2**16)))
 
 
-def _attend_and_grads(op, arrays, heads, mask, weights):
+def _attend_and_grads(op, arrays, heads, weights):
     q, k, v = (Tensor(a.copy(), requires_grad=True) for a in arrays)
     counter = OpCounter()
     with ComputationTape() as tape:
-        out = op(q, k, v, heads, mask, counter)
+        out = op(q, k, v, heads, counter)
         backward(sum_all(multiply(out, weights)), tape)
     return (out.data, q.grad, k.grad, v.grad), (counter.score_elements,
                                                  counter.peak_score_buffer)
@@ -239,33 +219,30 @@ class TestFusedMultiHead:
     @settings(max_examples=30)
     @given(mha_cases())
     def test_matches_per_head_composition_bit_for_bit(self, case):
-        l_q, l_k, heads, dh, masked, seed = case
+        l_q, l_k, heads, dh, seed = case
         rng = np.random.default_rng(seed)
         arrays = [rng.normal(size=(n, heads * dh)) for n in (l_q, l_k, l_k)]
         weights = Tensor(rng.normal(size=(l_q, heads * dh)))
-        mask = (AttentionMask.custom(rng.uniform(size=(l_q, l_k)) > 0.3) if masked
-                else AttentionMask.none())
         fused, fused_counts = _attend_and_grads(multi_head_attention, arrays, heads,
-                                                mask, weights)
+                                                weights)
         loop, loop_counts = _attend_and_grads(loop_multi_head_attention, arrays, heads,
-                                              mask, weights)
+                                              weights)
         for a, b in zip(fused, loop):
             npt.assert_array_equal(a, b)
         assert fused_counts == loop_counts
-        untaped = multi_head_attention(*(Tensor(a) for a in arrays), heads, mask, OpCounter())
+        untaped = multi_head_attention(*(Tensor(a) for a in arrays), heads, OpCounter())
         npt.assert_array_equal(untaped.data, fused[0])
 
     def test_one_tape_node(self):
         q = Tensor(np.random.default_rng(20).normal(size=(5, 8)), requires_grad=True)
         with ComputationTape() as tape:
-            multi_head_attention(q, q, q, 4, AttentionMask.none(), OpCounter())
+            multi_head_attention(q, q, q, 4, OpCounter())
         assert len(tape) == 1
 
     def test_mismatched_keys_and_values_rejected(self):
         with pytest.raises(DimensionError):
             multi_head_attention(Tensor(np.zeros((2, 4))), Tensor(np.zeros((3, 4))),
-                                 Tensor(np.zeros((2, 4))), 2, AttentionMask.none(),
-                                 OpCounter())
+                                 Tensor(np.zeros((2, 4))), 2, OpCounter())
 
 
 class TestExtremeMagnitudes:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -14,11 +16,18 @@ from gsaformer.gsa import (
     gsa_op_count,
     global_summary_attention,
     merge_outputs,
-    partition_groups,
     summarize_group,
 )
-from gsaformer.tensor import ComputationTape, Tensor, backward, matmul, multiply, sum_all
-from helpers import loop_gsa_forward, naive_gsa
+from gsaformer.tensor import (
+    ComputationTape,
+    Tensor,
+    backward,
+    matmul,
+    multiply,
+    sum_all,
+    zero_grads,
+)
+from helpers import loop_gsa_forward, naive_gsa, partition_groups
 
 
 def make_params(cfg, seed=0, beta=0.0):
@@ -411,10 +420,16 @@ def gsa_cases(draw):
     return cfg, l, real_len, draw(st.integers(0, 2 ** 16))
 
 
+@st.composite
+def causal_cases(draw):
+    """A random causal layer shape and padding, a row t to perturb, a seed."""
+    cfg, l, real_len, seed = draw(gsa_cases())
+    return replace(cfg, causal=True), l, real_len, draw(st.integers(0, l - 1)), seed
+
+
 def _forward_and_grads(forward, x, params, weights):
     """Output and every input and parameter gradient of sum(forward * weights)."""
-    for t in [x, *params.named().values()]:
-        t.zero_grad()
+    zero_grads([x, *params.named().values()])
     with ComputationTape() as tape:
         out = forward()
         backward(sum_all(multiply(out, weights)), tape)
@@ -453,6 +468,19 @@ class TestFusedOpProperties:
                 assert np.abs(g - expected).max() < 1e-12, name
         assert fused_counter.score_elements == loop_counter.score_elements
         assert fused_counter.peak_score_buffer == loop_counter.peak_score_buffer
+
+    @settings(max_examples=30)
+    @given(causal_cases())
+    def test_causal_layer_never_reads_later_rows(self, case):
+        cfg, l, real_len, t, seed = case
+        rng = np.random.default_rng(seed)
+        params = make_params(cfg, seed=seed)
+        randomize_merge(params, cfg, rng)
+        x = rng.normal(size=(l, cfg.d))
+        base = gsa_forward(Tensor(x), params, cfg, OpCounter(), real_len=real_len)
+        x[t] += rng.uniform(-10.0, 10.0, size=cfg.d)
+        out = gsa_forward(Tensor(x), params, cfg, OpCounter(), real_len=real_len)
+        npt.assert_array_equal(out.data[:t], base.data[:t])
 
     def test_tape_length_independent_of_group_count(self):
         lengths = {}

@@ -184,6 +184,15 @@ class TestCheckpoint:
         with pytest.raises(ConfigError):
             other.load(path)
 
+    @pytest.mark.parametrize("shape", [(16, 2), (2, 4, 4)], ids=["transposed", "three-axis"])
+    def test_wrong_shape_rejected_naming_file_and_entry(self, tmp_path, shape):
+        model = ForecasterModel(tiny_config(), seed=10)      # embed.w is (2, 16)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, {**model.parameters(), "embed.w": np.zeros(shape)})
+        with pytest.raises(ConfigError) as err:
+            model.load(path)
+        assert str(path) in str(err.value) and f"embed.w: {shape} vs (2, 16)" in str(err.value)
+
     def test_old_layout_with_unused_tensors_rejected(self, tmp_path):
         model = ForecasterModel(tiny_config(), seed=10)
         path = tmp_path / "old.ckpt"

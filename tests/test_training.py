@@ -6,6 +6,7 @@ from helpers import check_op_gradients
 
 from gsaformer.attention import OpCounter
 from gsaformer.data import DataError, make_windows, synthetic_series
+from gsaformer.gsa import ConfigError
 from gsaformer.model import ForecasterModel, ModelConfig
 from gsaformer.tensor import (
     ComputationTape,
@@ -16,8 +17,10 @@ from gsaformer.tensor import (
     active_tape,
     backward,
     layer_norm,
+    load_checkpoint,
     matmul,
     multiply,
+    save_checkpoint,
     zero_grads,
 )
 from gsaformer.training import (
@@ -206,6 +209,41 @@ class TestTrainLoop:
         for name, p in model_a.parameters().items():
             npt.assert_array_equal(p.data, params_c[name].data,
                                    err_msg=f"diverged at {name}")
+
+
+class TestLoadTrainingState:
+    @pytest.mark.parametrize("name, value, entry", [
+        ("w", np.zeros((3, 2)), "w: (3, 2) vs (2, 3)"),
+        ("w", np.zeros((2, 2, 2)), "w: (2, 2, 2) vs (2, 3)"),
+        ("b", None, "missing=['b']"),
+        ("adam.t", None, "missing=['adam.t']"),
+        ("stray", np.zeros((1, 1)), "extra=['stray']"),
+        ("adam.m.nope", np.zeros((1, 1)), "extra=['adam.m.nope']"),
+        ("adam.v.w", np.zeros((3, 2)), "adam.v.w: (3, 2) vs (2, 3)"),
+    ], ids=["transposed", "three-axis", "missing-parameter", "missing-step",
+            "extra-entry", "moment-of-no-parameter", "moment-shape"])
+    def test_mismatch_raises_naming_file_and_entry(self, tmp_path, name, value, entry):
+        params = {"w": Tensor(np.ones((2, 3))), "b": Tensor(np.zeros((1, 3)))}
+        state = AdamState()
+        state.t = 4
+        state.m = state.v = {n: np.ones(p.shape) for n, p in params.items()}
+        path = tmp_path / "train_state.ckpt"
+        save_training_state(path, params, state)
+        arrays = {n: a for n, a in load_checkpoint(path).items() if n != name}
+        if value is not None:               # None: the entry is left out
+            arrays[name] = value
+        save_checkpoint(path, arrays)
+        before = {n: p.data for n, p in params.items()}
+        with pytest.raises(ConfigError) as err:
+            load_training_state(path, params)
+        assert str(path) in str(err.value) and entry in str(err.value)
+        assert all(p.data is before[n] for n, p in params.items())
+
+    def test_state_without_moments_loads(self, tmp_path):
+        params = {"w": Tensor(np.ones((2, 3)))}
+        path = tmp_path / "train_state.ckpt"
+        save_training_state(path, params, AdamState())
+        assert load_training_state(path, params).t == 0
 
 
 class TestGradCheck:
