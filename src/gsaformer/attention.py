@@ -21,9 +21,9 @@ from .tensor import (
     Tensor,
     _record,
     accumulate_grad,
-    active_tape,
     matmul,
     multiply,
+    recording,
     transpose,
 )
 
@@ -123,8 +123,6 @@ def row_softmax(scores: Tensor, mask: AttentionMask) -> Tensor:
     out = Tensor(p)
 
     def backward():
-        if out.grad is None:
-            return
         accumulate_grad(scores, softmax_last_axis_backward(p, out.grad.copy()), owned=True)
 
     return _record("row_softmax", out, (scores,), backward)
@@ -194,7 +192,7 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
             f"attention: Q {q.shape}, K {k.shape}, V {v.shape} do not line up")
     dh = d // heads
     scale = 1.0 / np.sqrt(dh)
-    taped = active_tape() is not None and any(t.requires_grad for t in (q, k, v))
+    taped = recording((q, k, v))
     slabs = [slice(h * dh, (h + 1) * dh) for h in range(heads)]
 
     def head(cols: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -216,8 +214,6 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
         return out
 
     def backward():
-        if out.grad is None:
-            return
         d_q, d_k, d_v = np.empty(q.shape), np.empty(k.shape), np.empty(v.shape)
         for cols, p in zip(slabs, probs):
             g = np.ascontiguousarray(out.grad[:, cols])

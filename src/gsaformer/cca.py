@@ -12,11 +12,11 @@ from typing import Optional
 import numpy as np
 
 from .attention import OpCounter, multi_head_attention
-from .tensor import DimensionError, Tensor, linear, matmul
+from .tensor import ParameterSet, Tensor, linear, matmul
 
 
 @dataclass
-class CcaLayerParams:
+class CcaLayerParams(ParameterSet):
     """Per-decoder-layer compression matrix plus Q/K/V/output projections.
 
     c is l_comp-by-l_enc and is never shared between layers.  It exists
@@ -51,10 +51,6 @@ class CcaLayerParams:
             b_q=bias(), b_k=bias(), b_v=bias(), b_o=bias(),
         )
 
-    def named(self, prefix: str = "") -> dict[str, Tensor]:
-        """Every tensor the layer has, in field order."""
-        return {prefix + name: t for name, t in vars(self).items() if t is not None}
-
 
 def compress_encoder_output(h_enc: Tensor, c: Optional[Tensor]) -> Tensor:
     """C @ H_enc, shrinking l_enc rows to l_comp.  A layer whose encoder
@@ -62,9 +58,6 @@ def compress_encoder_output(h_enc: Tensor, c: Optional[Tensor]) -> Tensor:
     unchanged."""
     if c is None:
         return h_enc
-    if c.shape[1] != h_enc.shape[0]:
-        raise DimensionError(
-            f"compression matrix {c.shape} incompatible with encoder output {h_enc.shape}")
     return matmul(c, h_enc)
 
 

@@ -77,6 +77,11 @@ def read_config_file(path: str) -> dict[str, str]:
     return mapping
 
 
+def write_text(path, text: str) -> None:
+    with atomic_write(path, encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def _parse_value(key: str, kind, raw: str):
     """raw converted to kind: bool, int, float, str or Optional[one of them]."""
     if type(None) in typing.get_args(kind):
@@ -190,7 +195,7 @@ def cmd_train(args) -> int:
                     checkpoint_path=out / "best.ckpt")
     history.write_csv(out / "history.csv")
     model.save(out / "final.ckpt")
-    (out / "model.cfg").write_text(model_config_to_text(cfg), encoding="utf-8")
+    write_text(out / "model.cfg", model_config_to_text(cfg))
     last = history.epochs[-1] if history.epochs else (0, math.nan, math.nan)
     print(f"trained {len(history.iteration_losses)} iterations; "
           f"final train_mse={last[1]:.6f} val_mse={last[2]:.6f}")
@@ -287,7 +292,7 @@ def cmd_gradcheck(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     report_text = "\n".join(report.lines()) + "\n"
-    (out / "gradcheck_report.txt").write_text(report_text, encoding="utf-8")
+    write_text(out / "gradcheck_report.txt", report_text)
     print(report_text, end="")
     if not report.ok:
         print(f"gradcheck FAILED: {len(report.failures)} tensors over "

@@ -10,6 +10,8 @@ from datetime import datetime, timedelta
 
 import numpy as np
 
+from .tensor import atomic_write
+
 
 class DataError(ValueError):
     """Bad input data or an impossible windowing request."""
@@ -117,7 +119,7 @@ def load_csv(path, target_name: str) -> TimeSeries:
 
 
 def write_csv(ts: TimeSeries, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path, newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["date"] + ts.feature_names)
         for stamp, row in zip(ts.timestamps, ts.values):

@@ -36,15 +36,16 @@ from .attention import (
 )
 from .tensor import (
     DimensionError,
+    ParameterSet,
     Tensor,
     _record,
     accumulate_grad,
-    active_tape,
     broadcast_add,
     linear,
     matmul,
     mean_rows,
     multiply,
+    recording,
 )
 
 
@@ -84,7 +85,7 @@ class GsaConfig:
 
 
 @dataclass
-class GsaLayerParams:
+class GsaLayerParams(ParameterSet):
     """All learnable state of one grouped self-attention layer.
 
     The summary projections e_q/e_k/e_v are single tensors applied to every
@@ -132,18 +133,11 @@ class GsaLayerParams:
             params.beta = Tensor(np.zeros((1, cfg.m_max)), requires_grad=True)
         return params
 
-    def named(self, prefix: str = "") -> dict[str, Tensor]:
-        """Every tensor the layer has, in field order."""
-        return {prefix + name: t for name, t in vars(self).items() if t is not None}
-
 
 def summarize_group(q_g: Tensor, k_g: Tensor, v_g: Tensor,
                     e_q: Tensor, e_k: Tensor, e_v: Tensor,
                     ) -> tuple[Tensor, Tensor, Tensor]:
     """Project a group's l_g rows down to l_s summary rows per stream."""
-    if e_q.shape[1] != q_g.shape[0]:
-        raise DimensionError(
-            f"summary projection {e_q.shape} incompatible with group {q_g.shape}")
     return matmul(e_q, q_g), matmul(e_k, k_g), matmul(e_v, v_g)
 
 
@@ -271,7 +265,7 @@ def grouped_attention(q: Tensor, k: Tensor, v: Tensor, params: GsaLayerParams,
     inputs = (q, k, v)
     if use_global:
         inputs += (params.e_q, params.e_k, params.e_v, params.alpha, params.beta)
-    taped = active_tape() is not None and any(t.requires_grad for t in inputs)
+    taped = recording(inputs)
 
     qg, kg, vg = (_to_groups(t.data, m, l_g, heads, real_len) for t in (q, k, v))
     for _ in range(heads * m):
@@ -303,8 +297,6 @@ def grouped_attention(q: Tensor, k: Tensor, v: Tensor, params: GsaLayerParams,
         return out
 
     def backward():
-        if out.grad is None:
-            return
         g = _to_groups(out.grad, m, l_g, heads, l)
         d_local = g * alpha[:, None, None] if use_global else g
         # local attention inside every group
@@ -345,9 +337,6 @@ def gsa_forward(x: Tensor, params: GsaLayerParams, cfg: GsaConfig,
     projected queries/keys/values are zeroed and they are masked out as
     keys, so outputs at real positions never depend on pad values.
     """
-    d = x.shape[1]
-    if d != cfg.d:
-        raise DimensionError(f"input dim {d} != configured d {cfg.d}")
     q = linear(x, params.w_q, params.b_q)
     k = linear(x, params.w_k, params.b_k)
     v = linear(x, params.w_v, params.b_v)

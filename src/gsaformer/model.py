@@ -19,6 +19,7 @@ from .attention import OpCounter
 from .cca import CcaLayerParams, cca_forward, cca_op_count
 from .gsa import ConfigError, GsaConfig, GsaLayerParams, gsa_forward, gsa_op_count
 from .tensor import (
+    ParameterSet,
     Tensor,
     broadcast_add,
     layer_norm,
@@ -129,22 +130,17 @@ def build_decoder_input(x: Tensor, cfg: ModelConfig) -> Tensor:
     return Tensor(data)
 
 
-class _Linear:
-    def __init__(self, n_in: int, n_out: int, rng: np.random.Generator,
-                 zero: bool = False):
+class _Linear(ParameterSet):
+    def __init__(self, n_in: int, n_out: int, rng: np.random.Generator):
         a = 1.0 / math.sqrt(n_in)
-        w = np.zeros((n_in, n_out)) if zero else rng.uniform(-a, a, (n_in, n_out))
-        self.w = Tensor(w, requires_grad=True)
+        self.w = Tensor(rng.uniform(-a, a, (n_in, n_out)), requires_grad=True)
         self.b = Tensor(np.zeros((1, n_out)), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
         return linear(x, self.w, self.b)
 
-    def named(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}w": self.w, f"{prefix}b": self.b}
 
-
-class _LayerNorm:
+class _LayerNorm(ParameterSet):
     def __init__(self, d: int):
         self.g = Tensor(np.ones((1, d)), requires_grad=True)
         self.b = Tensor(np.zeros((1, d)), requires_grad=True)
@@ -152,11 +148,8 @@ class _LayerNorm:
     def __call__(self, x: Tensor) -> Tensor:
         return layer_norm(x, self.g, self.b)
 
-    def named(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}g": self.g, f"{prefix}b": self.b}
 
-
-class _FeedForward:
+class _FeedForward(ParameterSet):
     def __init__(self, d: int, hidden: int, rng: np.random.Generator):
         self.lin1 = _Linear(d, hidden, rng)
         self.lin2 = _Linear(hidden, d, rng)
@@ -164,12 +157,8 @@ class _FeedForward:
     def __call__(self, x: Tensor) -> Tensor:
         return self.lin2(relu(self.lin1(x)))
 
-    def named(self, prefix: str) -> dict[str, Tensor]:
-        return {**self.lin1.named(f"{prefix}lin1."),
-                **self.lin2.named(f"{prefix}lin2.")}
 
-
-class _EncoderLayer:
+class _EncoderLayer(ParameterSet):
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         self.gsa_cfg = cfg.encoder_gsa()
         self.gsa = GsaLayerParams.init(self.gsa_cfg, rng)
@@ -181,14 +170,8 @@ class _EncoderLayer:
         x = self.norm1(broadcast_add(x, gsa_forward(x, self.gsa, self.gsa_cfg, counter)))
         return self.norm2(broadcast_add(x, self.ffn(x)))
 
-    def named(self, prefix: str) -> dict[str, Tensor]:
-        return {**self.gsa.named(f"{prefix}gsa."),
-                **self.norm1.named(f"{prefix}norm1."),
-                **self.ffn.named(f"{prefix}ffn."),
-                **self.norm2.named(f"{prefix}norm2.")}
 
-
-class _DecoderLayer:
+class _DecoderLayer(ParameterSet):
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         self.gsa_cfg = cfg.decoder_gsa()
         self.gsa = GsaLayerParams.init(self.gsa_cfg, rng)
@@ -205,14 +188,6 @@ class _DecoderLayer:
             x, cca_forward(x, enc_out, self.cca, counter, heads=self.heads)))
         return self.norm3(broadcast_add(x, self.ffn(x)))
 
-    def named(self, prefix: str) -> dict[str, Tensor]:
-        return {**self.gsa.named(f"{prefix}gsa."),
-                **self.norm1.named(f"{prefix}norm1."),
-                **self.cca.named(f"{prefix}cca."),
-                **self.norm2.named(f"{prefix}norm2."),
-                **self.ffn.named(f"{prefix}ffn."),
-                **self.norm3.named(f"{prefix}norm3.")}
-
 
 class ForecasterModel:
     def __init__(self, cfg: ModelConfig, seed: int = 0):
@@ -226,7 +201,7 @@ class ForecasterModel:
 
     def parameters(self) -> dict[str, Tensor]:
         """Every learnable tensor exactly once, keyed by a stable name."""
-        out = dict(self.embed.named("embed."))
+        out = self.embed.named("embed.")
         for i, layer in enumerate(self.encoder_layers):
             out.update(layer.named(f"enc{i}."))
         for i, layer in enumerate(self.decoder_layers):
@@ -267,11 +242,11 @@ class ForecasterModel:
         """Score elements one full forward must spend, from the per-layer
         count formulas; the instrumented counter must match this exactly."""
         cfg = self.cfg
-        enc = gsa_op_count(cfg.seq_len, cfg.l_g, cfg.l_s,
-                           global_path=not cfg.ablation_local_only)
+        enc = gsa_op_count(cfg.seq_len, cfg.l_g, cfg.l_s, cfg.encoder_gsa().uses_global)
         total = cfg.e_l * cfg.heads * enc
         if cfg.dec_len > 0:
-            dec_self = gsa_op_count(cfg.dec_len, cfg.l_g, cfg.l_s, global_path=False)
+            dec_self = gsa_op_count(cfg.dec_len, cfg.l_g, cfg.l_s,
+                                    cfg.decoder_gsa().uses_global)
             cross = cca_op_count(cfg.dec_len, cfg.seq_len, cfg.l_comp, heads=cfg.heads)
             total += cfg.d_l * (cfg.heads * dec_self + cross)
         return total

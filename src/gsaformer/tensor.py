@@ -4,9 +4,11 @@ A Tensor's values are a row-major numpy array of exactly 2 axes: the
 constructor lifts scalars and vectors to one row, rejects more than 2 axes
 with RankError and rejects non-finite values, so it is the one place that
 checks rank and finiteness for every op output.  Each op checks only the
-extents it needs to line up and, when a tape is active and an input wants
-gradients, records a backward rule.  Replaying the tape in reverse order
-propagates gradients, accumulating (+=) into each requires_grad tensor.
+extents it needs to line up and, when recording(inputs), records a
+backward rule.  Replaying the tape in reverse order propagates gradients,
+accumulating (+=) into each requires_grad tensor.  A rule runs only when
+its output got a gradient, so it reads out.grad unchecked, and it decides
+nothing about recording.
 """
 
 from __future__ import annotations
@@ -112,10 +114,6 @@ class ComputationTape:
 _ACTIVE_TAPE: Optional[ComputationTape] = None
 
 
-def active_tape() -> Optional[ComputationTape]:
-    return _ACTIVE_TAPE
-
-
 def accumulate_grad(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
     """Add g into t.grad; no-op for tensors that do not require gradients.
     g must match t's shape.
@@ -140,12 +138,17 @@ def accumulate_grad(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
         t.grad += g
 
 
+def recording(inputs: Iterable[Tensor]) -> bool:
+    """Whether an op on inputs records a backward rule: a tape is active
+    and some input requires a gradient."""
+    return _ACTIVE_TAPE is not None and any(t.requires_grad for t in inputs)
+
+
 def _record(name: str, out: Tensor, inputs: Sequence[Tensor],
             backward_fn: Callable[[], None]) -> Tensor:
-    tape = _ACTIVE_TAPE
-    if tape is not None and any(t.requires_grad for t in inputs):
+    if recording(inputs):
         out.requires_grad = True
-        tape.record(name, out, backward_fn)
+        _ACTIVE_TAPE.record(name, out, backward_fn)
     return out
 
 
@@ -156,8 +159,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data @ b.data)
 
     def backward():
-        if out.grad is None:
-            return
         accumulate_grad(a, out.grad @ b.data.T, owned=True)
         accumulate_grad(b, a.data.T @ out.grad, owned=True)
 
@@ -178,8 +179,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     out = Tensor(data)
 
     def backward():
-        if out.grad is None:
-            return
         g = out.grad
         g_b = _reduce_to(g, b.shape)
         accumulate_grad(b, g_b, owned=g_b is not g)
@@ -193,8 +192,6 @@ def transpose(a: Tensor) -> Tensor:
     out = Tensor(a.data.T.copy())
 
     def backward():
-        if out.grad is None:
-            return
         accumulate_grad(a, out.grad.T)
 
     return _record("transpose", out, (a,), backward)
@@ -228,8 +225,6 @@ def broadcast_add(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data + b.data)
 
     def backward():
-        if out.grad is None:
-            return
         accumulate_grad(a, out.grad)
         accumulate_grad(b, _reduce_to(out.grad, b.shape))
 
@@ -242,8 +237,6 @@ def subtract(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data - b.data)
 
     def backward():
-        if out.grad is None:
-            return
         accumulate_grad(a, out.grad)
         accumulate_grad(b, -_reduce_to(out.grad, b.shape), owned=True)
 
@@ -258,8 +251,6 @@ def multiply(a: Tensor, b) -> Tensor:
         out = Tensor(a.data * c)
 
         def backward_const():
-            if out.grad is None:
-                return
             accumulate_grad(a, out.grad * c, owned=True)
 
         return _record("multiply", out, (a,), backward_const)
@@ -268,8 +259,6 @@ def multiply(a: Tensor, b) -> Tensor:
     out = Tensor(a.data * b.data)
 
     def backward():
-        if out.grad is None:
-            return
         accumulate_grad(a, out.grad * b.data, owned=True)
         accumulate_grad(b, _reduce_to(out.grad * a.data, b.shape), owned=True)
 
@@ -285,8 +274,6 @@ def mean_rows(a: Tensor) -> Tensor:
     out = Tensor(a.data.mean(axis=0, keepdims=True))
 
     def backward():
-        if out.grad is None:
-            return
         accumulate_grad(a, np.repeat(out.grad / r, r, axis=0), owned=True)
 
     return _record("mean_rows", out, (a,), backward)
@@ -296,8 +283,6 @@ def sum_all(a: Tensor) -> Tensor:
     out = Tensor(np.array([[a.data.sum()]]))
 
     def backward():
-        if out.grad is None:
-            return
         accumulate_grad(a, np.full_like(a.data, out.grad[0, 0]), owned=True)
 
     return _record("sum_all", out, (a,), backward)
@@ -307,8 +292,6 @@ def relu(a: Tensor) -> Tensor:
     out = Tensor(np.maximum(a.data, 0.0))
 
     def backward():
-        if out.grad is None:
-            return
         accumulate_grad(a, out.grad * (a.data > 0.0), owned=True)
 
     return _record("relu", out, (a,), backward)
@@ -321,8 +304,6 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
     out = Tensor(a.data[start:stop].copy())
 
     def backward():
-        if out.grad is None:
-            return
         g = np.zeros_like(a.data)
         g[start:stop] = out.grad
         accumulate_grad(a, g, owned=True)
@@ -347,8 +328,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
     out = Tensor(data)
 
     def backward():
-        if out.grad is None:
-            return
         g = out.grad
         accumulate_grad(gain, (g * xhat).sum(axis=0, keepdims=True), owned=True)
         accumulate_grad(bias, g.sum(axis=0, keepdims=True), owned=True)
@@ -377,13 +356,29 @@ def backward(loss: Tensor, tape: ComputationTape) -> None:
     for _, out, _ in tape._nodes:
         out.grad = None
     loss.grad = np.ones((1, 1))
-    for _, _, backward_fn in reversed(tape._nodes):
-        backward_fn()
+    for _, out, backward_fn in reversed(tape._nodes):
+        if out.grad is not None:
+            backward_fn()
 
 
 def zero_grads(params: Iterable[Tensor]) -> None:
     for p in params:
         p.grad = None
+
+
+class ParameterSet:
+    """A holder of learnable tensors."""
+
+    def named(self, prefix: str = "") -> dict[str, Tensor]:
+        """Every Tensor attribute as prefix + name, and the tensors of every
+        nested ParameterSet under prefix + `<attr>.`, in attribute order."""
+        out = {}
+        for attr, value in vars(self).items():
+            if isinstance(value, Tensor):
+                out[prefix + attr] = value
+            elif isinstance(value, ParameterSet):
+                out.update(value.named(f"{prefix}{attr}."))
+        return out
 
 
 CHECKPOINT_MAGIC = "gsaformer-checkpoint v1"
@@ -464,7 +459,7 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     except UnicodeDecodeError as exc:
         raise CheckpointError(
             f"non-ASCII byte in the header of {path} at offset {exc.start}") from None
-    payload = blob[header_end + 3:]
+    payload = memoryview(blob)[header_end + 3:]   # a view: no second copy of the file
     if not header or header[0] != CHECKPOINT_MAGIC:
         raise CheckpointError(
             f"bad magic in {path}: expected {CHECKPOINT_MAGIC!r}")

@@ -279,30 +279,32 @@ def relative_error(a: float, n: float) -> float:
     return abs(a - n) / max(abs(a), abs(n), 1e-8)
 
 
+GRAD_CHECK_LOSS_SCALE = 1e-4    # why: see grad_check
+
+
 def grad_check(loss_fn: Callable[[], Tensor],
                params: Mapping[str, Tensor],
                epsilon: float = 1e-6,
                tolerance: float = 1e-5,
                max_coords: int = 32,
-               seed: int = 0,
-               loss_scale: float = 1e-4) -> GradCheckReport:
+               seed: int = 0) -> GradCheckReport:
     """Compare analytic gradients against central differences.
 
     loss_fn must rebuild the forward pass from the current parameter values
     each call.  Per tensor, at most max_coords randomly sampled coordinates
     are perturbed by +/- epsilon.
 
-    The loss is multiplied by loss_scale before differencing: an O(1) loss
-    carries ~1 ulp of forward roundoff, which at epsilon=1e-6 shows up as
-    ~5e-11 of difference noise, above the 1e-8 comparison floor for
-    coordinates whose true gradient is (near) zero.  Scaling shrinks the
+    The loss is multiplied by GRAD_CHECK_LOSS_SCALE before differencing: an
+    O(1) loss carries ~1 ulp of forward roundoff, which at epsilon=1e-6
+    shows up as ~5e-11 of difference noise, above the 1e-8 comparison floor
+    for coordinates whose true gradient is (near) zero.  Scaling shrinks the
     noise and the gradients together, so agreement checks are unaffected
-    while the floor does its job.  Pass 1.0 to disable.
+    while the floor does its job.
     """
     rng = np.random.default_rng(seed)
 
     def scaled_loss() -> Tensor:
-        return multiply(loss_fn(), loss_scale)
+        return multiply(loss_fn(), GRAD_CHECK_LOSS_SCALE)
 
     zero_grads(params.values())
     with ComputationTape() as tape:

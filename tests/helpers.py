@@ -37,8 +37,6 @@ def slice_cols(a, start, stop):
     out = Tensor(a.data[:, start:stop].copy())
 
     def backward_fn():
-        if out.grad is None:
-            return
         g = np.zeros_like(a.data)
         g[:, start:stop] = out.grad
         accumulate_grad(a, g, owned=True)
@@ -51,8 +49,6 @@ def _concat(parts, axis, name):
     bounds = np.cumsum([0] + [p.shape[axis] for p in parts])
 
     def backward_fn():
-        if out.grad is None:
-            return
         for p, lo, hi in zip(parts, bounds[:-1], bounds[1:]):
             accumulate_grad(p, out.grad[lo:hi] if axis == 0 else out.grad[:, lo:hi])
 

@@ -427,6 +427,18 @@ def causal_cases(draw):
     return replace(cfg, causal=True), l, real_len, draw(st.integers(0, l - 1)), seed
 
 
+@st.composite
+def locality_cases(draw):
+    """A non-causal layer over m >= 2 groups, one group i, a seed."""
+    l_g = draw(st.integers(2, 8))
+    m = draw(st.integers(2, 4))
+    heads = draw(st.sampled_from([1, 2, 4]))
+    cfg = GsaConfig(l_g=l_g, l_s=draw(st.integers(1, l_g - 1)),
+                    d=heads * draw(st.integers(1, 3)), heads=heads, m_max=m)
+    l = draw(st.integers((m - 1) * l_g + 1, m * l_g))
+    return cfg, l, draw(st.integers(0, m - 1)), draw(st.integers(0, 2 ** 16))
+
+
 def _forward_and_grads(forward, x, params, weights):
     """Output and every input and parameter gradient of sum(forward * weights)."""
     zero_grads([x, *params.named().values()])
@@ -481,6 +493,26 @@ class TestFusedOpProperties:
         x[t] += rng.uniform(-10.0, 10.0, size=cfg.d)
         out = gsa_forward(Tensor(x), params, cfg, OpCounter(), real_len=real_len)
         npt.assert_array_equal(out.data[:t], base.data[:t])
+
+    @settings(max_examples=30)
+    @given(locality_cases())
+    def test_group_reads_other_groups_only_through_the_global_path(self, case):
+        cfg, l, i, seed = case
+        group = np.zeros(l, dtype=bool)
+        group[i * cfg.l_g:(i + 1) * cfg.l_g] = True
+        for global_path in (False, True):
+            layer = replace(cfg, global_path=global_path)
+            rng = np.random.default_rng(seed)
+            params = make_params(layer, seed=seed)
+            randomize_merge(params, layer, rng)
+            x = rng.normal(size=(l, cfg.d))
+            base = gsa_forward(Tensor(x), params, layer, OpCounter()).data[group]
+            x[~group] += rng.uniform(-10.0, 10.0, size=(l - group.sum(), cfg.d))
+            out = gsa_forward(Tensor(x), params, layer, OpCounter()).data[group]
+            if global_path:
+                assert not np.array_equal(out, base)
+            else:
+                npt.assert_array_equal(out, base)
 
     def test_tape_length_independent_of_group_count(self):
         lengths = {}

@@ -246,6 +246,41 @@ class TestEveryParameterReachesTheLoss:
         assert "dec0.cca.c" not in names
 
 
+PROJECTIONS = ["w_q", "w_k", "w_v", "w_o", "b_q", "b_k", "b_v", "b_o"]
+GLOBAL_PATH = ["e_q", "e_k", "e_v", "alpha", "beta"]
+FFN = ["ffn.lin1.w", "ffn.lin1.b", "ffn.lin2.w", "ffn.lin2.b"]
+
+
+def train_parameter_names(encoder_gsa):
+    """The checkpoint names of the default train model (3+3 layers, no
+    compression matrix), in order, given the encoder GSA tensor names."""
+    names = ["embed.w", "embed.b"]
+    for i in range(3):
+        names += [f"enc{i}.gsa.{n}" for n in encoder_gsa]
+        names += [f"enc{i}.{n}" for n in ["norm1.g", "norm1.b", *FFN, "norm2.g", "norm2.b"]]
+    for i in range(3):
+        names += [f"dec{i}.gsa.{n}" for n in PROJECTIONS]
+        names += [f"dec{i}.{n}" for n in ["norm1.g", "norm1.b",
+                                            *(f"cca.{p}" for p in PROJECTIONS),
+                                            "norm2.g", "norm2.b", *FFN,
+                                            "norm3.g", "norm3.b"]]
+    return names + ["head.w", "head.b"]
+
+
+class TestParameterNames:
+    """Checkpoints are keyed by these names, so their order is pinned."""
+
+    def test_train_default_names_in_order(self):
+        names = list(ForecasterModel(GRADIENT_CONFIGS["train"]).parameters())
+        assert len(names) == 145
+        assert names == train_parameter_names(PROJECTIONS + GLOBAL_PATH)
+
+    def test_train_local_only_names_in_order(self):
+        names = list(ForecasterModel(GRADIENT_CONFIGS["train_local_only"]).parameters())
+        assert len(names) == 130
+        assert names == train_parameter_names(PROJECTIONS)
+
+
 class TestTapeNodes:
     def test_train_long_step_records_one_node_per_projection_and_attention(self):
         # one train_long window at narrow width: forward, loss and the batch

@@ -1,8 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from gsaformer.benchmark import BenchReport, BenchRow, emit_csv_report
+from gsaformer.cli import write_text
+from gsaformer.data import TimeSeries, write_csv
+from gsaformer.model import ModelConfig, model_config_to_text
 from gsaformer.tensor import (
     CheckpointError,
     ComputationTape,
@@ -10,8 +15,10 @@ from gsaformer.tensor import (
     DimensionError,
     EmptyTapeError,
     NumericsError,
+    ParameterSet,
     RankError,
     Tensor,
+    _record,
     accumulate_grad,
     atomic_write,
     backward,
@@ -22,6 +29,7 @@ from gsaformer.tensor import (
     matmul,
     mean_rows,
     multiply,
+    recording,
     relu,
     save_checkpoint,
     slice_rows,
@@ -207,6 +215,27 @@ class TestBackward:
             backward(loss, tape)
         npt.assert_array_equal(x.grad, [[8.0]])
 
+    def test_rule_of_an_output_without_gradient_never_runs(self):
+        x = Tensor([[2.0]], requires_grad=True)
+
+        def unreachable():
+            raise AssertionError("rule ran for an output that got no gradient")
+
+        with ComputationTape() as tape:
+            _record("unread", Tensor([[5.0]]), (x,), unreachable)
+            loss = sum_all(multiply(x, x))
+            backward(loss, tape)
+        assert len(tape) == 3
+        npt.assert_array_equal(x.grad, [[4.0]])
+
+    def test_recording_needs_a_tape_and_an_input_that_wants_gradients(self):
+        x, c = Tensor([[1.0]], requires_grad=True), Tensor([[1.0]])
+        assert not recording((x,))
+        with ComputationTape():
+            assert recording((c, x))
+            assert not recording((c,))
+            assert not recording(())
+
     def test_accumulate_grad_copies_on_first_write(self):
         t = Tensor(np.zeros((2, 2)), requires_grad=True)
         g = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -238,6 +267,27 @@ class TestBackward:
         accumulate_grad(t, np.ones((2, 2)))
         with pytest.raises(DimensionError):
             accumulate_grad(t, np.ones((1, 2)))   # would broadcast into +=
+
+
+class TestParameterSet:
+    def test_named_walks_tensors_and_nested_sets_in_attribute_order(self):
+        class Inner(ParameterSet):
+            def __init__(self):
+                self.w = Tensor(1.0)
+                self.unused = None
+                self.b = Tensor(2.0)
+
+        class Outer(ParameterSet):
+            def __init__(self):
+                self.width = 4
+                self.inner = Inner()
+                self.g = Tensor(3.0)
+
+        outer = Outer()
+        named = outer.named("m.")
+        assert list(named) == ["m.inner.w", "m.inner.b", "m.g"]
+        assert named["m.inner.b"] is outer.inner.b
+        assert list(outer.inner.named()) == ["w", "b"]
 
 
 class TestLinear:
@@ -460,6 +510,19 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    def test_load_peaks_at_the_file_plus_the_arrays(self, tmp_path):
+        path = tmp_path / "big.ckpt"
+        save_checkpoint(path, {f"p{i}": np.full((128, 128), float(i)) for i in range(16)})
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            loaded = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [float(a[0, 0]) for a in loaded.values()] == [float(i) for i in range(16)]
+        assert peak <= 2.1 * size
+
 
 class _UnreadableValues:
     """Has a shape for the checkpoint header, but reading its values for
@@ -489,6 +552,24 @@ def _write_bench(path, fail):
     emit_csv_report(BenchReport(rows=rows), path)
 
 
+def _write_synth(path, fail):
+    # the second data row fails after the header and first row are out
+    values = np.array([[1.0], [None if fail else 2.0]], dtype=object)
+    write_csv(TimeSeries(["t0", "t1"], values, ["OT"], 0), path)
+
+
+def _write_model_cfg(path, fail):
+    # cmd_train's writer; the write itself fails, after the temp file is open
+    text = model_config_to_text(ModelConfig(96, 24, 2, 2))
+    write_text(path, text.encode() if fail else text)
+
+
+def _write_gradcheck_report(path, fail):
+    # cmd_gradcheck's writer, failing the same way
+    text = "ok   embed.w max_rel_err=1.000e-09 (32 coords)\n"
+    write_text(path, text.encode() if fail else text)
+
+
 class TestAtomicWrite:
     def test_failed_write_leaves_previous_file(self, tmp_path):
         path = tmp_path / "out.txt"
@@ -508,8 +589,11 @@ class TestAtomicWrite:
         assert path.read_bytes() == b"new"
         assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
 
-    @pytest.mark.parametrize("write", [_write_checkpoint, _write_history, _write_bench],
-                             ids=["checkpoint", "history.csv", "bench.csv"])
+    @pytest.mark.parametrize(
+        "write", [_write_checkpoint, _write_history, _write_bench, _write_synth,
+                  _write_model_cfg, _write_gradcheck_report],
+        ids=["checkpoint", "history.csv", "bench.csv", "synth.csv", "model.cfg",
+             "gradcheck_report.txt"])
     def test_artefact_writer_that_fails_midway_keeps_previous(self, tmp_path, write):
         path = tmp_path / "artefact"
         write(path, fail=False)
