@@ -50,10 +50,6 @@ class OpCounter:
         if n > self.peak_score_buffer:
             self.peak_score_buffer = n
 
-    def reset(self) -> None:
-        self.score_elements = 0
-        self.peak_score_buffer = 0
-
 
 class AttentionMask:
     """Which score entries may carry weight (True = attend).
@@ -131,18 +127,12 @@ def row_softmax(scores: Tensor, mask: AttentionMask) -> Tensor:
 def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, mask: AttentionMask,
                          counter: OpCounter) -> Tensor:
     """softmax(Q Kᵀ / sqrt(d)) V; adds one score element per query-key pair
-    to the counter.  Fully differentiable."""
-    if q.shape[1] != k.shape[1]:
-        raise DimensionError(
-            f"attention: feature dims differ: Q {q.shape} vs K {k.shape}")
-    if k.shape[0] != v.shape[0]:
-        raise DimensionError(
-            f"attention: key/value lengths differ: K {k.shape} vs V {v.shape}")
-    d = q.shape[1]
+    to the counter once the output is computed, so a call that its matmuls
+    reject counts nothing.  Fully differentiable."""
+    scores = multiply(matmul(q, transpose(k)), 1.0 / np.sqrt(q.shape[1]))
+    out = matmul(row_softmax(scores, mask), v)
     counter.add_scores(q.shape[0], k.shape[0])
-    scores = multiply(matmul(q, transpose(k)), 1.0 / np.sqrt(d))
-    weights = row_softmax(scores, mask)
-    return matmul(weights, v)
+    return out
 
 
 def attention_forward(q: np.ndarray, k_t: np.ndarray, v: np.ndarray, scale: float,

@@ -5,14 +5,13 @@ Each decoder layer owns its own compression matrix, when it needs one."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .attention import OpCounter, multi_head_attention
-from .tensor import ParameterSet, Tensor, linear, matmul
+from .tensor import ParameterSet, Tensor, linear, matmul, uniform_param, zero_row
 
 
 @dataclass
@@ -35,21 +34,11 @@ class CcaLayerParams(ParameterSet):
     @classmethod
     def init(cls, d: int, l_enc: int, l_comp: int,
              rng: np.random.Generator) -> "CcaLayerParams":
-        def proj():
-            a = 1.0 / math.sqrt(d)
-            return Tensor(rng.uniform(-a, a, size=(d, d)), requires_grad=True)
-
-        def bias():
-            return Tensor(np.zeros((1, d)), requires_grad=True)
-
-        scale = 1.0 / math.sqrt(l_enc)
         # drawn even when unused, so later tensors start at the same seed-stream point
-        c = Tensor(rng.uniform(-scale, scale, size=(l_comp, l_enc)), requires_grad=True)
-        return cls(
-            c=c if l_enc > l_comp else None,
-            w_q=proj(), w_k=proj(), w_v=proj(), w_o=proj(),
-            b_q=bias(), b_k=bias(), b_v=bias(), b_o=bias(),
-        )
+        c = uniform_param(rng, (l_comp, l_enc), fan_in=l_enc)
+        return cls(c if l_enc > l_comp else None,
+                   *(uniform_param(rng, (d, d), fan_in=d) for _ in range(4)),
+                   *(zero_row(d) for _ in range(4)))
 
 
 def compress_encoder_output(h_enc: Tensor, c: Optional[Tensor]) -> Tensor:

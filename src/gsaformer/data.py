@@ -61,9 +61,6 @@ class NormStats:
     def apply(self, values: np.ndarray) -> np.ndarray:
         return (values - self.mean) / self.std
 
-    def invert(self, values: np.ndarray) -> np.ndarray:
-        return values * self.std + self.mean
-
 
 @dataclass
 class WindowSet:
@@ -124,28 +121,6 @@ def write_csv(ts: TimeSeries, path) -> None:
         writer.writerow(["date"] + ts.feature_names)
         for stamp, row in zip(ts.timestamps, ts.values):
             writer.writerow([stamp] + [repr(float(v)) for v in row])
-
-
-def standardize(ts: TimeSeries, stats: "NormStats | WindowSet | None" = None,
-                ) -> tuple[TimeSeries, NormStats]:
-    """(x - mean) / std per feature; stats come from a WindowSet (its train
-    statistics), an explicit NormStats, or default to the series itself.
-    NormStats.invert undoes the transform exactly (up to rounding)."""
-    if isinstance(stats, WindowSet):
-        stats = stats.stats
-    if stats is None:
-        stats = NormStats.from_values(ts.values)
-    return TimeSeries(
-        timestamps=list(ts.timestamps),
-        values=stats.apply(ts.values),
-        feature_names=list(ts.feature_names),
-        target_index=ts.target_index,
-    ), stats
-
-
-def window_count(t: int, seq_len: int, pred_len: int, stride: int = 1) -> int:
-    usable = t - (seq_len + pred_len) + 1
-    return 0 if usable <= 0 else (usable + stride - 1) // stride
 
 
 def _slice_windows(values: np.ndarray, seq_len: int, pred_len: int,

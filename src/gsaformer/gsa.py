@@ -46,6 +46,8 @@ from .tensor import (
     mean_rows,
     multiply,
     recording,
+    uniform_param,
+    zero_row,
 )
 
 
@@ -72,6 +74,8 @@ class GsaConfig:
             raise ConfigError(f"group lengths must be positive: l_g={self.l_g}, l_s={self.l_s}")
         if self.l_s >= self.l_g:
             raise ConfigError(f"l_s must be < l_g, got l_s={self.l_s}, l_g={self.l_g}")
+        if self.heads < 1:
+            raise ConfigError(f"heads must be >= 1, got {self.heads}")
         if self.d % self.heads != 0:
             raise ConfigError(f"d={self.d} not divisible by heads={self.heads}")
         if self.m_max <= 0:
@@ -110,27 +114,17 @@ class GsaLayerParams(ParameterSet):
 
     @classmethod
     def init(cls, cfg: GsaConfig, rng: np.random.Generator) -> "GsaLayerParams":
-        def proj():
-            a = 1.0 / math.sqrt(cfg.d)
-            return Tensor(rng.uniform(-a, a, size=(cfg.d, cfg.d)), requires_grad=True)
-
-        def bias():
-            return Tensor(np.zeros((1, cfg.d)), requires_grad=True)
-
-        def summary():
-            a = 1.0 / math.sqrt(cfg.l_g)
-            return Tensor(rng.uniform(-a, a, size=(cfg.l_s, cfg.l_g)), requires_grad=True)
-
-        params = cls(w_q=proj(), w_k=proj(), w_v=proj(), w_o=proj(),
-                     b_q=bias(), b_k=bias(), b_v=bias(), b_o=bias())
+        d = cfg.d
+        params = cls(*(uniform_param(rng, (d, d), fan_in=d) for _ in range(4)),
+                     *(zero_row(d) for _ in range(4)))
         # drawn even when unused, so later layers start at the same seed-stream point
-        summaries = summary(), summary(), summary()
+        summaries = [uniform_param(rng, (cfg.l_s, cfg.l_g), fan_in=cfg.l_g) for _ in range(3)]
         if cfg.uses_global:
             params.e_q, params.e_k, params.e_v = summaries
             # alpha=1, beta=0: the layer starts as pure local attention and the
             # gradient to beta is already nonzero, so the global path can learn on
             params.alpha = Tensor(np.ones((1, cfg.m_max)), requires_grad=True)
-            params.beta = Tensor(np.zeros((1, cfg.m_max)), requires_grad=True)
+            params.beta = zero_row(cfg.m_max)
         return params
 
 

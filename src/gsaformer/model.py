@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Mapping, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -28,6 +28,8 @@ from .tensor import (
     relu,
     save_checkpoint,
     slice_rows,
+    uniform_param,
+    zero_row,
 )
 
 
@@ -57,10 +59,13 @@ class ModelConfig:
         if self.seq_len <= 0 or self.pred_len < 0:
             raise ConfigError(
                 f"bad lengths: seq_len={self.seq_len}, pred_len={self.pred_len}")
-        if self.heads < 1:
-            raise ConfigError(f"heads must be >= 1, got {self.heads}")
-        if self.d % self.heads != 0:
-            raise ConfigError(f"d={self.d} not divisible by heads={self.heads}")
+        for name, low in (("d", 1), ("l_g", 1), ("l_comp", 1), ("ffn_hidden", 1),
+                          ("e_l", 0), ("d_l", 0)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        # the attention layers' own rules (heads, l_s, d % heads) fire here
+        self.encoder_gsa()
+        self.decoder_gsa()
 
     @property
     def dec_len(self) -> int:
@@ -77,26 +82,6 @@ class ModelConfig:
             l_g=self.l_g, l_s=self.l_s, d=self.d, heads=self.heads,
             m_max=max(math.ceil(self.dec_len / self.l_g), 1),
             causal=True, global_path=False)
-
-
-def load_matching(path, shapes: Mapping[str, tuple[int, ...]],
-                  optional: Optional[Mapping[str, tuple[int, ...]]] = None,
-                  ) -> dict[str, np.ndarray]:
-    """The entries of checkpoint path, which must hold every name in shapes
-    and no name outside shapes and optional, each with the shape given
-    there.  A mismatch raises ConfigError naming path and the entries."""
-    saved = load_checkpoint(path)
-    allowed = {**(optional or {}), **shapes}
-    missing = sorted(set(shapes) - set(saved))
-    extra = sorted(set(saved) - set(allowed))
-    if missing or extra:
-        raise ConfigError(f"checkpoint {path} does not match: "
-                          f"missing={missing}, extra={extra}")
-    for name, arr in saved.items():
-        if arr.shape != allowed[name]:
-            raise ConfigError(f"checkpoint {path}: shape mismatch for {name}: "
-                              f"{arr.shape} vs {allowed[name]}")
-    return saved
 
 
 def model_config_to_text(cfg: ModelConfig) -> str:
@@ -132,9 +117,8 @@ def build_decoder_input(x: Tensor, cfg: ModelConfig) -> Tensor:
 
 class _Linear(ParameterSet):
     def __init__(self, n_in: int, n_out: int, rng: np.random.Generator):
-        a = 1.0 / math.sqrt(n_in)
-        self.w = Tensor(rng.uniform(-a, a, (n_in, n_out)), requires_grad=True)
-        self.b = Tensor(np.zeros((1, n_out)), requires_grad=True)
+        self.w = uniform_param(rng, (n_in, n_out), fan_in=n_in)
+        self.b = zero_row(n_out)
 
     def __call__(self, x: Tensor) -> Tensor:
         return linear(x, self.w, self.b)
@@ -143,7 +127,7 @@ class _Linear(ParameterSet):
 class _LayerNorm(ParameterSet):
     def __init__(self, d: int):
         self.g = Tensor(np.ones((1, d)), requires_grad=True)
-        self.b = Tensor(np.zeros((1, d)), requires_grad=True)
+        self.b = zero_row(d)
 
     def __call__(self, x: Tensor) -> Tensor:
         return layer_norm(x, self.g, self.b)
@@ -255,7 +239,20 @@ class ForecasterModel:
         save_checkpoint(path, self.parameters())
 
     def load(self, path) -> None:
+        """Set every parameter from checkpoint path, which must hold exactly
+        the parameter names, each with its parameter's shape.  A mismatch
+        raises ConfigError naming path and the entries, and then no
+        parameter has been assigned."""
         params = self.parameters()
-        saved = load_matching(path, {name: p.shape for name, p in params.items()})
+        saved = load_checkpoint(path)
+        missing = sorted(set(params) - set(saved))
+        extra = sorted(set(saved) - set(params))
+        if missing or extra:
+            raise ConfigError(f"checkpoint {path} does not match: "
+                              f"missing={missing}, extra={extra}")
+        for name, arr in saved.items():
+            if arr.shape != params[name].shape:
+                raise ConfigError(f"checkpoint {path}: shape mismatch for {name}: "
+                                  f"{arr.shape} vs {params[name].shape}")
         for name, p in params.items():
             p.data = saved[name]

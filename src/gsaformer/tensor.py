@@ -366,6 +366,17 @@ def zero_grads(params: Iterable[Tensor]) -> None:
         p.grad = None
 
 
+def uniform_param(rng: np.random.Generator, shape: tuple[int, int], fan_in: int) -> Tensor:
+    """A learnable tensor of shape drawn from rng, uniform in +-1/sqrt(fan_in)."""
+    a = 1.0 / math.sqrt(fan_in)
+    return Tensor(rng.uniform(-a, a, shape), requires_grad=True)
+
+
+def zero_row(n: int) -> Tensor:
+    """A learnable 1-by-n row of zeros: a bias's starting value."""
+    return Tensor(np.zeros((1, n)), requires_grad=True)
+
+
 class ParameterSet:
     """A holder of learnable tensors."""
 
@@ -446,8 +457,8 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     """Read a save_checkpoint file into fresh float64 arrays, one per entry.
     Anything malformed (no terminator, a bad magic, a non-ASCII, blank or
     duplicate header entry, a dim that is not a non-negative integer, too
-    many dims, a short or overlong payload) raises CheckpointError naming
-    path."""
+    many dims, a NaN or Inf value, a short or overlong payload) raises
+    CheckpointError naming path."""
     with open(path, "rb") as fh:
         blob = fh.read()
     try:
@@ -473,6 +484,8 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         if offset + nbytes > len(payload):
             raise CheckpointError(f"truncated payload in {path} at {name}")
         arr = np.frombuffer(payload[offset:offset + nbytes], dtype="<f8")
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"non-finite value in {name!r} in {path}")
         try:
             out[name] = arr.reshape(dims).astype(np.float64)
         except ValueError as exc:   # more axes than numpy supports

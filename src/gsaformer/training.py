@@ -11,7 +11,7 @@ from typing import Callable, Mapping, Optional
 import numpy as np
 
 from .data import DataError, WindowSet
-from .model import ForecasterModel, load_matching
+from .model import ForecasterModel
 from .tensor import (
     ComputationTape,
     ContractError,
@@ -20,7 +20,6 @@ from .tensor import (
     atomic_write,
     backward,
     multiply,
-    save_checkpoint,
     subtract,
     sum_all,
     zero_grads,
@@ -46,6 +45,12 @@ class TrainConfig:
             raise ContractError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ContractError(f"batch_size must be >= 1, got {self.batch_size}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ContractError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        for name in ("grad_clip", "lr_decay", "max_iterations"):
+            if getattr(self, name) is not None and getattr(self, name) <= 0:
+                raise ContractError(f"{name} must be > 0, got {getattr(self, name)}")
 
 
 def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
@@ -64,25 +69,6 @@ class AdamState:
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
         self.t = 0
-
-    def named_arrays(self) -> dict[str, np.ndarray]:
-        out = {"adam.t": np.array([[float(self.t)]])}
-        for name, arr in self.m.items():
-            out[f"adam.m.{name}"] = arr
-        for name, arr in self.v.items():
-            out[f"adam.v.{name}"] = arr
-        return out
-
-    @classmethod
-    def from_arrays(cls, arrays: Mapping[str, np.ndarray]) -> "AdamState":
-        state = cls()
-        state.t = int(arrays["adam.t"][0, 0])
-        for name, arr in arrays.items():
-            if name.startswith("adam.m."):
-                state.m[name[len("adam.m."):]] = arr.copy()
-            elif name.startswith("adam.v."):
-                state.v[name[len("adam.v."):]] = arr.copy()
-        return state
 
 
 def adam_step(params: Mapping[str, Tensor],
@@ -221,25 +207,6 @@ def train(model: ForecasterModel, train_set: WindowSet, cfg: TrainConfig,
     if checkpoint_path is not None and not val_set:
         model.save(checkpoint_path)
     return history
-
-
-def save_training_state(path, params: Mapping[str, Tensor], state: AdamState) -> None:
-    arrays: dict[str, np.ndarray] = {name: p.data for name, p in params.items()}
-    arrays.update(state.named_arrays())
-    save_checkpoint(path, arrays)
-
-
-def load_training_state(path, params: Mapping[str, Tensor]) -> AdamState:
-    """Restore params and the Adam state from a save_training_state file.
-    It must hold every parameter and adam.t, and may hold Adam moments of
-    the parameters; nothing else, and every shape must match (else a
-    ConfigError naming path and the entry)."""
-    shapes = {name: p.shape for name, p in params.items()}
-    moments = {f"adam.{mv}.{name}": shape for name, shape in shapes.items() for mv in "mv"}
-    arrays = load_matching(path, {**shapes, "adam.t": (1, 1)}, optional=moments)
-    for name, p in params.items():
-        p.data = arrays[name]
-    return AdamState.from_arrays(arrays)
 
 
 @dataclass

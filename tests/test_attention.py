@@ -160,20 +160,26 @@ class TestScaledDotAttention:
         scaled_dot_attention(x, x, x, AttentionMask.none(), counter)
         assert counter.score_elements == 32
         assert counter.peak_score_buffer == 16
-        counter.reset()
-        assert counter.score_elements == 0
+        counter = OpCounter()               # a reset is a fresh counter
+        assert counter.score_elements == counter.peak_score_buffer == 0
 
     def test_dimension_errors(self):
         rng = np.random.default_rng(9)
         q = Tensor(rng.normal(size=(2, 4)))
+        counter = OpCounter()
         with pytest.raises(DimensionError):
             scaled_dot_attention(q, Tensor(rng.normal(size=(3, 5))),
                                  Tensor(rng.normal(size=(3, 5))),
-                                 AttentionMask.none(), OpCounter())
+                                 AttentionMask.none(), counter)
         with pytest.raises(DimensionError):
             scaled_dot_attention(q, Tensor(rng.normal(size=(3, 4))),
                                  Tensor(rng.normal(size=(2, 4))),
-                                 AttentionMask.none(), OpCounter())
+                                 AttentionMask.none(), counter)
+        kv = Tensor(rng.normal(size=(3, 4)))
+        with pytest.raises(DimensionError):
+            scaled_dot_attention(q, kv, kv, AttentionMask.custom(np.ones((3, 3))), counter)
+        # a rejected call counts nothing
+        assert counter.score_elements == counter.peak_score_buffer == 0
 
 
 class TestMultiHead:

@@ -61,6 +61,14 @@ class TestTrainVerb:
         assert (tmp_path / "best.ckpt").exists()
         assert (tmp_path / "model.cfg").exists()
 
+    def test_out_of_range_optimizer_setting_exits_2_writing_nothing(self, tmp_path, capsys):
+        code = run(["train", "--out", str(tmp_path), "--set", "beta1=1",
+                    "--set", "max_iterations=1", "--set", "split_train=0.8",
+                    "--set", "split_val=0", "--set", "split_test=0.2"])
+        assert code == 2
+        assert "beta1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_set_key_rejected(self, tmp_path, capsys):
         code = run(["train", "--out", str(tmp_path), "--set", "nonsense=1"])
         assert code == 2
@@ -276,6 +284,8 @@ class TestSettingsReachTheVerb:
         ("patience=abc", "patience"),
         ("heads=0", "heads"),
         ("batch_size=0", "batch_size"),
+        ("l_g=0", "l_g"),
+        ("l_comp=0", "l_comp"),
     ])
     def test_bad_value_names_field(self, setting, field, tmp_path, capsys):
         assert run(["train", "--out", str(tmp_path), "--set", "synth_rows=200",

@@ -4,12 +4,11 @@ import pytest
 
 from gsaformer.data import (
     DataError,
+    NormStats,
     TimeSeries,
     load_csv,
     make_windows,
-    standardize,
     synthetic_series,
-    window_count,
     write_csv,
 )
 
@@ -66,26 +65,16 @@ class TestLoadCsv:
 
 class TestStandardize:
     def test_constant_feature_maps_to_zero(self):
-        ts = TimeSeries(timestamps=["a", "b", "c"],
-                        values=np.full((3, 1), 7.0),
-                        feature_names=["OT"], target_index=0)
-        out, _ = standardize(ts)
-        npt.assert_array_equal(out.values, np.zeros((3, 1)))
+        values = np.full((3, 1), 7.0)
+        stats = NormStats.from_values(values)
+        assert stats.std[0] == 1.0             # clamped, not a division by zero
+        npt.assert_array_equal(stats.apply(values), np.zeros((3, 1)))
 
     def test_two_point_feature(self):
-        ts = TimeSeries(timestamps=["a", "b"], values=np.array([[0.0], [2.0]]),
-                        feature_names=["OT"], target_index=0)
-        out, stats = standardize(ts)
-        npt.assert_allclose(out.values[:, 0], [-1.0, 1.0])
+        values = np.array([[0.0], [2.0]])
+        stats = NormStats.from_values(values)
+        npt.assert_allclose(stats.apply(values)[:, 0], [-1.0, 1.0])
         assert stats.mean[0] == 1.0 and stats.std[0] == 1.0
-
-    def test_inverse_is_exact(self):
-        rng = np.random.default_rng(0)
-        values = rng.normal(5.0, 3.0, size=(40, 4))
-        ts = TimeSeries(timestamps=[str(i) for i in range(40)], values=values,
-                        feature_names=list("abcd"), target_index=0)
-        out, stats = standardize(ts)
-        npt.assert_allclose(stats.invert(out.values), values, atol=1e-12)
 
 
 class TestMakeWindows:
@@ -101,7 +90,6 @@ class TestMakeWindows:
         train, val, test = make_windows(ts, 96, 96, split_ratios=(1.0, 0.0, 0.0))
         assert len(train) == 1000 - 192 + 1 == 809
         assert len(val) == len(test) == 0
-        assert window_count(1000, 96, 96) == 809
 
     def test_window_count_per_split(self):
         ts = self.series(2000)
@@ -116,13 +104,13 @@ class TestMakeWindows:
 
     def test_offsets_match_naive_slicer(self):
         ts = self.series(300)
-        train, _, _ = make_windows(ts, 20, 10, split_ratios=(0.8, 0.1, 0.1))
-        stats = train.stats
-        normalized = stats.apply(ts.values[:240])
-        for k in (0, 5, 117):
-            x, y = train.windows[k]
-            npt.assert_array_equal(x, normalized[k:k + 20])
-            npt.assert_array_equal(y, normalized[k + 20:k + 30])
+        train, val, test = make_windows(ts, 20, 10, split_ratios=(0.8, 0.1, 0.1))
+        normalized = train.stats.apply(ts.values)   # every split uses train statistics
+        windows = [(train, k, k) for k in (0, 5, 117)] + [(val, 0, 240), (test, 0, 270)]
+        for split, k, start in windows:
+            x, y = split.windows[k]
+            npt.assert_array_equal(x, normalized[start:start + 20])
+            npt.assert_array_equal(y, normalized[start + 20:start + 30])
 
     def test_split_too_short_states_minimum(self):
         ts = self.series(100)
@@ -185,14 +173,3 @@ class TestSyntheticSeries:
         series = synthetic_series("sine_mix", 10, 3, seed=2)
         assert series.feature_names[series.target_index] == "OT"
 
-
-class TestStandardizeSources:
-    def test_window_set_as_stats_source(self):
-        rng = np.random.default_rng(3)
-        ts = TimeSeries(timestamps=[str(i) for i in range(400)],
-                        values=rng.normal(3.0, 2.0, size=(400, 2)),
-                        feature_names=["a", "OT"], target_index=1)
-        train, _, _ = make_windows(ts, 20, 10)
-        out, stats = standardize(ts, train)
-        npt.assert_array_equal(stats.mean, train.stats.mean)
-        npt.assert_allclose(out.values, train.stats.apply(ts.values), atol=1e-15)

@@ -324,6 +324,10 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             GsaConfig(l_g=8, l_s=2, d=9, heads=2, m_max=1)
 
+    def test_heads_must_be_positive(self):
+        with pytest.raises(ConfigError, match="heads"):
+            GsaConfig(l_g=8, l_s=2, d=8, heads=0, m_max=1)
+
 
 class TestRealLenContract:
     def test_causal_with_padded_tail_matches_unpadded(self):

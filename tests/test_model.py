@@ -193,6 +193,24 @@ class TestCheckpoint:
             model.load(path)
         assert str(path) in str(err.value) and f"embed.w: {shape} vs (2, 16)" in str(err.value)
 
+    @pytest.mark.parametrize("name, value, entry", [
+        ("head.w", np.zeros((2, 16)), "head.w: (2, 16) vs (16, 2)"),
+        ("head.b", None, "missing=['head.b']"),
+        ("stray", np.zeros((1, 1)), "extra=['stray']"),
+    ], ids=["last-entry-shape", "missing-parameter", "extra-entry"])
+    def test_mismatch_named_before_any_parameter_is_set(self, tmp_path, name, value, entry):
+        model = ForecasterModel(tiny_config(), seed=10)
+        path = tmp_path / "model.ckpt"
+        arrays = {n: p.data + 1.0 for n, p in model.parameters().items() if n != name}
+        if value is not None:               # None: the entry is left out
+            arrays[name] = value
+        save_checkpoint(path, arrays)
+        before = {n: p.data for n, p in model.parameters().items()}
+        with pytest.raises(ConfigError) as err:
+            model.load(path)
+        assert str(path) in str(err.value) and entry in str(err.value)
+        assert all(p.data is before[n] for n, p in model.parameters().items())
+
     def test_old_layout_with_unused_tensors_rejected(self, tmp_path):
         model = ForecasterModel(tiny_config(), seed=10)
         path = tmp_path / "old.ckpt"
@@ -323,6 +341,21 @@ class TestConfigFile:
                                               "n_features_in": "1",
                                               "n_features_out": "1",
                                               "bogus": "1"})
+
+
+class TestShapeRules:
+    @pytest.mark.parametrize("setting", [
+        {"d": 0, "heads": 1}, {"l_g": 0}, {"l_comp": 0}, {"ffn_hidden": 0},
+        {"e_l": -1}, {"d_l": -1}, {"heads": 0}, {"heads": 3}, {"l_s": 0}, {"l_s": 8},
+    ], ids=["d=0", "l_g=0", "l_comp=0", "ffn_hidden=0", "e_l=-1", "d_l=-1",
+            "heads=0", "heads=3", "l_s=0", "l_s=l_g"])
+    def test_bad_setting_rejected_at_construction_naming_it(self, setting):
+        name = next(iter(setting))
+        with pytest.raises(ConfigError, match=name):
+            tiny_config(**setting)
+
+    def test_zero_layers_allowed(self):
+        assert tiny_config(e_l=0, d_l=0).e_l == 0
 
 
 class TestPositionalTable:

@@ -510,6 +510,16 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_entry_raises_naming_file_and_entry(self, tmp_path, value):
+        path = tmp_path / "model.ckpt"
+        bad = np.ones((2, 3))
+        bad[1, 2] = value
+        save_checkpoint(path, {"w": np.ones((2, 2)), "b": bad})
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value) and "'b'" in str(err.value)
+
     def test_load_peaks_at_the_file_plus_the_arrays(self, tmp_path):
         path = tmp_path / "big.ckpt"
         save_checkpoint(path, {f"p{i}": np.full((128, 128), float(i)) for i in range(16)})
