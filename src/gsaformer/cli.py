@@ -177,7 +177,8 @@ def _load_series(args, data_cfg: DataConfig, seed: int):
 
 
 def cmd_train(args) -> int:
-    mapping = build_settings(args, _MODEL_KEYS | _TRAIN_KEYS | _data_keys(args))
+    model_keys = _MODEL_KEYS - {"n_features_in", "n_features_out"}   # the series' counts
+    mapping = build_settings(args, model_keys | _TRAIN_KEYS | _data_keys(args))
     train_cfg = _build(TrainConfig, mapping, seed=args.seed)
     data_cfg = _build(DataConfig, mapping)
     series = _load_series(args, data_cfg, train_cfg.seed)

@@ -129,8 +129,8 @@ class _LayerNorm(ParameterSet):
         self.g = Tensor(np.ones((1, d)), requires_grad=True)
         self.b = zero_row(d)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return layer_norm(x, self.g, self.b)
+    def __call__(self, x: Tensor, f: Tensor) -> Tensor:
+        return layer_norm(x, f, self.g, self.b)
 
 
 class _FeedForward(ParameterSet):
@@ -151,8 +151,8 @@ class _EncoderLayer(ParameterSet):
         self.norm2 = _LayerNorm(cfg.d)
 
     def __call__(self, x: Tensor, counter: OpCounter) -> Tensor:
-        x = self.norm1(broadcast_add(x, gsa_forward(x, self.gsa, self.gsa_cfg, counter)))
-        return self.norm2(broadcast_add(x, self.ffn(x)))
+        x = self.norm1(x, gsa_forward(x, self.gsa, self.gsa_cfg, counter))
+        return self.norm2(x, self.ffn(x))
 
 
 class _DecoderLayer(ParameterSet):
@@ -167,10 +167,9 @@ class _DecoderLayer(ParameterSet):
         self.heads = cfg.heads
 
     def __call__(self, x: Tensor, enc_out: Tensor, counter: OpCounter) -> Tensor:
-        x = self.norm1(broadcast_add(x, gsa_forward(x, self.gsa, self.gsa_cfg, counter)))
-        x = self.norm2(broadcast_add(
-            x, cca_forward(x, enc_out, self.cca, counter, heads=self.heads)))
-        return self.norm3(broadcast_add(x, self.ffn(x)))
+        x = self.norm1(x, gsa_forward(x, self.gsa, self.gsa_cfg, counter))
+        x = self.norm2(x, cca_forward(x, enc_out, self.cca, counter, heads=self.heads))
+        return self.norm3(x, self.ffn(x))
 
 
 class ForecasterModel:

@@ -122,8 +122,8 @@ def accumulate_grad(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
     itself when owned is True and g is C-ordered.  A backward rule passes
     owned=True only for an array it has just allocated and will not touch
     again (a matmul product, a zero-padded slice gradient); pass-through
-    views of out.grad, which other rules may still read or add into, are
-    always copied.  Later writes add into t.grad in place, so t.grad never
+    views of out.grad, which the rule may still read after handing them on,
+    are always copied.  Later writes add into t.grad in place, so t.grad never
     aliases another tensor's buffer.  Gradients are always C-ordered because
     numpy's reductions round differently over other layouts.
     """
@@ -311,43 +311,50 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
     return _record("slice_rows", out, (a,), backward)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
-    """Row-wise layer normalization with learnable gain and bias (1-by-d)."""
+def layer_norm(x: Tensor, f: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
+    """Row-wise layer norm of the residual sum x + f, gain and bias 1-by-d:
+    one tape node, bit for bit the norm of broadcast_add(x, f)."""
     d = x.shape[1]
-    if gain.shape != (1, d) or bias.shape != (1, d):
-        raise DimensionError(
-            f"layer_norm: gain/bias must be (1, {d}), got {gain.shape}/{bias.shape}")
-    mu = x.data.mean(axis=1, keepdims=True)
-    xhat = x.data - mu
-    # the variance exactly as np.var computes it, from the same x - mu
+    if f.shape != x.shape or gain.shape != (1, d) or bias.shape != (1, d):
+        raise DimensionError(f"layer_norm: residual/gain/bias must be {x.shape}/(1, {d})"
+                             f"/(1, {d}), got {f.shape}/{gain.shape}/{bias.shape}")
+    xhat = x.data + f.data
+    xhat -= xhat.mean(axis=1, keepdims=True)
+    # the variance exactly as np.var computes it, from the same x + f - mu
     var = np.square(xhat).sum(axis=1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
-    data = xhat * gain.data
+    inputs = (x, f, gain, bias)
+    data = np.multiply(xhat, gain.data, out=None if recording(inputs) else xhat)
     data += bias.data
     out = Tensor(data)
 
     def backward():
         g = out.grad
-        accumulate_grad(gain, (g * xhat).sum(axis=0, keepdims=True), owned=True)
+        tmp = g * xhat
+        accumulate_grad(gain, tmp.sum(axis=0, keepdims=True), owned=True)
         accumulate_grad(bias, g.sum(axis=0, keepdims=True), owned=True)
         gx = g * gain.data
-        # d/dx of (x - mu) / sqrt(var + eps), per row
-        dx = inv * (gx
-                    - gx.mean(axis=1, keepdims=True)
-                    - xhat * (gx * xhat).mean(axis=1, keepdims=True))
-        accumulate_grad(x, dx, owned=True)
+        # d/dx per row, as inv * ((gx - mean(gx)) - xhat * mean(gx * xhat))
+        m_gx_xhat = np.multiply(gx, xhat, out=tmp).mean(axis=1, keepdims=True)
+        gx -= gx.mean(axis=1, keepdims=True)
+        gx -= np.multiply(xhat, m_gx_xhat, out=tmp)
+        gx *= inv
+        accumulate_grad(x, gx)
+        accumulate_grad(f, gx, owned=True)
 
-    return _record("layer_norm", out, (x, gain, bias), backward)
+    return _record("layer_norm", out, inputs, backward)
 
 
 def backward(loss: Tensor, tape: ComputationTape) -> None:
     """Propagate d(loss)/d(tensor) to every requires_grad tensor on the tape.
 
     Gradients accumulate into .grad across calls; use zero_grads between
-    optimizer steps.  Intermediate (op output) gradients are reset before
-    each replay, so a repeated call adds one more copy of the gradient to
-    the leaves.
+    optimizer steps.  An op output's gradient lives until its rule has read
+    it (every consumer has run by then) and is then set to None; only the
+    leaves, tensors no op on the tape produced, keep theirs.  Op output
+    gradients are also reset before each replay, so a repeated call adds
+    one more copy of the gradient to the leaves.
     """
     if loss.shape != (1, 1):
         raise ContractError(f"backward: loss must be 1x1, got {loss.shape}")
@@ -359,6 +366,7 @@ def backward(loss: Tensor, tape: ComputationTape) -> None:
     for _, out, backward_fn in reversed(tape._nodes):
         if out.grad is not None:
             backward_fn()
+            out.grad = None
 
 
 def zero_grads(params: Iterable[Tensor]) -> None:

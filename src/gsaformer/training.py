@@ -43,8 +43,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ContractError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.batch_size < 1:
-            raise ContractError(f"batch_size must be >= 1, got {self.batch_size}")
+        for name, low in (("batch_size", 1), ("epochs", 0), ("patience", 0)):
+            if getattr(self, name) is not None and getattr(self, name) < low:
+                raise ContractError(f"{name} must be >= {low}, got {getattr(self, name)}")
         for name in ("beta1", "beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ContractError(f"{name} must be in [0, 1), got {getattr(self, name)}")

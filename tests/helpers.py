@@ -3,8 +3,8 @@
 These stay loop-based and independent of the library's vectorized paths on
 purpose: they are the other side of every equivalence check.  The tape ops
 that only these oracles need (column slices, row and column concatenation,
-zero padding, cutting a sequence into groups) live here, not in the
-library.
+zero padding, cutting a sequence into groups, the layer norm of one input)
+live here, not in the library.
 """
 
 import math
@@ -53,6 +53,32 @@ def _concat(parts, axis, name):
             accumulate_grad(p, out.grad[lo:hi] if axis == 0 else out.grad[:, lo:hi])
 
     return _record(name, out, tuple(parts), backward_fn)
+
+
+def layer_norm_of(x, gain, bias, eps=1e-6):
+    """Row-wise layer normalization of x alone, as a tape op: the oracle
+    for tensor.layer_norm, which normalizes a residual sum x + f."""
+    d = x.shape[1]
+    mu = x.data.mean(axis=1, keepdims=True)
+    xhat = x.data - mu
+    var = np.square(xhat).sum(axis=1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat *= inv
+    data = xhat * gain.data
+    data += bias.data
+    out = Tensor(data)
+
+    def backward_fn():
+        g = out.grad
+        accumulate_grad(gain, (g * xhat).sum(axis=0, keepdims=True), owned=True)
+        accumulate_grad(bias, g.sum(axis=0, keepdims=True), owned=True)
+        gx = g * gain.data
+        dx = inv * (gx
+                    - gx.mean(axis=1, keepdims=True)
+                    - xhat * (gx * xhat).mean(axis=1, keepdims=True))
+        accumulate_grad(x, dx, owned=True)
+
+    return _record("layer_norm", out, (x, gain, bias), backward_fn)
 
 
 def concat_rows(parts):

@@ -69,6 +69,16 @@ class TestTrainVerb:
         assert "beta1" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    # a negative count, or a feature count the series sets
+    @pytest.mark.parametrize("setting", ["epochs=-1", "patience=-1",
+                                         "n_features_in=3", "n_features_out=1"])
+    def test_rejected_setting_exits_2_before_making_out(self, tmp_path, capsys, setting):
+        out = tmp_path / "run"
+        code = run(["train", "--out", str(out), "--set", setting])
+        assert code == 2
+        assert setting.split("=")[0] in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_set_key_rejected(self, tmp_path, capsys):
         code = run(["train", "--out", str(tmp_path), "--set", "nonsense=1"])
         assert code == 2

@@ -313,11 +313,24 @@ class TestTapeNodes:
         counts = Counter(name for name, _, _ in tape._nodes)
         assert counts == {
             "linear": 51,               # 6 per encoder, 10 per decoder layer, 2 embeds, head
-            "broadcast_add": 17,        # residuals and position tables
-            "layer_norm": 15, "grouped_attention": 6, "relu": 6,
+            "broadcast_add": 2,         # position tables
+            "layer_norm": 15,           # each with its residual add
+            "grouped_attention": 6, "relu": 6,
             "matmul": 3,                # CCA compression
             "multi_head_attention": 3, "multiply": 3, "subtract": 1, "sum_all": 1}
-        assert len(tape) == 106
+        assert len(tape) == 91
+
+    def test_replay_drops_every_op_output_gradient_and_keeps_the_leaves(self):
+        # a default train step: forward, loss, batch scaling and backward
+        cfg = GRADIENT_CONFIGS["train"]
+        model = ForecasterModel(cfg, seed=0)
+        rng = np.random.default_rng(1)
+        x = Tensor(rng.normal(size=(cfg.seq_len, cfg.n_features_in)))
+        y = Tensor(rng.normal(size=(cfg.pred_len, cfg.n_features_out)))
+        with ComputationTape() as tape:
+            backward(multiply(mse_loss(model.forward(x), y), 1.0 / 16), tape)
+        assert [name for name, out, _ in tape._nodes if out.grad is not None] == []
+        assert [n for n, p in model.parameters().items() if p.grad is None] == []
 
 
 class TestConfigFile:

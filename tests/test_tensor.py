@@ -3,6 +3,8 @@ import tracemalloc
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsaformer.benchmark import BenchReport, BenchRow, emit_csv_report
 from gsaformer.cli import write_text
@@ -43,6 +45,7 @@ from helpers import (
     check_op_gradients,
     concat_cols,
     concat_rows,
+    layer_norm_of,
     naive_matmul,
     pad_rows,
     slice_cols,
@@ -349,8 +352,8 @@ class TestGradientOwnership:
         for w, b in projections:
             npt.assert_array_equal(w.grad, x.data.T @ g)
             npt.assert_array_equal(b.grad, g.sum(axis=0, keepdims=True))
-        for t in (q, k, v, mixed, y):
-            npt.assert_array_equal(t.grad, g)
+        # op outputs drop their gradient once their rule has read it
+        assert [t.grad for t in (q, k, v, mixed, y)] == [None] * 5
 
     def test_matmul_of_a_tensor_with_itself(self):
         rng = np.random.default_rng(34)
@@ -365,6 +368,57 @@ class TestGradientOwnership:
         with ComputationTape() as tape:
             backward(sum_all(multiply(a, a)), tape)
         npt.assert_array_equal(a.grad, 2.0 * a.data)
+
+
+@st.composite
+def layer_norm_cases(draw):
+    """(rows, d, f is x, which of x, f, gain, bias require a gradient, seed);
+    at least one does, so the op records."""
+    same = draw(st.booleans())
+    flags = draw(st.tuples(*[st.booleans()] * 4).filter(any))
+    if same:
+        flags = (flags[0] or flags[1],) * 2 + flags[2:]
+    return (draw(st.integers(1, 12)), draw(st.integers(1, 16)), same,
+            flags, draw(st.integers(0, 2**32 - 1)))
+
+
+def _norm_forward_and_grads(op, arrays, flags, same, weights, tape):
+    x, f, gain, bias = (Tensor(a.copy(), requires_grad=r) for a, r in zip(arrays, flags))
+    f = x if same else f
+    if tape:
+        with ComputationTape() as t:
+            out = op(x, f, gain, bias)
+            backward(sum_all(multiply(out, Tensor(weights))), t)
+    else:
+        out = op(x, f, gain, bias)
+    return [out.data] + [p.grad for p in (x, f, gain, bias)]
+
+
+class TestFusedLayerNorm:
+    """layer_norm(x, f, ...) against the norm of the composed residual add."""
+
+    @settings(max_examples=60)
+    @given(layer_norm_cases())
+    def test_matches_norm_of_broadcast_add_bit_for_bit(self, case):
+        rows, d, same, flags, seed = case
+        rng = np.random.default_rng(seed)
+        arrays = (rng.normal(1.0, 3.0, size=(rows, d)), rng.normal(size=(rows, d)),
+                  rng.normal(size=(1, d)), rng.normal(size=(1, d)))
+        weights = rng.normal(size=(rows, d))
+        for tape in (True, False):
+            fused = _norm_forward_and_grads(layer_norm, arrays, flags, same, weights, tape)
+            composed = _norm_forward_and_grads(
+                lambda x, f, g, b: layer_norm_of(broadcast_add(x, f), g, b),
+                arrays, flags, same, weights, tape)
+            for got, expected in zip(fused, composed):
+                assert (got is None) == (expected is None)
+                if got is not None:
+                    assert got.tobytes() == expected.tobytes()
+
+    def test_residual_of_another_shape_rejected(self):
+        x, row = Tensor(np.ones((2, 3))), Tensor(np.ones((1, 3)))
+        with pytest.raises(DimensionError):
+            layer_norm(x, row, row, row)
 
 
 class TestOtherOps:
@@ -411,18 +465,21 @@ class TestOtherOps:
         g = Tensor(rng.uniform(0.5, 1.5, size=(1, 6)), requires_grad=True)
         b = Tensor(rng.normal(size=(1, 6)), requires_grad=True)
         w = Tensor(rng.normal(size=(3, 6)))
-        check_op_gradients(lambda: sum_all(multiply(layer_norm(x, g, b), w)),
-                           [x, g, b])
+        f = Tensor(rng.normal(size=(3, 6)), requires_grad=True)
+        check_op_gradients(lambda: sum_all(multiply(layer_norm(x, f, g, b), w)),
+                           [x, f, g, b])
 
     @pytest.mark.parametrize("shape", [(1, 1), (3, 6), (40, 256)])
     def test_layer_norm_forward_matches_np_var_bit_for_bit(self, shape):
         rng = np.random.default_rng(16)
-        x = rng.normal(3.0, 2.0, size=shape)
+        x, f = rng.normal(3.0, 2.0, size=shape), rng.normal(size=shape)
         g, b = rng.normal(size=(1, shape[1])), rng.normal(size=(1, shape[1]))
         eps = 1e-6
-        inv = 1.0 / np.sqrt(x.var(axis=1, keepdims=True) + eps)
-        expected = (x - x.mean(axis=1, keepdims=True)) * inv * g + b
-        npt.assert_array_equal(layer_norm(Tensor(x), Tensor(g), Tensor(b), eps).data, expected)
+        s = x + f
+        inv = 1.0 / np.sqrt(s.var(axis=1, keepdims=True) + eps)
+        expected = (s - s.mean(axis=1, keepdims=True)) * inv * g + b
+        out = layer_norm(Tensor(x), Tensor(f), Tensor(g), Tensor(b), eps)
+        npt.assert_array_equal(out.data, expected)
 
     def test_relu_gradients(self):
         rng = np.random.default_rng(15)

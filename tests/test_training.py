@@ -111,7 +111,7 @@ class TestAdam:
     @pytest.mark.parametrize("name, value", [
         ("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.0), ("beta2", -0.5),
         ("grad_clip", -1.0), ("grad_clip", 0.0), ("lr_decay", 0.0), ("lr_decay", -0.5),
-        ("max_iterations", 0), ("max_iterations", -3),
+        ("max_iterations", 0), ("max_iterations", -3), ("epochs", -1), ("patience", -1),
     ])
     def test_out_of_range_setting_rejected_naming_it(self, name, value):
         with pytest.raises(ContractError, match=name):
@@ -201,12 +201,13 @@ class TestGradCheck:
         rng = np.random.default_rng(2)
         g = Tensor(np.ones((1, 8)))
         b = Tensor(np.zeros((1, 8)))
+        zero = Tensor(np.zeros((1, 8)))
         t = Tensor(rng.normal(size=(1, 8)))
         a = Tensor(rng.normal(size=(8, 8)))
         w = Tensor(rng.normal(size=(1, 8)) * 0.1, requires_grad=True)
 
         def loss_fn():
-            return mse_loss(layer_norm(matmul(w, a), g, b), t)
+            return mse_loss(layer_norm(matmul(w, a), zero, g, b), t)
 
         errs = [grad_check(loss_fn, {"w": w}, epsilon=eps, seed=0).worst
                 for eps in (1e-5, 1e-6, 1e-7)]
@@ -253,7 +254,8 @@ class TestGradCheck:
 
         norm = _LayerNorm(8)
         norm.b.data[:] = rng.normal(size=(1, 8))
-        report = grad_check(lambda: mse_loss(norm(x), y), norm.named("norm."),
+        f = Tensor(rng.normal(size=(12, 8)))
+        report = grad_check(lambda: mse_loss(norm(x, f), y), norm.named("norm."),
                             max_coords=10, seed=3)
         assert report.ok, report.lines()
 
