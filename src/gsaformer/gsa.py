@@ -10,12 +10,15 @@ that row is blended back into the group's local output as
 alpha_j * local + beta_j * pooled.  Score-element cost per head is
 m*l_g^2 + (m*l_s)^2, linear in l for fixed l_g and l_s.
 
-gsa_forward runs every group of every head through one batched tape op,
-grouped_attention, with a hand-written backward.  summarize_group,
-global_summary_attention and merge_outputs are the global path's steps for
-a single group, composed from separate tape ops; the model does not call
-them, and the tests build their loop-based reference from them (cutting
-the sequence into groups is part of that reference, in tests/helpers.py).
+gsa_forward runs the Q/K/V projections and every group of every head
+through one batched tape op, grouped_attention, with a hand-written
+backward; the projections write straight into zero-padded group buffers,
+so Q, K and V are held once.  Only the output projection is a separate
+linear op.  summarize_group, global_summary_attention and merge_outputs
+are the global path's steps for a single group, composed from separate
+tape ops; the model does not call them, and the tests build their
+loop-based reference from them (cutting the sequence into groups is part
+of that reference, in tests/helpers.py).
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .tensor import (
     accumulate_grad,
     broadcast_add,
     linear,
+    linear_backward,
     matmul,
     mean_rows,
     multiply,
@@ -192,19 +196,20 @@ def _grouped(rows: np.ndarray, m: int, l_g: int, heads: int) -> np.ndarray:
     return rows.reshape(m, l_g, heads, d // heads).transpose(2, 0, 1, 3)
 
 
-def _to_groups(a: np.ndarray, m: int, l_g: int, heads: int, real_len: int) -> np.ndarray:
-    """(l, d) rows as (heads, m, l_g, d_h) blocks with every row at index
-    >= real_len zero: a view when all m*l_g rows are real, else a padded
-    copy."""
-    if real_len == m * l_g:
+def _to_groups(a: np.ndarray, m: int, l_g: int, heads: int) -> np.ndarray:
+    """(l, d) rows as (heads, m, l_g, d_h) blocks, zero-padded to m*l_g rows:
+    a view when l == m*l_g, else a padded copy."""
+    l = a.shape[0]
+    if l == m * l_g:
         return _grouped(a, m, l_g, heads)
     padded = np.zeros((m * l_g, a.shape[1]))
-    padded[:real_len] = a[:real_len]
+    padded[:l] = a
     return _grouped(padded, m, l_g, heads)
 
 
 def _from_groups(blocks: np.ndarray, l: int, real_len: int) -> np.ndarray:
-    """Inverse of _to_groups: the first l rows, rows >= real_len zeroed."""
+    """(heads, m, l_g, d_h) blocks as their first l rows, rows >= real_len
+    zeroed."""
     heads, m, l_g, dh = blocks.shape
     rows = np.empty((m * l_g, heads * dh))
     _grouped(rows, m, l_g, heads)[...] = blocks
@@ -233,35 +238,49 @@ def _sum_last_to_first(parts: np.ndarray) -> np.ndarray:
     return functools.reduce(np.add, parts[::-1])
 
 
-def grouped_attention(q: Tensor, k: Tensor, v: Tensor, params: GsaLayerParams,
-                      cfg: GsaConfig, real_len: Optional[int],
-                      counter: OpCounter) -> Tensor:
-    """Local attention in every group of every head, plus (when cfg.uses_global)
-    the summary projection, global summary attention, pooling and alpha/beta
-    merge, as one tape op with one backward rule.
+def _project(x: Tensor, w: Tensor, b: Tensor, m: int, l_g: int, heads: int,
+             real_len: int) -> np.ndarray:
+    """x @ w + b, with linear's arithmetic, as (heads, m, l_g, d_h) blocks:
+    a view of one zero-padded (m*l_g, d) buffer that the product is written
+    straight into, every row at index >= real_len zero."""
+    l = x.shape[0]
+    rows = np.empty((m * l_g, w.shape[1]))
+    np.matmul(x.data, w.data, out=rows[:l])
+    rows[:l] += b.data
+    rows[real_len:] = 0.0
+    return _grouped(rows, m, l_g, heads)
 
-    q, k, v are the projected l-by-d streams; rows at index >= real_len
-    (default: all real) are treated as zero and masked as keys.  Returns the
+
+def grouped_attention(x: Tensor, params: GsaLayerParams, cfg: GsaConfig,
+                      real_len: Optional[int], counter: OpCounter) -> Tensor:
+    """The Q/K/V projections of x, local attention in every group of every
+    head and (when cfg.uses_global) the summary projection, global summary
+    attention, pooling and alpha/beta merge, as one tape op with one
+    backward rule.
+
+    Rows of x at index >= real_len (default: all real) are padding: their
+    projected queries, keys and values are zero and masked as keys.  Q, K
+    and V are each held once, as zero-padded group blocks.  Returns the
     l-by-d head outputs side by side, ready for the output projection.  The
     counter sees one l_g-by-l_g matrix per head and group and one
     m*l_s-by-m*l_s matrix per head, although all of them are computed in
     one batched array.
     """
-    l, d = q.shape
-    if k.shape != (l, d) or v.shape != (l, d) or d != cfg.d:
-        raise DimensionError(
-            f"grouped attention: Q {q.shape}, K {k.shape}, V {v.shape} for d={cfg.d}")
+    l, d = x.shape
+    if d != cfg.d:
+        raise DimensionError(f"grouped attention: input {x.shape} for d={cfg.d}")
     real_len, m = _check_lengths(l, real_len, cfg)
     heads, l_g, l_s = cfg.heads, cfg.l_g, cfg.l_s
     dh = d // heads
     scale = 1.0 / np.sqrt(dh)
     use_global = cfg.uses_global
-    inputs = (q, k, v)
+    inputs = (x, params.w_q, params.b_q, params.w_k, params.b_k, params.w_v, params.b_v)
     if use_global:
         inputs += (params.e_q, params.e_k, params.e_v, params.alpha, params.beta)
     taped = recording(inputs)
 
-    qg, kg, vg = (_to_groups(t.data, m, l_g, heads, real_len) for t in (q, k, v))
+    qg, kg, vg = (_project(x, w, b, m, l_g, heads, real_len) for w, b in
+                  ((params.w_q, params.b_q), (params.w_k, params.b_k), (params.w_v, params.b_v)))
     for _ in range(heads * m):
         counter.add_scores(l_g, l_g)
     out_rows = np.empty((m * l_g, d))
@@ -274,8 +293,8 @@ def grouped_attention(q: Tensor, k: Tensor, v: Tensor, params: GsaLayerParams,
     if use_global:
         n_s = m * l_s
         # (heads, m*l_s, d_h): every group's l_s summary rows, in group order
-        qs, ks, vs = (np.matmul(e.data, x).reshape(heads, n_s, dh)
-                      for e, x in ((params.e_q, qg), (params.e_k, kg), (params.e_v, vg)))
+        qs, ks, vs = (np.matmul(e.data, blocks).reshape(heads, n_s, dh)
+                      for e, blocks in ((params.e_q, qg), (params.e_k, kg), (params.e_v, vg)))
         for _ in range(heads):
             counter.add_scores(n_s, n_s)
         og, pg = attention_forward(qs, ks.swapaxes(-1, -2), vs, scale)
@@ -291,7 +310,7 @@ def grouped_attention(q: Tensor, k: Tensor, v: Tensor, params: GsaLayerParams,
         return out
 
     def backward():
-        g = _to_groups(out.grad, m, l_g, heads, l)
+        g = _to_groups(out.grad, m, l_g, heads)
         d_local = g * alpha[:, None, None] if use_global else g
         # local attention inside every group
         d_q, d_k, d_v = attention_backward(qg, kg.swapaxes(-1, -2), vg, p, d_local, scale)
@@ -311,14 +330,17 @@ def grouped_attention(q: Tensor, k: Tensor, v: Tensor, params: GsaLayerParams,
             d_qs, d_ks, d_vs = attention_backward(qs, ks.swapaxes(-1, -2), vs, pg, d_og, scale)
             d_ks = d_ks.swapaxes(-1, -2)
             # summary projections, shared by every group and head
-            for e, x, d_s, d_x in ((params.e_q, qg, d_qs, d_q), (params.e_k, kg, d_ks, d_k),
-                                   (params.e_v, vg, d_vs, d_v)):
+            for e, blocks, d_s, d_blocks in ((params.e_q, qg, d_qs, d_q),
+                                             (params.e_k, kg, d_ks, d_k),
+                                             (params.e_v, vg, d_vs, d_v)):
                 d_s = d_s.reshape(heads, m, l_s, dh)
-                d_e = np.matmul(d_s, x.swapaxes(-1, -2)).reshape(-1, l_s, l_g)
+                d_e = np.matmul(d_s, blocks.swapaxes(-1, -2)).reshape(-1, l_s, l_g)
                 accumulate_grad(e, _sum_last_to_first(d_e), owned=True)
-                d_x += np.matmul(e.data.T, d_s)
-        for t, d_t in ((q, d_q), (k, d_k), (v, d_v)):
-            accumulate_grad(t, _from_groups(d_t, l, real_len), owned=True)
+                d_blocks += np.matmul(e.data.T, d_s)
+        # the projections, v first, as replaying three linear ops would
+        for w, b, d_t in ((params.w_v, params.b_v, d_v), (params.w_k, params.b_k, d_k),
+                          (params.w_q, params.b_q, d_q)):
+            linear_backward(x, w, b, _from_groups(d_t, l, real_len))
 
     return _record("grouped_attention", out, inputs, backward)
 
@@ -331,8 +353,5 @@ def gsa_forward(x: Tensor, params: GsaLayerParams, cfg: GsaConfig,
     projected queries/keys/values are zeroed and they are masked out as
     keys, so outputs at real positions never depend on pad values.
     """
-    q = linear(x, params.w_q, params.b_q)
-    k = linear(x, params.w_k, params.b_k)
-    v = linear(x, params.w_v, params.b_v)
-    combined = grouped_attention(q, k, v, params, cfg, real_len, counter)
+    combined = grouped_attention(x, params, cfg, real_len, counter)
     return linear(combined, params.w_o, params.b_o)

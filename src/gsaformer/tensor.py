@@ -8,7 +8,7 @@ extents it needs to line up and, when recording(inputs), records a
 backward rule.  Replaying the tape in reverse order propagates gradients,
 accumulating (+=) into each requires_grad tensor.  A rule runs only when
 its output got a gradient, so it reads out.grad unchecked, and it decides
-nothing about recording.
+nothing about recording.  The replay consumes the tape, node by node.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ class Tensor:
 
 
 class ComputationTape:
-    """Ordered record of forward ops; reverse replay drives backprop.
+    """Ordered record of forward ops; backward consumes it in reverse.
 
     Use as a context manager: ops executed inside record themselves here.
     Execution order is a topological order, so the reverse visits every
@@ -91,10 +91,6 @@ class ComputationTape:
 
     def record(self, name: str, out: Tensor, backward_fn: Callable[[], None]) -> None:
         self._nodes.append((name, out, backward_fn))
-
-    def clear(self) -> None:
-        """Drop all recorded nodes (e.g. between gradient-accumulation steps)."""
-        self._nodes.clear()
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -179,13 +175,18 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     out = Tensor(data)
 
     def backward():
-        g = out.grad
-        g_b = _reduce_to(g, b.shape)
-        accumulate_grad(b, g_b, owned=g_b is not g)
-        accumulate_grad(x, g @ w.data.T, owned=True)
-        accumulate_grad(w, x.data.T @ g, owned=True)
+        linear_backward(x, w, b, out.grad)
 
     return _record("linear", out, (x, w, b), backward)
+
+
+def linear_backward(x: Tensor, w: Tensor, b: Tensor, g: np.ndarray) -> None:
+    """Give b, x and w, in that order, their gradients of x @ w + b from the
+    output gradient g; g is only read, so no gradient aliases it."""
+    g_b = _reduce_to(g, b.shape)
+    accumulate_grad(b, g_b, owned=g_b is not g)
+    accumulate_grad(x, g @ w.data.T, owned=True)
+    accumulate_grad(w, x.data.T @ g, owned=True)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -347,23 +348,24 @@ def layer_norm(x: Tensor, f: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e
 
 
 def backward(loss: Tensor, tape: ComputationTape) -> None:
-    """Propagate d(loss)/d(tensor) to every requires_grad tensor on the tape.
+    """Propagate d(loss)/d(tensor) to every requires_grad tensor on the tape,
+    consuming the tape: a second call on it raises EmptyTapeError.
 
     Gradients accumulate into .grad across calls; use zero_grads between
-    optimizer steps.  An op output's gradient lives until its rule has read
-    it (every consumer has run by then) and is then set to None; only the
-    leaves, tensors no op on the tape produced, keep theirs.  Op output
-    gradients are also reset before each replay, so a repeated call adds
-    one more copy of the gradient to the leaves.
+    optimizer steps.  Each node leaves the tape before its rule runs, so
+    what the rule saved (and its output, once every consumer has run) is
+    freed before the next rule runs.  An op output's gradient lives until
+    its rule has read it and is then set to None; only the leaves, tensors
+    no op on the tape produced, keep theirs.
     """
     if loss.shape != (1, 1):
         raise ContractError(f"backward: loss must be 1x1, got {loss.shape}")
-    if len(tape) == 0:
+    nodes = tape._nodes
+    if not nodes:
         raise EmptyTapeError("backward: tape is empty; run a forward pass first")
-    for _, out, _ in tape._nodes:
-        out.grad = None
     loss.grad = np.ones((1, 1))
-    for _, out, backward_fn in reversed(tape._nodes):
+    while nodes:
+        _, out, backward_fn = nodes.pop()
         if out.grad is not None:
             backward_fn()
             out.grad = None

@@ -181,7 +181,6 @@ def train(model: ForecasterModel, train_set: WindowSet, cfg: TrainConfig,
                     batch_loss += float(window_loss.data[0, 0]) / len(batch)
                     # scale so accumulated grads form the batch-mean gradient
                     backward(multiply(window_loss, 1.0 / len(batch)), tape)
-                    tape.clear()
             grads = {name: p.grad for name, p in params.items()}
             adam_step(params, grads, state, cfg, learning_rate=lr)
             epoch_losses.append(batch_loss)

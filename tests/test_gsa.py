@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from gsaformer.attention import AttentionMask, OpCounter, scaled_dot_attention
 from gsaformer.gsa import (
     ConfigError,
+    _grouped,
+    _project,
     GsaConfig,
     GsaLayerParams,
     LengthError,
@@ -22,6 +24,7 @@ from gsaformer.tensor import (
     ComputationTape,
     Tensor,
     backward,
+    linear,
     matmul,
     multiply,
     sum_all,
@@ -458,13 +461,16 @@ class TestFusedOpProperties:
     """gsa_forward (one fused op) against the per-head, per-group loop."""
 
     @settings(max_examples=30)
-    @given(gsa_cases())
-    def test_matches_loop_oracle_forward_and_gradients(self, case):
+    @given(gsa_cases(), st.frozensets(st.sampled_from(
+        ["x", "w_q", "w_k", "w_v", "b_q", "b_k", "b_v"])))
+    def test_matches_loop_oracle_forward_and_gradients(self, case, frozen):
         cfg, l, real_len, seed = case
         rng = np.random.default_rng(seed)
         params = make_params(cfg, seed=seed)
         randomize_merge(params, cfg, rng)
         x = Tensor(rng.normal(size=(l, cfg.d)), requires_grad=True)
+        for name in frozen:
+            (x if name == "x" else getattr(params, name)).requires_grad = False
         weights = Tensor(rng.normal(size=(l, cfg.d)))
         fused_counter, loop_counter = OpCounter(), OpCounter()
         out, grads = _forward_and_grads(
@@ -476,6 +482,7 @@ class TestFusedOpProperties:
         assert np.abs(out - loop_out).max() < 1e-12
         npt.assert_allclose(out, naive_gsa(x.data, params, cfg, real_len), atol=1e-12)
         assert grads.keys() == loop_grads.keys()
+        assert [name for name in frozen if grads[name] is not None] == []
         for name, g in grads.items():
             expected = loop_grads[name]
             if expected is None:
@@ -528,6 +535,19 @@ class TestFusedOpProperties:
                 gsa_forward(x, params, cfg, OpCounter())
             lengths[l] = len(tape)
         assert lengths[32] == lengths[128]
+
+    @pytest.mark.parametrize("l, real_len, l_g, d, heads",
+                             [(20, 18, 8, 8, 2), (1, 1, 8, 12, 3), (1440, 1410, 64, 256, 8)])
+    def test_projections_are_linear_bit_for_bit(self, l, real_len, l_g, d, heads):
+        # the fused op writes each projection into a padded buffer; its
+        # real rows must be linear's output exactly, its pad rows zero
+        rng = np.random.default_rng(l)
+        x, w, b = (Tensor(rng.normal(size=shape)) for shape in ((l, d), (d, d), (1, d)))
+        m = -(-real_len // l_g)
+        rows = np.zeros((m * l_g, d))
+        rows[:real_len] = linear(x, w, b).data[:real_len]
+        npt.assert_array_equal(_project(x, w, b, m, l_g, heads, real_len),
+                               _grouped(rows, m, l_g, heads))
 
     def test_no_tape_leaves_inputs_untouched(self):
         cfg = GsaConfig(l_g=8, l_s=2, d=8, heads=2, m_max=3)

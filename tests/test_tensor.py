@@ -215,7 +215,11 @@ class TestBackward:
         with ComputationTape() as tape:
             loss = sum_all(multiply(x, x))
             backward(loss, tape)
-            backward(loss, tape)
+            with pytest.raises(EmptyTapeError):
+                backward(loss, tape)
+        npt.assert_array_equal(x.grad, [[4.0]])
+        with ComputationTape() as tape:
+            backward(sum_all(multiply(x, x)), tape)
         npt.assert_array_equal(x.grad, [[8.0]])
 
     def test_rule_of_an_output_without_gradient_never_runs(self):
@@ -227,8 +231,9 @@ class TestBackward:
         with ComputationTape() as tape:
             _record("unread", Tensor([[5.0]]), (x,), unreachable)
             loss = sum_all(multiply(x, x))
+            assert len(tape) == 3
             backward(loss, tape)
-        assert len(tape) == 3
+        assert len(tape) == 0
         npt.assert_array_equal(x.grad, [[4.0]])
 
     def test_recording_needs_a_tape_and_an_input_that_wants_gradients(self):
