@@ -117,9 +117,11 @@ def row_softmax(scores: Tensor, mask: AttentionMask) -> Tensor:
     and fully masked rows come out all-zero."""
     p = softmax_last_axis(scores.data.copy(), mask.matrix(*scores.shape))
     out = Tensor(p)
+    scores_slot, out_slot = scores.slot, out.slot
 
     def backward():
-        accumulate_grad(scores, softmax_last_axis_backward(p, out.grad.copy()), owned=True)
+        accumulate_grad(scores_slot, softmax_last_axis_backward(p, out_slot.grad.copy()),
+                        owned=True)
 
     return _record("row_softmax", out, (scores,), backward)
 
@@ -202,11 +204,12 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     out = Tensor(out_rows)
     if not taped:
         return out
+    out_slot = out.slot
 
     def backward():
         d_q, d_k, d_v = np.empty(q.shape), np.empty(k.shape), np.empty(v.shape)
         for cols, p in zip(slabs, probs):
-            g = np.ascontiguousarray(out.grad[:, cols])
+            g = np.ascontiguousarray(out_slot.grad[:, cols])
             d_q[:, cols], d_k_t, d_v[:, cols] = attention_backward(*head(cols), p, g, scale)
             d_k[:, cols] = d_k_t.T
         accumulate_grad(q, d_q, owned=True)

@@ -76,7 +76,7 @@ def load_csv(path, target_name: str) -> TimeSeries:
     """Parse a `date,<feature>,...` CSV into a TimeSeries.
 
     The first column is an opaque date string kept only for ordering; every
-    other column must be numeric in every row.
+    other column must hold a finite number in every row.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -101,10 +101,15 @@ def load_csv(path, target_name: str) -> TimeSeries:
                                 f"expected {len(header)}")
             timestamps.append(row[0])
             try:
-                rows.append([float(cell) for cell in row[1:]])
+                values = [float(cell) for cell in row[1:]]
             except ValueError:
                 raise DataError(
                     f"{path}: non-numeric cell in row {line_no}") from None
+            for name, cell, value in zip(feature_names, row[1:], values):
+                if not math.isfinite(value):
+                    raise DataError(f"{path}: non-finite value {cell!r} in row "
+                                    f"{line_no}, column {name!r}")
+            rows.append(values)
     if not rows:
         raise DataError(f"{path}: no data rows")
     return TimeSeries(

@@ -308,9 +308,10 @@ def grouped_attention(x: Tensor, params: GsaLayerParams, cfg: GsaConfig,
     out = Tensor(out_rows[:l])
     if not taped:
         return out
+    out_slot = out.slot
 
     def backward():
-        g = _to_groups(out.grad, m, l_g, heads)
+        g = _to_groups(out_slot.grad, m, l_g, heads)
         d_local = g * alpha[:, None, None] if use_global else g
         # local attention inside every group
         d_q, d_k, d_v = attention_backward(qg, kg.swapaxes(-1, -2), vg, p, d_local, scale)

@@ -7,8 +7,16 @@ checks rank and finiteness for every op output.  Each op checks only the
 extents it needs to line up and, when recording(inputs), records a
 backward rule.  Replaying the tape in reverse order propagates gradients,
 accumulating (+=) into each requires_grad tensor.  A rule runs only when
-its output got a gradient, so it reads out.grad unchecked, and it decides
-nothing about recording.  The replay consumes the tape, node by node.
+its output got a gradient, so it reads its output's gradient unchecked,
+and it decides nothing about recording.  The replay consumes the tape,
+node by node.
+
+A tensor's gradient lives apart from its values, in a small GradSlot.  The
+tape holds each op output's slot, not the tensor, and a rule captures a
+Tensor only if it reads that tensor's values; for every other input, and
+for its own output, it captures the slot.  So an op output that no rule
+reads (the residual branch a layer norm adds, the pre-activation a relu
+masks) is freed as soon as the forward drops it.
 """
 
 from __future__ import annotations
@@ -57,17 +65,50 @@ def _as_array(values) -> np.ndarray:
     return arr
 
 
-class Tensor:
-    """A dense real matrix with an optional gradient slot."""
+class GradSlot:
+    """The gradient state of one tensor, without its values: what the tape
+    and the backward rules hold of a tensor whose values they never read."""
 
-    __slots__ = ("data", "grad", "requires_grad")
+    __slots__ = ("grad", "requires_grad", "shape")
+
+    def __init__(self, shape: tuple[int, ...], requires_grad: bool):
+        self.grad: Optional[np.ndarray] = None
+        self.requires_grad = requires_grad
+        self.shape = shape
+
+
+class Tensor:
+    """A dense real matrix and its gradient slot.
+
+    grad and requires_grad read and write the slot, so code that holds the
+    tensor and code that holds only the slot see one gradient.  A backward
+    rule captures a Tensor only if it reads the tensor's values, and its
+    slot otherwise, so a tensor's values live no longer than the forward
+    and the rules that read them need."""
+
+    __slots__ = ("data", "slot")
 
     def __init__(self, values, requires_grad: bool = False):
         self.data = _as_array(values)
         if not np.all(np.isfinite(self.data)):
             raise NumericsError("tensor constructed with non-finite values")
-        self.grad: Optional[np.ndarray] = None
-        self.requires_grad = requires_grad
+        self.slot = GradSlot(self.data.shape, requires_grad)
+
+    @property
+    def grad(self) -> Optional[np.ndarray]:
+        return self.slot.grad
+
+    @grad.setter
+    def grad(self, value: Optional[np.ndarray]) -> None:
+        self.slot.grad = value
+
+    @property
+    def requires_grad(self) -> bool:
+        return self.slot.requires_grad
+
+    @requires_grad.setter
+    def requires_grad(self, value: bool) -> None:
+        self.slot.requires_grad = value
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -82,14 +123,16 @@ class ComputationTape:
 
     Use as a context manager: ops executed inside record themselves here.
     Execution order is a topological order, so the reverse visits every
-    node after all of its consumers.
+    node after all of its consumers.  Each node is (op name, the output's
+    GradSlot, backward rule): the tape keeps no op output's values alive,
+    only what the rules themselves capture.
     """
 
     def __init__(self):
-        self._nodes: list[tuple[str, Tensor, Callable[[], None]]] = []
+        self._nodes: list[tuple[str, GradSlot, Callable[[], None]]] = []
         self._prev: Optional[ComputationTape] = None
 
-    def record(self, name: str, out: Tensor, backward_fn: Callable[[], None]) -> None:
+    def record(self, name: str, out: GradSlot, backward_fn: Callable[[], None]) -> None:
         self._nodes.append((name, out, backward_fn))
 
     def __len__(self) -> int:
@@ -110,24 +153,25 @@ class ComputationTape:
 _ACTIVE_TAPE: Optional[ComputationTape] = None
 
 
-def accumulate_grad(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
-    """Add g into t.grad; no-op for tensors that do not require gradients.
-    g must match t's shape.
+def accumulate_grad(t: "Tensor | GradSlot", g: np.ndarray, owned: bool = False) -> None:
+    """Add g into t.grad, t a tensor or its gradient slot; no-op for tensors
+    that do not require gradients.  g must match t's shape.
 
     On the first write t.grad becomes a private C-ordered copy of g, or g
     itself when owned is True and g is C-ordered.  A backward rule passes
     owned=True only for an array it has just allocated and will not touch
     again (a matmul product, a zero-padded slice gradient); pass-through
-    views of out.grad, which the rule may still read after handing them on,
-    are always copied.  Later writes add into t.grad in place, so t.grad never
-    aliases another tensor's buffer.  Gradients are always C-ordered because
-    numpy's reductions round differently over other layouts.
+    views of its output's gradient, which the rule may still read after
+    handing them on, are always copied.  Later writes add into t.grad in
+    place, so t.grad never aliases another tensor's buffer.  Gradients are
+    always C-ordered because numpy's reductions round differently over
+    other layouts.
     """
     if not t.requires_grad:
         return
-    if g.shape != t.data.shape:
+    if g.shape != t.shape:
         raise DimensionError(
-            f"gradient of shape {g.shape} for a tensor of shape {t.data.shape}")
+            f"gradient of shape {g.shape} for a tensor of shape {t.shape}")
     if t.grad is None:
         t.grad = g if owned and g.flags.c_contiguous else g.copy()
     else:
@@ -143,8 +187,8 @@ def recording(inputs: Iterable[Tensor]) -> bool:
 def _record(name: str, out: Tensor, inputs: Sequence[Tensor],
             backward_fn: Callable[[], None]) -> Tensor:
     if recording(inputs):
-        out.requires_grad = True
-        _ACTIVE_TAPE.record(name, out, backward_fn)
+        out.slot.requires_grad = True
+        _ACTIVE_TAPE.record(name, out.slot, backward_fn)
     return out
 
 
@@ -153,10 +197,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(
             f"matmul: inner extents differ: {a.shape} x {b.shape}")
     out = Tensor(a.data @ b.data)
+    out_slot = out.slot
 
     def backward():
-        accumulate_grad(a, out.grad @ b.data.T, owned=True)
-        accumulate_grad(b, a.data.T @ out.grad, owned=True)
+        accumulate_grad(a, out_slot.grad @ b.data.T, owned=True)
+        accumulate_grad(b, a.data.T @ out_slot.grad, owned=True)
 
     return _record("matmul", out, (a, b), backward)
 
@@ -173,16 +218,18 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     data = x.data @ w.data
     data += b.data
     out = Tensor(data)
+    b_slot, out_slot = b.slot, out.slot
 
     def backward():
-        linear_backward(x, w, b, out.grad)
+        linear_backward(x, w, b_slot, out_slot.grad)
 
     return _record("linear", out, (x, w, b), backward)
 
 
-def linear_backward(x: Tensor, w: Tensor, b: Tensor, g: np.ndarray) -> None:
-    """Give b, x and w, in that order, their gradients of x @ w + b from the
-    output gradient g; g is only read, so no gradient aliases it."""
+def linear_backward(x: Tensor, w: Tensor, b: "Tensor | GradSlot", g: np.ndarray) -> None:
+    """Give b (a tensor or its slot), x and w, in that order, their gradients
+    of x @ w + b from the output gradient g; g is only read, so no gradient
+    aliases it."""
     g_b = _reduce_to(g, b.shape)
     accumulate_grad(b, g_b, owned=g_b is not g)
     accumulate_grad(x, g @ w.data.T, owned=True)
@@ -191,9 +238,10 @@ def linear_backward(x: Tensor, w: Tensor, b: Tensor, g: np.ndarray) -> None:
 
 def transpose(a: Tensor) -> Tensor:
     out = Tensor(a.data.T.copy())
+    a_slot, out_slot = a.slot, out.slot
 
     def backward():
-        accumulate_grad(a, out.grad.T)
+        accumulate_grad(a_slot, out_slot.grad.T)
 
     return _record("transpose", out, (a,), backward)
 
@@ -224,10 +272,11 @@ def broadcast_add(a: Tensor, b: Tensor) -> Tensor:
     broadcast axes of b."""
     _broadcast_check(a, b, "broadcast_add")
     out = Tensor(a.data + b.data)
+    a_slot, b_slot, out_slot = a.slot, b.slot, out.slot
 
     def backward():
-        accumulate_grad(a, out.grad)
-        accumulate_grad(b, _reduce_to(out.grad, b.shape))
+        accumulate_grad(a_slot, out_slot.grad)
+        accumulate_grad(b_slot, _reduce_to(out_slot.grad, b_slot.shape))
 
     return _record("broadcast_add", out, (a, b), backward)
 
@@ -236,10 +285,11 @@ def subtract(a: Tensor, b: Tensor) -> Tensor:
     """a - b; b broadcasts like in broadcast_add."""
     _broadcast_check(a, b, "subtract")
     out = Tensor(a.data - b.data)
+    a_slot, b_slot, out_slot = a.slot, b.slot, out.slot
 
     def backward():
-        accumulate_grad(a, out.grad)
-        accumulate_grad(b, -_reduce_to(out.grad, b.shape), owned=True)
+        accumulate_grad(a_slot, out_slot.grad)
+        accumulate_grad(b_slot, -_reduce_to(out_slot.grad, b_slot.shape), owned=True)
 
     return _record("subtract", out, (a, b), backward)
 
@@ -250,18 +300,20 @@ def multiply(a: Tensor, b) -> Tensor:
     if isinstance(b, (int, float)):
         c = float(b)
         out = Tensor(a.data * c)
+        a_slot, out_slot = a.slot, out.slot
 
         def backward_const():
-            accumulate_grad(a, out.grad * c, owned=True)
+            accumulate_grad(a_slot, out_slot.grad * c, owned=True)
 
         return _record("multiply", out, (a,), backward_const)
 
     _broadcast_check(a, b, "multiply")
     out = Tensor(a.data * b.data)
+    out_slot = out.slot
 
     def backward():
-        accumulate_grad(a, out.grad * b.data, owned=True)
-        accumulate_grad(b, _reduce_to(out.grad * a.data, b.shape), owned=True)
+        accumulate_grad(a, out_slot.grad * b.data, owned=True)
+        accumulate_grad(b, _reduce_to(out_slot.grad * a.data, b.shape), owned=True)
 
     return _record("multiply", out, (a, b), backward)
 
@@ -273,27 +325,32 @@ def mean_rows(a: Tensor) -> Tensor:
     if r < 1 or a.data.size == 0:
         raise DimensionError(f"mean_rows: empty tensor of shape {a.shape}")
     out = Tensor(a.data.mean(axis=0, keepdims=True))
+    a_slot, out_slot = a.slot, out.slot
 
     def backward():
-        accumulate_grad(a, np.repeat(out.grad / r, r, axis=0), owned=True)
+        accumulate_grad(a_slot, np.repeat(out_slot.grad / r, r, axis=0), owned=True)
 
     return _record("mean_rows", out, (a,), backward)
 
 
 def sum_all(a: Tensor) -> Tensor:
     out = Tensor(np.array([[a.data.sum()]]))
+    a_slot, out_slot = a.slot, out.slot
 
     def backward():
-        accumulate_grad(a, np.full_like(a.data, out.grad[0, 0]), owned=True)
+        accumulate_grad(a_slot, np.full(a_slot.shape, out_slot.grad[0, 0]), owned=True)
 
     return _record("sum_all", out, (a,), backward)
 
 
 def relu(a: Tensor) -> Tensor:
+    """max(a, 0); the backward takes its mask from the output, since
+    out > 0 exactly where a > 0, so a's values are not kept."""
     out = Tensor(np.maximum(a.data, 0.0))
+    a_slot = a.slot
 
     def backward():
-        accumulate_grad(a, out.grad * (a.data > 0.0), owned=True)
+        accumulate_grad(a_slot, out.grad * (out.data > 0.0), owned=True)
 
     return _record("relu", out, (a,), backward)
 
@@ -303,11 +360,12 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
         raise DimensionError(
             f"slice_rows: range [{start}, {stop}) invalid for shape {a.shape}")
     out = Tensor(a.data[start:stop].copy())
+    a_slot, out_slot = a.slot, out.slot
 
     def backward():
-        g = np.zeros_like(a.data)
-        g[start:stop] = out.grad
-        accumulate_grad(a, g, owned=True)
+        g = np.zeros(a_slot.shape)
+        g[start:stop] = out_slot.grad
+        accumulate_grad(a_slot, g, owned=True)
 
     return _record("slice_rows", out, (a,), backward)
 
@@ -329,20 +387,21 @@ def layer_norm(x: Tensor, f: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e
     data = np.multiply(xhat, gain.data, out=None if recording(inputs) else xhat)
     data += bias.data
     out = Tensor(data)
+    x_slot, f_slot, bias_slot, out_slot = x.slot, f.slot, bias.slot, out.slot
 
     def backward():
-        g = out.grad
+        g = out_slot.grad
         tmp = g * xhat
         accumulate_grad(gain, tmp.sum(axis=0, keepdims=True), owned=True)
-        accumulate_grad(bias, g.sum(axis=0, keepdims=True), owned=True)
+        accumulate_grad(bias_slot, g.sum(axis=0, keepdims=True), owned=True)
         gx = g * gain.data
         # d/dx per row, as inv * ((gx - mean(gx)) - xhat * mean(gx * xhat))
         m_gx_xhat = np.multiply(gx, xhat, out=tmp).mean(axis=1, keepdims=True)
         gx -= gx.mean(axis=1, keepdims=True)
         gx -= np.multiply(xhat, m_gx_xhat, out=tmp)
         gx *= inv
-        accumulate_grad(x, gx)
-        accumulate_grad(f, gx, owned=True)
+        accumulate_grad(x_slot, gx)
+        accumulate_grad(f_slot, gx, owned=True)
 
     return _record("layer_norm", out, inputs, backward)
 
@@ -352,23 +411,27 @@ def backward(loss: Tensor, tape: ComputationTape) -> None:
     consuming the tape: a second call on it raises EmptyTapeError.
 
     Gradients accumulate into .grad across calls; use zero_grads between
-    optimizer steps.  Each node leaves the tape before its rule runs, so
-    what the rule saved (and its output, once every consumer has run) is
-    freed before the next rule runs.  An op output's gradient lives until
-    its rule has read it and is then set to None; only the leaves, tensors
-    no op on the tape produced, keep theirs.
+    optimizer steps.  The replay seeds the loss's gradient slot and walks
+    the nodes' output slots; the tape holds no tensor values, so once the
+    forward drops a tensor, its values live only while some rule captures
+    it.  Each node
+    leaves the tape before its rule runs, so what the rule saved (and its
+    output's values, once every consumer has run) is freed before the next
+    rule runs.  An op output's gradient lives until its rule has read it
+    and is then set to None; only the leaves, tensors no op on the tape
+    produced, keep theirs.
     """
     if loss.shape != (1, 1):
         raise ContractError(f"backward: loss must be 1x1, got {loss.shape}")
     nodes = tape._nodes
     if not nodes:
         raise EmptyTapeError("backward: tape is empty; run a forward pass first")
-    loss.grad = np.ones((1, 1))
+    loss.slot.grad = np.ones((1, 1))
     while nodes:
-        _, out, backward_fn = nodes.pop()
-        if out.grad is not None:
+        _, out_slot, backward_fn = nodes.pop()
+        if out_slot.grad is not None:
             backward_fn()
-            out.grad = None
+            out_slot.grad = None
 
 
 def zero_grads(params: Iterable[Tensor]) -> None:

@@ -1,6 +1,8 @@
 import csv
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from gsaformer.benchmark import (
@@ -14,6 +16,9 @@ from gsaformer.benchmark import (
 )
 from gsaformer.data import DataError
 from gsaformer.gsa import gsa_op_count
+from gsaformer.model import ForecasterModel
+from gsaformer.tensor import ComputationTape, Tensor, backward
+from gsaformer.training import mse_loss
 
 
 def tiny_bench_cfg(timing=False):
@@ -125,6 +130,40 @@ class TestEmitCsv:
         emit_csv_report(report, path)
         lines = path.read_text(encoding="utf-8").strip().splitlines()
         assert len(lines) == 2 and lines[1].startswith("canonical,99999,-1")
+
+
+SPACE_BENCH = BenchConfig(d=16, heads=2, ffn_hidden=16, e_l=1, d_l=1,
+                          l_g=16, l_s=2, l_comp=32, label_len=0)
+
+
+def training_peak_bytes(mechanism, seq_len):
+    """tracemalloc peak of one recorded forward and backward, above what the
+    model and the window hold before it."""
+    cfg = model_config_for(mechanism, seq_len, SPACE_BENCH)
+    model = ForecasterModel(cfg, seed=0)
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.normal(size=(cfg.seq_len, cfg.n_features_in)))
+    y = Tensor(rng.normal(size=(cfg.pred_len, cfg.n_features_out)))
+    tracemalloc.start()
+    try:
+        with ComputationTape() as tape:
+            backward(mse_loss(model.forward(x), y), tape)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestSpaceScaling:
+    # the paper's O(l) space claim in real bytes: measured grouped x1.93 and
+    # x2.00 per doubling, canonical x3.34 and x3.62 (quadratic score buffers)
+    def test_training_peak_grows_linearly_grouped_quadratically_canonical(self):
+        def doubling_ratios(mechanism):
+            peaks = [training_peak_bytes(mechanism, n) for n in (128, 256, 512)]
+            return [b / a for a, b in zip(peaks, peaks[1:])]
+
+        grouped, canonical = doubling_ratios("grouped"), doubling_ratios("canonical")
+        assert max(grouped) <= 2.2, (grouped, canonical)
+        assert min(canonical) >= 2.5, (grouped, canonical)
 
 
 @pytest.mark.slow

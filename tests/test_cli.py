@@ -79,6 +79,19 @@ class TestTrainVerb:
         assert setting.split("=")[0] in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_finite_csv_cell_exits_2_naming_it_before_making_out(self, tmp_path, capsys):
+        csv_path = tmp_path / "gap.csv"
+        rows = [f"d{i},{i * 0.5},{i * 0.25}" for i in range(600)]
+        rows[41] = "d41,nan,10.25"
+        csv_path.write_text("\n".join(["date,HUFL,OT"] + rows) + "\n", encoding="utf-8")
+        out = tmp_path / "run"
+        code = run(["train", "--csv", str(csv_path), "--out", str(out),
+                    "--set", "seq_len=32", "--set", "pred_len=8"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(csv_path) in err and "row 43" in err and "'HUFL'" in err
+        assert not out.exists()
+
     def test_unknown_set_key_rejected(self, tmp_path, capsys):
         code = run(["train", "--out", str(tmp_path), "--set", "nonsense=1"])
         assert code == 2

@@ -42,6 +42,15 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="row 3"):
             load_csv(path, "OT")
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_cell_names_path_row_and_column(self, tmp_path, cell):
+        path = tmp_path / "gap.csv"
+        write_lines(path, ["date,HUFL,OT", "d1,1.5,2.0", f"d2,3.0,{cell}", "d3,2.5,1.0"])
+        with pytest.raises(DataError) as info:
+            load_csv(path, "OT")
+        message = str(info.value)
+        assert str(path) in message and "row 3" in message and "'OT'" in message
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("", encoding="utf-8")

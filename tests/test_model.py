@@ -8,6 +8,7 @@ import pytest
 
 from helpers import old_layout_arrays
 
+import gsaformer.model as model_module
 from gsaformer.attention import OpCounter
 from gsaformer.benchmark import BenchConfig, model_config_for
 from gsaformer.cli import GRADCHECK_PRESETS, config_from_mapping
@@ -350,24 +351,58 @@ class TestTapeNodes:
             saved = _saved_array_refs(tape, leaves)
             backward(loss, tape)
         del pred, loss
-        assert len(saved) > 73      # each node's output, and more
+        assert len(saved) > 73      # more arrays than nodes
         assert [name for name, ref in saved if ref() is not None] == []
+
+    def test_no_value_that_no_rule_reads_outlives_the_forward(self, monkeypatch):
+        # the residual branches the norms add, the pre-activations relu masks
+        # and the embeddings before the position add are read only by the
+        # forward, so a recorded forward must not keep them
+        refs = []
+
+        def spy(name, pick):
+            op = getattr(model_module, name)
+
+            def wrapped(*args):
+                refs.append((name, weakref.ref(pick(*args).data)))
+                return op(*args)
+            monkeypatch.setattr(model_module, name, wrapped)
+
+        spy("layer_norm", lambda x, f, gain, bias: f)
+        spy("relu", lambda a: a)
+        spy("broadcast_add", lambda embedded, positions: embedded)
+        cfg = GRADIENT_CONFIGS["train_long"]
+        model = ForecasterModel(cfg, seed=0)
+        rng = np.random.default_rng(3)
+        x = Tensor(rng.normal(size=(cfg.seq_len, cfg.n_features_in)))
+        y = Tensor(rng.normal(size=(cfg.pred_len, cfg.n_features_out)))
+        with ComputationTape() as tape:
+            loss = multiply(mse_loss(model.forward(x), y), 1.0)
+            assert Counter(name for name, _ in refs) == {
+                "layer_norm": 15, "relu": 6, "broadcast_add": 2}
+            assert [name for name, ref in refs if ref() is not None] == []
+            backward(loss, tape)
+        assert [n for n, p in model.parameters().items() if p.grad is None] == []
 
 
 def _saved_array_refs(tape, leaves):
-    """(op name, weak reference) for each node's output values and every
-    array its rule closes over, leaving out the arrays whose ids are in
-    leaves."""
+    """(op name, weak reference) for every array a node's rule closes over,
+    directly, as the values of a captured Tensor or inside a captured list,
+    leaving out the arrays whose ids are in leaves.  A node holds only its
+    output's gradient slot and its rule, so these are the arrays it keeps."""
     refs = []
-    for name, out, rule in tape._nodes:
-        arrays = [out.data]
+    for name, _, rule in tape._nodes:
+        arrays = []
         for cell in rule.__closure__ or ():
             try:
                 value = cell.cell_contents
             except ValueError:      # a variable the op never set on this path
                 continue
-            if isinstance(value, np.ndarray):
-                arrays.append(value)
+            for item in value if isinstance(value, list) else (value,):
+                if isinstance(item, Tensor):
+                    item = item.data
+                if isinstance(item, np.ndarray):
+                    arrays.append(item)
         refs += [(name, weakref.ref(a)) for a in arrays if id(a) not in leaves]
     return refs
 
