@@ -1,11 +1,13 @@
 """Attention kernel, multi-head attention, the canonical reference, masks,
 and the score-element counter shared by every attention variant.
 
-attention_forward/attention_backward are the one score -> softmax -> value
-kernel (and its gradient) on plain arrays, batched over leading axes; the
-fused tape ops multi_head_attention (CCA, unmasked) and
+attention_probs/attention_forward/attention_backward are the one score ->
+softmax -> value kernel (and its gradient) on plain arrays, batched over
+leading axes; the fused tape ops multi_head_attention (CCA, unmasked) and
 gsa.grouped_attention (which builds its own boolean allow array) both run
-it.  scaled_dot_attention and row_softmax compose the same arithmetic from
+it.  multi_head_attention's rule holds only the op's inputs and rebuilds
+the probabilities with attention_probs, the forward's own arithmetic.
+scaled_dot_attention and row_softmax compose the same arithmetic from
 separate tape ops: they are the canonical reference that the acceptance
 gates and the loop oracles of the tests are built from.  Their mask
 argument, AttentionMask, is either none or a custom allow matrix."""
@@ -38,17 +40,26 @@ class OpCounter:
     attention, one group of one GSA head, or one head's summary rows); the
     fused GSA op reports each group's matrix separately even though it
     holds all groups of a layer in one array.
+
+    recomputed_score_elements: the score entries that backward rules compute
+    again from their op's inputs instead of holding them: every CCA head's
+    and every GSA summary attention's (GSA holds its local probabilities).
+    The per-forward fields above never include it.
     """
 
     def __init__(self):
         self.score_elements = 0
         self.peak_score_buffer = 0
+        self.recomputed_score_elements = 0
 
     def add_scores(self, rows: int, cols: int) -> None:
         n = rows * cols
         self.score_elements += n
         if n > self.peak_score_buffer:
             self.peak_score_buffer = n
+
+    def add_recomputed(self, rows: int, cols: int) -> None:
+        self.recomputed_score_elements += rows * cols
 
 
 class AttentionMask:
@@ -137,16 +148,23 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, mask: AttentionMask,
     return out
 
 
+def attention_probs(q: np.ndarray, k_t: np.ndarray, scale: float,
+                    allow: Optional[np.ndarray] = None) -> np.ndarray:
+    """softmax(q @ k_t * scale) over the last two axes, batched over any
+    leading ones; k_t holds the keys transposed and allow masks scores as
+    in softmax_last_axis.  A backward rule that calls it on the forward's
+    operands gets the forward's probabilities bit for bit."""
+    p = np.matmul(q, k_t)
+    p *= scale
+    return softmax_last_axis(p, allow)
+
+
 def attention_forward(q: np.ndarray, k_t: np.ndarray, v: np.ndarray, scale: float,
                       allow: Optional[np.ndarray] = None,
                       out: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
-    """softmax(q @ k_t * scale) @ v over the last two axes, batched over any
-    leading ones; k_t holds the keys transposed and allow masks scores as
-    in softmax_last_axis.  Returns (output, probabilities), the output
-    written into out when given."""
-    p = np.matmul(q, k_t)
-    p *= scale
-    softmax_last_axis(p, allow)
+    """attention_probs(q, k_t, scale, allow) @ v.  Returns (output,
+    probabilities), the output written into out when given."""
+    p = attention_probs(q, k_t, scale, allow)
     return np.matmul(p, v, out=out), p
 
 
@@ -167,15 +185,15 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     """Unmasked scaled_dot_attention on each of `heads` contiguous column
     slabs of q, k and v, the slab outputs side by side, as one tape op with
     one backward rule and the same arithmetic.  Heads run one at a time, so
-    without a tape one head's score matrix is alive at once; with one, each
-    head keeps only its probabilities for the backward.  The counter sees
-    one call per head.
+    one head's score matrix is alive at once.  The rule holds only q, k and
+    v: the backward rebuilds each head's probabilities from them, one head
+    at a time, and adds those score elements to the counter's
+    recomputed_score_elements.  The forward counter sees one call per head.
 
     Each head works on contiguous copies of its slabs, not strided views:
     BLAS rounds one-row products differently for strided operands, and the
     copies keep every product bit-identical to scaled_dot_attention.  The
-    backward makes the same copies again from q, k and v, one head at a
-    time."""
+    backward makes the same copies again."""
     (l_q, d), (l_k, d_k) = q.shape, k.shape
     if d % heads != 0:
         raise DimensionError(f"feature dim {d} not divisible by {heads} heads")
@@ -194,13 +212,9 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
                 np.ascontiguousarray(v.data[:, cols]))
 
     out_rows = np.empty((l_q, d))
-    probs = []
     for cols in slabs:
         counter.add_scores(l_q, l_k)
-        p = attention_forward(*head(cols), scale, out=out_rows[:, cols])[1]
-        if taped:
-            probs.append(p)
-        del p   # else this head's scores would live on through the next head's
+        attention_forward(*head(cols), scale, out=out_rows[:, cols])
     out = Tensor(out_rows)
     if not taped:
         return out
@@ -208,9 +222,12 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
 
     def backward():
         d_q, d_k, d_v = np.empty(q.shape), np.empty(k.shape), np.empty(v.shape)
-        for cols, p in zip(slabs, probs):
+        for cols in slabs:
+            q_h, k_t, v_h = head(cols)
+            counter.add_recomputed(l_q, l_k)
+            p = attention_probs(q_h, k_t, scale)
             g = np.ascontiguousarray(out_slot.grad[:, cols])
-            d_q[:, cols], d_k_t, d_v[:, cols] = attention_backward(*head(cols), p, g, scale)
+            d_q[:, cols], d_k_t, d_v[:, cols] = attention_backward(q_h, k_t, v_h, p, g, scale)
             d_k[:, cols] = d_k_t.T
         accumulate_grad(q, d_q, owned=True)
         accumulate_grad(k, d_k, owned=True)

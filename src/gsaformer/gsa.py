@@ -11,14 +11,16 @@ alpha_j * local + beta_j * pooled.  Score-element cost per head is
 m*l_g^2 + (m*l_s)^2, linear in l for fixed l_g and l_s.
 
 gsa_forward runs the Q/K/V projections and every group of every head
-through one batched tape op, grouped_attention, with a hand-written
-backward; the projections write straight into zero-padded group buffers,
-so Q, K and V are held once.  Only the output projection is a separate
-linear op.  summarize_group, global_summary_attention and merge_outputs
-are the global path's steps for a single group, composed from separate
-tape ops; the model does not call them, and the tests build their
-loop-based reference from them (cutting the sequence into groups is part
-of that reference, in tests/helpers.py).
+through one tape op, grouped_attention, with a hand-written backward; the
+projections write straight into zero-padded group buffers.  The op's rule
+holds its input, its parameters and the local attention probabilities,
+and rebuilds Q, K, V and the global path in the backward.  Only the
+output projection is a separate linear op.  summarize_group,
+global_summary_attention and merge_outputs are the global path's steps
+for a single group, composed from separate tape ops; the model does not
+call them, and the tests build their loop-based reference from them
+(cutting the sequence into groups is part of that reference, in
+tests/helpers.py).
 """
 
 from __future__ import annotations
@@ -207,16 +209,6 @@ def _to_groups(a: np.ndarray, m: int, l_g: int, heads: int) -> np.ndarray:
     return _grouped(padded, m, l_g, heads)
 
 
-def _from_groups(blocks: np.ndarray, l: int, real_len: int) -> np.ndarray:
-    """(heads, m, l_g, d_h) blocks as their first l rows, rows >= real_len
-    zeroed."""
-    heads, m, l_g, dh = blocks.shape
-    rows = np.empty((m * l_g, heads * dh))
-    _grouped(rows, m, l_g, heads)[...] = blocks
-    rows[real_len:] = 0.0
-    return rows[:l]
-
-
 def _local_allow(cfg: GsaConfig, m: int, real_len: int) -> Optional[np.ndarray]:
     """(m, l_g, l_g) allow array of the group scores: keys past real_len
     (in the last group) are masked, and so is the upper triangle when
@@ -251,6 +243,27 @@ def _project(x: Tensor, w: Tensor, b: Tensor, m: int, l_g: int, heads: int,
     return _grouped(rows, m, l_g, heads)
 
 
+def _qkv(x: Tensor, params: GsaLayerParams, m: int, l_g: int, heads: int,
+         real_len: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The _project blocks of Q, K and V."""
+    return tuple(_project(x, w, b, m, l_g, heads, real_len) for w, b in
+                 ((params.w_q, params.b_q), (params.w_k, params.b_k), (params.w_v, params.b_v)))
+
+
+def _summaries(qg: np.ndarray, kg: np.ndarray, vg: np.ndarray,
+               params: GsaLayerParams, scale: float) -> tuple[np.ndarray, ...]:
+    """The global path from the Q/K/V group blocks: (qs, ks, vs, pg,
+    pooled), every group's summary rows as (heads, m*l_s, d_h), the summary
+    attention's probabilities and each group's mean-pooled summary output,
+    (heads, m, d_h)."""
+    heads, m, _, dh = qg.shape
+    l_s = params.e_q.shape[0]
+    qs, ks, vs = (np.matmul(e.data, blocks).reshape(heads, m * l_s, dh)
+                  for e, blocks in ((params.e_q, qg), (params.e_k, kg), (params.e_v, vg)))
+    og, pg = attention_forward(qs, ks.swapaxes(-1, -2), vs, scale)
+    return qs, ks, vs, pg, og.reshape(heads, m, l_s, dh).mean(axis=2)
+
+
 def grouped_attention(x: Tensor, params: GsaLayerParams, cfg: GsaConfig,
                       real_len: Optional[int], counter: OpCounter) -> Tensor:
     """The Q/K/V projections of x, local attention in every group of every
@@ -259,19 +272,24 @@ def grouped_attention(x: Tensor, params: GsaLayerParams, cfg: GsaConfig,
     backward rule.
 
     Rows of x at index >= real_len (default: all real) are padding: their
-    projected queries, keys and values are zero and masked as keys.  Q, K
-    and V are each held once, as zero-padded group blocks.  Returns the
-    l-by-d head outputs side by side, ready for the output projection.  The
-    counter sees one l_g-by-l_g matrix per head and group and one
-    m*l_s-by-m*l_s matrix per head, although all of them are computed in
-    one batched array.
+    projected queries, keys and values are zero and masked as keys.  Local
+    attention runs one head at a time, so without a tape one head's group
+    scores are alive at once.  The rule holds x, the parameters and each
+    head's local probabilities, nothing else: the backward projects Q, K
+    and V again and re-runs the summary path with the forward's arithmetic
+    (adding the summary score elements to the counter's
+    recomputed_score_elements), then works one head at a time.  Returns
+    the l-by-d head outputs side by side, ready for the output projection.
+    The forward counter sees one l_g-by-l_g matrix per head and group and
+    one m*l_s-by-m*l_s matrix per head, although each head's groups are
+    computed in one batched array.
     """
     l, d = x.shape
     if d != cfg.d:
         raise DimensionError(f"grouped attention: input {x.shape} for d={cfg.d}")
     real_len, m = _check_lengths(l, real_len, cfg)
     heads, l_g, l_s = cfg.heads, cfg.l_g, cfg.l_s
-    dh = d // heads
+    dh, n_s = d // heads, m * l_s
     scale = 1.0 / np.sqrt(dh)
     use_global = cfg.uses_global
     inputs = (x, params.w_q, params.b_q, params.w_k, params.b_k, params.w_v, params.b_v)
@@ -279,49 +297,59 @@ def grouped_attention(x: Tensor, params: GsaLayerParams, cfg: GsaConfig,
         inputs += (params.e_q, params.e_k, params.e_v, params.alpha, params.beta)
     taped = recording(inputs)
 
-    qg, kg, vg = (_project(x, w, b, m, l_g, heads, real_len) for w, b in
-                  ((params.w_q, params.b_q), (params.w_k, params.b_k), (params.w_v, params.b_v)))
+    qg, kg, vg = _qkv(x, params, m, l_g, heads, real_len)
+    allow = _local_allow(cfg, m, real_len)
     for _ in range(heads * m):
         counter.add_scores(l_g, l_g)
     out_rows = np.empty((m * l_g, d))
     o = _grouped(out_rows, m, l_g, heads)
-    p = attention_forward(qg, kg.swapaxes(-1, -2), vg, scale,
-                          _local_allow(cfg, m, real_len), out=o)[1]
-    if not taped:
-        del p   # only the backward needs the probabilities
-
+    probs = []
+    for h in range(heads):
+        p = attention_forward(qg[h], kg[h].swapaxes(-1, -2), vg[h], scale, allow, out=o[h])[1]
+        if taped:
+            probs.append(p)
+        del p   # else this head's scores would live on through the next head's
     if use_global:
-        n_s = m * l_s
-        # (heads, m*l_s, d_h): every group's l_s summary rows, in group order
-        qs, ks, vs = (np.matmul(e.data, blocks).reshape(heads, n_s, dh)
-                      for e, blocks in ((params.e_q, qg), (params.e_k, kg), (params.e_v, vg)))
         for _ in range(heads):
             counter.add_scores(n_s, n_s)
-        og, pg = attention_forward(qs, ks.swapaxes(-1, -2), vs, scale)
-        pooled = og.reshape(heads, m, l_s, dh).mean(axis=2)
-        alpha = params.alpha.data[0, :m]
-        beta = params.beta.data[0, :m]
-        o_local = o.copy() if taped else None
-        o *= alpha[:, None, None]
-        o += (pooled * beta[:, None])[:, :, None, :]
-
+        pooled = _summaries(qg, kg, vg, params, scale)[-1]
+        o *= params.alpha.data[0, :m, None, None]
+        o += (pooled * params.beta.data[0, :m, None])[:, :, None, :]
     out = Tensor(out_rows[:l])
     if not taped:
         return out
     out_slot = out.slot
 
-    def backward():
-        g = _to_groups(out_slot.grad, m, l_g, heads)
-        d_local = g * alpha[:, None, None] if use_global else g
-        # local attention inside every group
-        d_q, d_k, d_v = attention_backward(qg, kg.swapaxes(-1, -2), vg, p, d_local, scale)
-        d_k = d_k.swapaxes(-1, -2)
+    def qkv_grads() -> list[np.ndarray]:
+        """The (m*l_g, d) gradients of Q, K and V, pad rows zero.  Q, K, V
+        and each head's gradient blocks are rebuilt here and die on return,
+        and each head's probabilities leave the closure once read."""
+        qg, kg, vg = _qkv(x, params, m, l_g, heads, real_len)
+        grads = [np.empty((m * l_g, d)) for _ in range(3)]
+        d_q, d_k, d_v = (_grouped(rows, m, l_g, heads) for rows in grads)
         if use_global:
-            # merge: out_j = alpha_j * local_j + beta_j * pooled_j
-            g_cols = g.sum(axis=2)
-            slot_grads = ((g * o_local).reshape(heads, m, -1).sum(axis=-1),
-                          (g_cols * pooled).sum(axis=-1))
-            for param, d_slot in zip((params.alpha, params.beta), slot_grads):
+            alpha = params.alpha.data[0, :m]
+            beta = params.beta.data[0, :m]
+            qs, ks, vs, pg, pooled = _summaries(qg, kg, vg, params, scale)
+            d_alpha = np.empty((heads, m))
+            g_cols = np.empty((heads, m, dh))
+        # local attention inside every group, one head at a time
+        for h in reversed(range(heads)):
+            p = probs.pop()
+            g = _to_groups(out_slot.grad[:, h * dh:(h + 1) * dh], m, l_g, 1)[0]
+            d_local = g
+            if use_global:
+                # merge: out_j = alpha_j * local_j + beta_j * pooled_j
+                g_cols[h] = g.sum(axis=1)
+                d_alpha[h] = (g * np.matmul(p, vg[h])).reshape(m, -1).sum(axis=-1)
+                d_local = g * alpha[:, None, None]
+            d_q[h], d_k_t, d_v[h] = attention_backward(
+                qg[h], kg[h].swapaxes(-1, -2), vg[h], p, d_local, scale)
+            d_k[h] = d_k_t.swapaxes(-1, -2)
+        if use_global:
+            counter.add_recomputed(heads * n_s, n_s)
+            for param, d_slot in ((params.alpha, d_alpha),
+                                  (params.beta, (g_cols * pooled).sum(axis=-1))):
                 full = np.zeros(param.shape)
                 full[0, :m] = _sum_last_to_first(d_slot)
                 accumulate_grad(param, full, owned=True)
@@ -338,10 +366,16 @@ def grouped_attention(x: Tensor, params: GsaLayerParams, cfg: GsaConfig,
                 d_e = np.matmul(d_s, blocks.swapaxes(-1, -2)).reshape(-1, l_s, l_g)
                 accumulate_grad(e, _sum_last_to_first(d_e), owned=True)
                 d_blocks += np.matmul(e.data.T, d_s)
+        for rows in grads:
+            rows[real_len:] = 0.0
+        return grads
+
+    def backward():
+        d_q, d_k, d_v = qkv_grads()
         # the projections, v first, as replaying three linear ops would
-        for w, b, d_t in ((params.w_v, params.b_v, d_v), (params.w_k, params.b_k, d_k),
-                          (params.w_q, params.b_q, d_q)):
-            linear_backward(x, w, b, _from_groups(d_t, l, real_len))
+        for w, b, rows in ((params.w_v, params.b_v, d_v), (params.w_k, params.b_k, d_k),
+                           (params.w_q, params.b_q, d_q)):
+            linear_backward(x, w, b, rows[:l])
 
     return _record("grouped_attention", out, inputs, backward)
 

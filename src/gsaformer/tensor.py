@@ -399,6 +399,7 @@ def layer_norm(x: Tensor, f: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e
         m_gx_xhat = np.multiply(gx, xhat, out=tmp).mean(axis=1, keepdims=True)
         gx -= gx.mean(axis=1, keepdims=True)
         gx -= np.multiply(xhat, m_gx_xhat, out=tmp)
+        del tmp     # freed before x's gradient copy is made
         gx *= inv
         accumulate_grad(x_slot, gx)
         accumulate_grad(f_slot, gx, owned=True)

@@ -123,10 +123,17 @@ def _clip_grads(grads: dict[str, np.ndarray], max_norm: float) -> None:
             g *= scale
 
 
+def _check_limit(name: str, limit: Optional[int]) -> None:
+    if limit is not None and limit < 1:
+        raise ContractError(f"{name} must be None or >= 1, got {limit}")
+
+
 def evaluate(model: ForecasterModel, window_set: WindowSet,
              limit: Optional[int] = None) -> float:
-    """Mean MSE over (at most limit) windows, no gradients recorded."""
-    windows = window_set.windows[:limit] if limit else window_set.windows
+    """Mean MSE over the first limit windows (all when limit is None), no
+    gradients recorded."""
+    _check_limit("limit", limit)
+    windows = window_set.windows[:limit]
     if not windows:
         raise DataError("evaluate: empty window set")
     total = 0.0
@@ -159,6 +166,7 @@ def train(model: ForecasterModel, train_set: WindowSet, cfg: TrainConfig,
     parameters are checkpointed when a path is given."""
     if not train_set.windows:
         raise DataError("train: empty window set")
+    _check_limit("val_limit", val_limit)
     params = model.parameters()
     state = AdamState()
     rng = np.random.default_rng(cfg.seed)

@@ -154,8 +154,8 @@ def training_peak_bytes(mechanism, seq_len):
 
 
 class TestSpaceScaling:
-    # the paper's O(l) space claim in real bytes: measured grouped x1.93 and
-    # x2.00 per doubling, canonical x3.34 and x3.62 (quadratic score buffers)
+    # the paper's O(l) space claim in real bytes: measured grouped x1.87 and
+    # x1.94 per doubling, canonical x3.37 and x3.65 (quadratic score buffers)
     def test_training_peak_grows_linearly_grouped_quadratically_canonical(self):
         def doubling_ratios(mechanism):
             peaks = [training_peak_bytes(mechanism, n) for n in (128, 256, 512)]

@@ -525,6 +525,33 @@ class TestFusedOpProperties:
             else:
                 npt.assert_array_equal(out, base)
 
+    @settings(max_examples=30)
+    @given(gsa_cases().filter(lambda case: case[2] < case[1]))
+    def test_pad_rows_reach_no_gradient(self, case):
+        # the backward projects Q, K and V again from x, so it must zero
+        # their pad rows again, as the forward does
+        cfg, l, real_len, seed = case
+        rng = np.random.default_rng(seed)
+        params = make_params(cfg, seed=seed)
+        randomize_merge(params, cfg, rng)
+        for b in (params.b_q, params.b_k, params.b_v):
+            b.data[:] = rng.normal(size=b.shape)
+        rows = rng.normal(size=(l, cfg.d))
+        weights = Tensor(rng.normal(size=(l, cfg.d)))
+        runs = []
+        for _ in range(2):
+            x = Tensor(rows.copy(), requires_grad=True)
+            runs.append(_forward_and_grads(
+                lambda: gsa_forward(x, params, cfg, OpCounter(), real_len=real_len),
+                x, params, weights))
+            rows[real_len:] += rng.uniform(-10.0, 10.0, size=(l - real_len, cfg.d))
+        (out, grads), (pad_out, pad_grads) = runs
+        npt.assert_array_equal(pad_out[:real_len], out[:real_len])
+        npt.assert_array_equal(pad_grads.pop("x")[:real_len], grads.pop("x")[:real_len])
+        assert pad_grads.keys() == grads.keys()
+        for name, g in grads.items():
+            npt.assert_array_equal(pad_grads[name], g, err_msg=name)
+
     def test_tape_length_independent_of_group_count(self):
         lengths = {}
         for l in (32, 128):

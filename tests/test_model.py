@@ -1,3 +1,4 @@
+import types
 import weakref
 from collections import Counter
 from dataclasses import fields
@@ -8,6 +9,8 @@ import pytest
 
 from helpers import old_layout_arrays
 
+import gsaformer.cca as cca_module
+import gsaformer.gsa as gsa_module
 import gsaformer.model as model_module
 from gsaformer.attention import OpCounter
 from gsaformer.benchmark import BenchConfig, model_config_for
@@ -20,7 +23,14 @@ from gsaformer.model import (
     model_config_to_text,
     sinusoidal_table,
 )
-from gsaformer.tensor import ComputationTape, Tensor, backward, multiply, save_checkpoint
+from gsaformer.tensor import (
+    ComputationTape,
+    ParameterSet,
+    Tensor,
+    backward,
+    multiply,
+    save_checkpoint,
+)
 from gsaformer.training import mse_loss
 
 
@@ -385,26 +395,106 @@ class TestTapeNodes:
         assert [n for n, p in model.parameters().items() if p.grad is None] == []
 
 
-def _saved_array_refs(tape, leaves):
-    """(op name, weak reference) for every array a node's rule closes over,
-    directly, as the values of a captured Tensor or inside a captured list,
-    leaving out the arrays whose ids are in leaves.  A node holds only its
-    output's gradient slot and its rule, so these are the arrays it keeps."""
-    refs = []
-    for name, _, rule in tape._nodes:
-        arrays = []
-        for cell in rule.__closure__ or ():
+def _reachable_arrays(value):
+    """Every ndarray value reaches: itself, a Tensor's values, the items of
+    a list or tuple, the tensors of a ParameterSet and, for a function,
+    whatever its closure holds.  Gradient slots hold no values."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, Tensor):
+        yield value.data
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _reachable_arrays(item)
+    elif isinstance(value, ParameterSet):
+        yield from _reachable_arrays(tuple(value.named().values()))
+    elif isinstance(value, types.FunctionType):
+        for cell in value.__closure__ or ():
             try:
-                value = cell.cell_contents
+                contents = cell.cell_contents
             except ValueError:      # a variable the op never set on this path
                 continue
-            for item in value if isinstance(value, list) else (value,):
-                if isinstance(item, Tensor):
-                    item = item.data
-                if isinstance(item, np.ndarray):
-                    arrays.append(item)
-        refs += [(name, weakref.ref(a)) for a in arrays if id(a) not in leaves]
-    return refs
+            yield from _reachable_arrays(contents)
+
+
+def _saved_array_refs(tape, leaves):
+    """(op name, weak reference) for every array a node's rule reaches,
+    leaving out the arrays whose ids are in leaves.  A node holds only its
+    output's gradient slot and its rule, so these are the arrays it keeps."""
+    return [(name, weakref.ref(a)) for name, _, rule in tape._nodes
+            for a in _reachable_arrays(rule) if id(a) not in leaves]
+
+
+def _root(a):
+    """The array that owns a's memory."""
+    while a.base is not None:
+        a = a.base
+    return a
+
+
+class TestAttentionRulesHoldOnlyWhatTheyCannotRebuild:
+    """The fused attention ops rebuild their projections (and CCA its
+    probabilities) in the backward, so a rule keeps nothing an input does
+    not own, except GSA's local probabilities."""
+
+    @pytest.mark.parametrize("name", ["train_long", "train"])   # compressed, bypass CCA
+    def test_every_array_a_rule_reaches_is_an_input_or_a_view_of_one(self, name, monkeypatch):
+        calls = []
+
+        def spy(module, op_name, inputs_of):
+            op = getattr(module, op_name)
+
+            def wrapped(*args):
+                calls.append((op_name, inputs_of(*args)))
+                return op(*args)
+            monkeypatch.setattr(module, op_name, wrapped)
+
+        spy(gsa_module, "grouped_attention",
+            lambda x, params, cfg, real_len, counter: (x, params))
+        spy(cca_module, "multi_head_attention", lambda q, k, v, heads, counter: (q, k, v))
+        cfg = GRADIENT_CONFIGS[name]
+        model = ForecasterModel(cfg, seed=0)
+        rng = np.random.default_rng(4)
+        x = Tensor(rng.normal(size=(cfg.seq_len, cfg.n_features_in)))
+        y = Tensor(rng.normal(size=(cfg.pred_len, cfg.n_features_out)))
+        with ComputationTape() as tape:
+            loss = multiply(mse_loss(model.forward(x), y), 1.0)
+            rules = [(op, rule) for op, _, rule in tape._nodes if op in
+                     ("grouped_attention", "multi_head_attention")]
+            assert [op for op, _ in rules] == [op for op, _ in calls]
+            assert len(rules) == cfg.e_l + 2 * cfg.d_l
+            for (op, rule), (_, inputs) in zip(rules, calls):
+                owners = {id(_root(a)) for a in _reachable_arrays(inputs)}
+                held = [a.shape for a in _reachable_arrays(rule) if id(_root(a)) not in owners]
+                if op == "grouped_attention":
+                    # one (m, l_g, l_g) array of local probabilities per head
+                    m = -(-inputs[0].shape[0] // cfg.l_g)
+                    assert held == [(m, cfg.l_g, cfg.l_g)] * cfg.heads
+                else:
+                    assert held == []
+            backward(loss, tape)
+
+    @pytest.mark.parametrize("overrides", [
+        dict(seq_len=48, l_comp=16),            # compressed CCA
+        dict(),                                 # bypass CCA: seq_len <= l_comp
+        dict(ablation_local_only=True),
+    ])
+    def test_backward_recomputes_every_score_element_it_does_not_hold(self, overrides):
+        cfg = tiny_config(**overrides)
+        model = ForecasterModel(cfg, seed=0)
+        rng = np.random.default_rng(5)
+        x = Tensor(rng.normal(size=(cfg.seq_len, cfg.n_features_in)))
+        y = Tensor(rng.normal(size=(cfg.pred_len, cfg.n_features_out)))
+        counter = OpCounter()
+        model.forward(x, counter)
+        assert counter.recomputed_score_elements == 0
+        with ComputationTape() as tape:
+            backward(mse_loss(model.forward(x, counter), y), tape)
+        closed_form = model.closed_form_score_elements()
+        assert counter.score_elements == 2 * closed_form
+        groups = cfg.e_l * -(-cfg.seq_len // cfg.l_g) + cfg.d_l * -(-cfg.dec_len // cfg.l_g)
+        held_local = cfg.heads * groups * cfg.l_g ** 2
+        assert counter.recomputed_score_elements == closed_form - held_local
 
 
 class TestConfigFile:

@@ -153,6 +153,27 @@ class TestTrainLoop:
         with pytest.raises(DataError):
             train(model, train_set, TrainConfig())
 
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_evaluate_limit_below_one_rejected(self, limit):
+        # a falsy 0 used to score every window and -1 to drop the last one
+        model, train_set, _ = smoke_setup()
+        with pytest.raises(ContractError, match="limit"):
+            evaluate(model, train_set, limit=limit)
+
+    def test_evaluate_limit_none_scores_every_window(self):
+        model, train_set, _ = smoke_setup(stride=200)
+        n = len(train_set.windows)
+        assert evaluate(model, train_set) == evaluate(model, train_set, limit=n)
+
+    def test_val_limit_zero_rejected_before_training(self):
+        model, train_set, val_set = smoke_setup()
+        before = {n: p.data.copy() for n, p in model.parameters().items()}
+        with pytest.raises(ContractError, match="val_limit"):
+            train(model, train_set, TrainConfig(epochs=1, max_iterations=1),
+                  val_set=val_set, val_limit=0)
+        for name, p in model.parameters().items():
+            npt.assert_array_equal(p.data, before[name])
+
     def test_best_val_checkpoint_written(self, tmp_path):
         model, train_set, val_set = smoke_setup()
         path = tmp_path / "best.ckpt"
