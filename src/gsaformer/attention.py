@@ -23,6 +23,7 @@ from .tensor import (
     Tensor,
     _record,
     accumulate_grad,
+    held_values,
     matmul,
     multiply,
     recording,
@@ -205,32 +206,37 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     taped = recording((q, k, v))
     slabs = [slice(h * dh, (h + 1) * dh) for h in range(heads)]
 
-    def head(cols: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Contiguous (q, k transposed, v) of one head's columns."""
-        return (np.ascontiguousarray(q.data[:, cols]),
-                np.ascontiguousarray(k.data[:, cols].T),
-                np.ascontiguousarray(v.data[:, cols]))
+    def head(arrays: tuple[np.ndarray, ...],
+             cols: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Contiguous (q, k transposed, v) of one head's columns of the q, k
+        and v arrays."""
+        a_q, a_k, a_v = arrays
+        return (np.ascontiguousarray(a_q[:, cols]),
+                np.ascontiguousarray(a_k[:, cols].T),
+                np.ascontiguousarray(a_v[:, cols]))
 
     out_rows = np.empty((l_q, d))
     for cols in slabs:
         counter.add_scores(l_q, l_k)
-        attention_forward(*head(cols), scale, out=out_rows[:, cols])
+        attention_forward(*head((q.data, k.data, v.data), cols), scale, out=out_rows[:, cols])
     out = Tensor(out_rows)
     if not taped:
         return out
-    out_slot = out.slot
+    q_slot, k_slot, v_slot, out_slot = q.slot, k.slot, v.slot, out.slot
+    q_values, k_values, v_values = held_values(q), held_values(k), held_values(v)
 
     def backward():
-        d_q, d_k, d_v = np.empty(q.shape), np.empty(k.shape), np.empty(v.shape)
+        arrays = q_values(), k_values(), v_values()
+        d_q, d_k, d_v = (np.empty(a.shape) for a in arrays)
         for cols in slabs:
-            q_h, k_t, v_h = head(cols)
+            q_h, k_t, v_h = head(arrays, cols)
             counter.add_recomputed(l_q, l_k)
             p = attention_probs(q_h, k_t, scale)
             g = np.ascontiguousarray(out_slot.grad[:, cols])
             d_q[:, cols], d_k_t, d_v[:, cols] = attention_backward(q_h, k_t, v_h, p, g, scale)
             d_k[:, cols] = d_k_t.T
-        accumulate_grad(q, d_q, owned=True)
-        accumulate_grad(k, d_k, owned=True)
-        accumulate_grad(v, d_v, owned=True)
+        accumulate_grad(q_slot, d_q, owned=True)
+        accumulate_grad(k_slot, d_k, owned=True)
+        accumulate_grad(v_slot, d_v, owned=True)
 
     return _record("multi_head_attention", out, (q, k, v), backward)

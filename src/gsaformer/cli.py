@@ -125,6 +125,17 @@ def config_from_mapping(cls, mapping: dict[str, str], **given):
     return cls(**kwargs)
 
 
+def _seconds(raw: str) -> float:
+    """An argparse type: a finite number of seconds >= 0."""
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {raw!r}")
+    return value
+
+
 def _build(cls, mapping: dict[str, str], **given):
     """config_from_mapping over the keys of mapping that are fields of cls."""
     names = _names(cls)
@@ -356,7 +367,7 @@ def build_parser() -> _Parser:
                               "grouped,grouped_local_only,canonical")
     p_bench.add_argument("--no-timing", action="store_true",
                          help="skip wall-clock timing for reproducible output")
-    p_bench.add_argument("--min-cell-seconds", type=float, default=0.5,
+    p_bench.add_argument("--min-cell-seconds", type=_seconds, default=0.5,
                          help="minimum time spent per benchmark cell (default: 0.5)")
     p_grad = subs.add_parser("gradcheck", help="finite-difference gradient check")
     _add_common(p_grad)

@@ -149,6 +149,9 @@ def make_windows(ts: TimeSeries, seq_len: int, pred_len: int,
     """
     if stride < 1:
         raise DataError(f"stride must be >= 1, got {stride}")
+    for split, ratio in zip(("train", "val", "test"), split_ratios):
+        if not ratio >= 0.0:
+            raise DataError(f"{split} split ratio must be >= 0, got {ratio}")
     if not math.isclose(sum(split_ratios), 1.0, abs_tol=1e-9):
         raise DataError(f"split ratios must sum to 1, got {split_ratios}")
     t = ts.length

@@ -13,7 +13,8 @@ m*l_g^2 + (m*l_s)^2, linear in l for fixed l_g and l_s.
 gsa_forward runs the Q/K/V projections and every group of every head
 through one tape op, grouped_attention, with a hand-written backward; the
 projections write straight into zero-padded group buffers.  The op's rule
-holds its input, its parameters and the local attention probabilities,
+holds its input (through tensor.held_values, so a layer norm's output is
+rebuilt, not held), its parameters and the local attention probabilities,
 and rebuilds Q, K, V and the global path in the backward.  Only the
 output projection is a separate linear op.  summarize_group,
 global_summary_attention and merge_outputs are the global path's steps
@@ -46,6 +47,7 @@ from .tensor import (
     _record,
     accumulate_grad,
     broadcast_add,
+    held_values,
     linear,
     linear_backward,
     matmul,
@@ -230,20 +232,20 @@ def _sum_last_to_first(parts: np.ndarray) -> np.ndarray:
     return functools.reduce(np.add, parts[::-1])
 
 
-def _project(x: Tensor, w: Tensor, b: Tensor, m: int, l_g: int, heads: int,
+def _project(x: np.ndarray, w: Tensor, b: Tensor, m: int, l_g: int, heads: int,
              real_len: int) -> np.ndarray:
-    """x @ w + b, with linear's arithmetic, as (heads, m, l_g, d_h) blocks:
-    a view of one zero-padded (m*l_g, d) buffer that the product is written
-    straight into, every row at index >= real_len zero."""
+    """x @ w + b, x an (l, d) array, with linear's arithmetic, as (heads, m,
+    l_g, d_h) blocks: a view of one zero-padded (m*l_g, d) buffer that the
+    product is written straight into, every row at index >= real_len zero."""
     l = x.shape[0]
     rows = np.empty((m * l_g, w.shape[1]))
-    np.matmul(x.data, w.data, out=rows[:l])
+    np.matmul(x, w.data, out=rows[:l])
     rows[:l] += b.data
     rows[real_len:] = 0.0
     return _grouped(rows, m, l_g, heads)
 
 
-def _qkv(x: Tensor, params: GsaLayerParams, m: int, l_g: int, heads: int,
+def _qkv(x: np.ndarray, params: GsaLayerParams, m: int, l_g: int, heads: int,
          real_len: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The _project blocks of Q, K and V."""
     return tuple(_project(x, w, b, m, l_g, heads, real_len) for w, b in
@@ -275,8 +277,9 @@ def grouped_attention(x: Tensor, params: GsaLayerParams, cfg: GsaConfig,
     projected queries, keys and values are zero and masked as keys.  Local
     attention runs one head at a time, so without a tape one head's group
     scores are alive at once.  The rule holds x, the parameters and each
-    head's local probabilities, nothing else: the backward projects Q, K
-    and V again and re-runs the summary path with the forward's arithmetic
+    head's local probabilities, nothing else: the backward gets x once
+    (from its recipe when x has one), projects Q, K and V again and re-runs
+    the summary path with the forward's arithmetic
     (adding the summary score elements to the counter's
     recomputed_score_elements), then works one head at a time.  Returns
     the l-by-d head outputs side by side, ready for the output projection.
@@ -297,7 +300,7 @@ def grouped_attention(x: Tensor, params: GsaLayerParams, cfg: GsaConfig,
         inputs += (params.e_q, params.e_k, params.e_v, params.alpha, params.beta)
     taped = recording(inputs)
 
-    qg, kg, vg = _qkv(x, params, m, l_g, heads, real_len)
+    qg, kg, vg = _qkv(x.data, params, m, l_g, heads, real_len)
     allow = _local_allow(cfg, m, real_len)
     for _ in range(heads * m):
         counter.add_scores(l_g, l_g)
@@ -318,13 +321,14 @@ def grouped_attention(x: Tensor, params: GsaLayerParams, cfg: GsaConfig,
     out = Tensor(out_rows[:l])
     if not taped:
         return out
-    out_slot = out.slot
+    x_slot, out_slot = x.slot, out.slot
+    x_values = held_values(x)
 
-    def qkv_grads() -> list[np.ndarray]:
+    def qkv_grads(x_data: np.ndarray) -> list[np.ndarray]:
         """The (m*l_g, d) gradients of Q, K and V, pad rows zero.  Q, K, V
         and each head's gradient blocks are rebuilt here and die on return,
         and each head's probabilities leave the closure once read."""
-        qg, kg, vg = _qkv(x, params, m, l_g, heads, real_len)
+        qg, kg, vg = _qkv(x_data, params, m, l_g, heads, real_len)
         grads = [np.empty((m * l_g, d)) for _ in range(3)]
         d_q, d_k, d_v = (_grouped(rows, m, l_g, heads) for rows in grads)
         if use_global:
@@ -371,11 +375,12 @@ def grouped_attention(x: Tensor, params: GsaLayerParams, cfg: GsaConfig,
         return grads
 
     def backward():
-        d_q, d_k, d_v = qkv_grads()
+        x_data = x_values()
+        d_q, d_k, d_v = qkv_grads(x_data)
         # the projections, v first, as replaying three linear ops would
         for w, b, rows in ((params.w_v, params.b_v, d_v), (params.w_k, params.b_k, d_k),
                            (params.w_q, params.b_q, d_q)):
-            linear_backward(x, w, b, rows[:l])
+            linear_backward(x_slot, x_data, w, b, rows[:l])
 
     return _record("grouped_attention", out, inputs, backward)
 

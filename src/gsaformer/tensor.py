@@ -17,6 +17,15 @@ Tensor only if it reads that tensor's values; for every other input, and
 for its own output, it captures the slot.  So an op output that no rule
 reads (the residual branch a layer norm adds, the pre-activation a relu
 masks) is freed as soon as the forward drops it.
+
+A rule that reads an input's values holds them through held_values: the
+input's rebuild recipe when it has one, else its array.  A recorded
+layer_norm gives its output a recipe that redoes the last two passes of
+its forward from the xhat its own rule holds, so no norm output outlives
+the forward, although the linear, matmul and grouped_attention rules of
+its consumers read it.  Rules and recipes read parameters' values when
+the backward runs: a parameter's values must not change between a
+recorded forward and its backward.
 """
 
 from __future__ import annotations
@@ -78,21 +87,25 @@ class GradSlot:
 
 
 class Tensor:
-    """A dense real matrix and its gradient slot.
+    """A dense real matrix, its gradient slot and, optionally, a recipe
+    that rebuilds its values.
 
     grad and requires_grad read and write the slot, so code that holds the
     tensor and code that holds only the slot see one gradient.  A backward
-    rule captures a Tensor only if it reads the tensor's values, and its
-    slot otherwise, so a tensor's values live no longer than the forward
-    and the rules that read them need."""
+    rule holds a tensor's values (through held_values) only if it reads
+    them, and its slot otherwise, so a tensor's values live no longer than
+    the forward and the rules that read them need.  recipe, when set, is a
+    zero-argument callable returning a new array equal bit for bit to
+    data, built only from arrays that some rule already holds."""
 
-    __slots__ = ("data", "slot")
+    __slots__ = ("data", "slot", "recipe")
 
     def __init__(self, values, requires_grad: bool = False):
         self.data = _as_array(values)
         if not np.all(np.isfinite(self.data)):
             raise NumericsError("tensor constructed with non-finite values")
         self.slot = GradSlot(self.data.shape, requires_grad)
+        self.recipe: Optional[Callable[[], np.ndarray]] = None
 
     @property
     def grad(self) -> Optional[np.ndarray]:
@@ -184,6 +197,17 @@ def recording(inputs: Iterable[Tensor]) -> bool:
     return _ACTIVE_TAPE is not None and any(t.requires_grad for t in inputs)
 
 
+def held_values(t: Tensor) -> Callable[[], np.ndarray]:
+    """What a backward rule keeps of an input whose values it reads: a
+    zero-argument callable giving t's values, t's recipe when it has one
+    (so the rule holds only what the recipe holds), else a closure over
+    t's array."""
+    if t.recipe is not None:
+        return t.recipe
+    data = t.data
+    return lambda: data
+
+
 def _record(name: str, out: Tensor, inputs: Sequence[Tensor],
             backward_fn: Callable[[], None]) -> Tensor:
     if recording(inputs):
@@ -197,11 +221,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(
             f"matmul: inner extents differ: {a.shape} x {b.shape}")
     out = Tensor(a.data @ b.data)
-    out_slot = out.slot
+    a_slot, b_slot, out_slot = a.slot, b.slot, out.slot
+    a_values, b_values = held_values(a), held_values(b)
 
     def backward():
-        accumulate_grad(a, out_slot.grad @ b.data.T, owned=True)
-        accumulate_grad(b, a.data.T @ out_slot.grad, owned=True)
+        accumulate_grad(a_slot, out_slot.grad @ b_values().T, owned=True)
+        accumulate_grad(b_slot, a_values().T @ out_slot.grad, owned=True)
 
     return _record("matmul", out, (a, b), backward)
 
@@ -218,22 +243,24 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     data = x.data @ w.data
     data += b.data
     out = Tensor(data)
-    b_slot, out_slot = b.slot, out.slot
+    x_slot, b_slot, out_slot = x.slot, b.slot, out.slot
+    x_values = held_values(x)
 
     def backward():
-        linear_backward(x, w, b_slot, out_slot.grad)
+        linear_backward(x_slot, x_values(), w, b_slot, out_slot.grad)
 
     return _record("linear", out, (x, w, b), backward)
 
 
-def linear_backward(x: Tensor, w: Tensor, b: "Tensor | GradSlot", g: np.ndarray) -> None:
-    """Give b (a tensor or its slot), x and w, in that order, their gradients
-    of x @ w + b from the output gradient g; g is only read, so no gradient
-    aliases it."""
+def linear_backward(x: GradSlot, x_data: np.ndarray, w: Tensor, b: "Tensor | GradSlot",
+                    g: np.ndarray) -> None:
+    """Give b (a tensor or its slot), x (the slot of a tensor with values
+    x_data) and w, in that order, their gradients of x @ w + b from the
+    output gradient g; g is only read, so no gradient aliases it."""
     g_b = _reduce_to(g, b.shape)
     accumulate_grad(b, g_b, owned=g_b is not g)
     accumulate_grad(x, g @ w.data.T, owned=True)
-    accumulate_grad(w, x.data.T @ g, owned=True)
+    accumulate_grad(w, x_data.T @ g, owned=True)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -309,11 +336,13 @@ def multiply(a: Tensor, b) -> Tensor:
 
     _broadcast_check(a, b, "multiply")
     out = Tensor(a.data * b.data)
-    out_slot = out.slot
+    a_slot, b_slot, out_slot = a.slot, b.slot, out.slot
+    a_values, b_values = held_values(a), held_values(b)
 
     def backward():
-        accumulate_grad(a, out_slot.grad * b.data, owned=True)
-        accumulate_grad(b, _reduce_to(out_slot.grad * a.data, b.shape), owned=True)
+        accumulate_grad(a_slot, out_slot.grad * b_values(), owned=True)
+        accumulate_grad(b_slot, _reduce_to(out_slot.grad * a_values(), b_slot.shape),
+                        owned=True)
 
     return _record("multiply", out, (a, b), backward)
 
@@ -372,7 +401,9 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
 
 def layer_norm(x: Tensor, f: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
     """Row-wise layer norm of the residual sum x + f, gain and bias 1-by-d:
-    one tape node, bit for bit the norm of broadcast_add(x, f)."""
+    one tape node, bit for bit the norm of broadcast_add(x, f).  When it
+    records, the output's recipe rebuilds it as xhat * gain + bias from the
+    xhat the rule holds, with the forward's own arithmetic."""
     d = x.shape[1]
     if f.shape != x.shape or gain.shape != (1, d) or bias.shape != (1, d):
         raise DimensionError(f"layer_norm: residual/gain/bias must be {x.shape}/(1, {d})"
@@ -384,17 +415,28 @@ def layer_norm(x: Tensor, f: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
     inputs = (x, f, gain, bias)
-    data = np.multiply(xhat, gain.data, out=None if recording(inputs) else xhat)
-    data += bias.data
-    out = Tensor(data)
-    x_slot, f_slot, bias_slot, out_slot = x.slot, f.slot, bias.slot, out.slot
+    if not recording(inputs):
+        xhat *= gain.data
+        xhat += bias.data
+        return Tensor(xhat)
+    gain_values, bias_values = held_values(gain), held_values(bias)
+
+    def rebuild() -> np.ndarray:
+        data = np.multiply(xhat, gain_values())
+        data += bias_values()
+        return data
+
+    out = Tensor(rebuild())
+    out.recipe = rebuild
+    x_slot, f_slot, out_slot = x.slot, f.slot, out.slot
+    gain_slot, bias_slot = gain.slot, bias.slot
 
     def backward():
         g = out_slot.grad
         tmp = g * xhat
-        accumulate_grad(gain, tmp.sum(axis=0, keepdims=True), owned=True)
+        accumulate_grad(gain_slot, tmp.sum(axis=0, keepdims=True), owned=True)
         accumulate_grad(bias_slot, g.sum(axis=0, keepdims=True), owned=True)
-        gx = g * gain.data
+        gx = g * gain_values()
         # d/dx per row, as inv * ((gx - mean(gx)) - xhat * mean(gx * xhat))
         m_gx_xhat = np.multiply(gx, xhat, out=tmp).mean(axis=1, keepdims=True)
         gx -= gx.mean(axis=1, keepdims=True)

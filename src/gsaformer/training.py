@@ -229,9 +229,13 @@ class GradCheckReport:
     entries: list[GradCheckEntry]
     tolerance: float
 
+    def passes(self, e: GradCheckEntry) -> bool:
+        """The one pass rule: a NaN error never passes."""
+        return e.max_rel_err < self.tolerance
+
     @property
     def failures(self) -> list[GradCheckEntry]:
-        return [e for e in self.entries if e.max_rel_err >= self.tolerance]
+        return [e for e in self.entries if not self.passes(e)]
 
     @property
     def ok(self) -> bool:
@@ -244,7 +248,7 @@ class GradCheckReport:
     def lines(self) -> list[str]:
         out = []
         for e in self.entries:
-            status = "ok" if e.max_rel_err < self.tolerance else "FAIL"
+            status = "ok" if self.passes(e) else "FAIL"
             out.append(f"{status:4s} {e.name:40s} max_rel_err={e.max_rel_err:.3e} "
                        f"({e.checked} coords)")
         return out
@@ -275,7 +279,12 @@ def grad_check(loss_fn: Callable[[], Tensor],
     for coordinates whose true gradient is (near) zero.  Scaling shrinks the
     noise and the gradients together, so agreement checks are unaffected
     while the floor does its job.
+
+    epsilon and tolerance must be finite and > 0, else ContractError.
     """
+    for name, value in (("epsilon", epsilon), ("tolerance", tolerance)):
+        if not (math.isfinite(value) and value > 0):
+            raise ContractError(f"grad_check: {name} must be finite and > 0, got {value}")
     rng = np.random.default_rng(seed)
 
     def scaled_loss() -> Tensor:

@@ -40,6 +40,16 @@ class TestBenchVerb:
         err = capsys.readouterr().err
         assert "--lengths" in err and "'abc'" in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_bad_min_cell_seconds_is_usage_error_before_making_out(self, tmp_path, capsys,
+                                                                   value):
+        out = tmp_path / "run"
+        code = run(["bench", "--min-cell-seconds", value, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "--min-cell-seconds" in err and repr(value) in err
+        assert not out.exists()
+
 
 class TestTrainVerb:
     def test_missing_config_names_path(self, tmp_path, capsys):
@@ -77,6 +87,14 @@ class TestTrainVerb:
         code = run(["train", "--out", str(out), "--set", setting])
         assert code == 2
         assert setting.split("=")[0] in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_split_ratio_exits_2_naming_it_before_making_out(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = run(["train", "--out", str(out), "--set", "split_train=0.9",
+                    "--set", "split_val=-0.1"])
+        assert code == 2
+        assert "val split ratio must be >= 0, got -0.1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_non_finite_csv_cell_exits_2_naming_it_before_making_out(self, tmp_path, capsys):
@@ -167,6 +185,18 @@ class TestGradcheckVerb:
 
     def test_unknown_preset(self, tmp_path, capsys):
         assert run(["gradcheck", "--preset", "huge", "--out", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("flag, value", [("--tolerance", "nan"), ("--tolerance", "0"),
+                                             ("--epsilon", "0"), ("--epsilon", "inf")])
+    def test_bad_epsilon_or_tolerance_exits_2_before_making_out(self, tmp_path, capsys,
+                                                                flag, value):
+        out = tmp_path / "run"
+        code = run(["gradcheck", flag, value, "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"{flag[2:]} must be finite and > 0" in captured.err
+        assert "gradcheck ok" not in captured.out
+        assert not out.exists()
 
 
 class TestSynthVerb:

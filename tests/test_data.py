@@ -126,6 +126,17 @@ class TestMakeWindows:
         with pytest.raises(DataError, match="96"):
             make_windows(ts, 48, 48)
 
+    # each sums to 1, but a negative ratio moves a split's bounds silently
+    @pytest.mark.parametrize("ratios, named", [
+        ((0.5, 0.6, -0.1), "test split ratio must be >= 0, got -0.1"),
+        ((1.2, -0.1, -0.1), "val split ratio must be >= 0, got -0.1"),
+    ])
+    def test_negative_split_ratio_rejected_naming_it(self, ratios, named):
+        ts = self.series(400)
+        with pytest.raises(DataError) as err:
+            make_windows(ts, 20, 12, split_ratios=ratios)
+        assert named in str(err.value)
+
     def test_no_leakage_from_val_and_test(self):
         ts = self.series(400)
         train_a, _, _ = make_windows(ts, 20, 10)

@@ -573,7 +573,7 @@ class TestFusedOpProperties:
         m = -(-real_len // l_g)
         rows = np.zeros((m * l_g, d))
         rows[:real_len] = linear(x, w, b).data[:real_len]
-        npt.assert_array_equal(_project(x, w, b, m, l_g, heads, real_len),
+        npt.assert_array_equal(_project(x.data, w, b, m, l_g, heads, real_len),
                                _grouped(rows, m, l_g, heads))
 
     def test_no_tape_leaves_inputs_untouched(self):

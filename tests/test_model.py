@@ -6,6 +6,8 @@ from dataclasses import fields
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import old_layout_arrays
 
@@ -108,6 +110,23 @@ class TestEncoderForward:
             model.encoder_forward(Tensor(np.zeros((24, 5))))
 
 
+@st.composite
+def decoder_cases(draw):
+    """A small random model with 1-3 decoder layers, compressed CCA
+    (seq_len > l_comp) or bypass CCA, a decoder row t and a seed."""
+    heads = draw(st.sampled_from([1, 2]))
+    l_g = draw(st.integers(2, 6))
+    seq_len = draw(st.integers(2, 20))
+    cfg = ModelConfig(seq_len=seq_len, pred_len=draw(st.integers(1, 12)),
+                      label_len=draw(st.integers(0, seq_len)),
+                      n_features_in=2, n_features_out=2, d=heads * draw(st.integers(1, 4)),
+                      heads=heads, e_l=0, d_l=draw(st.integers(1, 3)), l_g=l_g,
+                      l_s=draw(st.integers(1, l_g - 1)),
+                      l_comp=draw(st.integers(1, 2 * seq_len)),
+                      ffn_hidden=draw(st.integers(1, 8)))
+    return cfg, draw(st.integers(0, cfg.dec_len - 1)), draw(st.integers(0, 2 ** 16))
+
+
 class TestModelForward:
     def test_output_shape(self):
         cfg = ModelConfig(seq_len=96, pred_len=96, n_features_in=7,
@@ -162,6 +181,25 @@ class TestModelForward:
         assert diff[:4].max() < 1e-12          # group 0 untouched
         assert diff[4:8].max() > 0             # perturbed group changes
         assert diff[8:].max() < 1e-12          # later groups untouched
+
+    @settings(max_examples=40, deadline=None)
+    @given(decoder_cases())
+    def test_causal_no_leak_through_the_whole_decoder(self, case):
+        cfg, t, seed = case
+        model = ForecasterModel(cfg, seed=seed)
+        rng = np.random.default_rng(seed)
+        enc_out = Tensor(rng.normal(size=(cfg.seq_len, cfg.d)))
+        stream = rng.normal(size=(cfg.dec_len, cfg.d))
+
+        def decoder(rows):
+            h = Tensor(rows)
+            for layer in model.decoder_layers:
+                h = layer(h, enc_out, OpCounter())
+            return h.data
+
+        base = decoder(stream)
+        stream[t] += rng.uniform(-10.0, 10.0, size=cfg.d)
+        assert decoder(stream)[:t].tobytes() == base[:t].tobytes()
 
 
 class TestCheckpoint:
@@ -394,15 +432,42 @@ class TestTapeNodes:
             backward(loss, tape)
         assert [n for n, p in model.parameters().items() if p.grad is None] == []
 
+    @pytest.mark.parametrize("name", ["train_long", "train"])   # compressed, bypass CCA
+    def test_no_norm_output_outlives_the_forward(self, name, monkeypatch):
+        # FFN lin1, the CCA query, key and value projections or compression,
+        # the next GSA layer and the head read a norm's output in their
+        # backward; each holds the output's recipe, not its values
+        refs = []
+        op = model_module.layer_norm
+
+        def wrapped(*args):
+            out = op(*args)
+            refs.append(weakref.ref(out.data))
+            return out
+        monkeypatch.setattr(model_module, "layer_norm", wrapped)
+        cfg = GRADIENT_CONFIGS[name]
+        model = ForecasterModel(cfg, seed=0)
+        rng = np.random.default_rng(3)
+        x = Tensor(rng.normal(size=(cfg.seq_len, cfg.n_features_in)))
+        y = Tensor(rng.normal(size=(cfg.pred_len, cfg.n_features_out)))
+        with ComputationTape() as tape:
+            loss = multiply(mse_loss(model.forward(x), y), 1.0)
+            assert len(refs) == 15
+            assert [i for i, ref in enumerate(refs) if ref() is not None] == []
+            backward(loss, tape)
+        assert [n for n, p in model.parameters().items() if p.grad is None] == []
+
 
 def _reachable_arrays(value):
-    """Every ndarray value reaches: itself, a Tensor's values, the items of
-    a list or tuple, the tensors of a ParameterSet and, for a function,
-    whatever its closure holds.  Gradient slots hold no values."""
+    """Every ndarray value reaches: itself, a Tensor's values and whatever
+    its recipe holds, the items of a list or tuple, the tensors of a
+    ParameterSet and, for a function, whatever its closure holds.  Gradient
+    slots hold no values."""
     if isinstance(value, np.ndarray):
         yield value
     elif isinstance(value, Tensor):
         yield value.data
+        yield from _reachable_arrays(value.recipe)
     elif isinstance(value, (list, tuple)):
         for item in value:
             yield from _reachable_arrays(item)

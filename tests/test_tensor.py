@@ -420,6 +420,23 @@ class TestFusedLayerNorm:
                 if got is not None:
                     assert got.tobytes() == expected.tobytes()
 
+    @settings(max_examples=60)
+    @given(layer_norm_cases())
+    def test_recorded_output_recipe_rebuilds_its_values_bit_for_bit(self, case):
+        rows, d, same, flags, seed = case
+        rng = np.random.default_rng(seed)
+        x, f, gain, bias = (Tensor(rng.normal(size=(n, d)), requires_grad=r)
+                            for n, r in zip((rows, rows, 1, 1), flags))
+        f = x if same else f
+        assert layer_norm(x, f, gain, bias).recipe is None      # no tape, no recipe
+        with ComputationTape():
+            out = layer_norm(x, f, gain, bias)
+        first, second = out.recipe(), out.recipe()
+        for rebuilt in (first, second):
+            assert rebuilt.flags.c_contiguous and not np.shares_memory(rebuilt, out.data)
+            assert rebuilt.shape == out.shape and rebuilt.tobytes() == out.data.tobytes()
+        assert not np.shares_memory(first, second)
+
     def test_residual_of_another_shape_rejected(self):
         x, row = Tensor(np.ones((2, 3))), Tensor(np.ones((1, 3)))
         with pytest.raises(DimensionError):

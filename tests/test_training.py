@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -15,9 +17,12 @@ from gsaformer.tensor import (
     accumulate_grad,
     layer_norm,
     matmul,
+    sum_all,
 )
 from gsaformer.training import (
     AdamState,
+    GradCheckEntry,
+    GradCheckReport,
     TrainConfig,
     adam_step,
     evaluate,
@@ -214,6 +219,20 @@ class TestGradCheck:
             {"w": w}, seed=2)
         assert not report.ok
         assert report.failures[0].name == "w"
+
+    @pytest.mark.parametrize("setting", [dict(epsilon=0.0), dict(epsilon=-1e-6),
+                                         dict(epsilon=math.inf), dict(tolerance=math.nan),
+                                         dict(tolerance=0.0), dict(tolerance=-math.inf)])
+    def test_non_finite_or_non_positive_setting_rejected(self, setting):
+        w = Tensor(np.ones((2, 2)), requires_grad=True)
+        with pytest.raises(ContractError, match=f"{next(iter(setting))} must be finite"):
+            grad_check(lambda: sum_all(w), {"w": w}, **setting)
+
+    def test_nan_error_fails_in_the_lines_and_the_failures_alike(self):
+        report = GradCheckReport(entries=[GradCheckEntry("w", math.nan, 4),
+                                          GradCheckEntry("b", 1e-9, 2)], tolerance=1e-5)
+        assert [line.split()[:2] for line in report.lines()] == [["FAIL", "w"], ["ok", "b"]]
+        assert [e.name for e in report.failures] == ["w"] and not report.ok
 
     def test_epsilon_sweep_is_v_shaped(self):
         # layer norm on a small-variance row has a huge third-derivative to
