@@ -149,7 +149,9 @@ def make_windows(ts: TimeSeries, seq_len: int, pred_len: int,
     """
     if stride < 1:
         raise DataError(f"stride must be >= 1, got {stride}")
-    for split, ratio in zip(("train", "val", "test"), split_ratios):
+    if not split_ratios[0] > 0.0:   # the train split gives the normalization statistics
+        raise DataError(f"train split ratio must be > 0, got {split_ratios[0]}")
+    for split, ratio in zip(("val", "test"), split_ratios[1:]):
         if not ratio >= 0.0:
             raise DataError(f"{split} split ratio must be >= 0, got {ratio}")
     if not math.isclose(sum(split_ratios), 1.0, abs_tol=1e-9):

@@ -51,14 +51,14 @@ class ModelConfig:
     ablation_local_only: bool = False
 
     def __post_init__(self):
+        if self.seq_len <= 0 or self.pred_len < 0:
+            raise ConfigError(
+                f"bad lengths: seq_len={self.seq_len}, pred_len={self.pred_len}")
         if self.label_len < 0:
             self.label_len = self.seq_len // 2
         if self.label_len > self.seq_len:
             raise ConfigError(
                 f"label_len {self.label_len} exceeds seq_len {self.seq_len}")
-        if self.seq_len <= 0 or self.pred_len < 0:
-            raise ConfigError(
-                f"bad lengths: seq_len={self.seq_len}, pred_len={self.pred_len}")
         for name, low in (("d", 1), ("l_g", 1), ("l_comp", 1), ("ffn_hidden", 1),
                           ("e_l", 0), ("d_l", 0)):
             if getattr(self, name) < low:

@@ -308,19 +308,6 @@ def broadcast_add(a: Tensor, b: Tensor) -> Tensor:
     return _record("broadcast_add", out, (a, b), backward)
 
 
-def subtract(a: Tensor, b: Tensor) -> Tensor:
-    """a - b; b broadcasts like in broadcast_add."""
-    _broadcast_check(a, b, "subtract")
-    out = Tensor(a.data - b.data)
-    a_slot, b_slot, out_slot = a.slot, b.slot, out.slot
-
-    def backward():
-        accumulate_grad(a_slot, out_slot.grad)
-        accumulate_grad(b_slot, -_reduce_to(out_slot.grad, b_slot.shape), owned=True)
-
-    return _record("subtract", out, (a, b), backward)
-
-
 def multiply(a: Tensor, b) -> Tensor:
     """Elementwise product; b is a plain number or a tensor that broadcasts
     like in broadcast_add."""
@@ -360,16 +347,6 @@ def mean_rows(a: Tensor) -> Tensor:
         accumulate_grad(a_slot, np.repeat(out_slot.grad / r, r, axis=0), owned=True)
 
     return _record("mean_rows", out, (a,), backward)
-
-
-def sum_all(a: Tensor) -> Tensor:
-    out = Tensor(np.array([[a.data.sum()]]))
-    a_slot, out_slot = a.slot, out.slot
-
-    def backward():
-        accumulate_grad(a_slot, np.full(a_slot.shape, out_slot.grad[0, 0]), owned=True)
-
-    return _record("sum_all", out, (a,), backward)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -566,7 +543,10 @@ def _header_entry(line: str, path, line_no: int) -> tuple[str, tuple[int, ...]]:
         raise CheckpointError(
             f"bad dims for {name!r} in {path}: expected non-negative integers, "
             f"got {' '.join(dims)!r}")
-    return name, tuple(int(d) for d in dims)
+    try:
+        return name, tuple(int(d) for d in dims)
+    except ValueError:      # more digits than int() converts
+        raise CheckpointError(f"bad dims for {name!r} in {path}: too many digits") from None
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:

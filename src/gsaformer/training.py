@@ -17,11 +17,11 @@ from .tensor import (
     ContractError,
     DimensionError,
     Tensor,
+    _record,
+    accumulate_grad,
     atomic_write,
     backward,
     multiply,
-    subtract,
-    sum_all,
     zero_grads,
 )
 
@@ -55,12 +55,26 @@ class TrainConfig:
 
 
 def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
-    """Mean over all entries of squared differences; differentiable."""
+    """Mean over all entries of squared differences: one tape node, whose
+    rule holds only d = pred - target, bit for bit the composed
+    multiply(sum_all(multiply(d, d)), 1/n), forward and backward."""
     if pred.shape != target.shape:
         raise DimensionError(
             f"mse_loss: shapes differ: {pred.shape} vs {target.shape}")
-    diff = subtract(pred, target)
-    return multiply(sum_all(multiply(diff, diff)), 1.0 / pred.data.size)
+    d = pred.data - target.data
+    scale = 1.0 / d.size
+    out = Tensor(np.array([[(d * d).sum()]]) * scale)
+    pred_slot, target_slot, out_slot = pred.slot, target.slot, out.slot
+
+    def backward_fn():
+        # as composed: d * d's rule feeds each of its two factors full * d
+        full = np.full(d.shape, (out_slot.grad * scale)[0, 0])
+        gd = full * d
+        gd += full * d
+        accumulate_grad(pred_slot, gd, owned=True)
+        accumulate_grad(target_slot, -gd, owned=True)
+
+    return _record("mse_loss", out, (pred, target), backward_fn)
 
 
 class AdamState:

@@ -3,8 +3,9 @@
 These stay loop-based and independent of the library's vectorized paths on
 purpose: they are the other side of every equivalence check.  The tape ops
 that only these oracles need (column slices, row and column concatenation,
-zero padding, cutting a sequence into groups, the layer norm of one input)
-live here, not in the library.
+zero padding, cutting a sequence into groups, the layer norm of one input,
+subtraction, the sum of all entries and the MSE composed from them) live
+here, not in the library.
 """
 
 import math
@@ -21,7 +22,9 @@ from gsaformer.gsa import (
 from gsaformer.tensor import (
     ComputationTape,
     Tensor,
+    _broadcast_check,
     _record,
+    _reduce_to,
     accumulate_grad,
     backward,
     broadcast_add,
@@ -79,6 +82,37 @@ def layer_norm_of(x, gain, bias, eps=1e-6):
         accumulate_grad(x, dx, owned=True)
 
     return _record("layer_norm", out, (x, gain, bias), backward_fn)
+
+
+def subtract(a, b):
+    """a - b; b broadcasts like in broadcast_add."""
+    _broadcast_check(a, b, "subtract")
+    out = Tensor(a.data - b.data)
+    a_slot, b_slot, out_slot = a.slot, b.slot, out.slot
+
+    def backward_fn():
+        accumulate_grad(a_slot, out_slot.grad)
+        accumulate_grad(b_slot, -_reduce_to(out_slot.grad, b_slot.shape), owned=True)
+
+    return _record("subtract", out, (a, b), backward_fn)
+
+
+def sum_all(a):
+    """The sum of every entry of a, as a 1x1 tape op."""
+    out = Tensor(np.array([[a.data.sum()]]))
+    a_slot, out_slot = a.slot, out.slot
+
+    def backward_fn():
+        accumulate_grad(a_slot, np.full(a_slot.shape, out_slot.grad[0, 0]), owned=True)
+
+    return _record("sum_all", out, (a,), backward_fn)
+
+
+def composed_mse_loss(pred, target):
+    """MSE as four tape nodes: the oracle for training.mse_loss, which
+    must match it bit for bit, forward and backward."""
+    diff = subtract(pred, target)
+    return multiply(sum_all(multiply(diff, diff)), 1.0 / pred.data.size)
 
 
 def concat_rows(parts):

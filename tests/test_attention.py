@@ -19,10 +19,9 @@ from gsaformer.tensor import (
     Tensor,
     backward,
     multiply,
-    sum_all,
 )
 
-from helpers import loop_multi_head_attention, naive_attention
+from helpers import loop_multi_head_attention, naive_attention, sum_all
 
 
 class TestRowSoftmax:

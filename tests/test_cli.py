@@ -50,6 +50,14 @@ class TestBenchVerb:
         assert "--min-cell-seconds" in err and repr(value) in err
         assert not out.exists()
 
+    def test_non_positive_length_exits_2_naming_it_before_making_out(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = run(["bench", "--lengths", "-5", "--no-timing", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "seq_len=-5" in err and "label_len" not in err
+        assert not out.exists()
+
 
 class TestTrainVerb:
     def test_missing_config_names_path(self, tmp_path, capsys):
@@ -95,6 +103,14 @@ class TestTrainVerb:
                     "--set", "split_val=-0.1"])
         assert code == 2
         assert "val split ratio must be >= 0, got -0.1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_train_split_exits_2_naming_it_before_making_out(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = run(["train", "--out", str(out), "--set", "split_train=0",
+                    "--set", "split_val=0.2", "--set", "split_test=0.8"])
+        assert code == 2
+        assert "train split ratio must be > 0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_non_finite_csv_cell_exits_2_naming_it_before_making_out(self, tmp_path, capsys):
@@ -173,6 +189,17 @@ class TestEvalVerb:
         assert code == 2
         err = capsys.readouterr().err
         assert str(tmp_path / "model.cfg") in err and "pool_mode" in err
+
+    def test_zero_train_split_exits_2_naming_it_before_making_out(self, tmp_path, capsys):
+        ckpt = tmp_path / "best.ckpt"
+        self._saved_model(tmp_path).save(ckpt)
+        out = tmp_path / "run"
+        code = run(["eval", "--checkpoint", str(ckpt), "--out", str(out),
+                    "--set", "split_train=0", "--set", "split_val=0.2",
+                    "--set", "split_test=0.8"])
+        assert code == 2
+        assert "train split ratio must be > 0" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestGradcheckVerb:

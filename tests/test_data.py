@@ -126,10 +126,13 @@ class TestMakeWindows:
         with pytest.raises(DataError, match="96"):
             make_windows(ts, 48, 48)
 
-    # each sums to 1, but a negative ratio moves a split's bounds silently
+    # each sums to 1, but a negative ratio moves a split's bounds silently,
+    # and a train split of 0 rows gives every split NaN normalization statistics
     @pytest.mark.parametrize("ratios, named", [
         ((0.5, 0.6, -0.1), "test split ratio must be >= 0, got -0.1"),
         ((1.2, -0.1, -0.1), "val split ratio must be >= 0, got -0.1"),
+        ((0.0, 0.2, 0.8), "train split ratio must be > 0, got 0.0"),
+        ((-0.1, 0.3, 0.8), "train split ratio must be > 0, got -0.1"),
     ])
     def test_negative_split_ratio_rejected_naming_it(self, ratios, named):
         ts = self.series(400)

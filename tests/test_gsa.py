@@ -27,10 +27,9 @@ from gsaformer.tensor import (
     linear,
     matmul,
     multiply,
-    sum_all,
     zero_grads,
 )
-from helpers import loop_gsa_forward, naive_gsa, partition_groups
+from helpers import loop_gsa_forward, naive_gsa, partition_groups, sum_all
 
 
 def make_params(cfg, seed=0, beta=0.0):
@@ -313,7 +312,6 @@ class TestGsaForward:
         params.beta.data[:] = 0.5
         with ComputationTape() as tape:
             out = gsa_forward(x, params, cfg, OpCounter())
-            from gsaformer.tensor import sum_all
             backward(sum_all(out), tape)
         assert params.e_q.grad is not None and np.abs(params.e_q.grad).max() > 0
 

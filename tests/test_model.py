@@ -297,6 +297,28 @@ class TestEveryParameterReachesTheLoss:
         missing = [n for n, p in model.parameters().items() if p.grad is None]
         assert missing == []
 
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("name", sorted(GRADIENT_CONFIGS))
+    def test_only_the_key_biases_softmax_cancels_get_rounding_noise(self, name, seed):
+        # a key bias that every key of a softmax row carries shifts that row's
+        # scores alike, so only rounding noise (~1e-17) reaches it: every
+        # decoder GSA and CCA b_k, and the encoder GSA b_k unless a global
+        # path reads it (its summary keys mix rows, so carry b_k unequally)
+        cfg = GRADIENT_CONFIGS[name]
+        model = ForecasterModel(cfg, seed=seed)
+        rng = np.random.default_rng(seed)
+        for p in model.parameters().values():       # every parameter off its init
+            p.data += rng.uniform(-0.1, 0.1, p.shape)
+        x = Tensor(rng.normal(size=(cfg.seq_len, cfg.n_features_in)))
+        y = Tensor(rng.normal(size=(cfg.pred_len, cfg.n_features_out)))
+        with ComputationTape() as tape:
+            backward(mse_loss(model.forward(x), y), tape)
+        noise_only = {n for n, p in model.parameters().items() if np.abs(p.grad).max() < 1e-12}
+        expected = {f"dec{i}.{attn}.b_k" for i in range(cfg.d_l) for attn in ("gsa", "cca")}
+        if cfg.ablation_local_only:
+            expected |= {f"enc{i}.gsa.b_k" for i in range(cfg.e_l)}
+        assert noise_only == expected
+
     def test_narrow_bench_has_the_bench_parameter_names(self):
         # width changes no parameter's existence, so the narrow model above
         # stands for the full-width train_long model
@@ -367,8 +389,9 @@ class TestTapeNodes:
             "layer_norm": 15,           # each with its residual add
             "grouped_attention": 6, "relu": 6,
             "matmul": 3,                # CCA compression
-            "multi_head_attention": 3, "multiply": 3, "subtract": 1, "sum_all": 1}
-        assert len(tape) == 73
+            "multi_head_attention": 3,
+            "mse_loss": 1, "multiply": 1}   # the loss, the batch scaling
+        assert len(tape) == 70
 
     def test_replay_drops_every_op_output_gradient_and_keeps_the_leaves(self):
         # a default train step: forward, loss, batch scaling and backward
@@ -381,7 +404,7 @@ class TestTapeNodes:
             loss = multiply(mse_loss(model.forward(x), y), 1.0 / 16)
             outputs = [(name, out) for name, out, _ in tape._nodes]
             backward(loss, tape)
-        assert len(outputs) == 71
+        assert len(outputs) == 68
         assert [name for name, out in outputs if out.grad is not None] == []
         assert [n for n, p in model.parameters().items() if p.grad is None] == []
 
@@ -399,7 +422,7 @@ class TestTapeNodes:
             saved = _saved_array_refs(tape, leaves)
             backward(loss, tape)
         del pred, loss
-        assert len(saved) > 73      # more arrays than nodes
+        assert len(saved) > 70      # more arrays than nodes
         assert [name for name, ref in saved if ref() is not None] == []
 
     def test_no_value_that_no_rule_reads_outlives_the_forward(self, monkeypatch):
@@ -598,6 +621,15 @@ class TestShapeRules:
 
     def test_zero_layers_allowed(self):
         assert tiny_config(e_l=0, d_l=0).e_l == 0
+
+    # the lengths are checked before label_len is resolved from seq_len
+    @pytest.mark.parametrize("setting, named", [
+        ({"seq_len": -5}, "seq_len=-5"), ({"seq_len": 0}, "seq_len=0"),
+        ({"seq_len": -5, "label_len": 0}, "seq_len=-5"), ({"pred_len": -1}, "pred_len=-1"),
+    ])
+    def test_bad_length_rejected_naming_it(self, setting, named):
+        with pytest.raises(ConfigError, match=named):
+            tiny_config(**setting)
 
 
 class TestPositionalTable:

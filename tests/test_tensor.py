@@ -1,10 +1,13 @@
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from gsaformer.benchmark import BenchReport, BenchRow, emit_csv_report
 from gsaformer.cli import write_text
@@ -35,8 +38,6 @@ from gsaformer.tensor import (
     relu,
     save_checkpoint,
     slice_rows,
-    subtract,
-    sum_all,
     transpose,
 )
 from gsaformer.training import TrainHistory
@@ -49,6 +50,8 @@ from helpers import (
     naive_matmul,
     pad_rows,
     slice_cols,
+    subtract,
+    sum_all,
 )
 
 
@@ -376,6 +379,30 @@ class TestGradientOwnership:
 
 
 @st.composite
+def checkpoint_entries(draw, min_size=0):
+    """Up to 4 named float64 arrays of 0 to 3 axes (extents 0 to 4, finite
+    values) under distinct printable ASCII names."""
+    names = draw(st.lists(st.text(st.characters(min_codepoint=33, max_codepoint=126),
+                                  min_size=1, max_size=6),
+                          min_size=min_size, max_size=4, unique=True))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    return {name: draw(arrays(np.float64, array_shapes(min_dims=0, max_dims=3,
+                                                       min_side=0, max_side=4),
+                              elements=finite))
+            for name in names}
+
+
+def assert_loads_exactly(blob, loaded):
+    """loaded holds the entries blob's header lists, in its order, and
+    their values are the whole payload, byte for byte."""
+    end = blob.index(b"\n.\n")
+    lines = blob[:end].decode("ascii").splitlines()[1:]
+    assert [(name, arr.shape) for name, arr in loaded.items()] == [
+        (fields[0], tuple(int(d) for d in fields[1:])) for fields in map(str.split, lines)]
+    assert b"".join(arr.astype("<f8").tobytes() for arr in loaded.values()) == blob[end + 3:]
+
+
+@st.composite
 def layer_norm_cases(draw):
     """(rows, d, f is x, which of x, f, gain, bias require a gradient, seed);
     at least one does, so the op records."""
@@ -564,8 +591,9 @@ class TestCheckpoint:
         (b"w -2\n", "bad dims for 'w'"),
         (b"w 2\nw 1\n", "duplicate entry 'w'"),
         (b"w" + b" 1" * 70 + b"\n", "bad dims for 'w'"),
+        (b"w " + b"1" * 4301 + b"\n", "bad dims for 'w'"),
     ], ids=["blank-line", "non-ascii-name", "non-integer-dim", "negative-dim",
-            "duplicate-name", "too-many-dims"])
+            "duplicate-name", "too-many-dims", "more-digits-than-int-converts"])
     def test_malformed_header_raises_naming_the_file(self, tmp_path, header, what):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"gsaformer-checkpoint v1\n" + header + b".\n" + bytes(24))
@@ -611,6 +639,49 @@ class TestCheckpoint:
             tracemalloc.stop()
         assert [float(a[0, 0]) for a in loaded.values()] == [float(i) for i in range(16)]
         assert peak <= 2.1 * size
+
+    @settings(max_examples=60)
+    @given(checkpoint_entries())
+    def test_roundtrip_over_random_names_and_shapes(self, named):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.ckpt"
+            save_checkpoint(path, named)
+            loaded = load_checkpoint(path)
+        assert list(loaded) == list(named)
+        for name, arr in named.items():
+            assert loaded[name].shape == arr.shape
+            assert loaded[name].tobytes() == arr.tobytes()
+
+    @settings(max_examples=300)
+    @given(checkpoint_entries(min_size=1), st.data())
+    def test_corrupted_file_raises_checkpoint_error_or_loads_exactly(self, named, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.ckpt"
+            save_checkpoint(path, named)
+            blob = path.read_bytes()
+            kind = data.draw(st.sampled_from(["truncate", "overwrite", "insert", "delete"]))
+            entries = (blob.index(b"\n") + 1, blob.index(b"\n.\n") + 1)
+            at = data.draw(st.one_of(st.integers(*entries),     # aim at the entry lines
+                                     st.integers(0, len(blob) - 1)))
+            if kind == "truncate":
+                bad = blob[:at]
+            elif kind == "delete":
+                bad = blob[:at] + blob[data.draw(st.integers(at + 1, len(blob))):]
+            else:
+                junk = data.draw(st.one_of(
+                    st.binary(min_size=1, max_size=8),
+                    st.sampled_from([b"\n", b".", b" ", b"\n.\n", b" 0", b"\r", b"\x1c"]),
+                    # digit runs past int64 and past what int() converts
+                    st.sampled_from([19, 20, 4301]).map(lambda n: b"9" * n)))
+                bad = blob[:at] + junk + blob[at + (len(junk) if kind == "overwrite" else 0):]
+            path.write_bytes(bad)
+            try:
+                loaded = load_checkpoint(path)
+            except CheckpointError as exc:
+                assert str(path) in str(exc)
+                return
+        assert kind != "truncate", "a cut file loaded"
+        assert_loads_exactly(bad, loaded)
 
 
 class _UnreadableValues:

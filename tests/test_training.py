@@ -3,21 +3,25 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import check_op_gradients
+from helpers import check_op_gradients, composed_mse_loss, sum_all
 
 from gsaformer.attention import OpCounter
 from gsaformer.data import DataError, make_windows, synthetic_series
 from gsaformer.model import ForecasterModel, ModelConfig
 from gsaformer.tensor import (
+    ComputationTape,
     ContractError,
     DimensionError,
     Tensor,
     _record,
     accumulate_grad,
+    backward,
     layer_norm,
     matmul,
-    sum_all,
+    multiply,
 )
 from gsaformer.training import (
     AdamState,
@@ -41,6 +45,35 @@ def smoke_setup(f=1, dseed=13, mseed=0, stride=1):
     return ForecasterModel(cfg, seed=mseed), train_set, val_set
 
 
+@st.composite
+def mse_cases(draw):
+    """(rows, cols, which of pred and target require a gradient, target is
+    pred, the two windows' loss scales, seed)."""
+    flags = draw(st.tuples(st.booleans(), st.booleans()))
+    same = draw(st.booleans())
+    if same:
+        flags = (flags[0] or flags[1],) * 2
+    scales = draw(st.tuples(*[st.floats(1e-3, 10.0)] * 2))
+    return (draw(st.integers(1, 12)), draw(st.integers(1, 8)), flags, same, scales,
+            draw(st.integers(0, 2**32 - 1)))
+
+
+def _mse_losses_and_grads(loss_fn, arrays, flags, same, scales):
+    """The losses of two windows of training.train's form, each scaled and
+    replayed on one tape, and the gradients they accumulate into pred and
+    target."""
+    pred, target = (Tensor(a.copy(), requires_grad=r) for a, r in zip(arrays, flags))
+    target = pred if same else target
+    losses = []
+    with ComputationTape() as tape:
+        for scale in scales:
+            loss = loss_fn(pred, target)
+            losses.append(loss.data)
+            if any(flags):
+                backward(multiply(loss, scale), tape)
+    return losses + [pred.grad, target.grad]
+
+
 class TestMseLoss:
     def test_zero_when_equal(self):
         x = Tensor(np.arange(6.0).reshape(3, 2))
@@ -60,6 +93,27 @@ class TestMseLoss:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             mse_loss(Tensor(np.zeros((2, 2))), Tensor(np.zeros((3, 2))))
+
+    @settings(max_examples=60)
+    @given(mse_cases())
+    def test_matches_composed_loss_bit_for_bit(self, case):
+        rows, cols, flags, same, scales, seed = case
+        rng = np.random.default_rng(seed)
+        arrays = (rng.normal(0.0, 3.0, size=(rows, cols)), rng.normal(size=(rows, cols)))
+        fused = _mse_losses_and_grads(mse_loss, arrays, flags, same, scales)
+        composed = _mse_losses_and_grads(composed_mse_loss, arrays, flags, same, scales)
+        for got, expected in zip(fused, composed):
+            assert (got is None) == (expected is None)
+            if got is not None:
+                assert got.tobytes() == expected.tobytes()
+        pred, target = (Tensor(a, requires_grad=r) for a, r in zip(arrays, flags))
+        target = pred if same else target
+        untaped = mse_loss(pred, target)
+        assert not untaped.requires_grad            # nothing recorded
+        assert untaped.data.tobytes() == fused[0].tobytes()
+        with ComputationTape() as tape:
+            mse_loss(pred, target)
+        assert len(tape) == (1 if any(flags) else 0)
 
 
 class TestAdam:
