@@ -5,8 +5,9 @@ attention_probs/attention_forward/attention_backward are the one score ->
 softmax -> value kernel (and its gradient) on plain arrays, batched over
 leading axes; the fused tape ops multi_head_attention (CCA, unmasked) and
 gsa.grouped_attention (which builds its own boolean allow array) both run
-it.  multi_head_attention's rule holds only the op's inputs and rebuilds
-the probabilities with attention_probs, the forward's own arithmetic.
+it.  multi_head_attention's forward scores TILE_ROWS queries of one head
+at a time; its rule holds only the op's inputs and rebuilds the
+probabilities with attention_probs, the forward's own arithmetic.
 scaled_dot_attention and row_softmax compose the same arithmetic from
 separate tape ops: they are the canonical reference that the acceptance
 gates and the loop oracles of the tests are built from.  Their mask
@@ -27,8 +28,11 @@ from .tensor import (
     matmul,
     multiply,
     recording,
+    row_tiles,
     transpose,
 )
+
+TILE_ROWS = 256     # query rows multi_head_attention scores at a time
 
 
 class OpCounter:
@@ -185,10 +189,13 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
                          counter: OpCounter) -> Tensor:
     """Unmasked scaled_dot_attention on each of `heads` contiguous column
     slabs of q, k and v, the slab outputs side by side, as one tape op with
-    one backward rule and the same arithmetic.  Heads run one at a time, so
-    one head's score matrix is alive at once.  The rule holds only q, k and
-    v: the backward rebuilds each head's probabilities from them, one head
-    at a time, and adds those score elements to the counter's
+    one backward rule and the same arithmetic.  The forward runs one head
+    at a time and each head TILE_ROWS queries at a time (cut by
+    row_tiles), so one tile-by-l_k block of scores is alive at once;
+    softmax is row-wise, so the tiles' results are the whole head's.  The
+    rule holds only q, k and v: the backward
+    rebuilds each head's probabilities from them, one whole head at a
+    time, and adds those score elements to the counter's
     recomputed_score_elements.  The forward counter sees one call per head.
 
     Each head works on contiguous copies of its slabs, not strided views:
@@ -206,19 +213,18 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     taped = recording((q, k, v))
     slabs = [slice(h * dh, (h + 1) * dh) for h in range(heads)]
 
-    def head(arrays: tuple[np.ndarray, ...],
-             cols: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Contiguous (q, k transposed, v) of one head's columns of the q, k
-        and v arrays."""
-        a_q, a_k, a_v = arrays
-        return (np.ascontiguousarray(a_q[:, cols]),
-                np.ascontiguousarray(a_k[:, cols].T),
-                np.ascontiguousarray(a_v[:, cols]))
+    def keys(a_k: np.ndarray, a_v: np.ndarray,
+             cols: slice) -> tuple[np.ndarray, np.ndarray]:
+        """Contiguous (k transposed, v) of one head's columns."""
+        return np.ascontiguousarray(a_k[:, cols].T), np.ascontiguousarray(a_v[:, cols])
 
     out_rows = np.empty((l_q, d))
     for cols in slabs:
         counter.add_scores(l_q, l_k)
-        attention_forward(*head((q.data, k.data, v.data), cols), scale, out=out_rows[:, cols])
+        k_t, v_h = keys(k.data, v.data, cols)
+        for rows in row_tiles(l_q, TILE_ROWS):
+            attention_forward(np.ascontiguousarray(q.data[rows, cols]), k_t, v_h, scale,
+                              out=out_rows[rows, cols])
     out = Tensor(out_rows)
     if not taped:
         return out
@@ -229,7 +235,8 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
         arrays = q_values(), k_values(), v_values()
         d_q, d_k, d_v = (np.empty(a.shape) for a in arrays)
         for cols in slabs:
-            q_h, k_t, v_h = head(arrays, cols)
+            q_h = np.ascontiguousarray(arrays[0][:, cols])
+            k_t, v_h = keys(arrays[1], arrays[2], cols)
             counter.add_recomputed(l_q, l_k)
             p = attention_probs(q_h, k_t, scale)
             g = np.ascontiguousarray(out_slot.grad[:, cols])

@@ -57,16 +57,20 @@ def cca_op_count(l_dec: int, l_enc: int, l_comp: int, heads: int = 1) -> int:
 
 
 def cca_forward(h_dec: Tensor, h_enc: Tensor, params: CcaLayerParams,
-                counter: OpCounter, heads: int = 1) -> Tensor:
+                counter: OpCounter, heads: int = 1, *, compressed: bool = False) -> Tensor:
     """Queries from the decoder stream; keys/values projected from the
     compressed encoder output; canonical attention; output projection.
+    With compressed=True, h_enc is already compress_encoder_output(encoder
+    output, params.c), as the model passes it, and is used as is.  Q, K
+    and V are dropped before the output projection runs.
 
     No mask: compressed rows are mixtures of all encoder positions, so a
     key-padding mask has nothing to point at.
     """
     q = linear(h_dec, params.w_q, params.b_q)
-    h_c = compress_encoder_output(h_enc, params.c)
+    h_c = h_enc if compressed else compress_encoder_output(h_enc, params.c)
     k = linear(h_c, params.w_k, params.b_k)
     v = linear(h_c, params.w_v, params.b_v)
     attended = multi_head_attention(q, k, v, heads, counter)
+    del q, k, v
     return linear(attended, params.w_o, params.b_o)

@@ -12,7 +12,10 @@ m*l_g^2 + (m*l_s)^2, linear in l for fixed l_g and l_s.
 
 gsa_forward runs the Q/K/V projections and every group of every head
 through one tape op, grouped_attention, with a hand-written backward; the
-projections write straight into zero-padded group buffers.  The op's rule
+projections write straight into zero-padded group buffers.  The forward
+works over tiles of whole groups (TILE_ROWS rows), so one tile of Q/K/V
+and of one head's group scores is alive at a time, and only each group's
+summary rows outlive their tile.  The op's rule
 holds its input (through tensor.held_values, so a layer norm's output is
 rebuilt, not held), its parameters and the local attention probabilities,
 and rebuilds Q, K, V and the global path in the backward.  Only the
@@ -54,9 +57,13 @@ from .tensor import (
     mean_rows,
     multiply,
     recording,
+    row_tiles,
     uniform_param,
     zero_row,
 )
+
+
+TILE_ROWS = 512     # rows of whole groups grouped_attention projects at a time
 
 
 class ConfigError(ValueError):
@@ -252,16 +259,14 @@ def _qkv(x: np.ndarray, params: GsaLayerParams, m: int, l_g: int, heads: int,
                  ((params.w_q, params.b_q), (params.w_k, params.b_k), (params.w_v, params.b_v)))
 
 
-def _summaries(qg: np.ndarray, kg: np.ndarray, vg: np.ndarray,
-               params: GsaLayerParams, scale: float) -> tuple[np.ndarray, ...]:
-    """The global path from the Q/K/V group blocks: (qs, ks, vs, pg,
-    pooled), every group's summary rows as (heads, m*l_s, d_h), the summary
-    attention's probabilities and each group's mean-pooled summary output,
-    (heads, m, d_h)."""
-    heads, m, _, dh = qg.shape
-    l_s = params.e_q.shape[0]
-    qs, ks, vs = (np.matmul(e.data, blocks).reshape(heads, m * l_s, dh)
-                  for e, blocks in ((params.e_q, qg), (params.e_k, kg), (params.e_v, vg)))
+def _summary_attention(qs: np.ndarray, ks: np.ndarray, vs: np.ndarray,
+                       scale: float) -> tuple[np.ndarray, ...]:
+    """The global path from every group's summary rows, each (heads, m,
+    l_s, d_h): (qs, ks, vs, pg, pooled), the summary rows as (heads,
+    m*l_s, d_h), the summary attention's probabilities and each group's
+    mean-pooled summary output, (heads, m, d_h)."""
+    heads, m, l_s, dh = qs.shape
+    qs, ks, vs = (a.reshape(heads, m * l_s, dh) for a in (qs, ks, vs))
     og, pg = attention_forward(qs, ks.swapaxes(-1, -2), vs, scale)
     return qs, ks, vs, pg, og.reshape(heads, m, l_s, dh).mean(axis=2)
 
@@ -274,18 +279,23 @@ def grouped_attention(x: Tensor, params: GsaLayerParams, cfg: GsaConfig,
     backward rule.
 
     Rows of x at index >= real_len (default: all real) are padding: their
-    projected queries, keys and values are zero and masked as keys.  Local
-    attention runs one head at a time, so without a tape one head's group
-    scores are alive at once.  The rule holds x, the parameters and each
-    head's local probabilities, nothing else: the backward gets x once
-    (from its recipe when x has one), projects Q, K and V again and re-runs
-    the summary path with the forward's arithmetic
-    (adding the summary score elements to the counter's
-    recomputed_score_elements), then works one head at a time.  Returns
-    the l-by-d head outputs side by side, ready for the output projection.
-    The forward counter sees one l_g-by-l_g matrix per head and group and
-    one m*l_s-by-m*l_s matrix per head, although each head's groups are
-    computed in one batched array.
+    projected queries, keys and values are zero and masked as keys.  The
+    forward works over tiles of whole groups, about TILE_ROWS rows each
+    (cut by row_tiles): it projects a tile's Q, K and V, runs local
+    attention on its groups one head at a time and keeps only its groups'
+    summary rows, so one tile of Q/K/V and one tile of one head's group
+    scores are alive at once.  Every group is computed alone, so the
+    tiles' results are the whole layer's.  The summary attention and the
+    merge run once all tiles are done.
+    The rule holds x, the parameters and each head's local probabilities,
+    nothing else: the backward gets x once (from its recipe when x has
+    one), projects Q, K and V again at full length and re-runs the summary
+    path with the forward's arithmetic (adding the summary score elements
+    to the counter's recomputed_score_elements), then works one head at a
+    time.  Returns the l-by-d head outputs side by side, ready for the
+    output projection.  The forward counter sees one l_g-by-l_g matrix per
+    head and group and one m*l_s-by-m*l_s matrix per head, however the
+    groups are computed.
     """
     l, d = x.shape
     if d != cfg.d:
@@ -300,22 +310,34 @@ def grouped_attention(x: Tensor, params: GsaLayerParams, cfg: GsaConfig,
         inputs += (params.e_q, params.e_k, params.e_v, params.alpha, params.beta)
     taped = recording(inputs)
 
-    qg, kg, vg = _qkv(x.data, params, m, l_g, heads, real_len)
     allow = _local_allow(cfg, m, real_len)
     for _ in range(heads * m):
         counter.add_scores(l_g, l_g)
     out_rows = np.empty((m * l_g, d))
     o = _grouped(out_rows, m, l_g, heads)
-    probs = []
-    for h in range(heads):
-        p = attention_forward(qg[h], kg[h].swapaxes(-1, -2), vg[h], scale, allow, out=o[h])[1]
-        if taped:
-            probs.append(p)
-        del p   # else this head's scores would live on through the next head's
+    probs = [np.empty((m, l_g, l_g)) for _ in range(heads)] if taped else []
+    if use_global:
+        summaries = np.empty((3, heads, m, l_s, dh))    # e_q/e_k/e_v rows of every group
+    for rows in row_tiles(l, max(TILE_ROWS // l_g, 1) * l_g):
+        groups = slice(rows.start // l_g, -(-rows.stop // l_g))
+        qg, kg, vg = _qkv(x.data[rows], params, groups.stop - groups.start, l_g, heads,
+                          real_len - rows.start)
+        tile_allow = None if allow is None else allow[groups]
+        for h in range(heads):
+            p = attention_forward(qg[h], kg[h].swapaxes(-1, -2), vg[h], scale, tile_allow,
+                                  out=o[h, groups])[1]
+            if taped:
+                probs[h][groups] = p
+            del p   # else this head's scores would live on through the next head's
+        if use_global:
+            for e, blocks, summary in zip((params.e_q, params.e_k, params.e_v), (qg, kg, vg),
+                                          summaries):
+                np.matmul(e.data, blocks, out=summary[:, groups])
+        del qg, kg, vg     # else two tiles of Q/K/V would be alive at once
     if use_global:
         for _ in range(heads):
             counter.add_scores(n_s, n_s)
-        pooled = _summaries(qg, kg, vg, params, scale)[-1]
+        pooled = _summary_attention(*summaries, scale)[-1]
         o *= params.alpha.data[0, :m, None, None]
         o += (pooled * params.beta.data[0, :m, None])[:, :, None, :]
     out = Tensor(out_rows[:l])
@@ -334,7 +356,9 @@ def grouped_attention(x: Tensor, params: GsaLayerParams, cfg: GsaConfig,
         if use_global:
             alpha = params.alpha.data[0, :m]
             beta = params.beta.data[0, :m]
-            qs, ks, vs, pg, pooled = _summaries(qg, kg, vg, params, scale)
+            qs, ks, vs, pg, pooled = _summary_attention(
+                *(np.matmul(e.data, blocks) for e, blocks in
+                  ((params.e_q, qg), (params.e_k, kg), (params.e_v, vg))), scale)
             d_alpha = np.empty((heads, m))
             g_cols = np.empty((heads, m, dh))
         # local attention inside every group, one head at a time

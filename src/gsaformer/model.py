@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .attention import OpCounter
-from .cca import CcaLayerParams, cca_forward, cca_op_count
+from .cca import CcaLayerParams, cca_forward, cca_op_count, compress_encoder_output
 from .gsa import ConfigError, GsaConfig, GsaLayerParams, gsa_forward, gsa_op_count
 from .tensor import (
     ParameterSet,
@@ -51,7 +51,7 @@ class ModelConfig:
     ablation_local_only: bool = False
 
     def __post_init__(self):
-        if self.seq_len <= 0 or self.pred_len < 0:
+        if self.seq_len <= 0 or self.pred_len < 1:
             raise ConfigError(
                 f"bad lengths: seq_len={self.seq_len}, pred_len={self.pred_len}")
         if self.label_len < 0:
@@ -80,7 +80,7 @@ class ModelConfig:
     def decoder_gsa(self) -> GsaConfig:
         return GsaConfig(
             l_g=self.l_g, l_s=self.l_s, d=self.d, heads=self.heads,
-            m_max=max(math.ceil(self.dec_len / self.l_g), 1),
+            m_max=math.ceil(self.dec_len / self.l_g),
             causal=True, global_path=False)
 
 
@@ -150,9 +150,12 @@ class _EncoderLayer(ParameterSet):
         self.ffn = _FeedForward(cfg.d, cfg.ffn_hidden, rng)
         self.norm2 = _LayerNorm(cfg.d)
 
-    def __call__(self, x: Tensor, counter: OpCounter) -> Tensor:
-        x = self.norm1(x, gsa_forward(x, self.gsa, self.gsa_cfg, counter))
-        return self.norm2(x, self.ffn(x))
+    def blocks(self, counter: OpCounter) -> tuple:
+        """The layer's residual blocks in order, each x -> norm(x + f(x)).
+        The model applies them one at a time, so a block's input is dropped
+        as soon as the next block has it."""
+        return (lambda x: self.norm1(x, gsa_forward(x, self.gsa, self.gsa_cfg, counter)),
+                lambda x: self.norm2(x, self.ffn(x)))
 
 
 class _DecoderLayer(ParameterSet):
@@ -166,10 +169,18 @@ class _DecoderLayer(ParameterSet):
         self.norm3 = _LayerNorm(cfg.d)
         self.heads = cfg.heads
 
-    def __call__(self, x: Tensor, enc_out: Tensor, counter: OpCounter) -> Tensor:
-        x = self.norm1(x, gsa_forward(x, self.gsa, self.gsa_cfg, counter))
-        x = self.norm2(x, cca_forward(x, enc_out, self.cca, counter, heads=self.heads))
-        return self.norm3(x, self.ffn(x))
+    def memory(self, enc_out: Tensor) -> Tensor:
+        """What the layer's cross-attention reads of the encoder output:
+        its compression, or enc_out itself when the layer has no C."""
+        return compress_encoder_output(enc_out, self.cca.c)
+
+    def blocks(self, memory: Tensor, counter: OpCounter) -> tuple:
+        """The layer's residual blocks in order, as _EncoderLayer.blocks;
+        memory is the layer's memory(enc_out)."""
+        return (lambda x: self.norm1(x, gsa_forward(x, self.gsa, self.gsa_cfg, counter)),
+                lambda x: self.norm2(x, cca_forward(x, memory, self.cca, counter,
+                                                    heads=self.heads, compressed=True)),
+                lambda x: self.norm3(x, self.ffn(x)))
 
 
 class ForecasterModel:
@@ -203,20 +214,25 @@ class ForecasterModel:
                 f"input has {x.shape[1]} features, expected {self.cfg.n_features_in}")
         counter = counter if counter is not None else OpCounter()
         h = self._embed(x)
+        # block by block, so that no layer's input outlives its first block
         for layer in self.encoder_layers:
-            h = layer(h, counter)
+            for block in layer.blocks(counter):
+                h = block(h)
         return h
 
     def forward(self, x: Tensor, counter: Optional[OpCounter] = None) -> Tensor:
-        """Full pass; returns only the pred_len forecast rows."""
-        if self.cfg.pred_len < 1:
-            raise ConfigError("forward needs pred_len >= 1")
+        """Full pass; returns only the pred_len forecast rows.  Every
+        decoder layer's compression of the encoder output is made first,
+        so the encoder output is dropped before the decoder runs unless a
+        layer reads it uncompressed."""
         counter = counter if counter is not None else OpCounter()
         enc_out = self.encoder_forward(x, counter)
-        dec_in = build_decoder_input(x, self.cfg)
-        h = self._embed(dec_in)
+        memories = [layer.memory(enc_out) for layer in self.decoder_layers]
+        del enc_out
+        h = self._embed(build_decoder_input(x, self.cfg))
         for layer in self.decoder_layers:
-            h = layer(h, enc_out, counter)
+            for block in layer.blocks(memories.pop(0), counter):
+                h = block(h)
         tail = slice_rows(h, self.cfg.label_len, self.cfg.dec_len) \
             if self.cfg.label_len > 0 else h
         return self.head(tail)
@@ -226,13 +242,9 @@ class ForecasterModel:
         count formulas; the instrumented counter must match this exactly."""
         cfg = self.cfg
         enc = gsa_op_count(cfg.seq_len, cfg.l_g, cfg.l_s, cfg.encoder_gsa().uses_global)
-        total = cfg.e_l * cfg.heads * enc
-        if cfg.dec_len > 0:
-            dec_self = gsa_op_count(cfg.dec_len, cfg.l_g, cfg.l_s,
-                                    cfg.decoder_gsa().uses_global)
-            cross = cca_op_count(cfg.dec_len, cfg.seq_len, cfg.l_comp, heads=cfg.heads)
-            total += cfg.d_l * (cfg.heads * dec_self + cross)
-        return total
+        dec_self = gsa_op_count(cfg.dec_len, cfg.l_g, cfg.l_s, cfg.decoder_gsa().uses_global)
+        cross = cca_op_count(cfg.dec_len, cfg.seq_len, cfg.l_comp, heads=cfg.heads)
+        return cfg.e_l * cfg.heads * enc + cfg.d_l * (cfg.heads * dec_self + cross)
 
     def save(self, path) -> None:
         save_checkpoint(path, self.parameters())

@@ -26,6 +26,11 @@ the forward, although the linear, matmul and grouped_attention rules of
 its consumers read it.  Rules and recipes read parameters' values when
 the backward runs: a parameter's values must not change between a
 recorded forward and its backward.
+
+The ops that would otherwise make whole-length temporaries (layer_norm
+here, the attention ops in attention and gsa) work in row tiles cut by
+row_tiles, with the whole-array arithmetic, so without a tape their
+temporaries are one tile big.
 """
 
 from __future__ import annotations
@@ -376,21 +381,45 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
     return _record("slice_rows", out, (a,), backward)
 
 
+def row_tiles(n: int, size: int) -> list[slice]:
+    """Slices cutting n rows into tiles of size rows (at least 2), the last
+    one shorter.  A last tile of one row joins the tile before it: numpy
+    sends a one-row product to gemv, which rounds differently from the gemm
+    that computes the same row inside a taller product.  Row-wise
+    arithmetic then gives every row the bits it gets in one piece, and so
+    does OpenBLAS for products a multiple of 8 columns wide, as every tiled
+    product is at the shipped configs; it may round the rows of narrower or
+    ragged products differently once they are cut, as it may under another
+    thread count."""
+    bounds = list(range(0, n, max(size, 2))) + [n]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+NORM_TILE_ROWS = 128    # rows layer_norm normalizes at a time
+
+
 def layer_norm(x: Tensor, f: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
     """Row-wise layer norm of the residual sum x + f, gain and bias 1-by-d:
-    one tape node, bit for bit the norm of broadcast_add(x, f).  When it
-    records, the output's recipe rebuilds it as xhat * gain + bias from the
-    xhat the rule holds, with the forward's own arithmetic."""
-    d = x.shape[1]
+    one tape node, bit for bit the norm of broadcast_add(x, f).  It
+    normalizes NORM_TILE_ROWS rows at a time, so its temporaries are one
+    tile big; without a tape the output is its only full-size array.  When
+    it records, the output's recipe rebuilds it as xhat * gain + bias from
+    the xhat the rule holds, with the forward's own arithmetic."""
+    l, d = x.shape
     if f.shape != x.shape or gain.shape != (1, d) or bias.shape != (1, d):
         raise DimensionError(f"layer_norm: residual/gain/bias must be {x.shape}/(1, {d})"
                              f"/(1, {d}), got {f.shape}/{gain.shape}/{bias.shape}")
-    xhat = x.data + f.data
-    xhat -= xhat.mean(axis=1, keepdims=True)
-    # the variance exactly as np.var computes it, from the same x + f - mu
-    var = np.square(xhat).sum(axis=1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat *= inv
+    xhat = np.empty((l, d))
+    inv = np.empty((l, 1))
+    for rows in row_tiles(l, NORM_TILE_ROWS):
+        t = np.add(x.data[rows], f.data[rows], out=xhat[rows])
+        t -= t.mean(axis=1, keepdims=True)
+        # the variance exactly as np.var computes it, from the same x + f - mu
+        var = np.square(t).sum(axis=1, keepdims=True) / d
+        inv[rows] = 1.0 / np.sqrt(var + eps)
+        t *= inv[rows]
     inputs = (x, f, gain, bias)
     if not recording(inputs):
         xhat *= gain.data

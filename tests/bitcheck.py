@@ -1,0 +1,75 @@
+"""Print a sha256 of every array a forward and a backward produce, so two
+checkouts can be compared bit for bit with one diff.
+
+    PYTHONPATH=src python tests/bitcheck.py > after.txt
+    PYTHONPATH=<other checkout>/src python tests/bitcheck.py > before.txt
+    diff before.txt after.txt
+
+For each config it hashes the forecast of an untaped forward, then, under a
+tape, the forecast, the MSE loss and every parameter gradient after one
+backward.  Every GSA beta is set to 0.3, so the global path carries
+forecast and gradient.  The configs are the bench config at the
+train_long length, the `gsaformer train` defaults, a compressed-CCA
+config with label_len=20, the local-only ablation, and the bench config at
+lengths one row past a multiple of the row tiles (513 = 512 + 1 =
+4 * 128 + 1, 1025 = 2 * 512 + 1).
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import numpy as np
+
+from gsaformer.benchmark import BenchConfig, model_config_for
+from gsaformer.model import ForecasterModel, ModelConfig
+from gsaformer.tensor import ComputationTape, Tensor, backward
+from gsaformer.training import mse_loss
+
+TRAIN_DEFAULTS = dict(seq_len=96, pred_len=24, n_features_in=2, n_features_out=2)
+
+
+def configs() -> dict[str, ModelConfig]:
+    bench = BenchConfig()
+    return {
+        "train_long": model_config_for("grouped", 1440, bench),
+        "train_defaults": ModelConfig(**TRAIN_DEFAULTS),
+        "compressed_label20": ModelConfig(**TRAIN_DEFAULTS, label_len=20, l_comp=48),
+        "local_only": ModelConfig(**TRAIN_DEFAULTS, ablation_local_only=True),
+        "bench_513": model_config_for("grouped", 513, bench),
+        "bench_1025": model_config_for("grouped", 1025, bench),
+    }
+
+
+def digest(a: np.ndarray) -> str:
+    a = np.ascontiguousarray(a, dtype="<f8")
+    return hashlib.sha256(repr(a.shape).encode() + a.tobytes()).hexdigest()[:16]
+
+
+def check(name: str, cfg: ModelConfig) -> list[str]:
+    model = ForecasterModel(cfg, seed=0)
+    for pname, p in model.parameters().items():
+        if pname.endswith(".beta"):
+            p.data[:] = 0.3     # so the global path reaches the forecast
+    rng = np.random.default_rng(1)
+    x = Tensor(rng.normal(size=(cfg.seq_len, cfg.n_features_in)))
+    y = Tensor(rng.normal(size=(cfg.pred_len, cfg.n_features_out)))
+    lines = [f"{name} forecast.untaped {digest(model.forward(x).data)}"]
+    with ComputationTape() as tape:
+        pred = model.forward(x)
+        loss = mse_loss(pred, y)
+    lines.append(f"{name} forecast.taped {digest(pred.data)}")
+    lines.append(f"{name} loss {digest(loss.data)}")
+    backward(loss, tape)
+    for pname, p in model.parameters().items():
+        lines.append(f"{name} grad.{pname} {digest(p.grad) if p.grad is not None else 'none'}")
+    return lines
+
+
+def main() -> None:
+    for name, cfg in configs().items():
+        print("\n".join(check(name, cfg)), flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -5,14 +5,18 @@ purpose: they are the other side of every equivalence check.  The tape ops
 that only these oracles need (column slices, row and column concatenation,
 zero padding, cutting a sequence into groups, the layer norm of one input,
 subtraction, the sum of all entries and the MSE composed from them) live
-here, not in the library.
+here, not in the library.  So do the whole-array forwards of the ops that
+work in tiles (layer_norm, multi_head_attention, grouped_attention): their
+bodies from before the tiling, the oracle the tiled forwards must match bit
+for bit.
 """
 
 import math
 
 import numpy as np
 
-from gsaformer.attention import AttentionMask, scaled_dot_attention
+from gsaformer import gsa
+from gsaformer.attention import AttentionMask, attention_forward, scaled_dot_attention
 from gsaformer.gsa import (
     ConfigError,
     global_summary_attention,
@@ -82,6 +86,57 @@ def layer_norm_of(x, gain, bias, eps=1e-6):
         accumulate_grad(x, dx, owned=True)
 
     return _record("layer_norm", out, (x, gain, bias), backward_fn)
+
+
+def whole_layer_norm(x, f, gain, bias, eps=1e-6):
+    """tensor.layer_norm's forward over whole (l, d) arrays, no tape."""
+    d = x.shape[1]
+    xhat = x + f
+    xhat -= xhat.mean(axis=1, keepdims=True)
+    var = np.square(xhat).sum(axis=1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat *= inv
+    xhat *= gain
+    xhat += bias
+    return xhat
+
+
+def whole_multi_head_attention(q, k, v, heads):
+    """multi_head_attention's forward on arrays, every head's queries in
+    one block."""
+    l_q, d = q.shape
+    dh = d // heads
+    scale = 1.0 / np.sqrt(dh)
+    out = np.empty((l_q, d))
+    for h in range(heads):
+        cols = slice(h * dh, (h + 1) * dh)
+        attention_forward(np.ascontiguousarray(q[:, cols]),
+                          np.ascontiguousarray(k[:, cols].T),
+                          np.ascontiguousarray(v[:, cols]), scale, out=out[:, cols])
+    return out
+
+
+def whole_grouped_attention(x, params, cfg, real_len=None):
+    """grouped_attention's forward on an (l, d) array: Q, K and V of every
+    group projected at once, then local attention one head at a time, the
+    summary path and the merge."""
+    l, d = x.shape
+    real_len, m = gsa._check_lengths(l, real_len, cfg)
+    heads, l_g = cfg.heads, cfg.l_g
+    scale = 1.0 / np.sqrt(d // heads)
+    qg, kg, vg = gsa._qkv(x, params, m, l_g, heads, real_len)
+    allow = gsa._local_allow(cfg, m, real_len)
+    out_rows = np.empty((m * l_g, d))
+    o = gsa._grouped(out_rows, m, l_g, heads)
+    for h in range(heads):
+        attention_forward(qg[h], kg[h].swapaxes(-1, -2), vg[h], scale, allow, out=o[h])
+    if cfg.uses_global:
+        pooled = gsa._summary_attention(
+            *(np.matmul(e.data, blocks) for e, blocks in
+              ((params.e_q, qg), (params.e_k, kg), (params.e_v, vg))), scale)[-1]
+        o *= params.alpha.data[0, :m, None, None]
+        o += (pooled * params.beta.data[0, :m, None])[:, :, None, :]
+    return out_rows[:l]
 
 
 def subtract(a, b):

@@ -6,6 +6,7 @@ import pytest
 
 from helpers import naive_attention, naive_matmul
 
+from gsaformer import attention
 from gsaformer.attention import AttentionMask, OpCounter, scaled_dot_attention
 from gsaformer.cca import (
     CcaLayerParams,
@@ -137,17 +138,21 @@ class TestCcaForward:
 
 
 class TestCcaMemory:
-    def test_no_tape_call_holds_one_head_of_scores_at_a_time(self):
+    def test_no_tape_call_holds_one_query_tile_of_scores_at_a_time(self):
         d, heads, l_dec, l_enc = 16, 4, 2048, 256
         rng = np.random.default_rng(9)
         params = make_params(d, l_enc, l_enc)
         h_dec = Tensor(rng.normal(size=(l_dec, d)))
         h_enc = Tensor(rng.normal(size=(l_enc, d)))
         one_head = l_dec * l_enc * 8     # bytes of one head's score matrix
+        one_tile = attention.TILE_ROWS * l_enc * 8
+        activation = l_dec * d * 8      # bytes of one l_dec-by-d array
         tracemalloc.start()
         try:
             cca_forward(h_dec, h_enc, params, OpCounter(), heads=heads)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert one_head <= peak < 2 * one_head
+        # Q, the attended rows, the output and one tile of scores, and
+        # nowhere near a whole head's scores
+        assert one_tile <= peak < one_tile + 4 * activation < one_head

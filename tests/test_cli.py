@@ -87,8 +87,9 @@ class TestTrainVerb:
         assert "beta1" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    # a negative count, or a feature count the series sets
-    @pytest.mark.parametrize("setting", ["epochs=-1", "patience=-1",
+    # a negative count, a model that forecasts nothing, or a feature count
+    # the series sets
+    @pytest.mark.parametrize("setting", ["epochs=-1", "patience=-1", "pred_len=0",
                                          "n_features_in=3", "n_features_out=1"])
     def test_rejected_setting_exits_2_before_making_out(self, tmp_path, capsys, setting):
         out = tmp_path / "run"

@@ -1,3 +1,4 @@
+import tracemalloc
 import types
 import weakref
 from collections import Counter
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import old_layout_arrays
+from helpers import loop_multi_head_attention, old_layout_arrays
 
 import gsaformer.cca as cca_module
 import gsaformer.gsa as gsa_module
@@ -17,7 +18,7 @@ import gsaformer.model as model_module
 from gsaformer.attention import OpCounter
 from gsaformer.benchmark import BenchConfig, model_config_for
 from gsaformer.cli import GRADCHECK_PRESETS, config_from_mapping
-from gsaformer.gsa import ConfigError
+from gsaformer.gsa import ConfigError, gsa_forward
 from gsaformer.model import (
     ForecasterModel,
     ModelConfig,
@@ -30,8 +31,11 @@ from gsaformer.tensor import (
     ParameterSet,
     Tensor,
     backward,
+    broadcast_add,
+    matmul,
     multiply,
     save_checkpoint,
+    slice_rows,
 )
 from gsaformer.training import mse_loss
 
@@ -61,12 +65,11 @@ class TestBuildDecoderInput:
         npt.assert_array_equal(out.data, np.zeros((3, 1)))
 
     def test_zero_pred_length(self):
-        cfg = ModelConfig(seq_len=4, pred_len=0, label_len=3,
-                          n_features_in=1, n_features_out=1, d=4, heads=1,
-                          l_g=2, l_s=1, e_l=1, d_l=1)
-        x = Tensor(np.arange(4.0).reshape(4, 1))
-        out = build_decoder_input(x, cfg)
-        npt.assert_array_equal(out.data, [[1.0], [2.0], [3.0]])
+        # a model that forecasts nothing is a config error, not a forward one
+        with pytest.raises(ConfigError, match="pred_len=0"):
+            ModelConfig(seq_len=4, pred_len=0, label_len=3,
+                        n_features_in=1, n_features_out=1, d=4, heads=1,
+                        l_g=2, l_s=1, e_l=1, d_l=1)
 
     def test_label_exceeding_seq_rejected(self):
         with pytest.raises(ConfigError):
@@ -194,12 +197,98 @@ class TestModelForward:
         def decoder(rows):
             h = Tensor(rows)
             for layer in model.decoder_layers:
-                h = layer(h, enc_out, OpCounter())
+                for block in layer.blocks(layer.memory(enc_out), OpCounter()):
+                    h = block(h)
             return h.data
 
         base = decoder(stream)
         stream[t] += rng.uniform(-10.0, 10.0, size=cfg.d)
         assert decoder(stream)[:t].tobytes() == base[:t].tobytes()
+
+
+@st.composite
+def bypass_cases(draw):
+    """A small model whose CCA reads the whole encoder output (seq_len <=
+    l_comp), with 1-2 decoder layers, and a seed."""
+    heads = draw(st.sampled_from([1, 2]))
+    seq_len = draw(st.integers(1, 12))
+    l_g = draw(st.integers(2, 5))
+    cfg = ModelConfig(seq_len=seq_len, pred_len=draw(st.integers(1, 8)),
+                      label_len=draw(st.integers(0, seq_len)),
+                      n_features_in=2, n_features_out=2, d=heads * draw(st.integers(1, 3)),
+                      heads=heads, e_l=draw(st.integers(0, 1)), d_l=draw(st.integers(1, 2)),
+                      l_g=l_g, l_s=draw(st.integers(1, l_g - 1)),
+                      l_comp=draw(st.integers(seq_len, 2 * seq_len)),
+                      ffn_hidden=draw(st.integers(1, 6)))
+    return cfg, draw(st.integers(0, 2 ** 16))
+
+
+def attention_over_the_encoder_output(h, enc_out, cca, heads, counter):
+    """CCA without compression, composed from separate tape ops."""
+    q, k, v = (broadcast_add(matmul(src, w), b) for src, w, b in
+               ((h, cca.w_q, cca.b_q), (enc_out, cca.w_k, cca.b_k), (enc_out, cca.w_v, cca.b_v)))
+    return broadcast_add(matmul(loop_multi_head_attention(q, k, v, heads, counter), cca.w_o),
+                         cca.b_o)
+
+
+class TestCcaBypass:
+    @settings(max_examples=30)
+    @given(bypass_cases())
+    def test_decoder_equals_attention_over_the_uncompressed_encoder_output(self, case):
+        cfg, seed = case
+        model = ForecasterModel(cfg, seed=seed)
+        assert all(layer.cca.c is None for layer in model.decoder_layers)
+        rng = np.random.default_rng(seed)
+        for p in model.parameters().values():
+            p.data = rng.normal(size=p.shape)
+        x = Tensor(rng.normal(size=(cfg.seq_len, 2)))
+        y = Tensor(rng.normal(size=(cfg.pred_len, 2)))
+
+        def reference(counter):
+            enc_out = model.encoder_forward(x, counter)
+            h = model._embed(build_decoder_input(x, cfg))
+            for layer in model.decoder_layers:
+                h = layer.norm1(h, gsa_forward(h, layer.gsa, layer.gsa_cfg, counter))
+                h = layer.norm2(h, attention_over_the_encoder_output(h, enc_out, layer.cca,
+                                                                     cfg.heads, counter))
+                h = layer.norm3(h, layer.ffn(h))
+            return model.head(slice_rows(h, cfg.label_len, cfg.dec_len)
+                              if cfg.label_len > 0 else h)
+
+        runs = []
+        for forward in (lambda counter: model.forward(x, counter), reference):
+            counter = OpCounter()
+            for p in model.parameters().values():
+                p.grad = None
+            with ComputationTape() as tape:
+                pred = forward(counter)
+                loss = mse_loss(pred, y)
+            backward(loss, tape)
+            runs.append((pred.data, counter.score_elements,
+                         {n: p.grad for n, p in model.parameters().items()}))
+        (pred, count, grads), (ref_pred, ref_count, ref_grads) = runs
+        npt.assert_array_equal(pred, ref_pred)
+        assert count == ref_count == model.closed_form_score_elements()
+        for name, g in grads.items():
+            npt.assert_array_equal(g, ref_grads[name], err_msg=name)
+
+
+class TestForwardMemory:
+    def test_untaped_forward_holds_a_few_full_width_arrays(self):
+        # the encoder output is dropped once compressed, a block's input
+        # once the next block has it, and layer norm, CCA and GSA work in
+        # row tiles: the peak is under 5 l-by-d arrays (it read 8 when
+        # every op held whole-length temporaries)
+        cfg = model_config_for("grouped", 1440, BenchConfig(d=128, ffn_hidden=128))
+        model = ForecasterModel(cfg, seed=0)
+        x = Tensor(np.random.default_rng(0).normal(size=(cfg.seq_len, cfg.n_features_in)))
+        tracemalloc.start()
+        try:
+            model.forward(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * cfg.seq_len * cfg.d * 8
 
 
 class TestCheckpoint:
