@@ -3,11 +3,12 @@ and the score-element counter shared by every attention variant.
 
 attention_probs/attention_forward/attention_backward are the one score ->
 softmax -> value kernel (and its gradient) on plain arrays, batched over
-leading axes; the fused tape ops multi_head_attention (CCA, unmasked) and
+leading axes; the fused tape ops cca.cca_forward (through
+multi_head_forward/multi_head_backward, unmasked) and
 gsa.grouped_attention (which builds its own boolean allow array) both run
-it.  multi_head_attention's forward scores TILE_ROWS queries of one head
-at a time; its rule holds only the op's inputs and rebuilds the
-probabilities with attention_probs, the forward's own arithmetic.
+it.  multi_head_forward scores TILE_ROWS queries of one head at a time;
+multi_head_backward holds nothing from it and rebuilds the probabilities
+in the same tiles with attention_probs, the forward's own arithmetic.
 scaled_dot_attention and row_softmax compose the same arithmetic from
 separate tape ops: they are the canonical reference that the acceptance
 gates and the loop oracles of the tests are built from.  Their mask
@@ -24,15 +25,13 @@ from .tensor import (
     Tensor,
     _record,
     accumulate_grad,
-    held_values,
     matmul,
     multiply,
-    recording,
     row_tiles,
     transpose,
 )
 
-TILE_ROWS = 256     # query rows multi_head_attention scores at a time
+TILE_ROWS = 256     # query rows multi_head_forward scores at a time
 
 
 class OpCounter:
@@ -154,12 +153,14 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, mask: AttentionMask,
 
 
 def attention_probs(q: np.ndarray, k_t: np.ndarray, scale: float,
-                    allow: Optional[np.ndarray] = None) -> np.ndarray:
+                    allow: Optional[np.ndarray] = None,
+                    out: Optional[np.ndarray] = None) -> np.ndarray:
     """softmax(q @ k_t * scale) over the last two axes, batched over any
-    leading ones; k_t holds the keys transposed and allow masks scores as
-    in softmax_last_axis.  A backward rule that calls it on the forward's
-    operands gets the forward's probabilities bit for bit."""
-    p = np.matmul(q, k_t)
+    leading ones, written into out when given; k_t holds the keys
+    transposed and allow masks scores as in softmax_last_axis.  A backward
+    rule that calls it on the forward's operands gets the forward's
+    probabilities bit for bit."""
+    p = np.matmul(q, k_t, out=out)
     p *= scale
     return softmax_last_axis(p, allow)
 
@@ -185,65 +186,67 @@ def attention_backward(q: np.ndarray, k_t: np.ndarray, v: np.ndarray, p: np.ndar
     return np.matmul(d_p, k_t.swapaxes(-1, -2)), np.matmul(q.swapaxes(-1, -2), d_p), d_v
 
 
-def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
-                         counter: OpCounter) -> Tensor:
+def _head_slabs(d: int, heads: int) -> list[slice]:
+    return [slice(h * (d // heads), (h + 1) * (d // heads)) for h in range(heads)]
+
+
+def _keys(k: np.ndarray, v: np.ndarray, cols: slice) -> tuple[np.ndarray, np.ndarray]:
+    """Contiguous (k transposed, v) of one head's columns."""
+    return np.ascontiguousarray(k[:, cols].T), np.ascontiguousarray(v[:, cols])
+
+
+def multi_head_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int,
+                       counter: OpCounter) -> np.ndarray:
     """Unmasked scaled_dot_attention on each of `heads` contiguous column
-    slabs of q, k and v, the slab outputs side by side, as one tape op with
-    one backward rule and the same arithmetic.  The forward runs one head
-    at a time and each head TILE_ROWS queries at a time (cut by
-    row_tiles), so one tile-by-l_k block of scores is alive at once;
-    softmax is row-wise, so the tiles' results are the whole head's.  The
-    rule holds only q, k and v: the backward
-    rebuilds each head's probabilities from them, one whole head at a
-    time, and adds those score elements to the counter's
-    recomputed_score_elements.  The forward counter sees one call per head.
+    slabs of q, k and v (arrays), the slab outputs side by side, with the
+    same arithmetic.  It runs one head at a time and each head TILE_ROWS
+    queries at a time (cut by row_tiles), so one tile-by-l_k block of
+    scores is alive at once; softmax is row-wise, so the tiles' results are
+    the whole head's.  The counter sees one call per head.
 
     Each head works on contiguous copies of its slabs, not strided views:
     BLAS rounds one-row products differently for strided operands, and the
-    copies keep every product bit-identical to scaled_dot_attention.  The
-    backward makes the same copies again."""
+    copies keep every product bit-identical to scaled_dot_attention."""
     (l_q, d), (l_k, d_k) = q.shape, k.shape
     if d % heads != 0:
         raise DimensionError(f"feature dim {d} not divisible by {heads} heads")
     if d_k != d or v.shape != k.shape:
         raise DimensionError(
             f"attention: Q {q.shape}, K {k.shape}, V {v.shape} do not line up")
-    dh = d // heads
-    scale = 1.0 / np.sqrt(dh)
-    taped = recording((q, k, v))
-    slabs = [slice(h * dh, (h + 1) * dh) for h in range(heads)]
-
-    def keys(a_k: np.ndarray, a_v: np.ndarray,
-             cols: slice) -> tuple[np.ndarray, np.ndarray]:
-        """Contiguous (k transposed, v) of one head's columns."""
-        return np.ascontiguousarray(a_k[:, cols].T), np.ascontiguousarray(a_v[:, cols])
-
-    out_rows = np.empty((l_q, d))
-    for cols in slabs:
+    scale = 1.0 / np.sqrt(d // heads)
+    out = np.empty((l_q, d))
+    for cols in _head_slabs(d, heads):
         counter.add_scores(l_q, l_k)
-        k_t, v_h = keys(k.data, v.data, cols)
+        k_t, v_h = _keys(k, v, cols)
         for rows in row_tiles(l_q, TILE_ROWS):
-            attention_forward(np.ascontiguousarray(q.data[rows, cols]), k_t, v_h, scale,
-                              out=out_rows[rows, cols])
-    out = Tensor(out_rows)
-    if not taped:
-        return out
-    q_slot, k_slot, v_slot, out_slot = q.slot, k.slot, v.slot, out.slot
-    q_values, k_values, v_values = held_values(q), held_values(k), held_values(v)
+            attention_forward(np.ascontiguousarray(q[rows, cols]), k_t, v_h, scale,
+                              out=out[rows, cols])
+    return out
 
-    def backward():
-        arrays = q_values(), k_values(), v_values()
-        d_q, d_k, d_v = (np.empty(a.shape) for a in arrays)
-        for cols in slabs:
-            q_h = np.ascontiguousarray(arrays[0][:, cols])
-            k_t, v_h = keys(arrays[1], arrays[2], cols)
-            counter.add_recomputed(l_q, l_k)
-            p = attention_probs(q_h, k_t, scale)
-            g = np.ascontiguousarray(out_slot.grad[:, cols])
-            d_q[:, cols], d_k_t, d_v[:, cols] = attention_backward(q_h, k_t, v_h, p, g, scale)
-            d_k[:, cols] = d_k_t.T
-        accumulate_grad(q_slot, d_q, owned=True)
-        accumulate_grad(k_slot, d_k, owned=True)
-        accumulate_grad(v_slot, d_v, owned=True)
 
-    return _record("multi_head_attention", out, (q, k, v), backward)
+def multi_head_backward(q: np.ndarray, k: np.ndarray, v: np.ndarray, g: np.ndarray,
+                        heads: int, counter: OpCounter) -> tuple[np.ndarray, np.ndarray]:
+    """The gradients of multi_head_forward(q, k, v, heads) from the output
+    gradient g, computed in place to spare two whole arrays: on return q
+    holds d_q and g holds the forward's output, rebuilt from the same
+    tiles' P @ V; returns (d_k, d_v).  A head's columns of q and g are
+    copied out before they are overwritten.  It holds nothing from the
+    forward: it rebuilds the probabilities in the forward's query tiles,
+    with its arithmetic, one whole head at a time, and adds those score
+    elements to the counter's recomputed_score_elements."""
+    (l_q, d), l_k = q.shape, k.shape[0]
+    scale = 1.0 / np.sqrt(d // heads)
+    d_k, d_v = np.empty(k.shape), np.empty(v.shape)
+    for cols in _head_slabs(d, heads):
+        # contiguous copies (ascontiguousarray would return g itself for one
+        # head, which the P @ V below overwrites)
+        q_h, g_h = q[:, cols].copy(), g[:, cols].copy()
+        k_t, v_h = _keys(k, v, cols)
+        counter.add_recomputed(l_q, l_k)
+        p = np.empty((l_q, l_k))
+        for rows in row_tiles(l_q, TILE_ROWS):
+            attention_probs(q_h[rows], k_t, scale, out=p[rows])
+            np.matmul(p[rows], v_h, out=g[rows, cols])
+        q[:, cols], d_k_t, d_v[:, cols] = attention_backward(q_h, k_t, v_h, p, g_h, scale)
+        d_k[:, cols] = d_k_t.T
+    return d_k, d_v

@@ -1,7 +1,10 @@
 """Compressed cross-attention: the encoder output is linearly compressed
 to a fixed row count before serving as keys/values, so cross-attention
 cost is l_dec * l_comp no matter how long the encoder sequence gets.
-Each decoder layer owns its own compression matrix, when it needs one."""
+Each decoder layer owns its own compression matrix, when it needs one.
+The compression is a matmul op of its own; the projections, attention and
+output projection after it are one tape op whose rule rebuilds Q, K, V,
+the probabilities and the attended rows."""
 
 from __future__ import annotations
 
@@ -10,8 +13,22 @@ from typing import Optional
 
 import numpy as np
 
-from .attention import OpCounter, multi_head_attention
-from .tensor import ParameterSet, Tensor, linear, matmul, uniform_param, zero_row
+from .attention import OpCounter, multi_head_backward, multi_head_forward
+from .tensor import (
+    DimensionError,
+    ParameterSet,
+    Tensor,
+    _record,
+    accumulate_grad,
+    affine,
+    held_values,
+    linear_backward,
+    linear_input_grad,
+    matmul,
+    recording,
+    uniform_param,
+    zero_row,
+)
 
 
 @dataclass
@@ -61,16 +78,48 @@ def cca_forward(h_dec: Tensor, h_enc: Tensor, params: CcaLayerParams,
     """Queries from the decoder stream; keys/values projected from the
     compressed encoder output; canonical attention; output projection.
     With compressed=True, h_enc is already compress_encoder_output(encoder
-    output, params.c), as the model passes it, and is used as is.  Q, K
-    and V are dropped before the output projection runs.
+    output, params.c), as the model passes it, and is used as is.
+
+    Everything after the compression is one tape op, bit for bit the
+    linear q/k/v projections, multi-head attention and linear output
+    projection composed.  The forward drops Q, K and V before the output
+    projection runs.  The rule holds h_dec and the memory (through
+    held_values) and the parameters: the backward rebuilds Q, K, V, the
+    probabilities and the attended rows with the forward's arithmetic and
+    tiles, and adds into the memory's gradient v's share before k's, as
+    the composed rules' replay would.
 
     No mask: compressed rows are mixtures of all encoder positions, so a
     key-padding mask has nothing to point at.
     """
-    q = linear(h_dec, params.w_q, params.b_q)
-    h_c = h_enc if compressed else compress_encoder_output(h_enc, params.c)
-    k = linear(h_c, params.w_k, params.b_k)
-    v = linear(h_c, params.w_v, params.b_v)
-    attended = multi_head_attention(q, k, v, heads, counter)
+    memory = h_enc if compressed else compress_encoder_output(h_enc, params.c)
+    p = params
+    if h_dec.shape[1] != p.w_q.shape[0] or memory.shape[1] != p.w_k.shape[0]:
+        raise DimensionError(f"cca: decoder {h_dec.shape} and memory {memory.shape} "
+                             f"for projections {p.w_q.shape}")
+    q = affine(h_dec.data, p.w_q, p.b_q)
+    k, v = affine(memory.data, p.w_k, p.b_k), affine(memory.data, p.w_v, p.b_v)
+    attended = multi_head_forward(q, k, v, heads, counter)
     del q, k, v
-    return linear(attended, params.w_o, params.b_o)
+    out = Tensor(affine(attended, p.w_o, p.b_o))
+    del attended
+    inputs = (h_dec, memory, p.w_q, p.b_q, p.w_k, p.b_k, p.w_v, p.b_v, p.w_o, p.b_o)
+    if not recording(inputs):
+        return out
+    dec_slot, memory_slot, out_slot = h_dec.slot, memory.slot, out.slot
+    dec_values, memory_values = held_values(h_dec), held_values(memory)
+
+    def backward():
+        g = out_slot.grad
+        mem = memory_values()
+        d_q = affine(dec_values(), p.w_q, p.b_q)        # Q until multi_head_backward
+        attended = linear_input_grad(g, p.w_o, p.b_o)   # its gradient until then
+        d_k, d_v = multi_head_backward(d_q, affine(mem, p.w_k, p.b_k),
+                                       affine(mem, p.w_v, p.b_v), attended, heads, counter)
+        accumulate_grad(p.w_o, attended.T @ g, owned=True)
+        del attended
+        linear_backward(memory_slot, mem, p.w_v, p.b_v, d_v)
+        linear_backward(memory_slot, mem, p.w_k, p.b_k, d_k)
+        linear_backward(dec_slot, dec_values(), p.w_q, p.b_q, d_q)
+
+    return _record("cca", out, inputs, backward)

@@ -10,16 +10,16 @@ that row is blended back into the group's local output as
 alpha_j * local + beta_j * pooled.  Score-element cost per head is
 m*l_g^2 + (m*l_s)^2, linear in l for fixed l_g and l_s.
 
-gsa_forward runs the Q/K/V projections and every group of every head
-through one tape op, grouped_attention, with a hand-written backward; the
-projections write straight into zero-padded group buffers.  The forward
-works over tiles of whole groups (TILE_ROWS rows), so one tile of Q/K/V
-and of one head's group scores is alive at a time, and only each group's
-summary rows outlive their tile.  The op's rule
-holds its input (through tensor.held_values, so a layer norm's output is
-rebuilt, not held), its parameters and the local attention probabilities,
-and rebuilds Q, K, V and the global path in the backward.  Only the
-output projection is a separate linear op.  summarize_group,
+gsa_forward runs the Q/K/V projections, every group of every head and
+the output projection through one tape op, grouped_attention, with a
+hand-written backward; the projections write straight into zero-padded
+group buffers.  The forward works over tiles of whole groups (TILE_ROWS
+rows), so one tile of Q/K/V and of one head's group scores is alive at a
+time, and only each group's summary rows outlive their tile.  The op's
+rule holds its input (through tensor.held_values, so a layer norm's output
+is rebuilt, not held), its parameters and the local attention
+probabilities, and rebuilds Q, K, V (in the forward's tiles), the global
+path and the merged head outputs in the backward.  summarize_group,
 global_summary_attention and merge_outputs are the global path's steps
 for a single group, composed from separate tape ops; the model does not
 call them, and the tests build their loop-based reference from them
@@ -49,10 +49,11 @@ from .tensor import (
     Tensor,
     _record,
     accumulate_grad,
+    affine,
     broadcast_add,
     held_values,
-    linear,
     linear_backward,
+    linear_input_grad,
     matmul,
     mean_rows,
     multiply,
@@ -239,23 +240,32 @@ def _sum_last_to_first(parts: np.ndarray) -> np.ndarray:
     return functools.reduce(np.add, parts[::-1])
 
 
-def _project(x: np.ndarray, w: Tensor, b: Tensor, m: int, l_g: int, heads: int,
+def _tiles(l: int, l_g: int) -> list[slice]:
+    """The row tiles grouped_attention's forward works over: whole groups,
+    about TILE_ROWS rows each."""
+    return row_tiles(l, max(TILE_ROWS // l_g, 1) * l_g)
+
+
+def _project(x: np.ndarray, w: Tensor, b: Tensor, m: int, l_g: int,
              real_len: int) -> np.ndarray:
-    """x @ w + b, x an (l, d) array, with linear's arithmetic, as (heads, m,
-    l_g, d_h) blocks: a view of one zero-padded (m*l_g, d) buffer that the
-    product is written straight into, every row at index >= real_len zero."""
+    """x @ w + b, x an (l, d) array, with linear's arithmetic and the
+    forward's row tiles, in one zero-padded (m*l_g, d) buffer that the
+    product is written straight into, every row at index >= real_len zero.
+    A forward tile is one tile here, so a backward that projects the whole
+    x gets the forward's bits at every width."""
     l = x.shape[0]
     rows = np.empty((m * l_g, w.shape[1]))
-    np.matmul(x, w.data, out=rows[:l])
+    for tile in _tiles(l, l_g):
+        np.matmul(x[tile], w.data, out=rows[tile])
     rows[:l] += b.data
     rows[real_len:] = 0.0
-    return _grouped(rows, m, l_g, heads)
+    return rows
 
 
-def _qkv(x: np.ndarray, params: GsaLayerParams, m: int, l_g: int, heads: int,
+def _qkv(x: np.ndarray, params: GsaLayerParams, m: int, l_g: int,
          real_len: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The _project blocks of Q, K and V."""
-    return tuple(_project(x, w, b, m, l_g, heads, real_len) for w, b in
+    """The _project buffers of Q, K and V."""
+    return tuple(_project(x, w, b, m, l_g, real_len) for w, b in
                  ((params.w_q, params.b_q), (params.w_k, params.b_k), (params.w_v, params.b_v)))
 
 
@@ -274,9 +284,9 @@ def _summary_attention(qs: np.ndarray, ks: np.ndarray, vs: np.ndarray,
 def grouped_attention(x: Tensor, params: GsaLayerParams, cfg: GsaConfig,
                       real_len: Optional[int], counter: OpCounter) -> Tensor:
     """The Q/K/V projections of x, local attention in every group of every
-    head and (when cfg.uses_global) the summary projection, global summary
-    attention, pooling and alpha/beta merge, as one tape op with one
-    backward rule.
+    head, (when cfg.uses_global) the summary projection, global summary
+    attention, pooling and alpha/beta merge, and the output projection, as
+    one tape op with one backward rule.
 
     Rows of x at index >= real_len (default: all real) are padding: their
     projected queries, keys and values are zero and masked as keys.  The
@@ -285,17 +295,17 @@ def grouped_attention(x: Tensor, params: GsaLayerParams, cfg: GsaConfig,
     attention on its groups one head at a time and keeps only its groups'
     summary rows, so one tile of Q/K/V and one tile of one head's group
     scores are alive at once.  Every group is computed alone, so the
-    tiles' results are the whole layer's.  The summary attention and the
-    merge run once all tiles are done.
+    tiles' results are the whole layer's.  The summary attention, the
+    merge and the output projection run once all tiles are done.
     The rule holds x, the parameters and each head's local probabilities,
-    nothing else: the backward gets x once (from its recipe when x has
-    one), projects Q, K and V again at full length and re-runs the summary
+    nothing else: the backward gets x (from its recipe when x has one),
+    projects Q, K and V again in the forward's tiles, re-runs the summary
     path with the forward's arithmetic (adding the summary score elements
-    to the counter's recomputed_score_elements), then works one head at a
-    time.  Returns the l-by-d head outputs side by side, ready for the
-    output projection.  The forward counter sees one l_g-by-l_g matrix per
-    head and group and one m*l_s-by-m*l_s matrix per head, however the
-    groups are computed.
+    to the counter's recomputed_score_elements), rebuilds the merged head
+    outputs from each head's P @ V for w_o's gradient, then works one head
+    at a time.  The forward counter sees one l_g-by-l_g matrix per head
+    and group and one m*l_s-by-m*l_s matrix per head, however the groups
+    are computed.
     """
     l, d = x.shape
     if d != cfg.d:
@@ -305,7 +315,8 @@ def grouped_attention(x: Tensor, params: GsaLayerParams, cfg: GsaConfig,
     dh, n_s = d // heads, m * l_s
     scale = 1.0 / np.sqrt(dh)
     use_global = cfg.uses_global
-    inputs = (x, params.w_q, params.b_q, params.w_k, params.b_k, params.w_v, params.b_v)
+    inputs = (x, params.w_q, params.b_q, params.w_k, params.b_k, params.w_v, params.b_v,
+              params.w_o, params.b_o)
     if use_global:
         inputs += (params.e_q, params.e_k, params.e_v, params.alpha, params.beta)
     taped = recording(inputs)
@@ -318,10 +329,11 @@ def grouped_attention(x: Tensor, params: GsaLayerParams, cfg: GsaConfig,
     probs = [np.empty((m, l_g, l_g)) for _ in range(heads)] if taped else []
     if use_global:
         summaries = np.empty((3, heads, m, l_s, dh))    # e_q/e_k/e_v rows of every group
-    for rows in row_tiles(l, max(TILE_ROWS // l_g, 1) * l_g):
+    for rows in _tiles(l, l_g):
         groups = slice(rows.start // l_g, -(-rows.stop // l_g))
-        qg, kg, vg = _qkv(x.data[rows], params, groups.stop - groups.start, l_g, heads,
-                          real_len - rows.start)
+        n = groups.stop - groups.start
+        qg, kg, vg = (_grouped(a, n, l_g, heads) for a in
+                      _qkv(x.data[rows], params, n, l_g, real_len - rows.start))
         tile_allow = None if allow is None else allow[groups]
         for h in range(heads):
             p = attention_forward(qg[h], kg[h].swapaxes(-1, -2), vg[h], scale, tile_allow,
@@ -340,40 +352,47 @@ def grouped_attention(x: Tensor, params: GsaLayerParams, cfg: GsaConfig,
         pooled = _summary_attention(*summaries, scale)[-1]
         o *= params.alpha.data[0, :m, None, None]
         o += (pooled * params.beta.data[0, :m, None])[:, :, None, :]
-    out = Tensor(out_rows[:l])
+    out = Tensor(affine(out_rows[:l], params.w_o, params.b_o))
+    del out_rows, o
     if not taped:
         return out
     x_slot, out_slot = x.slot, out.slot
     x_values = held_values(x)
 
-    def qkv_grads(x_data: np.ndarray) -> list[np.ndarray]:
-        """The (m*l_g, d) gradients of Q, K and V, pad rows zero.  Q, K, V
-        and each head's gradient blocks are rebuilt here and die on return,
-        and each head's probabilities leave the closure once read."""
-        qg, kg, vg = _qkv(x_data, params, m, l_g, heads, real_len)
-        grads = [np.empty((m * l_g, d)) for _ in range(3)]
-        d_q, d_k, d_v = (_grouped(rows, m, l_g, heads) for rows in grads)
+    def backward():
+        g = out_slot.grad
+        # Q, K and V until each head's local backward overwrites its blocks
+        # with their gradients
+        grads = _qkv(x_values(), params, m, l_g, real_len)
+        qg, kg, vg = (_grouped(a, m, l_g, heads) for a in grads)
+        d_merged = linear_input_grad(g, params.w_o, params.b_o)
+
+        def d_head(h: int) -> np.ndarray:
+            """Head h's (m, l_g, d_h) blocks of the merged outputs' gradient."""
+            return _to_groups(d_merged[:, h * dh:(h + 1) * dh], m, l_g, 1)[0]
+
         if use_global:
-            alpha = params.alpha.data[0, :m]
-            beta = params.beta.data[0, :m]
             qs, ks, vs, pg, pooled = _summary_attention(
                 *(np.matmul(e.data, blocks) for e, blocks in
                   ((params.e_q, qg), (params.e_k, kg), (params.e_v, vg))), scale)
             d_alpha = np.empty((heads, m))
             g_cols = np.empty((heads, m, dh))
-        # local attention inside every group, one head at a time
-        for h in reversed(range(heads)):
-            p = probs.pop()
-            g = _to_groups(out_slot.grad[:, h * dh:(h + 1) * dh], m, l_g, 1)[0]
-            d_local = g
+        # the merged head outputs, as the forward made them, for w_o
+        merged_rows = np.empty((m * l_g, d))
+        merged = _grouped(merged_rows, m, l_g, heads)
+        for h in range(heads):
+            local = np.matmul(probs[h], vg[h])
             if use_global:
-                # merge: out_j = alpha_j * local_j + beta_j * pooled_j
-                g_cols[h] = g.sum(axis=1)
-                d_alpha[h] = (g * np.matmul(p, vg[h])).reshape(m, -1).sum(axis=-1)
-                d_local = g * alpha[:, None, None]
-            d_q[h], d_k_t, d_v[h] = attention_backward(
-                qg[h], kg[h].swapaxes(-1, -2), vg[h], p, d_local, scale)
-            d_k[h] = d_k_t.swapaxes(-1, -2)
+                d_out = d_head(h)
+                g_cols[h] = d_out.sum(axis=1)
+                d_alpha[h] = (d_out * local).reshape(m, -1).sum(axis=-1)
+            merged[h] = local
+        if use_global:
+            # out_j = alpha_j * local_j + beta_j * pooled_j
+            merged *= params.alpha.data[0, :m, None, None]
+            merged += (pooled * params.beta.data[0, :m, None])[:, :, None, :]
+        accumulate_grad(params.w_o, merged_rows[:l].T @ g, owned=True)
+        del local, merged_rows, merged
         if use_global:
             counter.add_recomputed(heads * n_s, n_s)
             for param, d_slot in ((params.alpha, d_alpha),
@@ -381,29 +400,37 @@ def grouped_attention(x: Tensor, params: GsaLayerParams, cfg: GsaConfig,
                 full = np.zeros(param.shape)
                 full[0, :m] = _sum_last_to_first(d_slot)
                 accumulate_grad(param, full, owned=True)
-            d_pooled = g_cols * beta[:, None] / l_s
+            d_pooled = g_cols * params.beta.data[0, :m, None] / l_s
             d_og = np.repeat(d_pooled[:, :, None, :], l_s, axis=2).reshape(heads, n_s, dh)
             # global summary attention
             d_qs, d_ks, d_vs = attention_backward(qs, ks.swapaxes(-1, -2), vs, pg, d_og, scale)
-            d_ks = d_ks.swapaxes(-1, -2)
+            d_summaries = [a.reshape(heads, m, l_s, dh)
+                           for a in (d_qs, d_ks.swapaxes(-1, -2), d_vs)]
             # summary projections, shared by every group and head
-            for e, blocks, d_s, d_blocks in ((params.e_q, qg, d_qs, d_q),
-                                             (params.e_k, kg, d_ks, d_k),
-                                             (params.e_v, vg, d_vs, d_v)):
-                d_s = d_s.reshape(heads, m, l_s, dh)
+            for e, blocks, d_s in zip((params.e_q, params.e_k, params.e_v), (qg, kg, vg),
+                                      d_summaries):
                 d_e = np.matmul(d_s, blocks.swapaxes(-1, -2)).reshape(-1, l_s, l_g)
                 accumulate_grad(e, _sum_last_to_first(d_e), owned=True)
-                d_blocks += np.matmul(e.data.T, d_s)
-        for rows in grads:
-            rows[real_len:] = 0.0
-        return grads
-
-    def backward():
+        # local attention inside every group, one head at a time; each
+        # head's probabilities leave the closure once read
+        for h in reversed(range(heads)):
+            d_local = d_head(h)
+            if use_global:
+                d_local = d_local * params.alpha.data[0, :m, None, None]
+            d_q, d_k_t, d_v = attention_backward(
+                qg[h], kg[h].swapaxes(-1, -2), vg[h], probs.pop(), d_local, scale)
+            d_blocks = (d_q, d_k_t.swapaxes(-1, -2), d_v)
+            if use_global:
+                for e, d_block, d_s in zip((params.e_q, params.e_k, params.e_v), d_blocks,
+                                           d_summaries):
+                    d_block += np.matmul(e.data.T, d_s[h])
+            qg[h], kg[h], vg[h] = d_blocks
+        del d_local, d_blocks, d_merged
         x_data = x_values()
-        d_q, d_k, d_v = qkv_grads(x_data)
         # the projections, v first, as replaying three linear ops would
-        for w, b, rows in ((params.w_v, params.b_v, d_v), (params.w_k, params.b_k, d_k),
-                           (params.w_q, params.b_q, d_q)):
+        for w, b, rows in ((params.w_v, params.b_v, grads[2]), (params.w_k, params.b_k, grads[1]),
+                           (params.w_q, params.b_q, grads[0])):
+            rows[real_len:] = 0.0
             linear_backward(x_slot, x_data, w, b, rows[:l])
 
     return _record("grouped_attention", out, inputs, backward)
@@ -417,5 +444,4 @@ def gsa_forward(x: Tensor, params: GsaLayerParams, cfg: GsaConfig,
     projected queries/keys/values are zeroed and they are masked out as
     keys, so outputs at real positions never depend on pad values.
     """
-    combined = grouped_attention(x, params, cfg, real_len, counter)
-    return linear(combined, params.w_o, params.b_o)
+    return grouped_attention(x, params, cfg, real_len, counter)

@@ -21,11 +21,10 @@ from .gsa import ConfigError, GsaConfig, GsaLayerParams, gsa_forward, gsa_op_cou
 from .tensor import (
     ParameterSet,
     Tensor,
-    broadcast_add,
+    feed_forward,
     layer_norm,
     linear,
     load_checkpoint,
-    relu,
     save_checkpoint,
     slice_rows,
     uniform_param,
@@ -120,8 +119,8 @@ class _Linear(ParameterSet):
         self.w = uniform_param(rng, (n_in, n_out), fan_in=n_in)
         self.b = zero_row(n_out)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return linear(x, self.w, self.b)
+    def __call__(self, x: Tensor, shift: Optional[np.ndarray] = None) -> Tensor:
+        return linear(x, self.w, self.b, shift)
 
 
 class _LayerNorm(ParameterSet):
@@ -139,7 +138,7 @@ class _FeedForward(ParameterSet):
         self.lin2 = _Linear(hidden, d, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return self.lin2(relu(self.lin1(x)))
+        return feed_forward(x, self.lin1.w, self.lin1.b, self.lin2.w, self.lin2.b)
 
 
 class _EncoderLayer(ParameterSet):
@@ -204,8 +203,8 @@ class ForecasterModel:
         return out
 
     def _embed(self, x: Tensor) -> Tensor:
-        e = self.embed(x)
-        return broadcast_add(e, Tensor(self.pos_table[:x.shape[0]]))
+        """The value embedding plus the position table, as one linear op."""
+        return self.embed(x, self.pos_table[:x.shape[0]])
 
     def encoder_forward(self, x: Tensor, counter: Optional[OpCounter] = None) -> Tensor:
         """Embed + position-encode, then run the encoder stack."""

@@ -15,17 +15,24 @@ A tensor's gradient lives apart from its values, in a small GradSlot.  The
 tape holds each op output's slot, not the tensor, and a rule captures a
 Tensor only if it reads that tensor's values; for every other input, and
 for its own output, it captures the slot.  So an op output that no rule
-reads (the residual branch a layer norm adds, the pre-activation a relu
-masks) is freed as soon as the forward drops it.
+reads (the residual branch a layer norm adds) is freed as soon as the
+forward drops it.
 
 A rule that reads an input's values holds them through held_values: the
 input's rebuild recipe when it has one, else its array.  A recorded
 layer_norm gives its output a recipe that redoes the last two passes of
-its forward from the xhat its own rule holds, so no norm output outlives
-the forward, although the linear, matmul and grouped_attention rules of
-its consumers read it.  Rules and recipes read parameters' values when
-the backward runs: a parameter's values must not change between a
-recorded forward and its backward.
+its forward from the xhat its own rule holds, and a recorded linear one
+that redoes its product from what its rule holds, so neither a norm
+output nor an embedding outlives the forward, although the rules of
+their consumers read them.  The model's sublayers are one op each
+(linear with a position shift, feed_forward here, grouped_attention in
+gsa, cca_forward in cca): a sublayer's rule holds its input, its
+parameters and (GSA) its local probabilities, and rebuilds every inner
+activation in the backward with the forward's own arithmetic and row
+tiles, so its values and gradients are those of the composed ops bit for
+bit.  Rules and recipes read parameters' values when the backward runs: a
+parameter's values must not change between a recorded forward and its
+backward.
 
 The ops that would otherwise make whole-length temporaries (layer_norm
 here, the attention ops in attention and gsa) work in row tiles cut by
@@ -236,20 +243,39 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record("matmul", out, (a, b), backward)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b, b a 1-by-n row: one tape node whose backward gives b, x
-    and w their gradients in the order (and with the arithmetic) of
-    broadcast_add(matmul(x, w), b)."""
+def affine(x: np.ndarray, w: Tensor, b: Tensor) -> np.ndarray:
+    """x @ w + b on x's array: linear's arithmetic, which the fused ops and
+    their backward rebuilds share."""
+    out = x @ w.data
+    out += b.data
+    return out
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor, shift: Optional[np.ndarray] = None) -> Tensor:
+    """x @ w + b, b a 1-by-n row, plus shift (a constant array of the
+    output's shape) when given: one tape node whose backward gives b, x and
+    w their gradients in the order (and with the arithmetic) of
+    broadcast_add(matmul(x, w), b), and bit for bit broadcast_add(that,
+    Tensor(shift)).  When it records, the output's recipe rebuilds it from
+    x (through held_values), w, b and shift, which the rule holds anyway."""
     if x.shape[1] != w.shape[0]:
         raise DimensionError(
             f"linear: inner extents differ: {x.shape} x {w.shape}")
     if b.shape != (1, w.shape[1]):
         raise DimensionError(f"linear: bias must be (1, {w.shape[1]}), got {b.shape}")
-    data = x.data @ w.data
-    data += b.data
-    out = Tensor(data)
+
+    def rebuild(x_data: np.ndarray) -> np.ndarray:
+        data = affine(x_data, w, b)
+        if shift is not None:
+            data += shift
+        return data
+
+    out = Tensor(rebuild(x.data))
+    if not recording((x, w, b)):
+        return out
     x_slot, b_slot, out_slot = x.slot, b.slot, out.slot
     x_values = held_values(x)
+    out.recipe = lambda: rebuild(x_values())
 
     def backward():
         linear_backward(x_slot, x_values(), w, b_slot, out_slot.grad)
@@ -257,15 +283,57 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _record("linear", out, (x, w, b), backward)
 
 
+def linear_input_grad(g: np.ndarray, w: Tensor, b: "Tensor | GradSlot") -> np.ndarray:
+    """Give b (a tensor or its slot) its gradient of x @ w + b from the
+    output gradient g and return x's, g @ w.T: the first two steps of
+    linear_backward, for a rule that has x's values only later."""
+    g_b = _reduce_to(g, b.shape)
+    accumulate_grad(b, g_b, owned=g_b is not g)
+    return g @ w.data.T
+
+
 def linear_backward(x: GradSlot, x_data: np.ndarray, w: Tensor, b: "Tensor | GradSlot",
                     g: np.ndarray) -> None:
     """Give b (a tensor or its slot), x (the slot of a tensor with values
     x_data) and w, in that order, their gradients of x @ w + b from the
     output gradient g; g is only read, so no gradient aliases it."""
-    g_b = _reduce_to(g, b.shape)
-    accumulate_grad(b, g_b, owned=g_b is not g)
-    accumulate_grad(x, g @ w.data.T, owned=True)
+    accumulate_grad(x, linear_input_grad(g, w, b), owned=True)
     accumulate_grad(w, x_data.T @ g, owned=True)
+
+
+def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """relu(x @ w1 + b1) @ w2 + b2 as one tape node, bit for bit
+    linear(relu(linear(x, w1, b1)), w2, b2).  The rule holds x (through
+    held_values) and the parameters: the backward rebuilds the hidden
+    activations with the forward's arithmetic and gives b2, w2, b1, x and
+    w1 their gradients as the three composed rules would, reading the relu
+    mask from the rebuilt activations (out > 0 exactly where the
+    pre-activation is)."""
+    if x.shape[1] != w1.shape[0]:
+        raise DimensionError(f"feed_forward: input {x.shape} for weights {w1.shape}")
+
+    def hidden(x_data: np.ndarray) -> np.ndarray:
+        h = affine(x_data, w1, b1)
+        return np.maximum(h, 0.0, out=h)
+
+    out = Tensor(affine(hidden(x.data), w2, b2))
+    inputs = (x, w1, b1, w2, b2)
+    if not recording(inputs):
+        return out
+    x_slot, out_slot = x.slot, out.slot
+    x_values = held_values(x)
+
+    def backward():
+        g = out_slot.grad
+        x_data = x_values()
+        h = hidden(x_data)
+        g_h = linear_input_grad(g, w2, b2)
+        accumulate_grad(w2, h.T @ g, owned=True)
+        g_h *= h > 0.0
+        del h
+        linear_backward(x_slot, x_data, w1, b1, g_h)
+
+    return _record("feed_forward", out, inputs, backward)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -352,18 +420,6 @@ def mean_rows(a: Tensor) -> Tensor:
         accumulate_grad(a_slot, np.repeat(out_slot.grad / r, r, axis=0), owned=True)
 
     return _record("mean_rows", out, (a,), backward)
-
-
-def relu(a: Tensor) -> Tensor:
-    """max(a, 0); the backward takes its mask from the output, since
-    out > 0 exactly where a > 0, so a's values are not kept."""
-    out = Tensor(np.maximum(a.data, 0.0))
-    a_slot = a.slot
-
-    def backward():
-        accumulate_grad(a_slot, out.grad * (out.data > 0.0), owned=True)
-
-    return _record("relu", out, (a,), backward)
 
 
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:

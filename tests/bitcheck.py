@@ -7,7 +7,10 @@ checkouts can be compared bit for bit with one diff.
 
 For each config it hashes the forecast of an untaped forward, then, under a
 tape, the forecast, the MSE loss and every parameter gradient after one
-backward.  Every GSA beta is set to 0.3, so the global path carries
+backward, and every parameter gradient after two windows accumulate on one
+tape, each loss scaled by 1/2 as training.train scales a batch of two (so
+the order in which the backward rules add into shared gradients shows
+across a batch too).  Every GSA beta is set to 0.3, so the global path carries
 forecast and gradient.  The configs are the bench config at the
 train_long length, the `gsaformer train` defaults, a compressed-CCA
 config with label_len=20, the local-only ablation, and the bench config at
@@ -23,7 +26,7 @@ import numpy as np
 
 from gsaformer.benchmark import BenchConfig, model_config_for
 from gsaformer.model import ForecasterModel, ModelConfig
-from gsaformer.tensor import ComputationTape, Tensor, backward
+from gsaformer.tensor import ComputationTape, Tensor, backward, multiply, zero_grads
 from gsaformer.training import mse_loss
 
 TRAIN_DEFAULTS = dict(seq_len=96, pred_len=24, n_features_in=2, n_features_out=2)
@@ -63,6 +66,16 @@ def check(name: str, cfg: ModelConfig) -> list[str]:
     backward(loss, tape)
     for pname, p in model.parameters().items():
         lines.append(f"{name} grad.{pname} {digest(p.grad) if p.grad is not None else 'none'}")
+    params = model.parameters()
+    zero_grads(params.values())
+    x2 = Tensor(rng.normal(size=(cfg.seq_len, cfg.n_features_in)))
+    y2 = Tensor(rng.normal(size=(cfg.pred_len, cfg.n_features_out)))
+    with ComputationTape() as tape:
+        for window_x, window_y in ((x, y), (x2, y2)):
+            backward(multiply(mse_loss(model.forward(window_x), window_y), 1.0 / 2), tape)
+    for pname, p in params.items():
+        lines.append(f"{name} batch2.grad.{pname} "
+                     f"{digest(p.grad) if p.grad is not None else 'none'}")
     return lines
 
 

@@ -4,22 +4,34 @@ These stay loop-based and independent of the library's vectorized paths on
 purpose: they are the other side of every equivalence check.  The tape ops
 that only these oracles need (column slices, row and column concatenation,
 zero padding, cutting a sequence into groups, the layer norm of one input,
-subtraction, the sum of all entries and the MSE composed from them) live
-here, not in the library.  So do the whole-array forwards of the ops that
-work in tiles (layer_norm, multi_head_attention, grouped_attention): their
-bodies from before the tiling, the oracle the tiled forwards must match bit
-for bit.
+relu, multi-head attention as one op, subtraction, the sum of all entries
+and the MSE composed from them) live here, not in the library.  So do the
+whole-array forwards of the ops that work in tiles (layer_norm,
+multi_head_forward, grouped_attention): their bodies from before the
+tiling, the oracle the tiled forwards must match bit for bit; and the
+sublayers the model records as one op each (the embedding, the
+feed-forward block, the CCA sublayer), composed from separate tape ops that
+hold their intermediate values.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 
 from gsaformer import gsa
-from gsaformer.attention import AttentionMask, attention_forward, scaled_dot_attention
+from gsaformer.attention import (
+    AttentionMask,
+    attention_forward,
+    multi_head_backward,
+    multi_head_forward,
+    scaled_dot_attention,
+)
+from gsaformer.cca import compress_encoder_output
 from gsaformer.gsa import (
     ConfigError,
     global_summary_attention,
+    grouped_attention,
     merge_outputs,
     summarize_group,
 )
@@ -32,6 +44,7 @@ from gsaformer.tensor import (
     accumulate_grad,
     backward,
     broadcast_add,
+    linear,
     matmul,
     multiply,
     slice_rows,
@@ -102,8 +115,7 @@ def whole_layer_norm(x, f, gain, bias, eps=1e-6):
 
 
 def whole_multi_head_attention(q, k, v, heads):
-    """multi_head_attention's forward on arrays, every head's queries in
-    one block."""
+    """multi_head_forward on arrays, every head's queries in one block."""
     l_q, d = q.shape
     dh = d // heads
     scale = 1.0 / np.sqrt(dh)
@@ -119,12 +131,19 @@ def whole_multi_head_attention(q, k, v, heads):
 def whole_grouped_attention(x, params, cfg, real_len=None):
     """grouped_attention's forward on an (l, d) array: Q, K and V of every
     group projected at once, then local attention one head at a time, the
-    summary path and the merge."""
+    summary path, the merge and the output projection."""
     l, d = x.shape
     real_len, m = gsa._check_lengths(l, real_len, cfg)
     heads, l_g = cfg.heads, cfg.l_g
     scale = 1.0 / np.sqrt(d // heads)
-    qg, kg, vg = gsa._qkv(x, params, m, l_g, heads, real_len)
+    blocks = []
+    for w, b in ((params.w_q, params.b_q), (params.w_k, params.b_k), (params.w_v, params.b_v)):
+        rows = np.empty((m * l_g, d))
+        np.matmul(x, w.data, out=rows[:l])
+        rows[:l] += b.data
+        rows[real_len:] = 0.0
+        blocks.append(gsa._grouped(rows, m, l_g, heads))
+    qg, kg, vg = blocks
     allow = gsa._local_allow(cfg, m, real_len)
     out_rows = np.empty((m * l_g, d))
     o = gsa._grouped(out_rows, m, l_g, heads)
@@ -136,7 +155,67 @@ def whole_grouped_attention(x, params, cfg, real_len=None):
               ((params.e_q, qg), (params.e_k, kg), (params.e_v, vg))), scale)[-1]
         o *= params.alpha.data[0, :m, None, None]
         o += (pooled * params.beta.data[0, :m, None])[:, :, None, :]
-    return out_rows[:l]
+    out = out_rows[:l] @ params.w_o.data
+    out += params.b_o.data
+    return out
+
+
+def relu(a):
+    """max(a, 0); the backward takes its mask from the output, since
+    out > 0 exactly where a > 0, so a's values are not kept."""
+    out = Tensor(np.maximum(a.data, 0.0))
+    a_slot = a.slot
+
+    def backward_fn():
+        accumulate_grad(a_slot, out.grad * (out.data > 0.0), owned=True)
+
+    return _record("relu", out, (a,), backward_fn)
+
+
+def multi_head_attention(q, k, v, heads, counter):
+    """attention.multi_head_forward as one tape op whose rule holds q, k
+    and v and runs multi_head_backward: the op the CCA sublayer recorded
+    between its projections before it became one op."""
+    out = Tensor(multi_head_forward(q.data, k.data, v.data, heads, counter))
+
+    def backward_fn():
+        d_q = q.data.copy()
+        d_k, d_v = multi_head_backward(d_q, k.data, v.data, out.grad.copy(), heads, counter)
+        for t, g in zip((q, k, v), (d_q, d_k, d_v)):
+            accumulate_grad(t, g, owned=True)
+
+    return _record("multi_head_attention", out, (q, k, v), backward_fn)
+
+
+def composed_embedding(x, w, b, positions):
+    """The embedding as two tape ops: linear, then the position add."""
+    return broadcast_add(linear(x, w, b), Tensor(positions))
+
+
+def composed_feed_forward(x, w1, b1, w2, b2):
+    """The feed-forward block as three tape ops that hold their values."""
+    return linear(relu(linear(x, w1, b1)), w2, b2)
+
+
+def composed_cca(h_dec, h_enc, params, counter, heads=1, compressed=False):
+    """cca_forward as separate tape ops: the compression, the q, k and v
+    linears, multi_head_attention and the output linear."""
+    memory = h_enc if compressed else compress_encoder_output(h_enc, params.c)
+    q = linear(h_dec, params.w_q, params.b_q)
+    k = linear(memory, params.w_k, params.b_k)
+    v = linear(memory, params.w_v, params.b_v)
+    return linear(multi_head_attention(q, k, v, heads, counter), params.w_o, params.b_o)
+
+
+def composed_gsa(x, params, cfg, real_len, counter):
+    """grouped_attention with its output projection as a separate linear:
+    the merged head outputs come from grouped_attention with an identity
+    projection and zero bias, which return them exactly, up to the sign of
+    a zero, and hold them for the linear's rule."""
+    heads_only = dataclasses.replace(params, w_o=Tensor(np.eye(cfg.d)),
+                                     b_o=Tensor(np.zeros((1, cfg.d))))
+    merged = grouped_attention(x, heads_only, cfg, real_len, counter)
+    return linear(merged, params.w_o, params.b_o)
 
 
 def subtract(a, b):

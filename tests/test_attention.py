@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from gsaformer.attention import (
     AttentionMask,
     OpCounter,
-    multi_head_attention,
     row_softmax,
     scaled_dot_attention,
 )
@@ -21,7 +20,7 @@ from gsaformer.tensor import (
     multiply,
 )
 
-from helpers import loop_multi_head_attention, naive_attention, sum_all
+from helpers import loop_multi_head_attention, multi_head_attention, naive_attention, sum_all
 
 
 class TestRowSoftmax:

@@ -571,7 +571,7 @@ class TestFusedOpProperties:
         m = -(-real_len // l_g)
         rows = np.zeros((m * l_g, d))
         rows[:real_len] = linear(x, w, b).data[:real_len]
-        npt.assert_array_equal(_project(x.data, w, b, m, l_g, heads, real_len),
+        npt.assert_array_equal(_grouped(_project(x.data, w, b, m, l_g, real_len), m, l_g, heads),
                                _grouped(rows, m, l_g, heads))
 
     def test_no_tape_leaves_inputs_untouched(self):
@@ -584,3 +584,52 @@ class TestFusedOpProperties:
         npt.assert_array_equal(first, second)
         for name, t in params.named().items():
             npt.assert_array_equal(t.data, before[name])
+
+
+class TestPropertiesOverRandomShapes:
+    """Pad invariance and the one-group reduction, over gsa_cases."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(gsa_cases().filter(lambda case: case[2] < case[1]), st.integers(0, 2 ** 16))
+    def test_pad_invariance_over_random_shapes(self, case, pad_seed):
+        # real rows are what the unpadded sequence gives, to 1e-12 (the
+        # projections' products have another row count), and bit for bit
+        # the same whatever the pad rows hold
+        cfg, l, real_len, seed = case
+        rng = np.random.default_rng(seed)
+        params = make_params(cfg, seed=seed)
+        randomize_merge(params, cfg, rng)
+        x = rng.normal(size=(real_len, cfg.d))
+        base = gsa_forward(Tensor(x), params, cfg, OpCounter())
+        outs = []
+        for pad_rng in (rng, np.random.default_rng(pad_seed)):
+            padded = np.concatenate(
+                [x, pad_rng.uniform(-10.0, 10.0, size=(l - real_len, cfg.d))])
+            out = gsa_forward(Tensor(padded), params, cfg, OpCounter(), real_len=real_len)
+            outs.append(out.data[:real_len])
+        npt.assert_array_equal(outs[0], outs[1])
+        npt.assert_allclose(outs[0], base.data, rtol=0, atol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(gsa_cases().filter(lambda case: case[2] <= case[0].l_g))
+    def test_one_group_reduces_to_projections_and_canonical_attention(self, case):
+        # one group, alpha = 1 and beta = 0: each head is scaled_dot_attention
+        # over the real rows (the causal mask when causal), then w_o
+        cfg, l, real_len, seed = case
+        rng = np.random.default_rng(seed)
+        params = make_params(cfg, seed=seed)
+        for t in (params.b_q, params.b_k, params.b_v, params.b_o):
+            t.data[:] = rng.normal(size=t.shape)
+        x = Tensor(rng.normal(size=(l, cfg.d)))
+        out = gsa_forward(x, params, cfg, OpCounter(), real_len=real_len)
+        real = Tensor(x.data[:real_len])
+        q, k, v = (linear(real, w, b) for w, b in ((params.w_q, params.b_q),
+                                                    (params.w_k, params.b_k),
+                                                    (params.w_v, params.b_v)))
+        allow = np.ones((real_len, real_len), dtype=bool)
+        mask = AttentionMask.custom(np.tril(allow) if cfg.causal else allow)
+        dh = cfg.d // cfg.heads
+        heads = [scaled_dot_attention(*(Tensor(t.data[:, h * dh:(h + 1) * dh]) for t in (q, k, v)),
+                                      mask, OpCounter()).data for h in range(cfg.heads)]
+        expected = np.hstack(heads) @ params.w_o.data + params.b_o.data
+        npt.assert_allclose(out.data[:real_len], expected, rtol=0, atol=1e-12)

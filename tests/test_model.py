@@ -15,6 +15,7 @@ from helpers import loop_multi_head_attention, old_layout_arrays
 import gsaformer.cca as cca_module
 import gsaformer.gsa as gsa_module
 import gsaformer.model as model_module
+import gsaformer.tensor as tensor_module
 from gsaformer.attention import OpCounter
 from gsaformer.benchmark import BenchConfig, model_config_for
 from gsaformer.cli import GRADCHECK_PRESETS, config_from_mapping
@@ -463,7 +464,7 @@ class TestParameterNames:
 class TestTapeNodes:
     def test_train_long_step_records_one_node_per_projection_and_attention(self):
         # one train_long window at narrow width: forward, loss and the batch
-        # scaling of training.train
+        # scaling of training.train; each sublayer is one node
         cfg = GRADIENT_CONFIGS["train_long"]
         model = ForecasterModel(cfg, seed=0)
         rng = np.random.default_rng(0)
@@ -473,14 +474,14 @@ class TestTapeNodes:
             multiply(mse_loss(model.forward(x), y), 1.0)
         counts = Counter(name for name, _, _ in tape._nodes)
         assert counts == {
-            "linear": 33,               # 3 per encoder, 7 per decoder layer, 2 embeds, head
-            "broadcast_add": 2,         # position tables
+            "linear": 3,                # 2 embeds with their position add, the head
             "layer_norm": 15,           # each with its residual add
-            "grouped_attention": 6, "relu": 6,
+            "grouped_attention": 6,     # with its output projection
+            "feed_forward": 6,
             "matmul": 3,                # CCA compression
-            "multi_head_attention": 3,
+            "cca": 3,
             "mse_loss": 1, "multiply": 1}   # the loss, the batch scaling
-        assert len(tape) == 70
+        assert len(tape) == 38
 
     def test_replay_drops_every_op_output_gradient_and_keeps_the_leaves(self):
         # a default train step: forward, loss, batch scaling and backward
@@ -493,7 +494,7 @@ class TestTapeNodes:
             loss = multiply(mse_loss(model.forward(x), y), 1.0 / 16)
             outputs = [(name, out) for name, out, _ in tape._nodes]
             backward(loss, tape)
-        assert len(outputs) == 68
+        assert len(outputs) == 36
         assert [name for name, out in outputs if out.grad is not None] == []
         assert [n for n, p in model.parameters().items() if p.grad is None] == []
 
@@ -511,26 +512,31 @@ class TestTapeNodes:
             saved = _saved_array_refs(tape, leaves)
             backward(loss, tape)
         del pred, loss
-        assert len(saved) > 70      # more arrays than nodes
+        assert len(saved) > 38      # more arrays than nodes
         assert [name for name, ref in saved if ref() is not None] == []
 
     def test_no_value_that_no_rule_reads_outlives_the_forward(self, monkeypatch):
-        # the residual branches the norms add, the pre-activations relu masks
-        # and the embeddings before the position add are read only by the
-        # forward, so a recorded forward must not keep them
+        # the residual branches the norms add and every array a fused
+        # sublayer makes on the way (the embeddings, the FFN's hidden
+        # activations, GSA's merged head outputs, CCA's Q, K, V and
+        # attended rows) are read only by the forward, or rebuilt by the
+        # backward, so a recorded forward must not keep them
         refs = []
 
-        def spy(name, pick):
-            op = getattr(model_module, name)
+        def spy(module, name, picks):
+            op = getattr(module, name)
 
             def wrapped(*args):
-                refs.append((name, weakref.ref(pick(*args).data)))
-                return op(*args)
-            monkeypatch.setattr(model_module, name, wrapped)
+                out = op(*args)
+                refs.extend((name, weakref.ref(_root(a))) for a in picks(out, *args))
+                return out
+            monkeypatch.setattr(module, name, wrapped)
 
-        spy("layer_norm", lambda x, f, gain, bias: f)
-        spy("relu", lambda a: a)
-        spy("broadcast_add", lambda embedded, positions: embedded)
+        spy(model_module, "layer_norm", lambda out, x, f, gain, bias: [f.data])
+        spy(tensor_module, "affine", lambda out, x, w, b: [out])    # linear, feed_forward
+        spy(gsa_module, "affine", lambda out, x, w, b: [out, x])    # x: the merged outputs
+        spy(cca_module, "affine", lambda out, x, w, b: [out])
+        spy(cca_module, "multi_head_forward", lambda out, *args: [out])
         cfg = GRADIENT_CONFIGS["train_long"]
         model = ForecasterModel(cfg, seed=0)
         rng = np.random.default_rng(3)
@@ -538,17 +544,19 @@ class TestTapeNodes:
         y = Tensor(rng.normal(size=(cfg.pred_len, cfg.n_features_out)))
         with ComputationTape() as tape:
             loss = multiply(mse_loss(model.forward(x), y), 1.0)
+            # affine: 2 embeds, the head, 2 per FFN; 1 (2 refs) per GSA; 4 per CCA
             assert Counter(name for name, _ in refs) == {
-                "layer_norm": 15, "relu": 6, "broadcast_add": 2}
+                "layer_norm": 15, "affine": 15 + 2 * 6 + 4 * 3, "multi_head_forward": 3}
             assert [name for name, ref in refs if ref() is not None] == []
             backward(loss, tape)
         assert [n for n, p in model.parameters().items() if p.grad is None] == []
 
     @pytest.mark.parametrize("name", ["train_long", "train"])   # compressed, bypass CCA
     def test_no_norm_output_outlives_the_forward(self, name, monkeypatch):
-        # FFN lin1, the CCA query, key and value projections or compression,
-        # the next GSA layer and the head read a norm's output in their
-        # backward; each holds the output's recipe, not its values
+        # the FFN, CCA (its queries, or its memory when it reads the encoder
+        # output uncompressed) or compression, the next GSA layer and the
+        # head read a norm's output in their backward; each holds the
+        # output's recipe, not its values
         refs = []
         op = model_module.layer_norm
 
@@ -610,25 +618,30 @@ def _root(a):
 
 
 class TestAttentionRulesHoldOnlyWhatTheyCannotRebuild:
-    """The fused attention ops rebuild their projections (and CCA its
-    probabilities) in the backward, so a rule keeps nothing an input does
-    not own, except GSA's local probabilities."""
+    """Each sublayer is one op that rebuilds its projections, hidden
+    activations and (CCA) probabilities in the backward, so its rule keeps
+    nothing an input does not own, except GSA's local probabilities."""
+
+    SUBLAYERS = ("linear", "grouped_attention", "cca", "feed_forward")
 
     @pytest.mark.parametrize("name", ["train_long", "train"])   # compressed, bypass CCA
     def test_every_array_a_rule_reaches_is_an_input_or_a_view_of_one(self, name, monkeypatch):
         calls = []
 
-        def spy(module, op_name, inputs_of):
+        def spy(module, op_name, inputs_of, tape_name=None):
             op = getattr(module, op_name)
 
-            def wrapped(*args):
-                calls.append((op_name, inputs_of(*args)))
-                return op(*args)
+            def wrapped(*args, **kwargs):
+                calls.append((tape_name or op_name, inputs_of(*args)))
+                return op(*args, **kwargs)
             monkeypatch.setattr(module, op_name, wrapped)
 
+        spy(model_module, "linear", lambda x, w, b, shift=None: (x, w, b, shift))
         spy(gsa_module, "grouped_attention",
             lambda x, params, cfg, real_len, counter: (x, params))
-        spy(cca_module, "multi_head_attention", lambda q, k, v, heads, counter: (q, k, v))
+        spy(model_module, "cca_forward", lambda h_dec, memory, params, counter: (
+            h_dec, memory, params), tape_name="cca")
+        spy(model_module, "feed_forward", lambda *args: args)
         cfg = GRADIENT_CONFIGS[name]
         model = ForecasterModel(cfg, seed=0)
         rng = np.random.default_rng(4)
@@ -636,10 +649,9 @@ class TestAttentionRulesHoldOnlyWhatTheyCannotRebuild:
         y = Tensor(rng.normal(size=(cfg.pred_len, cfg.n_features_out)))
         with ComputationTape() as tape:
             loss = multiply(mse_loss(model.forward(x), y), 1.0)
-            rules = [(op, rule) for op, _, rule in tape._nodes if op in
-                     ("grouped_attention", "multi_head_attention")]
+            rules = [(op, rule) for op, _, rule in tape._nodes if op in self.SUBLAYERS]
             assert [op for op, _ in rules] == [op for op, _ in calls]
-            assert len(rules) == cfg.e_l + 2 * cfg.d_l
+            assert len(rules) == 3 + 2 * cfg.e_l + 3 * cfg.d_l
             for (op, rule), (_, inputs) in zip(rules, calls):
                 owners = {id(_root(a)) for a in _reachable_arrays(inputs)}
                 held = [a.shape for a in _reachable_arrays(rule) if id(_root(a)) not in owners]

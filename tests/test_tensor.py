@@ -35,7 +35,6 @@ from gsaformer.tensor import (
     mean_rows,
     multiply,
     recording,
-    relu,
     save_checkpoint,
     slice_rows,
     transpose,
@@ -49,6 +48,7 @@ from helpers import (
     layer_norm_of,
     naive_matmul,
     pad_rows,
+    relu,
     slice_cols,
     subtract,
     sum_all,

@@ -1,7 +1,8 @@
-"""The ops that work in row tiles (layer_norm, multi_head_attention,
-grouped_attention) against their whole-array arithmetic, bit for bit: the
-untaped and taped forwards against the whole-array bodies in helpers.py,
-and the gradients against the same op with tiling off (one tile).
+"""The ops that work in row tiles (layer_norm, multi-head attention through
+the helpers' multi_head_attention op, grouped_attention) against their
+whole-array arithmetic, bit for bit: the untaped and taped forwards
+against the whole-array bodies in helpers.py, and the gradients against
+the same op with tiling off (one tile).
 
 Every product these ops cut into row tiles is 8 or 16 columns wide here
 (d, d / heads, the key count), as at every shipped config: OpenBLAS
@@ -16,10 +17,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import whole_grouped_attention, whole_layer_norm, whole_multi_head_attention
+from helpers import (
+    multi_head_attention,
+    whole_grouped_attention,
+    whole_layer_norm,
+    whole_multi_head_attention,
+)
 
 from gsaformer import attention, gsa, tensor
-from gsaformer.attention import OpCounter, multi_head_attention
+from gsaformer.attention import OpCounter
 from gsaformer.gsa import GsaConfig, GsaLayerParams, grouped_attention
 from gsaformer.model import ForecasterModel, ModelConfig
 from gsaformer.tensor import ComputationTape, Tensor, backward, layer_norm, row_tiles
