@@ -6,7 +6,6 @@ from .cca import CcaLayerParams, cca_forward, cca_op_count, compress_encoder_out
 from .gsa import (
     GsaConfig,
     GsaLayerParams,
-    grouped_attention,
     gsa_forward,
     gsa_op_count,
     merge_outputs,
@@ -21,7 +20,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AttentionMask", "OpCounter", "row_softmax", "scaled_dot_attention",
     "CcaLayerParams", "cca_forward", "cca_op_count", "compress_encoder_output",
-    "GsaConfig", "GsaLayerParams", "grouped_attention", "gsa_forward", "gsa_op_count",
+    "GsaConfig", "GsaLayerParams", "gsa_forward", "gsa_op_count",
     "merge_outputs", "summarize_group",
     "ForecasterModel", "ModelConfig", "build_decoder_input",
     "ComputationTape", "Tensor", "backward", "load_checkpoint", "save_checkpoint",

@@ -5,7 +5,7 @@ attention_probs/attention_forward/attention_backward are the one score ->
 softmax -> value kernel (and its gradient) on plain arrays, batched over
 leading axes; the fused tape ops cca.cca_forward (through
 multi_head_forward/multi_head_backward, unmasked) and
-gsa.grouped_attention (which builds its own boolean allow array) both run
+gsa.gsa_forward (which builds its own boolean allow array) both run
 it.  multi_head_forward scores TILE_ROWS queries of one head at a time;
 multi_head_backward holds nothing from it and rebuilds the probabilities
 in the same tiles with attention_probs, the forward's own arithmetic.

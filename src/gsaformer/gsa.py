@@ -11,15 +11,17 @@ alpha_j * local + beta_j * pooled.  Score-element cost per head is
 m*l_g^2 + (m*l_s)^2, linear in l for fixed l_g and l_s.
 
 gsa_forward runs the Q/K/V projections, every group of every head and
-the output projection through one tape op, grouped_attention, with a
+the output projection as one tape op, grouped_attention, with a
 hand-written backward; the projections write straight into zero-padded
-group buffers.  The forward works over tiles of whole groups (TILE_ROWS
-rows), so one tile of Q/K/V and of one head's group scores is alive at a
-time, and only each group's summary rows outlive their tile.  The op's
-rule holds its input (through tensor.held_values, so a layer norm's output
-is rebuilt, not held), its parameters and the local attention
-probabilities, and rebuilds Q, K, V (in the forward's tiles), the global
-path and the merged head outputs in the backward.  summarize_group,
+group buffers, viewed as (heads, groups, l_g, d_h) blocks, so the heads
+are one more batch axis of every attention call.  The forward works over
+tiles of whole groups (TILE_ROWS rows), so one tile of Q/K/V and of every
+head's group scores is alive at a time, and only each group's summary
+rows outlive their tile.  The op's rule holds its input (through
+tensor.held_values, so a layer norm's output is rebuilt, not held), its
+parameters and each tile's local attention probabilities, and rebuilds
+Q, K, V (in the forward's tiles), the global path and the merged head
+outputs in the backward, which walks the same tiles.  summarize_group,
 global_summary_attention and merge_outputs are the global path's steps
 for a single group, composed from separate tape ops; the model does not
 call them, and the tests build their loop-based reference from them
@@ -64,7 +66,7 @@ from .tensor import (
 )
 
 
-TILE_ROWS = 512     # rows of whole groups grouped_attention projects at a time
+TILE_ROWS = 512     # rows of whole groups gsa_forward works on at a time
 
 
 class ConfigError(ValueError):
@@ -208,17 +210,6 @@ def _grouped(rows: np.ndarray, m: int, l_g: int, heads: int) -> np.ndarray:
     return rows.reshape(m, l_g, heads, d // heads).transpose(2, 0, 1, 3)
 
 
-def _to_groups(a: np.ndarray, m: int, l_g: int, heads: int) -> np.ndarray:
-    """(l, d) rows as (heads, m, l_g, d_h) blocks, zero-padded to m*l_g rows:
-    a view when l == m*l_g, else a padded copy."""
-    l = a.shape[0]
-    if l == m * l_g:
-        return _grouped(a, m, l_g, heads)
-    padded = np.zeros((m * l_g, a.shape[1]))
-    padded[:l] = a
-    return _grouped(padded, m, l_g, heads)
-
-
 def _local_allow(cfg: GsaConfig, m: int, real_len: int) -> Optional[np.ndarray]:
     """(m, l_g, l_g) allow array of the group scores: keys past real_len
     (in the last group) are masked, and so is the upper triangle when
@@ -240,10 +231,11 @@ def _sum_last_to_first(parts: np.ndarray) -> np.ndarray:
     return functools.reduce(np.add, parts[::-1])
 
 
-def _tiles(l: int, l_g: int) -> list[slice]:
-    """The row tiles grouped_attention's forward works over: whole groups,
-    about TILE_ROWS rows each."""
-    return row_tiles(l, max(TILE_ROWS // l_g, 1) * l_g)
+def _tiles(l: int, l_g: int) -> list[tuple[slice, slice]]:
+    """The tiles gsa_forward works over, whole groups of about TILE_ROWS
+    rows each: (rows, groups) slice pairs."""
+    return [(rows, slice(rows.start // l_g, -(-rows.stop // l_g)))
+            for rows in row_tiles(l, max(TILE_ROWS // l_g, 1) * l_g)]
 
 
 def _project(x: np.ndarray, w: Tensor, b: Tensor, m: int, l_g: int,
@@ -255,7 +247,7 @@ def _project(x: np.ndarray, w: Tensor, b: Tensor, m: int, l_g: int,
     x gets the forward's bits at every width."""
     l = x.shape[0]
     rows = np.empty((m * l_g, w.shape[1]))
-    for tile in _tiles(l, l_g):
+    for tile, _ in _tiles(l, l_g):
         np.matmul(x[tile], w.data, out=rows[tile])
     rows[:l] += b.data
     rows[real_len:] = 0.0
@@ -281,31 +273,43 @@ def _summary_attention(qs: np.ndarray, ks: np.ndarray, vs: np.ndarray,
     return qs, ks, vs, pg, og.reshape(heads, m, l_s, dh).mean(axis=2)
 
 
-def grouped_attention(x: Tensor, params: GsaLayerParams, cfg: GsaConfig,
-                      real_len: Optional[int], counter: OpCounter) -> Tensor:
-    """The Q/K/V projections of x, local attention in every group of every
-    head, (when cfg.uses_global) the summary projection, global summary
-    attention, pooling and alpha/beta merge, and the output projection, as
-    one tape op with one backward rule.
+def _merge(o: np.ndarray, pooled: np.ndarray, params: GsaLayerParams) -> None:
+    """out_j = alpha_j * local_j + beta_j * pooled_j, in place over the
+    (heads, m, l_g, d_h) local outputs o."""
+    m = o.shape[1]
+    o *= params.alpha.data[0, :m, None, None]
+    o += (pooled * params.beta.data[0, :m, None])[:, :, None, :]
+
+
+def gsa_forward(x: Tensor, params: GsaLayerParams, cfg: GsaConfig,
+                counter: OpCounter, real_len: Optional[int] = None) -> Tensor:
+    """One grouped self-attention layer over an l-by-d sequence: the Q/K/V
+    projections of x, local attention in every group of every head, (when
+    cfg.uses_global) the summary projection, global summary attention,
+    pooling and alpha/beta merge, and the output projection, as one tape
+    op, grouped_attention, with one backward rule.
 
     Rows of x at index >= real_len (default: all real) are padding: their
-    projected queries, keys and values are zero and masked as keys.  The
-    forward works over tiles of whole groups, about TILE_ROWS rows each
-    (cut by row_tiles): it projects a tile's Q, K and V, runs local
-    attention on its groups one head at a time and keeps only its groups'
-    summary rows, so one tile of Q/K/V and one tile of one head's group
-    scores are alive at once.  Every group is computed alone, so the
-    tiles' results are the whole layer's.  The summary attention, the
-    merge and the output projection run once all tiles are done.
-    The rule holds x, the parameters and each head's local probabilities,
-    nothing else: the backward gets x (from its recipe when x has one),
-    projects Q, K and V again in the forward's tiles, re-runs the summary
-    path with the forward's arithmetic (adding the summary score elements
-    to the counter's recomputed_score_elements), rebuilds the merged head
-    outputs from each head's P @ V for w_o's gradient, then works one head
-    at a time.  The forward counter sees one l_g-by-l_g matrix per head
-    and group and one m*l_s-by-m*l_s matrix per head, however the groups
-    are computed.
+    projected queries, keys and values are zero and masked as keys, so
+    outputs at real positions never depend on pad values.  The forward
+    works over tiles of whole groups, about TILE_ROWS rows each (cut by
+    row_tiles): it projects a tile's Q, K and V, runs local attention on
+    the (heads, groups, l_g, d_h) blocks of every head's groups in the
+    tile at once and keeps only its groups' summary rows, so one tile of
+    Q/K/V and of scores is alive at a time.  Every group is computed
+    alone, so the tiles' results are the whole layer's.  The summary
+    attention, the merge and the output projection run once all tiles are
+    done.  The rule holds x, the parameters and one array of local
+    probabilities per tile, nothing else: the backward gets x (from its
+    recipe when x has one), projects Q, K and V again in the forward's
+    tiles and re-runs the summary path with the forward's arithmetic
+    (adding the summary score elements to the counter's
+    recomputed_score_elements).  It then walks the forward's tiles twice,
+    every head at once: first to rebuild the merged outputs from P @ V
+    for w_o's gradient, then for the local backward, each tile's
+    probabilities leaving the closure once read.  The forward counter
+    sees one l_g-by-l_g matrix per head and group and one m*l_s-by-m*l_s
+    matrix per head, however the groups are computed.
     """
     l, d = x.shape
     if d != cfg.d:
@@ -324,34 +328,29 @@ def grouped_attention(x: Tensor, params: GsaLayerParams, cfg: GsaConfig,
     allow = _local_allow(cfg, m, real_len)
     for _ in range(heads * m):
         counter.add_scores(l_g, l_g)
+    tiles = _tiles(l, l_g)
     out_rows = np.empty((m * l_g, d))
     o = _grouped(out_rows, m, l_g, heads)
-    probs = [np.empty((m, l_g, l_g)) for _ in range(heads)] if taped else []
+    probs = []      # one (heads, n, l_g, l_g) array per tile of n groups, when taped
     if use_global:
         summaries = np.empty((3, heads, m, l_s, dh))    # e_q/e_k/e_v rows of every group
-    for rows in _tiles(l, l_g):
-        groups = slice(rows.start // l_g, -(-rows.stop // l_g))
+    for rows, groups in tiles:
         n = groups.stop - groups.start
         qg, kg, vg = (_grouped(a, n, l_g, heads) for a in
                       _qkv(x.data[rows], params, n, l_g, real_len - rows.start))
-        tile_allow = None if allow is None else allow[groups]
-        for h in range(heads):
-            p = attention_forward(qg[h], kg[h].swapaxes(-1, -2), vg[h], scale, tile_allow,
-                                  out=o[h, groups])[1]
-            if taped:
-                probs[h][groups] = p
-            del p   # else this head's scores would live on through the next head's
+        p = attention_forward(qg, kg.swapaxes(-1, -2), vg, scale,
+                              None if allow is None else allow[groups], out=o[:, groups])[1]
+        if taped:
+            probs.append(p)
         if use_global:
             for e, blocks, summary in zip((params.e_q, params.e_k, params.e_v), (qg, kg, vg),
                                           summaries):
                 np.matmul(e.data, blocks, out=summary[:, groups])
-        del qg, kg, vg     # else two tiles of Q/K/V would be alive at once
+        del p, qg, kg, vg     # else two tiles of scores and Q/K/V would be alive at once
     if use_global:
         for _ in range(heads):
             counter.add_scores(n_s, n_s)
-        pooled = _summary_attention(*summaries, scale)[-1]
-        o *= params.alpha.data[0, :m, None, None]
-        o += (pooled * params.beta.data[0, :m, None])[:, :, None, :]
+        _merge(o, _summary_attention(*summaries, scale)[-1], params)
     out = Tensor(affine(out_rows[:l], params.w_o, params.b_o))
     del out_rows, o
     if not taped:
@@ -360,41 +359,34 @@ def grouped_attention(x: Tensor, params: GsaLayerParams, cfg: GsaConfig,
     x_values = held_values(x)
 
     def backward():
-        g = out_slot.grad
-        # Q, K and V until each head's local backward overwrites its blocks
-        # with their gradients
+        # Q, K and V until the local backward overwrites their blocks with
+        # their gradients
         grads = _qkv(x_values(), params, m, l_g, real_len)
         qg, kg, vg = (_grouped(a, m, l_g, heads) for a in grads)
-        d_merged = linear_input_grad(g, params.w_o, params.b_o)
-
-        def d_head(h: int) -> np.ndarray:
-            """Head h's (m, l_g, d_h) blocks of the merged outputs' gradient."""
-            return _to_groups(d_merged[:, h * dh:(h + 1) * dh], m, l_g, 1)[0]
-
+        # the merged outputs' gradient, zero-padded to whole groups
+        d_rows = np.zeros((m * l_g, d))
+        d_rows[:l] = linear_input_grad(out_slot.grad, params.w_o, params.b_o)
+        d_out = _grouped(d_rows, m, l_g, heads)
         if use_global:
             qs, ks, vs, pg, pooled = _summary_attention(
                 *(np.matmul(e.data, blocks) for e, blocks in
                   ((params.e_q, qg), (params.e_k, kg), (params.e_v, vg))), scale)
             d_alpha = np.empty((heads, m))
-            g_cols = np.empty((heads, m, dh))
-        # the merged head outputs, as the forward made them, for w_o
+        # the merged outputs, as the forward made them, for w_o
         merged_rows = np.empty((m * l_g, d))
         merged = _grouped(merged_rows, m, l_g, heads)
-        for h in range(heads):
-            local = np.matmul(probs[h], vg[h])
+        for (_, groups), p in zip(tiles, probs):
+            local = np.matmul(p, vg[:, groups], out=merged[:, groups])
             if use_global:
-                d_out = d_head(h)
-                g_cols[h] = d_out.sum(axis=1)
-                d_alpha[h] = (d_out * local).reshape(m, -1).sum(axis=-1)
-            merged[h] = local
+                d_alpha[:, groups] = (d_out[:, groups] * local).reshape(
+                    *local.shape[:2], -1).sum(axis=-1)
         if use_global:
-            # out_j = alpha_j * local_j + beta_j * pooled_j
-            merged *= params.alpha.data[0, :m, None, None]
-            merged += (pooled * params.beta.data[0, :m, None])[:, :, None, :]
-        accumulate_grad(params.w_o, merged_rows[:l].T @ g, owned=True)
+            _merge(merged, pooled, params)
+        accumulate_grad(params.w_o, merged_rows[:l].T @ out_slot.grad, owned=True)
         del local, merged_rows, merged
         if use_global:
             counter.add_recomputed(heads * n_s, n_s)
+            g_cols = d_out.sum(axis=2)
             for param, d_slot in ((params.alpha, d_alpha),
                                   (params.beta, (g_cols * pooled).sum(axis=-1))):
                 full = np.zeros(param.shape)
@@ -411,21 +403,22 @@ def grouped_attention(x: Tensor, params: GsaLayerParams, cfg: GsaConfig,
                                       d_summaries):
                 d_e = np.matmul(d_s, blocks.swapaxes(-1, -2)).reshape(-1, l_s, l_g)
                 accumulate_grad(e, _sum_last_to_first(d_e), owned=True)
-        # local attention inside every group, one head at a time; each
-        # head's probabilities leave the closure once read
-        for h in reversed(range(heads)):
-            d_local = d_head(h)
+        # local attention, one tile of every head's groups at a time; each
+        # tile's probabilities leave the closure once read
+        for _, groups in reversed(tiles):
+            d_local = d_out[:, groups]
             if use_global:
-                d_local = d_local * params.alpha.data[0, :m, None, None]
+                d_local = d_local * params.alpha.data[0, groups, None, None]
             d_q, d_k_t, d_v = attention_backward(
-                qg[h], kg[h].swapaxes(-1, -2), vg[h], probs.pop(), d_local, scale)
+                qg[:, groups], kg[:, groups].swapaxes(-1, -2), vg[:, groups], probs.pop(),
+                d_local, scale)
             d_blocks = (d_q, d_k_t.swapaxes(-1, -2), d_v)
             if use_global:
                 for e, d_block, d_s in zip((params.e_q, params.e_k, params.e_v), d_blocks,
                                            d_summaries):
-                    d_block += np.matmul(e.data.T, d_s[h])
-            qg[h], kg[h], vg[h] = d_blocks
-        del d_local, d_blocks, d_merged
+                    d_block += np.matmul(e.data.T, d_s[:, groups])
+            qg[:, groups], kg[:, groups], vg[:, groups] = d_blocks
+        del d_local, d_blocks, d_rows, d_out
         x_data = x_values()
         # the projections, v first, as replaying three linear ops would
         for w, b, rows in ((params.w_v, params.b_v, grads[2]), (params.w_k, params.b_k, grads[1]),
@@ -434,14 +427,3 @@ def grouped_attention(x: Tensor, params: GsaLayerParams, cfg: GsaConfig,
             linear_backward(x_slot, x_data, w, b, rows[:l])
 
     return _record("grouped_attention", out, inputs, backward)
-
-
-def gsa_forward(x: Tensor, params: GsaLayerParams, cfg: GsaConfig,
-                counter: OpCounter, real_len: Optional[int] = None) -> Tensor:
-    """One grouped self-attention layer over an l-by-d sequence.
-
-    Rows at index >= real_len (default: all rows real) are padding: their
-    projected queries/keys/values are zeroed and they are masked out as
-    keys, so outputs at real positions never depend on pad values.
-    """
-    return grouped_attention(x, params, cfg, real_len, counter)

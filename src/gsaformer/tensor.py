@@ -25,7 +25,7 @@ its forward from the xhat its own rule holds, and a recorded linear one
 that redoes its product from what its rule holds, so neither a norm
 output nor an embedding outlives the forward, although the rules of
 their consumers read them.  The model's sublayers are one op each
-(linear with a position shift, feed_forward here, grouped_attention in
+(linear with a position shift, feed_forward here, gsa_forward in
 gsa, cca_forward in cca): a sublayer's rule holds its input, its
 parameters and (GSA) its local probabilities, and rebuilds every inner
 activation in the backward with the forward's own arithmetic and row

@@ -12,10 +12,11 @@ tape, each loss scaled by 1/2 as training.train scales a batch of two (so
 the order in which the backward rules add into shared gradients shows
 across a batch too).  Every GSA beta is set to 0.3, so the global path carries
 forecast and gradient.  The configs are the bench config at the
-train_long length, the `gsaformer train` defaults, a compressed-CCA
-config with label_len=20, the local-only ablation, and the bench config at
-lengths one row past a multiple of the row tiles (513 = 512 + 1 =
-4 * 128 + 1, 1025 = 2 * 512 + 1).
+train_long length, with its 4 heads and with 8 (so the head axis the GSA
+op batches over shows at two widths), the `gsaformer train` defaults, a
+compressed-CCA config with label_len=20, the local-only ablation, and the
+bench config at lengths one row past a multiple of the row tiles (513 =
+512 + 1 = 4 * 128 + 1, 1025 = 2 * 512 + 1).
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ def configs() -> dict[str, ModelConfig]:
     bench = BenchConfig()
     return {
         "train_long": model_config_for("grouped", 1440, bench),
+        "train_long_8heads": model_config_for("grouped", 1440, BenchConfig(heads=8)),
         "train_defaults": ModelConfig(**TRAIN_DEFAULTS),
         "compressed_label20": ModelConfig(**TRAIN_DEFAULTS, label_len=20, l_comp=48),
         "local_only": ModelConfig(**TRAIN_DEFAULTS, ablation_local_only=True),

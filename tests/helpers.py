@@ -7,8 +7,8 @@ zero padding, cutting a sequence into groups, the layer norm of one input,
 relu, multi-head attention as one op, subtraction, the sum of all entries
 and the MSE composed from them) live here, not in the library.  So do the
 whole-array forwards of the ops that work in tiles (layer_norm,
-multi_head_forward, grouped_attention): their bodies from before the
-tiling, the oracle the tiled forwards must match bit for bit; and the
+multi_head_forward, gsa_forward): their bodies from before the tiling,
+the oracle the tiled forwards must match bit for bit; and the
 sublayers the model records as one op each (the embedding, the
 feed-forward block, the CCA sublayer), composed from separate tape ops that
 hold their intermediate values.
@@ -31,7 +31,7 @@ from gsaformer.cca import compress_encoder_output
 from gsaformer.gsa import (
     ConfigError,
     global_summary_attention,
-    grouped_attention,
+    gsa_forward,
     merge_outputs,
     summarize_group,
 )
@@ -129,8 +129,8 @@ def whole_multi_head_attention(q, k, v, heads):
 
 
 def whole_grouped_attention(x, params, cfg, real_len=None):
-    """grouped_attention's forward on an (l, d) array: Q, K and V of every
-    group projected at once, then local attention one head at a time, the
+    """gsa_forward's forward on an (l, d) array: Q, K and V of every group
+    projected at once, then local attention one head at a time, the
     summary path, the merge and the output projection."""
     l, d = x.shape
     real_len, m = gsa._check_lengths(l, real_len, cfg)
@@ -208,13 +208,13 @@ def composed_cca(h_dec, h_enc, params, counter, heads=1, compressed=False):
 
 
 def composed_gsa(x, params, cfg, real_len, counter):
-    """grouped_attention with its output projection as a separate linear:
-    the merged head outputs come from grouped_attention with an identity
+    """gsa_forward with its output projection as a separate linear:
+    the merged head outputs come from gsa_forward with an identity
     projection and zero bias, which return them exactly, up to the sign of
     a zero, and hold them for the linear's rule."""
     heads_only = dataclasses.replace(params, w_o=Tensor(np.eye(cfg.d)),
                                      b_o=Tensor(np.zeros((1, cfg.d))))
-    merged = grouped_attention(x, heads_only, cfg, real_len, counter)
+    merged = gsa_forward(x, heads_only, cfg, counter, real_len)
     return linear(merged, params.w_o, params.b_o)
 
 

@@ -9,7 +9,7 @@ rebuilt one with other arithmetic or other row tiles would show here."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import composed_cca, composed_embedding, composed_feed_forward, composed_gsa
@@ -17,7 +17,7 @@ from helpers import composed_cca, composed_embedding, composed_feed_forward, com
 from gsaformer import attention, gsa
 from gsaformer.attention import OpCounter
 from gsaformer.cca import CcaLayerParams, cca_forward, compress_encoder_output
-from gsaformer.gsa import GsaConfig, GsaLayerParams, grouped_attention
+from gsaformer.gsa import GsaConfig, GsaLayerParams, gsa_forward
 from gsaformer.tensor import (
     ComputationTape,
     Tensor,
@@ -174,7 +174,7 @@ def test_cca_is_projections_attention_and_output_projection(data):
 
 
 def check_gsa(rng, cfg, l, real_len, tile_rows, windows, targets):
-    """grouped_attention against composed_gsa at gsa.TILE_ROWS = tile_rows,
+    """gsa_forward against composed_gsa at gsa.TILE_ROWS = tile_rows,
     with random parameters of which rng freezes some."""
     params = GsaLayerParams.init(cfg, rng)
     for t in params.named().values():
@@ -184,17 +184,15 @@ def check_gsa(rng, cfg, l, real_len, tile_rows, windows, targets):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gsa, "TILE_ROWS", tile_rows)
         # the oracle's identity projection may turn a -0.0 into 0.0
-        check_fused(lambda win: grouped_attention(win.tensor(), params, cfg, real_len,
-                                                  OpCounter()),
+        check_fused(lambda win: gsa_forward(win.tensor(), params, cfg, OpCounter(), real_len),
                     lambda win: composed_gsa(win.tensor(), params, cfg, real_len, OpCounter()),
                     windows, targets, leaves, equal=np.array_equal)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_gsa_output_projection_rebuilds_the_merged_head_outputs(data):
-    draw = data.draw
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+@st.composite
+def gsa_cases(draw):
+    """A layer, a length and real_len, a tile of one or two groups, whether
+    the windows are normed and x records, the window count and a seed."""
     l_g, heads = draw(st.integers(2, 6)), draw(st.integers(1, 3))
     m = draw(st.integers(1, 4))
     real_len = draw(st.integers((m - 1) * l_g + 1, m * l_g))
@@ -202,10 +200,23 @@ def test_gsa_output_projection_rebuilds_the_merged_head_outputs(data):
     cfg = GsaConfig(l_g=l_g, l_s=draw(st.integers(1, l_g - 1)),
                     d=heads * draw(st.integers(1, 5)), heads=heads, m_max=m,
                     causal=draw(st.booleans()), global_path=draw(st.booleans()))
-    windows, targets = windows_and_targets(rng, draw, (l, cfg.d), cfg.d)
-    # tiles of one or two groups: the rebuilt Q, K and V and merged outputs
-    # must come from the forward's tiles at every width
-    check_gsa(rng, cfg, l, real_len, l_g * draw(st.integers(1, 2)), windows, targets)
+    return (cfg, l, real_len, l_g * draw(st.integers(1, 2)), draw(st.booleans()),
+            draw(st.booleans()), draw(st.integers(1, 2)), draw(st.integers(0, 2 ** 16)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(gsa_cases())
+# d = 18 in tiles of 6 rows, where OpenBLAS rounds some rows of x[tile] @ w
+# differently from the same rows of x @ w: few random shapes do
+@example((GsaConfig(l_g=3, l_s=1, d=18, heads=2, m_max=14), 40, 40, 6, False, True, 2, 17))
+def test_gsa_output_projection_rebuilds_the_merged_head_outputs(case):
+    cfg, l, real_len, tile_rows, normed, x_grad, count, seed = case
+    rng = np.random.default_rng(seed)
+    windows = [Window(rng, (l, cfg.d), normed, x_grad) for _ in range(count)]
+    targets = [Tensor(rng.normal(size=(l, cfg.d))) for _ in windows]
+    # the rebuilt Q, K and V and merged outputs must come from the
+    # forward's tiles at every width
+    check_gsa(rng, cfg, l, real_len, tile_rows, windows, targets)
 
 
 @pytest.mark.parametrize("causal", [False, True])

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -314,6 +315,35 @@ class TestGsaForward:
             out = gsa_forward(x, params, cfg, OpCounter())
             backward(sum_all(out), tape)
         assert params.e_q.grad is not None and np.abs(params.e_q.grad).max() > 0
+
+
+class TestBackwardMemory:
+    def test_rule_runs_the_local_backward_one_tile_at_a_time(self):
+        # 2040 rows in four tiles of 32 groups (the last one padded): the
+        # rule's own arrays, Q/K/V, the padded output gradient, the merged
+        # outputs, w_o's input gradient and x's gradient, are seven l-by-d
+        # arrays, and one tile's score arrays of every head half of one.
+        # All of a head's groups at once would add two l-by-d arrays per
+        # score array: such a rule read 14.0 arrays, the tiled one 8.1
+        rng = np.random.default_rng(2)
+        cfg = GsaConfig(l_g=16, l_s=1, d=16, heads=2, m_max=128)
+        l = 2040
+        params = make_params(cfg, beta=0.3)
+        x = Tensor(rng.normal(size=(l, cfg.d)), requires_grad=True)
+        tracemalloc.start()
+        try:
+            with ComputationTape() as tape:
+                out = gsa_forward(x, params, cfg, OpCounter())
+            (_, slot, rule), = tape._nodes
+            slot.grad = rng.normal(size=out.shape)
+            del out
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            rule()
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert peak < 9 * l * cfg.d * 8
 
 
 class TestConfigValidation:

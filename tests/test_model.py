@@ -637,8 +637,8 @@ class TestAttentionRulesHoldOnlyWhatTheyCannotRebuild:
             monkeypatch.setattr(module, op_name, wrapped)
 
         spy(model_module, "linear", lambda x, w, b, shift=None: (x, w, b, shift))
-        spy(gsa_module, "grouped_attention",
-            lambda x, params, cfg, real_len, counter: (x, params))
+        spy(model_module, "gsa_forward", lambda x, params, cfg, counter, real_len=None: (
+            x, params), tape_name="grouped_attention")
         spy(model_module, "cca_forward", lambda h_dec, memory, params, counter: (
             h_dec, memory, params), tape_name="cca")
         spy(model_module, "feed_forward", lambda *args: args)
@@ -656,9 +656,13 @@ class TestAttentionRulesHoldOnlyWhatTheyCannotRebuild:
                 owners = {id(_root(a)) for a in _reachable_arrays(inputs)}
                 held = [a.shape for a in _reachable_arrays(rule) if id(_root(a)) not in owners]
                 if op == "grouped_attention":
-                    # one (m, l_g, l_g) array of local probabilities per head
-                    m = -(-inputs[0].shape[0] // cfg.l_g)
-                    assert held == [(m, cfg.l_g, cfg.l_g)] * cfg.heads
+                    # one (heads, n_i, l_g, l_g) array of local probabilities
+                    # per forward tile of n_i groups, the tiles covering all m
+                    l = inputs[0].shape[0]
+                    tiles = gsa_module._tiles(l, cfg.l_g)
+                    assert held == [(cfg.heads, g.stop - g.start, cfg.l_g, cfg.l_g)
+                                    for _, g in tiles]
+                    assert sum(shape[1] for shape in held) == -(-l // cfg.l_g)
                 else:
                     assert held == []
             backward(loss, tape)

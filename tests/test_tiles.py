@@ -1,5 +1,5 @@
 """The ops that work in row tiles (layer_norm, multi-head attention through
-the helpers' multi_head_attention op, grouped_attention) against their
+the helpers' multi_head_attention op, gsa_forward) against their
 whole-array arithmetic, bit for bit: the untaped and taped forwards
 against the whole-array bodies in helpers.py, and the gradients against
 the same op with tiling off (one tile).
@@ -26,7 +26,7 @@ from helpers import (
 
 from gsaformer import attention, gsa, tensor
 from gsaformer.attention import OpCounter
-from gsaformer.gsa import GsaConfig, GsaLayerParams, grouped_attention
+from gsaformer.gsa import GsaConfig, GsaLayerParams, gsa_forward
 from gsaformer.model import ForecasterModel, ModelConfig
 from gsaformer.tensor import ComputationTape, Tensor, backward, layer_norm, row_tiles
 from gsaformer.training import mse_loss
@@ -171,7 +171,7 @@ def test_grouped_attention_tiles_match_whole_arrays(case):
     x = random_tensor(rng, (l, cfg.d))
     expected = whole_grouped_attention(x.data, params, cfg, real_len)
     check_tiled(gsa, "TILE_ROWS", tile,
-                lambda: grouped_attention(x, params, cfg, real_len, OpCounter()),
+                lambda: gsa_forward(x, params, cfg, OpCounter(), real_len),
                 expected, Tensor(rng.normal(size=(l, cfg.d))),
                 [x, *params.named().values()])
 
