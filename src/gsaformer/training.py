@@ -87,12 +87,17 @@ class AdamState:
 
 
 def adam_step(params: Mapping[str, Tensor],
-              grads: Mapping[str, np.ndarray],
+              grads: dict[str, np.ndarray],
               state: AdamState,
               cfg: TrainConfig,
               learning_rate: Optional[float] = None) -> None:
     """One Adam update with bias correction over every named parameter,
-    after clipping the gradients' global norm to cfg.grad_clip when set."""
+    after clipping the gradients' global norm to cfg.grad_clip when set.
+
+    Consumes grads: each parameter's gradient is popped as it is applied,
+    so it is freed before the next parameter's moments are allocated, and
+    grads comes back empty.  Every name is checked (and the clip applied)
+    first, so a rejected call leaves grads untouched."""
     for name in params:
         if name not in grads or grads[name] is None:
             raise ContractError(f"adam_step: no gradient for parameter {name!r}")
@@ -104,7 +109,7 @@ def adam_step(params: Mapping[str, Tensor],
     correct1 = 1.0 - cfg.beta1 ** t
     correct2 = 1.0 - cfg.beta2 ** t
     for name, p in params.items():
-        g = grads[name]
+        g = grads.pop(name)
         if name not in state.m:
             state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
@@ -127,6 +132,7 @@ def adam_step(params: Mapping[str, Tensor],
         tmp *= lr
         tmp /= denom
         p.data -= tmp
+        del g, tmp, denom
 
 
 def _clip_grads(grads: dict[str, np.ndarray], max_norm: float) -> None:
@@ -177,7 +183,9 @@ def train(model: ForecasterModel, train_set: WindowSet, cfg: TrainConfig,
           val_limit: Optional[int] = 64) -> TrainHistory:
     """Deterministic training given the seed: per-epoch shuffling comes from
     one seeded generator, batches average window losses, and the best-val
-    parameters are checkpointed when a path is given."""
+    parameters are checkpointed when a path is given.  Each batch's
+    gradients move from the parameters into the dict adam_step consumes,
+    so none outlives its update and every p.grad is None on return."""
     if not train_set.windows:
         raise DataError("train: empty window set")
     _check_limit("val_limit", val_limit)
@@ -204,6 +212,7 @@ def train(model: ForecasterModel, train_set: WindowSet, cfg: TrainConfig,
                     # scale so accumulated grads form the batch-mean gradient
                     backward(multiply(window_loss, 1.0 / len(batch)), tape)
             grads = {name: p.grad for name, p in params.items()}
+            zero_grads(params.values())     # so adam_step frees each one
             adam_step(params, grads, state, cfg, learning_rate=lr)
             epoch_losses.append(batch_loss)
             history.iteration_losses.append(batch_loss)

@@ -1,5 +1,5 @@
-"""Print a sha256 of every array a forward and a backward produce, so two
-checkouts can be compared bit for bit with one diff.
+"""Print a sha256 of every array a forward, a backward and an Adam step
+produce, so two checkouts can be compared bit for bit with one diff.
 
     PYTHONPATH=src python tests/bitcheck.py > after.txt
     PYTHONPATH=<other checkout>/src python tests/bitcheck.py > before.txt
@@ -10,13 +10,16 @@ tape, the forecast, the MSE loss and every parameter gradient after one
 backward, and every parameter gradient after two windows accumulate on one
 tape, each loss scaled by 1/2 as training.train scales a batch of two (so
 the order in which the backward rules add into shared gradients shows
-across a batch too).  Every GSA beta is set to 0.3, so the global path carries
-forecast and gradient.  The configs are the bench config at the
-train_long length, with its 4 heads and with 8 (so the head axis the GSA
-op batches over shows at two widths), the `gsaformer train` defaults, a
-compressed-CCA config with label_len=20, the local-only ablation, and the
-bench config at lengths one row past a multiple of the row tiles (513 =
-512 + 1 = 4 * 128 + 1, 1025 = 2 * 512 + 1).
+across a batch too).  It then hashes every parameter after training.train
+runs 2 Adam steps of batch 2 on 4 seeded windows, once without clipping
+and once with grad_clip=0.5, so the optimizer's in-place update and the
+clip's in-place scaling show too.  Every GSA beta is set to 0.3, so the
+global path carries forecast and gradient.  The configs are the bench
+config at the train_long length, with its 4 heads and with 8 (so the head
+axis the GSA op batches over shows at two widths), the `gsaformer train`
+defaults, a compressed-CCA config with label_len=20, the local-only
+ablation, and the bench config at lengths one row past a multiple of the
+row tiles (513 = 512 + 1 = 4 * 128 + 1, 1025 = 2 * 512 + 1).
 """
 
 from __future__ import annotations
@@ -26,9 +29,10 @@ import hashlib
 import numpy as np
 
 from gsaformer.benchmark import BenchConfig, model_config_for
+from gsaformer.data import WindowSet
 from gsaformer.model import ForecasterModel, ModelConfig
 from gsaformer.tensor import ComputationTape, Tensor, backward, multiply, zero_grads
-from gsaformer.training import mse_loss
+from gsaformer.training import TrainConfig, mse_loss, train
 
 TRAIN_DEFAULTS = dict(seq_len=96, pred_len=24, n_features_in=2, n_features_out=2)
 
@@ -51,11 +55,16 @@ def digest(a: np.ndarray) -> str:
     return hashlib.sha256(repr(a.shape).encode() + a.tobytes()).hexdigest()[:16]
 
 
-def check(name: str, cfg: ModelConfig) -> list[str]:
+def build(cfg: ModelConfig) -> ForecasterModel:
     model = ForecasterModel(cfg, seed=0)
     for pname, p in model.parameters().items():
         if pname.endswith(".beta"):
             p.data[:] = 0.3     # so the global path reaches the forecast
+    return model
+
+
+def check(name: str, cfg: ModelConfig) -> list[str]:
+    model = build(cfg)
     rng = np.random.default_rng(1)
     x = Tensor(rng.normal(size=(cfg.seq_len, cfg.n_features_in)))
     y = Tensor(rng.normal(size=(cfg.pred_len, cfg.n_features_out)))
@@ -78,6 +87,14 @@ def check(name: str, cfg: ModelConfig) -> list[str]:
     for pname, p in params.items():
         lines.append(f"{name} batch2.grad.{pname} "
                      f"{digest(p.grad) if p.grad is not None else 'none'}")
+    windows = WindowSet([(rng.normal(size=(cfg.seq_len, cfg.n_features_in)),
+                          rng.normal(size=(cfg.pred_len, cfg.n_features_out)))
+                         for _ in range(4)], split="train")
+    for clip in (None, 0.5):
+        model = build(cfg)
+        train(model, windows, TrainConfig(batch_size=2, max_iterations=2, grad_clip=clip))
+        for pname, p in model.parameters().items():
+            lines.append(f"{name} adam.clip{clip}.{pname} {digest(p.data)}")
     return lines
 
 

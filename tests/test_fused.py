@@ -223,8 +223,10 @@ def test_gsa_output_projection_rebuilds_the_merged_head_outputs(case):
 def test_gsa_rebuilds_q_k_v_in_the_forward_tiles(causal):
     # d = 18 in tiles of 6 rows: OpenBLAS rounds some rows of x[tile] @ w
     # differently from the same rows of x @ w here, so a backward that
-    # projected Q, K and V in other tiles than the forward would show
-    rng = np.random.default_rng(17)
+    # projected Q, K and V in other tiles than the forward would show.
+    # Whether a differing row reaches a gradient depends on the draw:
+    # seed 1's does in both the causal and the full case
+    rng = np.random.default_rng(1)
     cfg = GsaConfig(l_g=3, l_s=1, d=18, heads=2, m_max=14, causal=causal)
     windows = [Window(rng, (40, cfg.d), normed, True) for normed in (False, True)]
     targets = [Tensor(rng.normal(size=(40, cfg.d))) for _ in windows]

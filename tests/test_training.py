@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -8,8 +9,10 @@ from hypothesis import strategies as st
 
 from helpers import check_op_gradients, composed_mse_loss, sum_all
 
+from gsaformer import training
 from gsaformer.attention import OpCounter
-from gsaformer.data import DataError, make_windows, synthetic_series
+from gsaformer.benchmark import BenchConfig, model_config_for
+from gsaformer.data import DataError, WindowSet, make_windows, synthetic_series
 from gsaformer.model import ForecasterModel, ModelConfig
 from gsaformer.tensor import (
     ComputationTape,
@@ -158,10 +161,37 @@ class TestAdam:
             npt.assert_array_equal(state.v["p"], v)
 
     def test_missing_grad_names_parameter(self):
-        cfg = TrainConfig()
-        p = Tensor([[1.0]], requires_grad=True)
-        with pytest.raises(ContractError, match="p"):
-            adam_step({"p": p}, {}, AdamState(), cfg)
+        # a clip is set, so a call that scaled before it checked would show
+        cfg = TrainConfig(grad_clip=1e-3)
+        params = {name: Tensor(np.ones((2, 3)), requires_grad=True) for name in "abc"}
+        grads = {"a": np.full((2, 3), 5.0), "b": np.full((2, 3), -5.0)}
+        with pytest.raises(ContractError, match="'c'"):
+            adam_step(params, grads, AdamState(), cfg)
+        # a rejected call consumes nothing
+        assert list(grads) == ["a", "b"]
+        npt.assert_array_equal(grads["a"], np.full((2, 3), 5.0))
+        npt.assert_array_equal(grads["b"], np.full((2, 3), -5.0))
+
+    def test_frees_each_gradient_as_it_applies_it(self):
+        # each gradient is freed before the next parameter's moments are
+        # allocated, so the step adds about one copy of the gradients (two
+        # moments less the freed gradients), not two
+        rng = np.random.default_rng(3)
+        params = {f"p{i}": Tensor(rng.normal(size=(64, 64)), requires_grad=True)
+                  for i in range(32)}
+        tracemalloc.start()
+        try:
+            # traced, so that freeing them shows
+            grads = {name: rng.normal(size=p.shape) for name, p in params.items()}
+            size = sum(g.nbytes for g in grads.values())
+            tracemalloc.reset_peak()
+            entry = tracemalloc.get_traced_memory()[0]
+            adam_step(params, grads, AdamState(), TrainConfig())
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * size, (peak, size)
+        assert grads == {}
 
     def test_learning_rate_must_be_positive(self):
         with pytest.raises(ContractError):
@@ -232,6 +262,32 @@ class TestTrainLoop:
                   val_set=val_set, val_limit=0)
         for name, p in model.parameters().items():
             npt.assert_array_equal(p.data, before[name])
+
+    def test_adam_phase_peaks_no_higher_than_forward_and_backward(self, monkeypatch):
+        cfg = model_config_for("grouped", 256, BenchConfig(d=64, heads=2, ffn_hidden=64,
+                                                           l_comp=32))
+        model = ForecasterModel(cfg, seed=0)
+        rng = np.random.default_rng(0)
+        windows = WindowSet([(rng.normal(size=(cfg.seq_len, cfg.n_features_in)),
+                              rng.normal(size=(cfg.pred_len, cfg.n_features_out)))],
+                            split="train")
+        peaks = {}
+        inner = training.adam_step
+
+        def adam_step(*args, **kwargs):
+            peaks["forward_backward"] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            inner(*args, **kwargs)
+            peaks["adam"] = tracemalloc.get_traced_memory()[1]
+
+        monkeypatch.setattr(training, "adam_step", adam_step)
+        tracemalloc.start()
+        try:
+            train(model, windows, TrainConfig(batch_size=1, max_iterations=1))
+        finally:
+            tracemalloc.stop()
+        assert peaks["adam"] <= peaks["forward_backward"], peaks
+        assert all(p.grad is None for p in model.parameters().values())
 
     def test_best_val_checkpoint_written(self, tmp_path):
         model, train_set, val_set = smoke_setup()
