@@ -46,9 +46,8 @@ class OpCounter:
     holds all groups of a layer in one array.
 
     recomputed_score_elements: the score entries that backward rules compute
-    again from their op's inputs instead of holding them: every CCA head's
-    and every GSA summary attention's (GSA holds its local probabilities).
-    The per-forward fields above never include it.
+    again from their op's inputs instead of holding them: every one, since
+    no rule holds probabilities.  The per-forward fields never include it.
     """
 
     def __init__(self):
@@ -120,8 +119,11 @@ def softmax_last_axis(s: np.ndarray, allow: Optional[np.ndarray] = None) -> np.n
 def softmax_last_axis_backward(p: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Score gradient P * (G - sum_j G_j P_j) of a last-axis softmax with
     output p and output gradient g, overwriting g; exact zeros in p kill
-    masked entries.  Returns g."""
-    inner = (g * p).sum(axis=-1, keepdims=True)
+    masked entries.  Returns g.  Row sums are taken in row tiles, so G * P
+    is one tile, not a whole score array; each row sums as in one piece."""
+    inner = np.empty_like(g[..., :1])
+    for rows in row_tiles(g.shape[-2], TILE_ROWS):
+        inner[..., rows, :] = (g[..., rows, :] * p[..., rows, :]).sum(axis=-1, keepdims=True)
     g -= inner
     g *= p
     return g

@@ -5,10 +5,10 @@ wall-clock time per training iteration, as plot-ready CSV.
 Memory is reported as score-buffer elements, not process RSS: the peak is
 the largest logical score matrix (one group of one head for GSA, one head
 for canonical attention), so it reflects the mechanism's working-set claim
-and is deterministic.  The real buffers differ: without a tape the fused
-GSA op scores one tile of every head's groups at a time (4 heads x 8
-groups at l_g = 64) and CCA one tile of 256 queries of one head, and
-under a tape the GSA rule keeps all m groups of every head.
+and is deterministic.  The real buffers differ: the fused GSA op scores
+one tile of every head's groups at a time (4 heads x 8 groups at l_g =
+64, 4 groups backward), CCA 256 queries of one head forward and a whole
+head backward; no rule keeps scores on the tape.
 """
 
 from __future__ import annotations

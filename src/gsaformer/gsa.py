@@ -17,11 +17,11 @@ group buffers, viewed as (heads, groups, l_g, d_h) blocks, so the heads
 are one more batch axis of every attention call.  The forward works over
 tiles of whole groups (TILE_ROWS rows), so one tile of Q/K/V and of every
 head's group scores is alive at a time, and only each group's summary
-rows outlive their tile.  The op's rule holds its input (through
-tensor.held_values, so a layer norm's output is rebuilt, not held), its
-parameters and each tile's local attention probabilities, and rebuilds
-Q, K, V (in the forward's tiles), the global path and the merged head
-outputs in the backward, which walks the same tiles.  summarize_group,
+rows outlive their tile.  The op's rule holds only its input (through
+tensor.held_values, so a layer norm's output is rebuilt, not held) and its
+parameters, and rebuilds Q, K, V (in the forward's tiles), the global
+path, every tile's local probabilities and the merged head outputs in the
+backward, which walks tiles half the forward's size once.  summarize_group,
 global_summary_attention and merge_outputs are the global path's steps
 for a single group, composed from separate tape ops; the model does not
 call them, and the tests build their loop-based reference from them
@@ -43,6 +43,7 @@ from .attention import (
     OpCounter,
     attention_backward,
     attention_forward,
+    attention_probs,
     scaled_dot_attention,
 )
 from .tensor import (
@@ -231,11 +232,11 @@ def _sum_last_to_first(parts: np.ndarray) -> np.ndarray:
     return functools.reduce(np.add, parts[::-1])
 
 
-def _tiles(l: int, l_g: int) -> list[tuple[slice, slice]]:
-    """The tiles gsa_forward works over, whole groups of about TILE_ROWS
-    rows each: (rows, groups) slice pairs."""
+def _tiles(l: int, l_g: int, size: int) -> list[tuple[slice, slice]]:
+    """Tiles of whole groups, about size rows each, as gsa_forward works
+    over them (size TILE_ROWS): (rows, groups) slice pairs."""
     return [(rows, slice(rows.start // l_g, -(-rows.stop // l_g)))
-            for rows in row_tiles(l, max(TILE_ROWS // l_g, 1) * l_g)]
+            for rows in row_tiles(l, max(size // l_g, 1) * l_g)]
 
 
 def _project(x: np.ndarray, w: Tensor, b: Tensor, m: int, l_g: int,
@@ -247,7 +248,7 @@ def _project(x: np.ndarray, w: Tensor, b: Tensor, m: int, l_g: int,
     x gets the forward's bits at every width."""
     l = x.shape[0]
     rows = np.empty((m * l_g, w.shape[1]))
-    for tile, _ in _tiles(l, l_g):
+    for tile, _ in _tiles(l, l_g, TILE_ROWS):
         np.matmul(x[tile], w.data, out=rows[tile])
     rows[:l] += b.data
     rows[real_len:] = 0.0
@@ -299,17 +300,16 @@ def gsa_forward(x: Tensor, params: GsaLayerParams, cfg: GsaConfig,
     Q/K/V and of scores is alive at a time.  Every group is computed
     alone, so the tiles' results are the whole layer's.  The summary
     attention, the merge and the output projection run once all tiles are
-    done.  The rule holds x, the parameters and one array of local
-    probabilities per tile, nothing else: the backward gets x (from its
-    recipe when x has one), projects Q, K and V again in the forward's
-    tiles and re-runs the summary path with the forward's arithmetic
-    (adding the summary score elements to the counter's
-    recomputed_score_elements).  It then walks the forward's tiles twice,
-    every head at once: first to rebuild the merged outputs from P @ V
-    for w_o's gradient, then for the local backward, each tile's
-    probabilities leaving the closure once read.  The forward counter
-    sees one l_g-by-l_g matrix per head and group and one m*l_s-by-m*l_s
-    matrix per head, however the groups are computed.
+    done.  The rule holds x and the parameters, nothing else: the backward
+    gets x (from its recipe when x has one), projects Q, K and V again in
+    the forward's tiles and re-runs the summary path, then walks tiles of
+    half the forward's size once, every head at once, rebuilding each
+    tile's probabilities and local outputs with the forward's arithmetic
+    for the local backward, alpha's gradient and (merged in place of the
+    consumed output gradient) w_o's.  It adds every score element it
+    rebuilds to the counter's recomputed_score_elements.  The forward
+    counter sees one l_g-by-l_g matrix per head and group and one
+    m*l_s-by-m*l_s matrix per head, however the groups are computed.
     """
     l, d = x.shape
     if d != cfg.d:
@@ -328,25 +328,21 @@ def gsa_forward(x: Tensor, params: GsaLayerParams, cfg: GsaConfig,
     allow = _local_allow(cfg, m, real_len)
     for _ in range(heads * m):
         counter.add_scores(l_g, l_g)
-    tiles = _tiles(l, l_g)
     out_rows = np.empty((m * l_g, d))
     o = _grouped(out_rows, m, l_g, heads)
-    probs = []      # one (heads, n, l_g, l_g) array per tile of n groups, when taped
     if use_global:
         summaries = np.empty((3, heads, m, l_s, dh))    # e_q/e_k/e_v rows of every group
-    for rows, groups in tiles:
+    for rows, groups in _tiles(l, l_g, TILE_ROWS):
         n = groups.stop - groups.start
         qg, kg, vg = (_grouped(a, n, l_g, heads) for a in
                       _qkv(x.data[rows], params, n, l_g, real_len - rows.start))
-        p = attention_forward(qg, kg.swapaxes(-1, -2), vg, scale,
-                              None if allow is None else allow[groups], out=o[:, groups])[1]
-        if taped:
-            probs.append(p)
+        attention_forward(qg, kg.swapaxes(-1, -2), vg, scale,
+                          None if allow is None else allow[groups], out=o[:, groups])
         if use_global:
             for e, blocks, summary in zip((params.e_q, params.e_k, params.e_v), (qg, kg, vg),
                                           summaries):
                 np.matmul(e.data, blocks, out=summary[:, groups])
-        del p, qg, kg, vg     # else two tiles of scores and Q/K/V would be alive at once
+        del qg, kg, vg      # else two tiles of Q/K/V would be alive at once
     if use_global:
         for _ in range(heads):
             counter.add_scores(n_s, n_s)
@@ -363,7 +359,7 @@ def gsa_forward(x: Tensor, params: GsaLayerParams, cfg: GsaConfig,
         # their gradients
         grads = _qkv(x_values(), params, m, l_g, real_len)
         qg, kg, vg = (_grouped(a, m, l_g, heads) for a in grads)
-        # the merged outputs' gradient, zero-padded to whole groups
+        # the merged outputs' gradient, zero-padded to whole groups, until the walk
         d_rows = np.zeros((m * l_g, d))
         d_rows[:l] = linear_input_grad(out_slot.grad, params.w_o, params.b_o)
         d_out = _grouped(d_rows, m, l_g, heads)
@@ -371,54 +367,55 @@ def gsa_forward(x: Tensor, params: GsaLayerParams, cfg: GsaConfig,
             qs, ks, vs, pg, pooled = _summary_attention(
                 *(np.matmul(e.data, blocks) for e, blocks in
                   ((params.e_q, qg), (params.e_k, kg), (params.e_v, vg))), scale)
-            d_alpha = np.empty((heads, m))
-        # the merged outputs, as the forward made them, for w_o
-        merged_rows = np.empty((m * l_g, d))
-        merged = _grouped(merged_rows, m, l_g, heads)
-        for (_, groups), p in zip(tiles, probs):
-            local = np.matmul(p, vg[:, groups], out=merged[:, groups])
-            if use_global:
-                d_alpha[:, groups] = (d_out[:, groups] * local).reshape(
-                    *local.shape[:2], -1).sum(axis=-1)
-        if use_global:
-            _merge(merged, pooled, params)
-        accumulate_grad(params.w_o, merged_rows[:l].T @ out_slot.grad, owned=True)
-        del local, merged_rows, merged
-        if use_global:
             counter.add_recomputed(heads * n_s, n_s)
             g_cols = d_out.sum(axis=2)
-            for param, d_slot in ((params.alpha, d_alpha),
-                                  (params.beta, (g_cols * pooled).sum(axis=-1))):
-                full = np.zeros(param.shape)
-                full[0, :m] = _sum_last_to_first(d_slot)
-                accumulate_grad(param, full, owned=True)
+            d_beta = (g_cols * pooled).sum(axis=-1)
             d_pooled = g_cols * params.beta.data[0, :m, None] / l_s
             d_og = np.repeat(d_pooled[:, :, None, :], l_s, axis=2).reshape(heads, n_s, dh)
             # global summary attention
             d_qs, d_ks, d_vs = attention_backward(qs, ks.swapaxes(-1, -2), vs, pg, d_og, scale)
             d_summaries = [a.reshape(heads, m, l_s, dh)
                            for a in (d_qs, d_ks.swapaxes(-1, -2), d_vs)]
+            del qs, ks, vs, pg, d_og, d_qs, d_ks, d_vs
             # summary projections, shared by every group and head
             for e, blocks, d_s in zip((params.e_q, params.e_k, params.e_v), (qg, kg, vg),
                                       d_summaries):
                 d_e = np.matmul(d_s, blocks.swapaxes(-1, -2)).reshape(-1, l_s, l_g)
                 accumulate_grad(e, _sum_last_to_first(d_e), owned=True)
-        # local attention, one tile of every head's groups at a time; each
-        # tile's probabilities leave the closure once read
-        for _, groups in reversed(tiles):
+            d_alpha = np.empty((heads, m))
+        # local attention, every head's groups in half-size tiles (so a
+        # tile's probabilities, outputs and gradients stay in cache), the
+        # probabilities and outputs rebuilt with the forward's arithmetic
+        counter.add_recomputed(heads * m * l_g, l_g)
+        allow = _local_allow(cfg, m, real_len)
+        for _, groups in _tiles(l, l_g, TILE_ROWS // 2):
+            q_t, k_t, v_t = qg[:, groups], kg[:, groups].swapaxes(-1, -2), vg[:, groups]
+            p = attention_probs(q_t, k_t, scale, None if allow is None else allow[groups])
+            local = np.matmul(p, v_t)
             d_local = d_out[:, groups]
             if use_global:
+                d_alpha[:, groups] = (d_local * local).reshape(
+                    *local.shape[:2], -1).sum(axis=-1)
                 d_local = d_local * params.alpha.data[0, groups, None, None]
-            d_q, d_k_t, d_v = attention_backward(
-                qg[:, groups], kg[:, groups].swapaxes(-1, -2), vg[:, groups], probs.pop(),
-                d_local, scale)
-            d_blocks = (d_q, d_k_t.swapaxes(-1, -2), d_v)
-            if use_global:
-                for e, d_block, d_s in zip((params.e_q, params.e_k, params.e_v), d_blocks,
-                                           d_summaries):
-                    d_block += np.matmul(e.data.T, d_s[:, groups])
-            qg[:, groups], kg[:, groups], vg[:, groups] = d_blocks
-        del d_local, d_blocks, d_rows, d_out
+            d_q, d_k_t, d_v = attention_backward(q_t, k_t, v_t, p, d_local, scale)
+            d_out[:, groups] = local
+            for i, (blocks, d_block) in enumerate(zip((qg, kg, vg),
+                                                      (d_q, d_k_t.swapaxes(-1, -2), d_v))):
+                if use_global:
+                    e = (params.e_q, params.e_k, params.e_v)[i]
+                    d_block += np.matmul(e.data.T, d_summaries[i][:, groups])
+                blocks[:, groups] = d_block
+            # else two tiles' arrays would be alive at once
+            del p, local, d_local, d_q, d_k_t, d_v, d_block
+        if use_global:
+            for param, d_slot in ((params.alpha, d_alpha), (params.beta, d_beta)):
+                full = np.zeros(param.shape)
+                full[0, :m] = _sum_last_to_first(d_slot)
+                accumulate_grad(param, full, owned=True)
+            _merge(d_out, pooled, params)
+        # the walk left the local outputs in d_rows: now the merged ones, as in the forward
+        accumulate_grad(params.w_o, d_rows[:l].T @ out_slot.grad, owned=True)
+        del d_rows, d_out
         x_data = x_values()
         # the projections, v first, as replaying three linear ops would
         for w, b, rows in ((params.w_v, params.b_v, grads[2]), (params.w_k, params.b_k, grads[1]),

@@ -26,11 +26,11 @@ that redoes its product from what its rule holds, so neither a norm
 output nor an embedding outlives the forward, although the rules of
 their consumers read them.  The model's sublayers are one op each
 (linear with a position shift, feed_forward here, gsa_forward in
-gsa, cca_forward in cca): a sublayer's rule holds its input, its
-parameters and (GSA) its local probabilities, and rebuilds every inner
-activation in the backward with the forward's own arithmetic and row
-tiles, so its values and gradients are those of the composed ops bit for
-bit.  Rules and recipes read parameters' values when the backward runs: a
+gsa, cca_forward in cca): a sublayer's rule holds its input and its
+parameters, and rebuilds every inner activation (attention probabilities
+too) in the backward with the forward's own arithmetic and row tiles, so
+its values and gradients are those of the composed ops bit for bit.
+Rules and recipes read parameters' values when the backward runs: a
 parameter's values must not change between a recorded forward and its
 backward.
 

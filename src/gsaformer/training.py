@@ -95,9 +95,10 @@ def adam_step(params: Mapping[str, Tensor],
     after clipping the gradients' global norm to cfg.grad_clip when set.
 
     Consumes grads: each parameter's gradient is popped as it is applied,
-    so it is freed before the next parameter's moments are allocated, and
-    grads comes back empty.  Every name is checked (and the clip applied)
-    first, so a rejected call leaves grads untouched."""
+    its buffer reused for the update's denominator (a caller must not read
+    it afterwards) and freed before the next parameter's moments are
+    allocated, and grads comes back empty.  Every name is checked (and the
+    clip applied) first, so a rejected call leaves grads untouched."""
     for name in params:
         if name not in grads or grads[name] is None:
             raise ContractError(f"adam_step: no gradient for parameter {name!r}")
@@ -125,7 +126,7 @@ def adam_step(params: Mapping[str, Tensor],
         tmp *= g
         v *= cfg.beta2
         v += tmp
-        denom = np.divide(v, correct2)
+        denom = np.divide(v, correct2, out=g)
         np.sqrt(denom, out=denom)
         denom += cfg.epsilon
         np.divide(m, correct1, out=tmp)

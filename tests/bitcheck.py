@@ -7,10 +7,13 @@ produce, so two checkouts can be compared bit for bit with one diff.
 
 For each config it hashes the forecast of an untaped forward, then, under a
 tape, the forecast, the MSE loss and every parameter gradient after one
-backward, and every parameter gradient after two windows accumulate on one
+backward, and prints the OpCounter totals of that taped forward and
+backward (score_elements, recomputed_score_elements, peak_score_buffer),
+so a change of work shows in the same diff as a change of bits.  It then
+hashes every parameter gradient after two windows accumulate on one
 tape, each loss scaled by 1/2 as training.train scales a batch of two (so
 the order in which the backward rules add into shared gradients shows
-across a batch too).  It then hashes every parameter after training.train
+across a batch too).  Last, it hashes every parameter after training.train
 runs 2 Adam steps of batch 2 on 4 seeded windows, once without clipping
 and once with grad_clip=0.5, so the optimizer's in-place update and the
 clip's in-place scaling show too.  Every GSA beta is set to 0.3, so the
@@ -28,6 +31,7 @@ import hashlib
 
 import numpy as np
 
+from gsaformer.attention import OpCounter
 from gsaformer.benchmark import BenchConfig, model_config_for
 from gsaformer.data import WindowSet
 from gsaformer.model import ForecasterModel, ModelConfig
@@ -69,12 +73,15 @@ def check(name: str, cfg: ModelConfig) -> list[str]:
     x = Tensor(rng.normal(size=(cfg.seq_len, cfg.n_features_in)))
     y = Tensor(rng.normal(size=(cfg.pred_len, cfg.n_features_out)))
     lines = [f"{name} forecast.untaped {digest(model.forward(x).data)}"]
+    counter = OpCounter()
     with ComputationTape() as tape:
-        pred = model.forward(x)
+        pred = model.forward(x, counter)
         loss = mse_loss(pred, y)
     lines.append(f"{name} forecast.taped {digest(pred.data)}")
     lines.append(f"{name} loss {digest(loss.data)}")
     backward(loss, tape)
+    for field in ("score_elements", "recomputed_score_elements", "peak_score_buffer"):
+        lines.append(f"{name} counter.{field} {getattr(counter, field)}")
     for pname, p in model.parameters().items():
         lines.append(f"{name} grad.{pname} {digest(p.grad) if p.grad is not None else 'none'}")
     params = model.parameters()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -9,8 +10,10 @@ from hypothesis import strategies as st
 from gsaformer.attention import (
     AttentionMask,
     OpCounter,
+    attention_probs,
     row_softmax,
     scaled_dot_attention,
+    softmax_last_axis_backward,
 )
 from gsaformer.tensor import (
     ComputationTape,
@@ -96,6 +99,36 @@ class TestRowSoftmax:
             numeric = (f_plus - f_minus) / (2 * eps)
             analytic = s.grad.reshape(-1)[c]
             assert abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8) < 1e-5
+
+
+class TestSoftmaxBackward:
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_row_tiles_give_the_whole_array_bits(self, batched):
+        # batched: probabilities of strided group views, as GSA makes
+        # them, whose head axis is not the outermost in memory; both
+        # cases span more than one tile of rows
+        rng = np.random.default_rng(6)
+        if batched:
+            q = rng.normal(size=(2 * 300, 32)).reshape(2, 300, 4, 8).transpose(2, 0, 1, 3)
+            p = attention_probs(q, q.swapaxes(-1, -2), 0.3)
+        else:
+            p = attention_probs(rng.normal(size=(700, 8)), rng.normal(size=(8, 90)), 0.3)
+        g = rng.normal(size=p.shape)
+        expected = (g - (g * p).sum(axis=-1, keepdims=True)) * p
+        npt.assert_array_equal(softmax_last_axis_backward(p, g.copy()), expected)
+
+    def test_temporaries_stay_one_tile(self):
+        # 2048 rows, so a whole-array G * P temporary would be eight tiles
+        rng = np.random.default_rng(7)
+        p = attention_probs(rng.normal(size=(2048, 8)), rng.normal(size=(8, 128)), 0.3)
+        g = rng.normal(size=p.shape)
+        tracemalloc.start()
+        try:
+            softmax_last_axis_backward(p, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * p.nbytes
 
 
 class TestScaledDotAttention:

@@ -320,11 +320,13 @@ class TestGsaForward:
 class TestBackwardMemory:
     def test_rule_runs_the_local_backward_one_tile_at_a_time(self):
         # 2040 rows in four tiles of 32 groups (the last one padded): the
-        # rule's own arrays, Q/K/V, the padded output gradient, the merged
-        # outputs, w_o's input gradient and x's gradient, are seven l-by-d
-        # arrays, and one tile's score arrays of every head half of one.
-        # All of a head's groups at once would add two l-by-d arrays per
-        # score array: such a rule read 14.0 arrays, the tiled one 8.1
+        # rule's own arrays, Q/K/V, the padded output gradient (which the
+        # walk overwrites with the local outputs), w_o's input gradient and
+        # x's gradient, are six l-by-d arrays, and one backward tile's score
+        # arrays of every head a quarter of one.  All of a head's groups at once would
+        # add two l-by-d arrays per score array: such a rule read 14.0
+        # arrays, the tiled one 7.6.  Rebuilding the local outputs into a
+        # buffer of their own instead would add one more l-by-d array
         rng = np.random.default_rng(2)
         cfg = GsaConfig(l_g=16, l_s=1, d=16, heads=2, m_max=128)
         l = 2040
@@ -332,8 +334,12 @@ class TestBackwardMemory:
         x = Tensor(rng.normal(size=(l, cfg.d)), requires_grad=True)
         tracemalloc.start()
         try:
+            entry = tracemalloc.get_traced_memory()[0]
             with ComputationTape() as tape:
                 out = gsa_forward(x, params, cfg, OpCounter())
+            # the rule holds x and the parameters, which were there before:
+            # all the forward leaves is its output and a few small objects
+            kept = tracemalloc.get_traced_memory()[0] - entry - out.data.nbytes
             (_, slot, rule), = tape._nodes
             slot.grad = rng.normal(size=out.shape)
             del out
@@ -343,6 +349,7 @@ class TestBackwardMemory:
             peak = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
+        assert kept < 0.1 * l * cfg.d * 8
         assert peak < 9 * l * cfg.d * 8
 
 

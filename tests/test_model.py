@@ -619,8 +619,8 @@ def _root(a):
 
 class TestAttentionRulesHoldOnlyWhatTheyCannotRebuild:
     """Each sublayer is one op that rebuilds its projections, hidden
-    activations and (CCA) probabilities in the backward, so its rule keeps
-    nothing an input does not own, except GSA's local probabilities."""
+    activations and attention probabilities in the backward, so its rule
+    keeps nothing an input does not own."""
 
     SUBLAYERS = ("linear", "grouped_attention", "cca", "feed_forward")
 
@@ -655,16 +655,7 @@ class TestAttentionRulesHoldOnlyWhatTheyCannotRebuild:
             for (op, rule), (_, inputs) in zip(rules, calls):
                 owners = {id(_root(a)) for a in _reachable_arrays(inputs)}
                 held = [a.shape for a in _reachable_arrays(rule) if id(_root(a)) not in owners]
-                if op == "grouped_attention":
-                    # one (heads, n_i, l_g, l_g) array of local probabilities
-                    # per forward tile of n_i groups, the tiles covering all m
-                    l = inputs[0].shape[0]
-                    tiles = gsa_module._tiles(l, cfg.l_g)
-                    assert held == [(cfg.heads, g.stop - g.start, cfg.l_g, cfg.l_g)
-                                    for _, g in tiles]
-                    assert sum(shape[1] for shape in held) == -(-l // cfg.l_g)
-                else:
-                    assert held == []
+                assert held == [], op
             backward(loss, tape)
 
     @pytest.mark.parametrize("overrides", [
@@ -685,9 +676,7 @@ class TestAttentionRulesHoldOnlyWhatTheyCannotRebuild:
             backward(mse_loss(model.forward(x, counter), y), tape)
         closed_form = model.closed_form_score_elements()
         assert counter.score_elements == 2 * closed_form
-        groups = cfg.e_l * -(-cfg.seq_len // cfg.l_g) + cfg.d_l * -(-cfg.dec_len // cfg.l_g)
-        held_local = cfg.heads * groups * cfg.l_g ** 2
-        assert counter.recomputed_score_elements == closed_form - held_local
+        assert counter.recomputed_score_elements == closed_form
 
 
 class TestConfigFile:

@@ -193,6 +193,23 @@ class TestAdam:
         assert peak < 1.25 * size, (peak, size)
         assert grads == {}
 
+    def test_first_step_needs_one_temporary_besides_the_moments(self):
+        # the update's denominator reuses the buffer of the gradient it has
+        # just applied: the first step allocates both moments and one
+        # temporary, three copies of the parameter, where a separate
+        # denominator would make four
+        p = Tensor(np.zeros((512, 512)), requires_grad=True)
+        tracemalloc.start()
+        try:
+            grads = {"p": np.random.default_rng(4).normal(size=p.shape)}
+            tracemalloc.reset_peak()
+            entry = tracemalloc.get_traced_memory()[0]
+            adam_step({"p": p}, grads, AdamState(), TrainConfig())
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * p.data.nbytes, (peak, p.data.nbytes)
+
     def test_learning_rate_must_be_positive(self):
         with pytest.raises(ContractError):
             TrainConfig(learning_rate=0.0)
