@@ -4,15 +4,17 @@ and the score-element counter shared by every attention variant.
 attention_probs/attention_forward/attention_backward are the one score ->
 softmax -> value kernel (and its gradient) on plain arrays, batched over
 leading axes; the fused tape ops cca.cca_forward (through
-multi_head_forward/multi_head_backward, unmasked) and
-gsa.gsa_forward (which builds its own boolean allow array) both run
-it.  multi_head_forward scores TILE_ROWS queries of one head at a time;
-multi_head_backward holds nothing from it and rebuilds the probabilities
-in the same tiles with attention_probs, the forward's own arithmetic.
-scaled_dot_attention and row_softmax compose the same arithmetic from
-separate tape ops: they are the canonical reference that the acceptance
-gates and the loop oracles of the tests are built from.  Their mask
-argument, AttentionMask, is either none or a custom allow matrix."""
+multi_head_rows/multi_head_backward, unmasked) and gsa.gsa_forward (which
+builds its own boolean allow array) both run it.  cca_forward hands
+multi_head_rows one row tile of queries at a time (tensor.tile_rows rows),
+and multi_head_rows scores one head of it at a time;
+multi_head_backward holds nothing from the forward and rebuilds the
+probabilities in the same tiles with attention_probs, the forward's own
+arithmetic.  scaled_dot_attention and row_softmax compose the same
+arithmetic from separate tape ops: they are the canonical reference that
+the acceptance gates and the loop oracles of the tests are built from.
+Their mask argument, AttentionMask, is either none or a custom allow
+matrix."""
 
 from __future__ import annotations
 
@@ -28,10 +30,9 @@ from .tensor import (
     matmul,
     multiply,
     row_tiles,
+    tile_rows,
     transpose,
 )
-
-TILE_ROWS = 256     # query rows multi_head_forward scores at a time
 
 
 class OpCounter:
@@ -122,7 +123,7 @@ def softmax_last_axis_backward(p: np.ndarray, g: np.ndarray) -> np.ndarray:
     masked entries.  Returns g.  Row sums are taken in row tiles, so G * P
     is one tile, not a whole score array; each row sums as in one piece."""
     inner = np.empty_like(g[..., :1])
-    for rows in row_tiles(g.shape[-2], TILE_ROWS):
+    for rows in row_tiles(g.shape[-2], tile_rows()):
         inner[..., rows, :] = (g[..., rows, :] * p[..., rows, :]).sum(axis=-1, keepdims=True)
     g -= inner
     g *= p
@@ -192,43 +193,43 @@ def _head_slabs(d: int, heads: int) -> list[slice]:
     return [slice(h * (d // heads), (h + 1) * (d // heads)) for h in range(heads)]
 
 
-def _keys(k: np.ndarray, v: np.ndarray, cols: slice) -> tuple[np.ndarray, np.ndarray]:
-    """Contiguous (k transposed, v) of one head's columns."""
-    return np.ascontiguousarray(k[:, cols].T), np.ascontiguousarray(v[:, cols])
-
-
-def multi_head_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int,
-                       counter: OpCounter) -> np.ndarray:
-    """Unmasked scaled_dot_attention on each of `heads` contiguous column
-    slabs of q, k and v (arrays), the slab outputs side by side, with the
-    same arithmetic.  It runs one head at a time and each head TILE_ROWS
-    queries at a time (cut by row_tiles), so one tile-by-l_k block of
-    scores is alive at once; softmax is row-wise, so the tiles' results are
-    the whole head's.  The counter sees one call per head.
-
-    Each head works on contiguous copies of its slabs, not strided views:
-    BLAS rounds one-row products differently for strided operands, and the
-    copies keep every product bit-identical to scaled_dot_attention."""
-    (l_q, d), (l_k, d_k) = q.shape, k.shape
+def head_keys(k: np.ndarray, v: np.ndarray, heads: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Contiguous (k transposed, v) of each of `heads` column slabs of the
+    keys k and values v (arrays)."""
+    d = k.shape[1]
     if d % heads != 0:
         raise DimensionError(f"feature dim {d} not divisible by {heads} heads")
-    if d_k != d or v.shape != k.shape:
-        raise DimensionError(
-            f"attention: Q {q.shape}, K {k.shape}, V {v.shape} do not line up")
-    scale = 1.0 / np.sqrt(d // heads)
-    out = np.empty((l_q, d))
-    for cols in _head_slabs(d, heads):
-        counter.add_scores(l_q, l_k)
-        k_t, v_h = _keys(k, v, cols)
-        for rows in row_tiles(l_q, TILE_ROWS):
-            attention_forward(np.ascontiguousarray(q[rows, cols]), k_t, v_h, scale,
-                              out=out[rows, cols])
+    if v.shape != k.shape:
+        raise DimensionError(f"attention: K {k.shape} and V {v.shape} do not line up")
+    return [(np.ascontiguousarray(k[:, cols].T), np.ascontiguousarray(v[:, cols]))
+            for cols in _head_slabs(d, heads)]
+
+
+def multi_head_rows(q: np.ndarray, keys: list[tuple[np.ndarray, np.ndarray]],
+                    out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Unmasked scaled_dot_attention of the query rows q over the keys and
+    values of every head (head_keys, one per contiguous column slab of q),
+    the head outputs side by side, written into out when given.  It runs
+    one head at a time, so one rows-by-l_k block of scores is alive at
+    once; softmax is row-wise, so a tile of queries gets the rows the
+    whole query block would.
+
+    Each head works on a contiguous copy of its query columns, not a
+    strided view: BLAS rounds one-row products differently for strided
+    operands, and the copies keep every product bit-identical to
+    scaled_dot_attention."""
+    d = q.shape[1]
+    scale = 1.0 / np.sqrt(d // len(keys))
+    out = np.empty(q.shape) if out is None else out
+    for cols, (k_t, v_h) in zip(_head_slabs(d, len(keys)), keys):
+        attention_forward(np.ascontiguousarray(q[:, cols]), k_t, v_h, scale, out=out[:, cols])
     return out
 
 
 def multi_head_backward(q: np.ndarray, k: np.ndarray, v: np.ndarray, g: np.ndarray,
                         heads: int, counter: OpCounter) -> tuple[np.ndarray, np.ndarray]:
-    """The gradients of multi_head_forward(q, k, v, heads) from the output
+    """The gradients of multi_head_rows(q[rows], head_keys(k, v, heads))
+    over the query tiles row_tiles(l_q, tile_rows()), from the output
     gradient g, computed in place to spare two whole arrays: on return q
     holds d_q and g holds the forward's output, rebuilt from the same
     tiles' P @ V; returns (d_k, d_v).  A head's columns of q and g are
@@ -239,14 +240,13 @@ def multi_head_backward(q: np.ndarray, k: np.ndarray, v: np.ndarray, g: np.ndarr
     (l_q, d), l_k = q.shape, k.shape[0]
     scale = 1.0 / np.sqrt(d // heads)
     d_k, d_v = np.empty(k.shape), np.empty(v.shape)
-    for cols in _head_slabs(d, heads):
+    for cols, (k_t, v_h) in zip(_head_slabs(d, heads), head_keys(k, v, heads)):
         # contiguous copies (ascontiguousarray would return g itself for one
         # head, which the P @ V below overwrites)
         q_h, g_h = q[:, cols].copy(), g[:, cols].copy()
-        k_t, v_h = _keys(k, v, cols)
         counter.add_recomputed(l_q, l_k)
         p = np.empty((l_q, l_k))
-        for rows in row_tiles(l_q, TILE_ROWS):
+        for rows in row_tiles(l_q, tile_rows()):
             attention_probs(q_h[rows], k_t, scale, out=p[rows])
             np.matmul(p[rows], v_h, out=g[rows, cols])
         q[:, cols], d_k_t, d_v[:, cols] = attention_backward(q_h, k_t, v_h, p, g_h, scale)

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .attention import OpCounter, multi_head_backward, multi_head_forward
+from .attention import OpCounter, head_keys, multi_head_backward, multi_head_rows
 from .tensor import (
     DimensionError,
     ParameterSet,
@@ -26,6 +26,8 @@ from .tensor import (
     linear_input_grad,
     matmul,
     recording,
+    row_tiles,
+    tile_rows,
     uniform_param,
     zero_row,
 )
@@ -82,12 +84,15 @@ def cca_forward(h_dec: Tensor, h_enc: Tensor, params: CcaLayerParams,
 
     Everything after the compression is one tape op, bit for bit the
     linear q/k/v projections, multi-head attention and linear output
-    projection composed.  The forward drops Q, K and V before the output
-    projection runs.  The rule holds h_dec and the memory (through
-    held_values) and the parameters: the backward rebuilds Q, K, V, the
-    probabilities and the attended rows with the forward's arithmetic and
-    tiles, and adds into the memory's gradient v's share before k's, as
-    the composed rules' replay would.
+    projection composed, at every width a row tile cut does not change.  K
+    and V are projected once; then each row tile of queries is projected,
+    attended over every head and output-projected, so Q and the attended
+    rows are one tile big.  The counter sees one l_dec-by-l_k call per
+    head.  The rule holds h_dec and the memory (through held_values) and
+    the parameters: the backward rebuilds Q (in the forward's tiles), K, V,
+    the probabilities and the attended rows with the forward's arithmetic,
+    and adds into the memory's gradient v's share before k's, as the
+    composed rules' replay would.
 
     No mask: compressed rows are mixtures of all encoder positions, so a
     key-padding mask has nothing to point at.
@@ -97,12 +102,17 @@ def cca_forward(h_dec: Tensor, h_enc: Tensor, params: CcaLayerParams,
     if h_dec.shape[1] != p.w_q.shape[0] or memory.shape[1] != p.w_k.shape[0]:
         raise DimensionError(f"cca: decoder {h_dec.shape} and memory {memory.shape} "
                              f"for projections {p.w_q.shape}")
-    q = affine(h_dec.data, p.w_q, p.b_q)
-    k, v = affine(memory.data, p.w_k, p.b_k), affine(memory.data, p.w_v, p.b_v)
-    attended = multi_head_forward(q, k, v, heads, counter)
-    del q, k, v
-    out = Tensor(affine(attended, p.w_o, p.b_o))
-    del attended
+    keys = head_keys(affine(memory.data, p.w_k, p.b_k), affine(memory.data, p.w_v, p.b_v),
+                     heads)
+    l_dec, l_k = h_dec.shape[0], memory.shape[0]
+    for _ in range(heads):
+        counter.add_scores(l_dec, l_k)
+    tiles = row_tiles(l_dec, tile_rows())
+    out_data = np.empty((l_dec, p.w_o.shape[1]))
+    for rows in tiles:      # one statement, so no tile outlives its iteration
+        affine(multi_head_rows(affine(h_dec.data[rows], p.w_q, p.b_q), keys),
+               p.w_o, p.b_o, out_data[rows])
+    out = Tensor(out_data)
     inputs = (h_dec, memory, p.w_q, p.b_q, p.w_k, p.b_k, p.w_v, p.b_v, p.w_o, p.b_o)
     if not recording(inputs):
         return out
@@ -112,7 +122,11 @@ def cca_forward(h_dec: Tensor, h_enc: Tensor, params: CcaLayerParams,
     def backward():
         g = out_slot.grad
         mem = memory_values()
-        d_q = affine(dec_values(), p.w_q, p.b_q)        # Q until multi_head_backward
+        dec = dec_values()
+        d_q = np.empty((l_dec, p.w_q.shape[1]))     # Q until multi_head_backward
+        for rows in tiles:
+            affine(dec[rows], p.w_q, p.b_q, d_q[rows])
+        del dec
         attended = linear_input_grad(g, p.w_o, p.b_o)   # its gradient until then
         d_k, d_v = multi_head_backward(d_q, affine(mem, p.w_k, p.b_k),
                                        affine(mem, p.w_v, p.b_v), attended, heads, counter)

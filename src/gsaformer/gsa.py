@@ -15,13 +15,15 @@ the output projection as one tape op, grouped_attention, with a
 hand-written backward; the projections write straight into zero-padded
 group buffers, viewed as (heads, groups, l_g, d_h) blocks, so the heads
 are one more batch axis of every attention call.  The forward works over
-tiles of whole groups (TILE_ROWS rows), so one tile of Q/K/V and of every
-head's group scores is alive at a time, and only each group's summary
-rows outlive their tile.  The op's rule holds only its input (through
-tensor.held_values, so a layer norm's output is rebuilt, not held) and its
-parameters, and rebuilds Q, K, V (in the forward's tiles), the global
+tiles of whole groups (tensor.TILE_ROWS rows rounded down to whole
+groups), so one tile of Q/K/V and of every head's group scores is alive at
+a time, only each group's summary rows outlive their tile, and the output
+projection writes over the merged rows a tile at a time: without a tape
+the op holds its input, its output and one tile.  The op's rule holds only
+its input (through tensor.held_values, so a layer norm's output is
+rebuilt, not held) and its parameters, and rebuilds Q, K, V, the global
 path, every tile's local probabilities and the merged head outputs in the
-backward, which walks tiles half the forward's size once.  summarize_group,
+backward, which walks the forward's tiles once.  summarize_group,
 global_summary_attention and merge_outputs are the global path's steps
 for a single group, composed from separate tape ops; the model does not
 call them, and the tests build their loop-based reference from them
@@ -62,12 +64,10 @@ from .tensor import (
     multiply,
     recording,
     row_tiles,
+    tile_rows,
     uniform_param,
     zero_row,
 )
-
-
-TILE_ROWS = 512     # rows of whole groups gsa_forward works on at a time
 
 
 class ConfigError(ValueError):
@@ -232,11 +232,11 @@ def _sum_last_to_first(parts: np.ndarray) -> np.ndarray:
     return functools.reduce(np.add, parts[::-1])
 
 
-def _tiles(l: int, l_g: int, size: int) -> list[tuple[slice, slice]]:
-    """Tiles of whole groups, about size rows each, as gsa_forward works
-    over them (size TILE_ROWS): (rows, groups) slice pairs."""
+def _tiles(l: int, l_g: int) -> list[tuple[slice, slice]]:
+    """The row tiles gsa_forward works over, tile_rows(l_g) rows of whole
+    groups each: (rows, groups) slice pairs."""
     return [(rows, slice(rows.start // l_g, -(-rows.stop // l_g)))
-            for rows in row_tiles(l, max(size // l_g, 1) * l_g)]
+            for rows in row_tiles(l, tile_rows(l_g))]
 
 
 def _project(x: np.ndarray, w: Tensor, b: Tensor, m: int, l_g: int,
@@ -248,7 +248,7 @@ def _project(x: np.ndarray, w: Tensor, b: Tensor, m: int, l_g: int,
     x gets the forward's bits at every width."""
     l = x.shape[0]
     rows = np.empty((m * l_g, w.shape[1]))
-    for tile, _ in _tiles(l, l_g, TILE_ROWS):
+    for tile, _ in _tiles(l, l_g):
         np.matmul(x[tile], w.data, out=rows[tile])
     rows[:l] += b.data
     rows[real_len:] = 0.0
@@ -293,18 +293,19 @@ def gsa_forward(x: Tensor, params: GsaLayerParams, cfg: GsaConfig,
     Rows of x at index >= real_len (default: all real) are padding: their
     projected queries, keys and values are zero and masked as keys, so
     outputs at real positions never depend on pad values.  The forward
-    works over tiles of whole groups, about TILE_ROWS rows each (cut by
+    works over tiles of whole groups, tile_rows(l_g) rows each (cut by
     row_tiles): it projects a tile's Q, K and V, runs local attention on
     the (heads, groups, l_g, d_h) blocks of every head's groups in the
     tile at once and keeps only its groups' summary rows, so one tile of
     Q/K/V and of scores is alive at a time.  Every group is computed
     alone, so the tiles' results are the whole layer's.  The summary
-    attention, the merge and the output projection run once all tiles are
-    done.  The rule holds x and the parameters, nothing else: the backward
-    gets x (from its recipe when x has one), projects Q, K and V again in
-    the forward's tiles and re-runs the summary path, then walks tiles of
-    half the forward's size once, every head at once, rebuilding each
-    tile's probabilities and local outputs with the forward's arithmetic
+    attention and the merge run once all tiles are done, and then the
+    output projection, a tile at a time in place over the merged rows.
+    The rule holds x and the parameters, nothing else: the backward gets x
+    (from its recipe when x has one), projects Q, K and V again in the
+    forward's tiles and re-runs the summary path, then walks the
+    forward's tiles once, every head at once, rebuilding each tile's
+    probabilities and local outputs with the forward's arithmetic
     for the local backward, alpha's gradient and (merged in place of the
     consumed output gradient) w_o's.  It adds every score element it
     rebuilds to the counter's recomputed_score_elements.  The forward
@@ -332,23 +333,25 @@ def gsa_forward(x: Tensor, params: GsaLayerParams, cfg: GsaConfig,
     o = _grouped(out_rows, m, l_g, heads)
     if use_global:
         summaries = np.empty((3, heads, m, l_s, dh))    # e_q/e_k/e_v rows of every group
-    for rows, groups in _tiles(l, l_g, TILE_ROWS):
+    tiles = _tiles(l, l_g)
+    for rows, groups in tiles:
         n = groups.stop - groups.start
         qg, kg, vg = (_grouped(a, n, l_g, heads) for a in
                       _qkv(x.data[rows], params, n, l_g, real_len - rows.start))
         attention_forward(qg, kg.swapaxes(-1, -2), vg, scale,
                           None if allow is None else allow[groups], out=o[:, groups])
         if use_global:
-            for e, blocks, summary in zip((params.e_q, params.e_k, params.e_v), (qg, kg, vg),
-                                          summaries):
-                np.matmul(e.data, blocks, out=summary[:, groups])
+            # no loop variable holds a block, so the del below frees them all
+            for i, e in enumerate((params.e_q, params.e_k, params.e_v)):
+                np.matmul(e.data, (qg, kg, vg)[i], out=summaries[i, :, groups])
         del qg, kg, vg      # else two tiles of Q/K/V would be alive at once
     if use_global:
         for _ in range(heads):
             counter.add_scores(n_s, n_s)
         _merge(o, _summary_attention(*summaries, scale)[-1], params)
-    out = Tensor(affine(out_rows[:l], params.w_o, params.b_o))
-    del out_rows, o
+    for rows, _ in tiles:      # the output projection, in place over the merged rows
+        out_rows[rows] = affine(out_rows[rows], params.w_o, params.b_o)
+    out = Tensor(out_rows[:l])
     if not taped:
         return out
     x_slot, out_slot = x.slot, out.slot
@@ -383,12 +386,13 @@ def gsa_forward(x: Tensor, params: GsaLayerParams, cfg: GsaConfig,
                 d_e = np.matmul(d_s, blocks.swapaxes(-1, -2)).reshape(-1, l_s, l_g)
                 accumulate_grad(e, _sum_last_to_first(d_e), owned=True)
             d_alpha = np.empty((heads, m))
-        # local attention, every head's groups in half-size tiles (so a
-        # tile's probabilities, outputs and gradients stay in cache), the
-        # probabilities and outputs rebuilt with the forward's arithmetic
+        # local attention, every head's groups in the forward's tiles (at
+        # twice that height a tile's probabilities, outputs and gradients
+        # fall out of cache and the walk runs slower), the probabilities
+        # and outputs rebuilt with the forward's arithmetic
         counter.add_recomputed(heads * m * l_g, l_g)
         allow = _local_allow(cfg, m, real_len)
-        for _, groups in _tiles(l, l_g, TILE_ROWS // 2):
+        for _, groups in tiles:
             q_t, k_t, v_t = qg[:, groups], kg[:, groups].swapaxes(-1, -2), vg[:, groups]
             p = attention_probs(q_t, k_t, scale, None if allow is None else allow[groups])
             local = np.matmul(p, v_t)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -128,8 +128,19 @@ class _LayerNorm(ParameterSet):
         self.g = Tensor(np.ones((1, d)), requires_grad=True)
         self.b = zero_row(d)
 
-    def __call__(self, x: Tensor, f: Tensor) -> Tensor:
-        return layer_norm(x, f, self.g, self.b)
+    def __call__(self, x: Tensor, f: Tensor, out: Optional[np.ndarray] = None) -> Tensor:
+        return layer_norm(x, f, self.g, self.b, out=out)
+
+
+def _residual(norm: _LayerNorm,
+              sublayer: Callable[[Tensor], Tensor]) -> Callable[[Tensor], Tensor]:
+    """The residual block x -> norm(x + sublayer(x)).  The sublayer's output
+    is the block's own, so the norm writes over it: the block holds its
+    input, its output and what the sublayer holds, and no more."""
+    def block(x: Tensor) -> Tensor:
+        f = sublayer(x)
+        return norm(x, f, out=f.data)
+    return block
 
 
 class _FeedForward(ParameterSet):
@@ -153,8 +164,8 @@ class _EncoderLayer(ParameterSet):
         """The layer's residual blocks in order, each x -> norm(x + f(x)).
         The model applies them one at a time, so a block's input is dropped
         as soon as the next block has it."""
-        return (lambda x: self.norm1(x, gsa_forward(x, self.gsa, self.gsa_cfg, counter)),
-                lambda x: self.norm2(x, self.ffn(x)))
+        return (_residual(self.norm1, lambda x: gsa_forward(x, self.gsa, self.gsa_cfg, counter)),
+                _residual(self.norm2, self.ffn))
 
 
 class _DecoderLayer(ParameterSet):
@@ -176,10 +187,10 @@ class _DecoderLayer(ParameterSet):
     def blocks(self, memory: Tensor, counter: OpCounter) -> tuple:
         """The layer's residual blocks in order, as _EncoderLayer.blocks;
         memory is the layer's memory(enc_out)."""
-        return (lambda x: self.norm1(x, gsa_forward(x, self.gsa, self.gsa_cfg, counter)),
-                lambda x: self.norm2(x, cca_forward(x, memory, self.cca, counter,
-                                                    heads=self.heads, compressed=True)),
-                lambda x: self.norm3(x, self.ffn(x)))
+        return (_residual(self.norm1, lambda x: gsa_forward(x, self.gsa, self.gsa_cfg, counter)),
+                _residual(self.norm2, lambda x: cca_forward(x, memory, self.cca, counter,
+                                                            heads=self.heads, compressed=True)),
+                _residual(self.norm3, self.ffn))
 
 
 class ForecasterModel:

@@ -35,9 +35,13 @@ parameter's values must not change between a recorded forward and its
 backward.
 
 The ops that would otherwise make whole-length temporaries (layer_norm
-here, the attention ops in attention and gsa) work in row tiles cut by
-row_tiles, with the whole-array arithmetic, so without a tape their
-temporaries are one tile big.
+and feed_forward here, cca_forward, gsa_forward and the attention kernels
+they run) work in row tiles of TILE_ROWS rows (rounded down to whole
+groups in gsa), cut by row_tiles, with the whole-array arithmetic, so
+without a tape their temporaries are one tile big.  layer_norm can write
+its output over f, which is how the model's residual blocks call it: a
+block, norm(x + sublayer(x)), then holds its input, its output and one
+tile of its sublayer.
 """
 
 from __future__ import annotations
@@ -243,10 +247,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record("matmul", out, (a, b), backward)
 
 
-def affine(x: np.ndarray, w: Tensor, b: Tensor) -> np.ndarray:
-    """x @ w + b on x's array: linear's arithmetic, which the fused ops and
-    their backward rebuilds share."""
-    out = x @ w.data
+def affine(x: np.ndarray, w: Tensor, b: Tensor, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """x @ w + b on x's array, written into out when given: linear's
+    arithmetic, which the fused ops and their backward rebuilds share."""
+    out = np.matmul(x, w.data, out=out)
     out += b.data
     return out
 
@@ -303,20 +307,26 @@ def linear_backward(x: GradSlot, x_data: np.ndarray, w: Tensor, b: "Tensor | Gra
 
 def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """relu(x @ w1 + b1) @ w2 + b2 as one tape node, bit for bit
-    linear(relu(linear(x, w1, b1)), w2, b2).  The rule holds x (through
+    linear(relu(linear(x, w1, b1)), w2, b2) at every width a tile cut does
+    not change.  The forward computes its output a row tile at a time, so
+    its hidden activations are one tile big.  The rule holds x (through
     held_values) and the parameters: the backward rebuilds the hidden
-    activations with the forward's arithmetic and gives b2, w2, b1, x and
-    w1 their gradients as the three composed rules would, reading the relu
+    activations in the forward's tiles and gives b2, w2, b1, x and w1
+    their gradients as the three composed rules would, reading the relu
     mask from the rebuilt activations (out > 0 exactly where the
     pre-activation is)."""
     if x.shape[1] != w1.shape[0]:
         raise DimensionError(f"feed_forward: input {x.shape} for weights {w1.shape}")
+    tiles = row_tiles(x.shape[0], tile_rows())
 
-    def hidden(x_data: np.ndarray) -> np.ndarray:
-        h = affine(x_data, w1, b1)
+    def hidden(x_rows: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        h = affine(x_rows, w1, b1, out)
         return np.maximum(h, 0.0, out=h)
 
-    out = Tensor(affine(hidden(x.data), w2, b2))
+    out_data = np.empty((x.shape[0], w2.shape[1]))
+    for rows in tiles:
+        affine(hidden(x.data[rows]), w2, b2, out_data[rows])
+    out = Tensor(out_data)
     inputs = (x, w1, b1, w2, b2)
     if not recording(inputs):
         return out
@@ -326,7 +336,9 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
     def backward():
         g = out_slot.grad
         x_data = x_values()
-        h = hidden(x_data)
+        h = np.empty((x_data.shape[0], w1.shape[1]))
+        for rows in tiles:
+            hidden(x_data[rows], h[rows])
         g_h = linear_input_grad(g, w2, b2)
         accumulate_grad(w2, h.T @ g, owned=True)
         g_h *= h > 0.0
@@ -453,42 +465,55 @@ def row_tiles(n: int, size: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
-NORM_TILE_ROWS = 128    # rows layer_norm normalizes at a time
+TILE_ROWS = 256     # rows the tiled ops work on at a time
 
 
-def layer_norm(x: Tensor, f: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
+def tile_rows(unit: int = 1) -> int:
+    """TILE_ROWS rounded down to a whole number of units, at least one unit:
+    the tile height of every op that works in row tiles (GSA's unit is a
+    group)."""
+    return max(TILE_ROWS // unit, 1) * unit
+
+
+def layer_norm(x: Tensor, f: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6,
+               out: Optional[np.ndarray] = None) -> Tensor:
     """Row-wise layer norm of the residual sum x + f, gain and bias 1-by-d:
-    one tape node, bit for bit the norm of broadcast_add(x, f).  It
-    normalizes NORM_TILE_ROWS rows at a time, so its temporaries are one
-    tile big; without a tape the output is its only full-size array.  When
-    it records, the output's recipe rebuilds it as xhat * gain + bias from
-    the xhat the rule holds, with the forward's own arithmetic."""
+    one tape node, bit for bit the norm of broadcast_add(x, f).  The output
+    is written into out (a new array by default), which may be f's own
+    array: each tile of f is read before that tile of out is written.  It
+    normalizes a row tile at a time, so its temporaries are one tile big;
+    without a tape it makes no other full-size array.  When it records,
+    the rule holds xhat, and the output's recipe rebuilds the output as
+    xhat * gain + bias with the forward's own arithmetic."""
     l, d = x.shape
     if f.shape != x.shape or gain.shape != (1, d) or bias.shape != (1, d):
         raise DimensionError(f"layer_norm: residual/gain/bias must be {x.shape}/(1, {d})"
                              f"/(1, {d}), got {f.shape}/{gain.shape}/{bias.shape}")
-    xhat = np.empty((l, d))
+    inputs = (x, f, gain, bias)
+    taped = recording(inputs)
+    data = np.empty((l, d)) if out is None else out
+    xhat = np.empty((l, d)) if taped else data
     inv = np.empty((l, 1))
-    for rows in row_tiles(l, NORM_TILE_ROWS):
+    for rows in row_tiles(l, tile_rows()):
         t = np.add(x.data[rows], f.data[rows], out=xhat[rows])
         t -= t.mean(axis=1, keepdims=True)
         # the variance exactly as np.var computes it, from the same x + f - mu
         var = np.square(t).sum(axis=1, keepdims=True) / d
         inv[rows] = 1.0 / np.sqrt(var + eps)
         t *= inv[rows]
-    inputs = (x, f, gain, bias)
-    if not recording(inputs):
-        xhat *= gain.data
-        xhat += bias.data
-        return Tensor(xhat)
+        if not taped:
+            t *= gain.data
+            t += bias.data
+    if not taped:
+        return Tensor(data)
     gain_values, bias_values = held_values(gain), held_values(bias)
 
-    def rebuild() -> np.ndarray:
-        data = np.multiply(xhat, gain_values())
-        data += bias_values()
-        return data
+    def rebuild(into: Optional[np.ndarray] = None) -> np.ndarray:
+        rebuilt = np.multiply(xhat, gain_values(), out=into)
+        rebuilt += bias_values()
+        return rebuilt
 
-    out = Tensor(rebuild())
+    out = Tensor(rebuild(data))
     out.recipe = rebuild
     x_slot, f_slot, out_slot = x.slot, f.slot, out.slot
     gain_slot, bias_slot = gain.slot, bias.slot

@@ -21,8 +21,11 @@ global path carries forecast and gradient.  The configs are the bench
 config at the train_long length, with its 4 heads and with 8 (so the head
 axis the GSA op batches over shows at two widths), the `gsaformer train`
 defaults, a compressed-CCA config with label_len=20, the local-only
-ablation, and the bench config at lengths one row past a multiple of the
-row tiles (513 = 512 + 1 = 4 * 128 + 1, 1025 = 2 * 512 + 1).
+ablation, the bench config at lengths one row past a multiple of the
+256-row tiles (513 = 2 * 256 + 1, 1025 = 4 * 256 + 1), and the 1025 one at
+d = 12 with 3 heads and 12 hidden units, whose products are 12, 4 and 7
+columns wide: OpenBLAS may round the rows of such products differently
+once they are cut, so a change of tile cuts shows in the same diff.
 """
 
 from __future__ import annotations
@@ -51,6 +54,8 @@ def configs() -> dict[str, ModelConfig]:
         "local_only": ModelConfig(**TRAIN_DEFAULTS, ablation_local_only=True),
         "bench_513": model_config_for("grouped", 513, bench),
         "bench_1025": model_config_for("grouped", 1025, bench),
+        "bench_1025_d12": model_config_for("grouped", 1025,
+                                           BenchConfig(d=12, heads=3, ffn_hidden=12)),
     }
 
 

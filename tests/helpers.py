@@ -4,14 +4,15 @@ These stay loop-based and independent of the library's vectorized paths on
 purpose: they are the other side of every equivalence check.  The tape ops
 that only these oracles need (column slices, row and column concatenation,
 zero padding, cutting a sequence into groups, the layer norm of one input,
-relu, multi-head attention as one op, subtraction, the sum of all entries
-and the MSE composed from them) live here, not in the library.  So do the
-whole-array forwards of the ops that work in tiles (layer_norm,
-multi_head_forward, gsa_forward): their bodies from before the tiling,
-the oracle the tiled forwards must match bit for bit; and the
-sublayers the model records as one op each (the embedding, the
-feed-forward block, the CCA sublayer), composed from separate tape ops that
-hold their intermediate values.
+relu, a linear cut in row tiles, multi-head attention as one op,
+subtraction, the sum of all entries and the MSE composed from them) live
+here, not in the library, and so does multi_head_forward, the tiled
+multi-head attention that op runs.  So do the whole-array forwards of the
+ops that work in tiles (layer_norm, feed_forward, multi-head attention,
+gsa_forward): their bodies from before the tiling, the oracle the tiled
+forwards must match bit for bit; and the sublayers the model records as
+one op each (the embedding, the feed-forward block, the CCA sublayer),
+composed from separate tape ops that hold their intermediate values.
 """
 
 import dataclasses
@@ -23,8 +24,9 @@ from gsaformer import gsa
 from gsaformer.attention import (
     AttentionMask,
     attention_forward,
+    head_keys,
     multi_head_backward,
-    multi_head_forward,
+    multi_head_rows,
     scaled_dot_attention,
 )
 from gsaformer.cca import compress_encoder_output
@@ -37,17 +39,22 @@ from gsaformer.gsa import (
 )
 from gsaformer.tensor import (
     ComputationTape,
+    DimensionError,
     Tensor,
     _broadcast_check,
     _record,
     _reduce_to,
     accumulate_grad,
     backward,
+    affine,
     broadcast_add,
     linear,
+    linear_backward,
     matmul,
     multiply,
+    row_tiles,
     slice_rows,
+    tile_rows,
     zero_grads,
 )
 
@@ -114,6 +121,16 @@ def whole_layer_norm(x, f, gain, bias, eps=1e-6):
     return xhat
 
 
+def whole_feed_forward(x, w1, b1, w2, b2):
+    """tensor.feed_forward's forward over whole arrays, no tape."""
+    h = x @ w1
+    h += b1
+    np.maximum(h, 0.0, out=h)
+    out = h @ w2
+    out += b2
+    return out
+
+
 def whole_multi_head_attention(q, k, v, heads):
     """multi_head_forward on arrays, every head's queries in one block."""
     l_q, d = q.shape
@@ -172,10 +189,26 @@ def relu(a):
     return _record("relu", out, (a,), backward_fn)
 
 
+def multi_head_forward(q, k, v, heads, counter):
+    """Unmasked multi-head attention on arrays, multi_head_rows on one row
+    tile of queries at a time, as cca_forward attends: the counter sees
+    one l_q-by-l_k call per head."""
+    (l_q, d), l_k = q.shape, k.shape[0]
+    if k.shape[1] != d:
+        raise DimensionError(f"attention: Q {q.shape} and K {k.shape} do not line up")
+    keys = head_keys(k, v, heads)
+    for _ in range(heads):
+        counter.add_scores(l_q, l_k)
+    out = np.empty((l_q, d))
+    for rows in row_tiles(l_q, tile_rows()):
+        multi_head_rows(q[rows], keys, out[rows])
+    return out
+
+
 def multi_head_attention(q, k, v, heads, counter):
-    """attention.multi_head_forward as one tape op whose rule holds q, k
-    and v and runs multi_head_backward: the op the CCA sublayer recorded
-    between its projections before it became one op."""
+    """multi_head_forward as one tape op whose rule holds q, k and v and
+    runs multi_head_backward: the op the CCA sublayer recorded between its
+    projections before it became one op."""
     out = Tensor(multi_head_forward(q.data, k.data, v.data, heads, counter))
 
     def backward_fn():
@@ -187,35 +220,57 @@ def multi_head_attention(q, k, v, heads, counter):
     return _record("multi_head_attention", out, (q, k, v), backward_fn)
 
 
+def tiled_linear(x, w, b, tiles=None):
+    """linear(x, w, b) with its product cut in row tiles (by default
+    row_tiles at tile_rows(), the tiles of the fused ops' projections), as
+    one op with linear's rule: the oracle of a projection that a fused op
+    computes a tile at a time.  Tiles change no bit of a product 8 or 16
+    columns wide, but may change some of a narrower or ragged one."""
+    tiles = row_tiles(x.shape[0], tile_rows()) if tiles is None else tiles
+    data = np.empty((x.shape[0], w.shape[1]))
+    for rows in tiles:
+        affine(x.data[rows], w, b, data[rows])
+    out = Tensor(data)
+
+    def backward_fn():
+        linear_backward(x.slot, x.data, w, b, out.grad)
+
+    return _record("tiled_linear", out, (x, w, b), backward_fn)
+
+
 def composed_embedding(x, w, b, positions):
     """The embedding as two tape ops: linear, then the position add."""
     return broadcast_add(linear(x, w, b), Tensor(positions))
 
 
 def composed_feed_forward(x, w1, b1, w2, b2):
-    """The feed-forward block as three tape ops that hold their values."""
-    return linear(relu(linear(x, w1, b1)), w2, b2)
+    """The feed-forward block as three tape ops that hold their values, its
+    products cut in the fused op's row tiles."""
+    return tiled_linear(relu(tiled_linear(x, w1, b1)), w2, b2)
 
 
 def composed_cca(h_dec, h_enc, params, counter, heads=1, compressed=False):
     """cca_forward as separate tape ops: the compression, the q, k and v
-    linears, multi_head_attention and the output linear."""
+    linears, multi_head_attention and the output linear, the q and output
+    projections cut in the fused op's query tiles."""
     memory = h_enc if compressed else compress_encoder_output(h_enc, params.c)
-    q = linear(h_dec, params.w_q, params.b_q)
+    q = tiled_linear(h_dec, params.w_q, params.b_q)
     k = linear(memory, params.w_k, params.b_k)
     v = linear(memory, params.w_v, params.b_v)
-    return linear(multi_head_attention(q, k, v, heads, counter), params.w_o, params.b_o)
+    return tiled_linear(multi_head_attention(q, k, v, heads, counter), params.w_o, params.b_o)
 
 
 def composed_gsa(x, params, cfg, real_len, counter):
-    """gsa_forward with its output projection as a separate linear:
-    the merged head outputs come from gsa_forward with an identity
-    projection and zero bias, which return them exactly, up to the sign of
-    a zero, and hold them for the linear's rule."""
+    """gsa_forward with its output projection as a separate linear, cut in
+    the op's tiles of whole groups: the merged head outputs come from
+    gsa_forward with an identity projection and zero bias, which return
+    them exactly, up to the sign of a zero, and hold them for the linear's
+    rule."""
     heads_only = dataclasses.replace(params, w_o=Tensor(np.eye(cfg.d)),
                                      b_o=Tensor(np.zeros((1, cfg.d))))
     merged = gsa_forward(x, heads_only, cfg, counter, real_len)
-    return linear(merged, params.w_o, params.b_o)
+    return tiled_linear(merged, params.w_o, params.b_o,
+                        [rows for rows, _ in gsa._tiles(x.shape[0], cfg.l_g)])
 
 
 def subtract(a, b):

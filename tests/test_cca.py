@@ -6,7 +6,7 @@ import pytest
 
 from helpers import naive_attention, naive_matmul
 
-from gsaformer import attention
+from gsaformer import tensor
 from gsaformer.attention import AttentionMask, OpCounter, scaled_dot_attention
 from gsaformer.cca import (
     CcaLayerParams,
@@ -145,14 +145,19 @@ class TestCcaMemory:
         h_dec = Tensor(rng.normal(size=(l_dec, d)))
         h_enc = Tensor(rng.normal(size=(l_enc, d)))
         one_head = l_dec * l_enc * 8     # bytes of one head's score matrix
-        one_tile = attention.TILE_ROWS * l_enc * 8
+        one_tile = tensor.TILE_ROWS * l_enc * 8
         activation = l_dec * d * 8      # bytes of one l_dec-by-d array
+        tile_rows = tensor.TILE_ROWS * d * 8     # bytes of one tile of Q or attended rows
+        keys = l_enc * d * 8
         tracemalloc.start()
         try:
             cca_forward(h_dec, h_enc, params, OpCounter(), heads=heads)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # Q, the attended rows, the output and one tile of scores, and
-        # nowhere near a whole head's scores
-        assert one_tile <= peak < one_tile + 4 * activation < one_head
+        # the output, one tile of scores, a few tile-high arrays (Q, the
+        # attended rows, a head's queries) and K and V with their head
+        # copies; a whole Q or whole attended rows would need an
+        # activation more than that slack, and a whole head's scores more
+        assert activation + one_tile <= peak < activation + one_tile + 4 * tile_rows + 4 * keys
+        assert 4 * tile_rows + 4 * keys <= activation and one_tile + activation < one_head

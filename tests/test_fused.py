@@ -5,7 +5,10 @@ and every gradient, over random shapes (widths that are not a multiple of
 layer norm's output, a plain tensor), and two windows whose gradients
 accumulate on one tape, scaled by 1/2 as training.train scales a batch of
 two.  The oracles hold their intermediate values, so a fused rule that
-rebuilt one with other arithmetic or other row tiles would show here."""
+rebuilt one with other arithmetic or other row tiles would show here.
+Last, no op that works in row tiles may change the tensors it reads."""
+
+import functools
 
 import numpy as np
 import pytest
@@ -14,7 +17,7 @@ from hypothesis import strategies as st
 
 from helpers import composed_cca, composed_embedding, composed_feed_forward, composed_gsa
 
-from gsaformer import attention, gsa
+from gsaformer import tensor
 from gsaformer.attention import OpCounter
 from gsaformer.cca import CcaLayerParams, cca_forward, compress_encoder_output
 from gsaformer.gsa import GsaConfig, GsaLayerParams, gsa_forward
@@ -130,9 +133,13 @@ def test_feed_forward_is_linear_relu_linear(data):
     freeze(rng, params)
     windows, targets = windows_and_targets(rng, draw, (l, d), d)
     leaves = params + [t for win in windows for t in win.leaves()]
-    check_fused(lambda win: feed_forward(win.tensor(), *params),
-                lambda win: composed_feed_forward(win.tensor(), *params),
-                windows, targets, leaves)
+    with pytest.MonkeyPatch.context() as mp:
+        # row tiles of a few rows: the rebuilt hidden activations must come
+        # from the forward's tiles at every width
+        mp.setattr(tensor, "TILE_ROWS", draw(st.integers(2, 8)))
+        check_fused(lambda win: feed_forward(win.tensor(), *params),
+                    lambda win: composed_feed_forward(win.tensor(), *params),
+                    windows, targets, leaves)
 
 
 @settings(max_examples=40, deadline=None)
@@ -169,12 +176,33 @@ def test_cca_is_projections_attention_and_output_projection(data):
     with pytest.MonkeyPatch.context() as mp:
         # query tiles of a few rows: the rebuilt probabilities and attended
         # rows must come from the forward's tiles at every width
-        mp.setattr(attention, "TILE_ROWS", draw(st.integers(2, 4)))
+        mp.setattr(tensor, "TILE_ROWS", draw(st.integers(2, 4)))
         check_fused(fused, reference, windows, targets, leaves)
 
 
+def test_cca_rebuilds_q_in_the_forward_tiles():
+    # d = 18 in query tiles of 3 rows: OpenBLAS rounds some rows of
+    # h_dec[tile] @ w_q differently from the same rows of h_dec @ w_q here,
+    # so a backward that projected Q whole would show
+    rng = np.random.default_rng(2)
+    d, heads, l_dec, l_enc = 18, 2, 40, 12
+    params = CcaLayerParams.init(d, l_enc, 5, rng)
+    for t in params.named().values():
+        t.data[:] = rng.normal(size=t.shape)
+    windows = [Window(rng, (l_dec, d), normed, True) for normed in (False, True)]
+    targets = [Tensor(rng.normal(size=(l_dec, d))) for _ in windows]
+    h_enc = Tensor(rng.normal(size=(l_enc, d)), requires_grad=True)
+    leaves = list(params.named().values()) + [h_enc] + [t for win in windows
+                                                        for t in win.leaves()]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tensor, "TILE_ROWS", 3)
+        check_fused(lambda win: cca_forward(win.tensor(), h_enc, params, OpCounter(), heads),
+                    lambda win: composed_cca(win.tensor(), h_enc, params, OpCounter(), heads),
+                    windows, targets, leaves)
+
+
 def check_gsa(rng, cfg, l, real_len, tile_rows, windows, targets):
-    """gsa_forward against composed_gsa at gsa.TILE_ROWS = tile_rows,
+    """gsa_forward against composed_gsa at tensor.TILE_ROWS = tile_rows,
     with random parameters of which rng freezes some."""
     params = GsaLayerParams.init(cfg, rng)
     for t in params.named().values():
@@ -182,7 +210,7 @@ def check_gsa(rng, cfg, l, real_len, tile_rows, windows, targets):
     freeze(rng, params.named().values())
     leaves = list(params.named().values()) + [t for win in windows for t in win.leaves()]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gsa, "TILE_ROWS", tile_rows)
+        mp.setattr(tensor, "TILE_ROWS", tile_rows)
         # the oracle's identity projection may turn a -0.0 into 0.0
         check_fused(lambda win: gsa_forward(win.tensor(), params, cfg, OpCounter(), real_len),
                     lambda win: composed_gsa(win.tensor(), params, cfg, real_len, OpCounter()),
@@ -231,3 +259,71 @@ def test_gsa_rebuilds_q_k_v_in_the_forward_tiles(causal):
     windows = [Window(rng, (40, cfg.d), normed, True) for normed in (False, True)]
     targets = [Tensor(rng.normal(size=(40, cfg.d))) for _ in windows]
     check_gsa(rng, cfg, 40, 40, 6, windows, targets)
+
+
+@st.composite
+def op_calls(draw):
+    """One of the ops that work in row tiles, at random small shapes, as
+    (a zero-argument call, every tensor it reads, the output's width), and
+    a tile constant of a few rows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    name = draw(st.sampled_from(["layer_norm", "feed_forward", "cca_forward", "gsa_forward"]))
+    heads = draw(st.integers(1, 2))
+    d = heads * draw(st.integers(1, 4))
+    l = draw(st.integers(1, 20))
+
+    def tensor_of(shape):
+        return Tensor(rng.normal(size=shape), requires_grad=True)
+
+    x = tensor_of((l, d))
+    if name == "layer_norm":
+        inputs = [x, tensor_of((l, d)), tensor_of((1, d)), tensor_of((1, d))]
+        call = functools.partial(layer_norm, *inputs)
+    elif name == "feed_forward":
+        hidden = draw(st.integers(1, 10))
+        inputs = [x] + [tensor_of(shape) for shape in ((d, hidden), (1, hidden), (hidden, d),
+                                                        (1, d))]
+        call = functools.partial(feed_forward, *inputs)
+    elif name == "cca_forward":
+        l_enc = draw(st.integers(1, 12))
+        params = CcaLayerParams.init(d, l_enc, draw(st.integers(1, 12)), rng)
+        h_enc = tensor_of((l_enc, d))
+        inputs = [x, h_enc, *params.named().values()]
+        call = functools.partial(cca_forward, x, h_enc, params, OpCounter(), heads)
+    else:
+        l_g = draw(st.integers(2, 5))
+        m = -(-l // l_g)
+        real_len = draw(st.integers((m - 1) * l_g + 1, l))
+        cfg = GsaConfig(l_g=l_g, l_s=draw(st.integers(1, l_g - 1)), d=d, heads=heads,
+                        m_max=m, causal=draw(st.booleans()), global_path=draw(st.booleans()))
+        params = GsaLayerParams.init(cfg, rng)
+        for t in params.named().values():
+            t.data[:] = rng.normal(size=t.shape)
+        inputs = [x, *params.named().values()]
+        call = functools.partial(gsa_forward, x, params, cfg, OpCounter(), real_len)
+    return call, inputs, d, draw(st.integers(2, 6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(op_calls(), st.booleans())
+def test_no_op_changes_its_inputs(case, taped):
+    # the ops write over arrays of their own only: a second call on the same
+    # tensors (as a gradient check makes) gets the same bytes, and every
+    # input keeps its values through the forward and, on a tape, the
+    # backward
+    call, inputs, width, tile = case
+    before = [t.data.tobytes() for t in inputs]
+    outputs = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tensor, "TILE_ROWS", tile)
+        for _ in range(2):
+            if taped:
+                with ComputationTape() as tape:
+                    out = call()
+                    target = Tensor(np.zeros((out.shape[0], width)))
+                    backward(mse_loss(out, target), tape)
+            else:
+                out = call()
+            outputs.append(out.data.tobytes())
+    assert outputs[0] == outputs[1]
+    assert [t.data.tobytes() for t in inputs] == before

@@ -35,8 +35,10 @@ from gsaformer.tensor import (
     broadcast_add,
     matmul,
     multiply,
+    row_tiles,
     save_checkpoint,
     slice_rows,
+    tile_rows,
 )
 from gsaformer.training import mse_loss
 
@@ -274,22 +276,37 @@ class TestCcaBypass:
             npt.assert_array_equal(g, ref_grads[name], err_msg=name)
 
 
+def untaped_forward_peak(cfg):
+    """tracemalloc's peak over one untaped forward of a fresh model, in
+    l-by-d arrays."""
+    model = ForecasterModel(cfg, seed=0)
+    x = Tensor(np.random.default_rng(0).normal(size=(cfg.seq_len, cfg.n_features_in)))
+    tracemalloc.start()
+    try:
+        model.forward(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (cfg.seq_len * cfg.d * 8)
+
+
 class TestForwardMemory:
     def test_untaped_forward_holds_a_few_full_width_arrays(self):
         # the encoder output is dropped once compressed, a block's input
-        # once the next block has it, and layer norm, CCA and GSA work in
-        # row tiles: the peak is under 5 l-by-d arrays (it read 8 when
-        # every op held whole-length temporaries)
+        # once the next block has it, every op works in row tiles and each
+        # block's norm writes over its sublayer's output: the peak is under
+        # 4 l-by-d arrays (3.7; it read 8 when every op held whole-length
+        # temporaries, and 4.5 when each sublayer still made whole-length
+        # intermediates)
         cfg = model_config_for("grouped", 1440, BenchConfig(d=128, ffn_hidden=128))
-        model = ForecasterModel(cfg, seed=0)
-        x = Tensor(np.random.default_rng(0).normal(size=(cfg.seq_len, cfg.n_features_in)))
-        tracemalloc.start()
-        try:
-            model.forward(x)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 5 * cfg.seq_len * cfg.d * 8
+        assert untaped_forward_peak(cfg) < 4
+
+    def test_untaped_bench_forward_holds_its_input_its_output_and_tiles(self):
+        # at the bench width a block holds its input, its output and one
+        # row tile of its sublayer, plus the decoder's compressed memories:
+        # under 3 l-by-d arrays (2.7; 3.6 when each sublayer still made
+        # whole-length intermediates)
+        assert untaped_forward_peak(model_config_for("grouped", 2880, BenchConfig())) < 3
 
 
 class TestCheckpoint:
@@ -526,27 +543,36 @@ class TestTapeNodes:
         def spy(module, name, picks):
             op = getattr(module, name)
 
-            def wrapped(*args):
-                out = op(*args)
+            def wrapped(*args, **kwargs):
+                out = op(*args, **kwargs)
                 refs.extend((name, weakref.ref(_root(a))) for a in picks(out, *args))
                 return out
             monkeypatch.setattr(module, name, wrapped)
 
+        # an affine given an array to write into returns a view of it: of
+        # the op's output, whose root the next norm writes over
         spy(model_module, "layer_norm", lambda out, x, f, gain, bias: [f.data])
-        spy(tensor_module, "affine", lambda out, x, w, b: [out])    # linear, feed_forward
+        spy(tensor_module, "affine", lambda out, x, w, b, *into: [out])   # linear, feed_forward
         spy(gsa_module, "affine", lambda out, x, w, b: [out, x])    # x: the merged outputs
-        spy(cca_module, "affine", lambda out, x, w, b: [out])
-        spy(cca_module, "multi_head_forward", lambda out, *args: [out])
+        spy(cca_module, "affine", lambda out, x, w, b, *into: [out])
+        spy(cca_module, "multi_head_rows", lambda out, *args: [out])
         cfg = GRADIENT_CONFIGS["train_long"]
+        # the encoder and the decoder are cut into the same row tiles, for
+        # every op (GSA's tiles of whole groups too)
+        tiles = len(row_tiles(cfg.seq_len, tile_rows()))
+        assert cfg.dec_len == cfg.seq_len and tiles > 1
+        assert len(row_tiles(cfg.seq_len, tile_rows(cfg.l_g))) == tiles
         model = ForecasterModel(cfg, seed=0)
         rng = np.random.default_rng(3)
         x = Tensor(rng.normal(size=(cfg.seq_len, cfg.n_features_in)))
         y = Tensor(rng.normal(size=(cfg.pred_len, cfg.n_features_out)))
         with ComputationTape() as tape:
             loss = multiply(mse_loss(model.forward(x), y), 1.0)
-            # affine: 2 embeds, the head, 2 per FFN; 1 (2 refs) per GSA; 4 per CCA
+            # affine: 2 embeds and the head; per tile 2 per FFN and 1 (2
+            # refs) per GSA; per CCA K, V and 2 per tile
             assert Counter(name for name, _ in refs) == {
-                "layer_norm": 15, "affine": 15 + 2 * 6 + 4 * 3, "multi_head_forward": 3}
+                "layer_norm": 15, "affine": 3 + tiles * (2 * 6 + 2 * 6) + 3 * (2 + 2 * tiles),
+                "multi_head_rows": 3 * tiles}
             assert [name for name, ref in refs if ref() is not None] == []
             backward(loss, tape)
         assert [n for n, p in model.parameters().items() if p.grad is None] == []
@@ -560,8 +586,8 @@ class TestTapeNodes:
         refs = []
         op = model_module.layer_norm
 
-        def wrapped(*args):
-            out = op(*args)
+        def wrapped(*args, **kwargs):
+            out = op(*args, **kwargs)
             refs.append(weakref.ref(out.data))
             return out
         monkeypatch.setattr(model_module, "layer_norm", wrapped)

@@ -14,6 +14,7 @@ from gsaformer.cli import write_text
 from gsaformer.data import TimeSeries, write_csv
 from gsaformer.model import ModelConfig, model_config_to_text
 from gsaformer.tensor import (
+    TILE_ROWS,
     CheckpointError,
     ComputationTape,
     ContractError,
@@ -28,6 +29,7 @@ from gsaformer.tensor import (
     atomic_write,
     backward,
     broadcast_add,
+    feed_forward,
     layer_norm,
     linear,
     load_checkpoint,
@@ -464,10 +466,56 @@ class TestFusedLayerNorm:
             assert rebuilt.shape == out.shape and rebuilt.tobytes() == out.data.tobytes()
         assert not np.shares_memory(first, second)
 
+    @settings(max_examples=60)
+    @given(layer_norm_cases())
+    def test_writing_over_f_gives_the_bits_of_a_new_array(self, case):
+        # as each residual block of the model writes its norm over its
+        # sublayer's output
+        rows, d, same, flags, seed = case
+        rng = np.random.default_rng(seed)
+        arrays = (rng.normal(1.0, 3.0, size=(rows, d)), rng.normal(size=(rows, d)),
+                  rng.normal(size=(1, d)), rng.normal(size=(1, d)))
+        weights = rng.normal(size=(rows, d))
+
+        def over_f(x, f, gain, bias):
+            out = layer_norm(x, f, gain, bias, out=f.data)
+            assert out.data is f.data
+            return out
+
+        for tape in (True, False):
+            new = _norm_forward_and_grads(layer_norm, arrays, flags, same, weights, tape)
+            written = _norm_forward_and_grads(over_f, arrays, flags, same, weights, tape)
+            for got, expected in zip(written, new):
+                assert (got is None) == (expected is None)
+                if got is not None:
+                    assert got.tobytes() == expected.tobytes()
+
     def test_residual_of_another_shape_rejected(self):
         x, row = Tensor(np.ones((2, 3))), Tensor(np.ones((1, 3)))
         with pytest.raises(DimensionError):
             layer_norm(x, row, row, row)
+
+
+class TestFeedForwardMemory:
+    def test_untaped_call_holds_its_output_and_one_hidden_tile(self):
+        l, d, hidden = 4096, 16, 64
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.normal(size=(l, d)))
+        params = [Tensor(rng.normal(size=shape))
+                  for shape in ((d, hidden), (1, hidden), (hidden, d), (1, d))]
+        output = l * d * 8
+        hidden_tile = TILE_ROWS * hidden * 8
+        tracemalloc.start()
+        try:
+            feed_forward(x, *params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the output, the Tensor constructor's finiteness mask of it (a byte
+        # an entry) and one tile of hidden activations, where the whole
+        # hidden activations would be 16 tiles
+        assert output + hidden_tile <= peak < output + output // 8 + hidden_tile * 5 // 4
+        assert l * hidden * 8 == 16 * hidden_tile
 
 
 class TestOtherOps:

@@ -1,8 +1,9 @@
-"""The ops that work in row tiles (layer_norm, multi-head attention through
-the helpers' multi_head_attention op, gsa_forward) against their
-whole-array arithmetic, bit for bit: the untaped and taped forwards
-against the whole-array bodies in helpers.py, and the gradients against
-the same op with tiling off (one tile).
+"""The ops that work in row tiles (layer_norm, feed_forward, multi-head
+attention through the helpers' multi_head_attention op, gsa_forward)
+against their whole-array arithmetic, bit for bit: the untaped and taped
+forwards against the whole-array bodies in helpers.py, and the gradients
+against the same op with tiling off (one tile).  Every op takes its tiles
+from the one constant tensor.TILE_ROWS.
 
 Every product these ops cut into row tiles is 8 or 16 columns wide here
 (d, d / heads, the key count), as at every shipped config: OpenBLAS
@@ -19,16 +20,24 @@ from hypothesis import strategies as st
 
 from helpers import (
     multi_head_attention,
+    whole_feed_forward,
     whole_grouped_attention,
     whole_layer_norm,
     whole_multi_head_attention,
 )
 
-from gsaformer import attention, gsa, tensor
+from gsaformer import tensor
 from gsaformer.attention import OpCounter
 from gsaformer.gsa import GsaConfig, GsaLayerParams, gsa_forward
 from gsaformer.model import ForecasterModel, ModelConfig
-from gsaformer.tensor import ComputationTape, Tensor, backward, layer_norm, row_tiles
+from gsaformer.tensor import (
+    ComputationTape,
+    Tensor,
+    backward,
+    feed_forward,
+    layer_norm,
+    row_tiles,
+)
 from gsaformer.training import mse_loss
 
 WHOLE = 10 ** 9     # a tile constant no input reaches: tiling off
@@ -111,8 +120,28 @@ def test_layer_norm_tiles_match_whole_arrays(case):
     x, f = random_tensor(rng, (l, d)), random_tensor(rng, (l, d))
     gain, bias = random_tensor(rng, (1, d)), random_tensor(rng, (1, d))
     expected = whole_layer_norm(x.data, f.data, gain.data, bias.data)
-    check_tiled(tensor, "NORM_TILE_ROWS", tile, lambda: layer_norm(x, f, gain, bias),
+    check_tiled(tensor, "TILE_ROWS", tile, lambda: layer_norm(x, f, gain, bias),
                 expected, Tensor(rng.normal(size=(l, d))), [x, f, gain, bias])
+
+
+@st.composite
+def feed_forward_cases(draw):
+    tile = draw(st.integers(2, 6))
+    return (row_count(draw, tile), draw(st.sampled_from([8, 16])),
+            draw(st.sampled_from([8, 16])), tile, draw(st.integers(0, 2 ** 16)))
+
+
+@settings(max_examples=40)
+@given(feed_forward_cases())
+def test_feed_forward_tiles_match_whole_arrays(case):
+    l, d, hidden, tile, seed = case
+    rng = np.random.default_rng(seed)
+    x = random_tensor(rng, (l, d))
+    params = [random_tensor(rng, shape) for shape in ((d, hidden), (1, hidden), (hidden, d),
+                                                       (1, d))]
+    expected = whole_feed_forward(x.data, *(p.data for p in params))
+    check_tiled(tensor, "TILE_ROWS", tile, lambda: feed_forward(x, *params),
+                expected, Tensor(rng.normal(size=(l, d))), [x, *params])
 
 
 @st.composite
@@ -131,7 +160,7 @@ def test_multi_head_attention_tiles_match_whole_arrays(case):
     q = random_tensor(rng, (l_q, d))
     k, v = random_tensor(rng, (l_k, d)), random_tensor(rng, (l_k, d))
     expected = whole_multi_head_attention(q.data, k.data, v.data, heads)
-    check_tiled(attention, "TILE_ROWS", tile,
+    check_tiled(tensor, "TILE_ROWS", tile,
                 lambda: multi_head_attention(q, k, v, heads, OpCounter()),
                 expected, Tensor(rng.normal(size=(l_q, d))), [q, k, v])
 
@@ -170,20 +199,17 @@ def test_grouped_attention_tiles_match_whole_arrays(case):
         t.data[:] = rng.normal(size=t.shape)
     x = random_tensor(rng, (l, cfg.d))
     expected = whole_grouped_attention(x.data, params, cfg, real_len)
-    check_tiled(gsa, "TILE_ROWS", tile,
+    check_tiled(tensor, "TILE_ROWS", tile,
                 lambda: gsa_forward(x, params, cfg, OpCounter(), real_len),
                 expected, Tensor(rng.normal(size=(l, cfg.d))),
                 [x, *params.named().values()])
 
 
-TILES = ((gsa, "TILE_ROWS", 6), (attention, "TILE_ROWS", 3), (tensor, "NORM_TILE_ROWS", 2))
-
-
 @pytest.mark.parametrize("overrides", [dict(seq_len=19, l_comp=8),
                                        dict(seq_len=16, ablation_local_only=True)])
 def test_model_with_small_tiles_matches_one_tile(overrides):
-    # 19 encoder and 13 decoder rows: every tile size above leaves a
-    # one-row tail; CCA compresses 19 rows to 8 keys, or reads all 16
+    # 19 encoder and 13 decoder rows: tiles of 3 rows (one group for GSA)
+    # leave a one-row tail; CCA compresses 19 rows to 8 keys, or reads all 16
     cfg = ModelConfig(pred_len=10, label_len=3, n_features_in=2, n_features_out=2, d=8,
                       heads=1, e_l=2, d_l=2, l_g=3, l_s=1, ffn_hidden=6, **overrides)
     model = ForecasterModel(cfg, seed=5)
@@ -193,8 +219,7 @@ def test_model_with_small_tiles_matches_one_tile(overrides):
     runs = []
     for small in (True, False):
         with pytest.MonkeyPatch.context() as mp:
-            for module, name, rows in TILES:
-                mp.setattr(module, name, rows if small else WHOLE)
+            mp.setattr(tensor, "TILE_ROWS", 3 if small else WHOLE)
             forecast = model.forward(x).data
             for p in model.parameters().values():
                 p.grad = None
