@@ -6,7 +6,7 @@ softmax -> value kernel (and its gradient) on plain arrays, batched over
 leading axes; the fused tape ops cca.cca_forward (through
 multi_head_rows/multi_head_backward, unmasked) and gsa.gsa_forward (which
 builds its own boolean allow array) both run it.  cca_forward hands
-multi_head_rows one row tile of queries at a time (tensor.tile_rows rows),
+multi_head_rows one half tile of queries at a time (tensor.tile_rows),
 and multi_head_rows scores one head of it at a time;
 multi_head_backward holds nothing from the forward and rebuilds the
 probabilities in the same tiles with attention_probs, the forward's own
@@ -123,7 +123,7 @@ def softmax_last_axis_backward(p: np.ndarray, g: np.ndarray) -> np.ndarray:
     masked entries.  Returns g.  Row sums are taken in row tiles, so G * P
     is one tile, not a whole score array; each row sums as in one piece."""
     inner = np.empty_like(g[..., :1])
-    for rows in row_tiles(g.shape[-2], tile_rows()):
+    for rows in row_tiles(g.shape[-2], tile_rows(half=True)):
         inner[..., rows, :] = (g[..., rows, :] * p[..., rows, :]).sum(axis=-1, keepdims=True)
     g -= inner
     g *= p
@@ -229,7 +229,7 @@ def multi_head_rows(q: np.ndarray, keys: list[tuple[np.ndarray, np.ndarray]],
 def multi_head_backward(q: np.ndarray, k: np.ndarray, v: np.ndarray, g: np.ndarray,
                         heads: int, counter: OpCounter) -> tuple[np.ndarray, np.ndarray]:
     """The gradients of multi_head_rows(q[rows], head_keys(k, v, heads))
-    over the query tiles row_tiles(l_q, tile_rows()), from the output
+    over the query tiles row_tiles(l_q, tile_rows(half=True)), from the output
     gradient g, computed in place to spare two whole arrays: on return q
     holds d_q and g holds the forward's output, rebuilt from the same
     tiles' P @ V; returns (d_k, d_v).  A head's columns of q and g are
@@ -246,7 +246,7 @@ def multi_head_backward(q: np.ndarray, k: np.ndarray, v: np.ndarray, g: np.ndarr
         q_h, g_h = q[:, cols].copy(), g[:, cols].copy()
         counter.add_recomputed(l_q, l_k)
         p = np.empty((l_q, l_k))
-        for rows in row_tiles(l_q, tile_rows()):
+        for rows in row_tiles(l_q, tile_rows(half=True)):
             attention_probs(q_h[rows], k_t, scale, out=p[rows])
             np.matmul(p[rows], v_h, out=g[rows, cols])
         q[:, cols], d_k_t, d_v[:, cols] = attention_backward(q_h, k_t, v_h, p, g_h, scale)

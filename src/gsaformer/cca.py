@@ -85,9 +85,10 @@ def cca_forward(h_dec: Tensor, h_enc: Tensor, params: CcaLayerParams,
     Everything after the compression is one tape op, bit for bit the
     linear q/k/v projections, multi-head attention and linear output
     projection composed, at every width a row tile cut does not change.  K
-    and V are projected once; then each row tile of queries is projected,
+    and V are projected once; then each half tile of queries (a tile also
+    holds a head's scores, a row per key: tensor.tile_rows) is projected,
     attended over every head and output-projected, so Q and the attended
-    rows are one tile big.  The counter sees one l_dec-by-l_k call per
+    rows are one half tile big.  The counter sees one l_dec-by-l_k call per
     head.  The rule holds h_dec and the memory (through held_values) and
     the parameters: the backward rebuilds Q (in the forward's tiles), K, V,
     the probabilities and the attended rows with the forward's arithmetic,
@@ -107,7 +108,7 @@ def cca_forward(h_dec: Tensor, h_enc: Tensor, params: CcaLayerParams,
     l_dec, l_k = h_dec.shape[0], memory.shape[0]
     for _ in range(heads):
         counter.add_scores(l_dec, l_k)
-    tiles = row_tiles(l_dec, tile_rows())
+    tiles = row_tiles(l_dec, tile_rows(half=True))
     out_data = np.empty((l_dec, p.w_o.shape[1]))
     for rows in tiles:      # one statement, so no tile outlives its iteration
         affine(multi_head_rows(affine(h_dec.data[rows], p.w_q, p.b_q), keys),

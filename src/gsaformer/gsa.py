@@ -16,14 +16,15 @@ hand-written backward; the projections write straight into zero-padded
 group buffers, viewed as (heads, groups, l_g, d_h) blocks, so the heads
 are one more batch axis of every attention call.  The forward works over
 tiles of whole groups (tensor.TILE_ROWS rows rounded down to whole
-groups), so one tile of Q/K/V and of every head's group scores is alive at
-a time, only each group's summary rows outlive their tile, and the output
-projection writes over the merged rows a tile at a time: without a tape
-the op holds its input, its output and one tile.  The op's rule holds only
-its input (through tensor.held_values, so a layer norm's output is
-rebuilt, not held) and its parameters, and rebuilds Q, K, V, the global
-path, every tile's local probabilities and the merged head outputs in the
-backward, which walks the forward's tiles once.  summarize_group,
+groups), so one tile of K/V and half a tile of every head's group scores
+are alive at a time (a tile's Q sits where its outputs will go), only
+each group's summary rows outlive their tile, and the output projection
+writes over the merged rows a tile at a time: without a tape the op
+holds its input, its output and one tile.  The op's rule holds only its
+input (through tensor.held_values, so a layer norm's output is rebuilt,
+not held) and its parameters, and rebuilds Q, K, V, the global path,
+every tile's local probabilities and the merged head outputs in the
+backward, which walks half tiles once.  summarize_group,
 global_summary_attention and merge_outputs are the global path's steps
 for a single group, composed from separate tape ops; the model does not
 call them, and the tests build their loop-based reference from them
@@ -232,22 +233,24 @@ def _sum_last_to_first(parts: np.ndarray) -> np.ndarray:
     return functools.reduce(np.add, parts[::-1])
 
 
-def _tiles(l: int, l_g: int) -> list[tuple[slice, slice]]:
+def _tiles(l: int, l_g: int, half: bool = False) -> list[tuple[slice, slice]]:
     """The row tiles gsa_forward works over, tile_rows(l_g) rows of whole
-    groups each: (rows, groups) slice pairs."""
+    groups each (or half tiles, the local attention's walk): (rows, groups)
+    slice pairs."""
     return [(rows, slice(rows.start // l_g, -(-rows.stop // l_g)))
-            for rows in row_tiles(l, tile_rows(l_g))]
+            for rows in row_tiles(l, tile_rows(l_g, half))]
 
 
 def _project(x: np.ndarray, w: Tensor, b: Tensor, m: int, l_g: int,
-             real_len: int) -> np.ndarray:
+             real_len: int, out: Optional[np.ndarray] = None) -> np.ndarray:
     """x @ w + b, x an (l, d) array, with linear's arithmetic and the
-    forward's row tiles, in one zero-padded (m*l_g, d) buffer that the
-    product is written straight into, every row at index >= real_len zero.
+    forward's row tiles, in one zero-padded (m*l_g, d) buffer (out when
+    given) that the product is written straight into, every row at index
+    >= real_len zero.
     A forward tile is one tile here, so a backward that projects the whole
     x gets the forward's bits at every width."""
     l = x.shape[0]
-    rows = np.empty((m * l_g, w.shape[1]))
+    rows = np.empty((m * l_g, w.shape[1])) if out is None else out
     for tile, _ in _tiles(l, l_g):
         np.matmul(x[tile], w.data, out=rows[tile])
     rows[:l] += b.data
@@ -255,11 +258,12 @@ def _project(x: np.ndarray, w: Tensor, b: Tensor, m: int, l_g: int,
     return rows
 
 
-def _qkv(x: np.ndarray, params: GsaLayerParams, m: int, l_g: int,
-         real_len: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The _project buffers of Q, K and V."""
-    return tuple(_project(x, w, b, m, l_g, real_len) for w, b in
-                 ((params.w_q, params.b_q), (params.w_k, params.b_k), (params.w_v, params.b_v)))
+def _qkv(x: np.ndarray, params: GsaLayerParams, m: int, l_g: int, real_len: int,
+         q_out: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The _project buffers of Q (q_out when given), K and V."""
+    return tuple(_project(x, w, b, m, l_g, real_len, out) for w, b, out in
+                 ((params.w_q, params.b_q, q_out), (params.w_k, params.b_k, None),
+                  (params.w_v, params.b_v, None)))
 
 
 def _summary_attention(qs: np.ndarray, ks: np.ndarray, vs: np.ndarray,
@@ -294,17 +298,19 @@ def gsa_forward(x: Tensor, params: GsaLayerParams, cfg: GsaConfig,
     projected queries, keys and values are zero and masked as keys, so
     outputs at real positions never depend on pad values.  The forward
     works over tiles of whole groups, tile_rows(l_g) rows each (cut by
-    row_tiles): it projects a tile's Q, K and V, runs local attention on
-    the (heads, groups, l_g, d_h) blocks of every head's groups in the
-    tile at once and keeps only its groups' summary rows, so one tile of
-    Q/K/V and of scores is alive at a time.  Every group is computed
+    row_tiles): it projects a tile's Q (into the rows of the output
+    buffer that the tile's local outputs then overwrite), K and V, keeps
+    only its groups' summary rows and runs local attention on the
+    (heads, groups, l_g, d_h) blocks of every head's groups in half the
+    tile at once, so one tile of K/V and half a tile of scores are alive
+    at a time.  Every group is computed
     alone, so the tiles' results are the whole layer's.  The summary
     attention and the merge run once all tiles are done, and then the
     output projection, a tile at a time in place over the merged rows.
     The rule holds x and the parameters, nothing else: the backward gets x
     (from its recipe when x has one), projects Q, K and V again in the
-    forward's tiles and re-runs the summary path, then walks the
-    forward's tiles once, every head at once, rebuilding each tile's
+    forward's tiles and re-runs the summary path, then walks half tiles
+    once, every head at once, rebuilding each tile's
     probabilities and local outputs with the forward's arithmetic
     for the local backward, alpha's gradient and (merged in place of the
     consumed output gradient) w_o's.  It adds every score element it
@@ -336,15 +342,22 @@ def gsa_forward(x: Tensor, params: GsaLayerParams, cfg: GsaConfig,
     tiles = _tiles(l, l_g)
     for rows, groups in tiles:
         n = groups.stop - groups.start
+        # Q in the tile's output rows: the scores are made before the
+        # local outputs are written over it
         qg, kg, vg = (_grouped(a, n, l_g, heads) for a in
-                      _qkv(x.data[rows], params, n, l_g, real_len - rows.start))
-        attention_forward(qg, kg.swapaxes(-1, -2), vg, scale,
-                          None if allow is None else allow[groups], out=o[:, groups])
+                      _qkv(x.data[rows], params, n, l_g, real_len - rows.start,
+                           out_rows[rows.start:rows.start + n * l_g]))
         if use_global:
             # no loop variable holds a block, so the del below frees them all
             for i, e in enumerate((params.e_q, params.e_k, params.e_v)):
                 np.matmul(e.data, (qg, kg, vg)[i], out=summaries[i, :, groups])
-        del qg, kg, vg      # else two tiles of Q/K/V would be alive at once
+        # local attention in half tiles, as the backward walks it, so half
+        # a tile of scores is alive at a time
+        for _, sub in _tiles(n * l_g, l_g, half=True):
+            at = slice(groups.start + sub.start, groups.start + sub.stop)
+            attention_forward(qg[:, sub], kg[:, sub].swapaxes(-1, -2), vg[:, sub], scale,
+                              None if allow is None else allow[at], out=o[:, at])
+        del qg, kg, vg      # else two tiles of K/V would be alive at once
     if use_global:
         for _ in range(heads):
             counter.add_scores(n_s, n_s)
@@ -386,13 +399,13 @@ def gsa_forward(x: Tensor, params: GsaLayerParams, cfg: GsaConfig,
                 d_e = np.matmul(d_s, blocks.swapaxes(-1, -2)).reshape(-1, l_s, l_g)
                 accumulate_grad(e, _sum_last_to_first(d_e), owned=True)
             d_alpha = np.empty((heads, m))
-        # local attention, every head's groups in the forward's tiles (at
-        # twice that height a tile's probabilities, outputs and gradients
-        # fall out of cache and the walk runs slower), the probabilities
-        # and outputs rebuilt with the forward's arithmetic
+        # local attention, every head's groups in half tiles (at full
+        # height a tile's probabilities, outputs and gradients fall out of
+        # cache and the walk runs slower), the probabilities and outputs
+        # rebuilt with the forward's arithmetic
         counter.add_recomputed(heads * m * l_g, l_g)
         allow = _local_allow(cfg, m, real_len)
-        for _, groups in tiles:
+        for _, groups in _tiles(l, l_g, half=True):
             q_t, k_t, v_t = qg[:, groups], kg[:, groups].swapaxes(-1, -2), vg[:, groups]
             p = attention_probs(q_t, k_t, scale, None if allow is None else allow[groups])
             local = np.matmul(p, v_t)

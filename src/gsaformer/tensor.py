@@ -37,7 +37,8 @@ backward.
 The ops that would otherwise make whole-length temporaries (layer_norm
 and feed_forward here, cca_forward, gsa_forward and the attention kernels
 they run) work in row tiles of TILE_ROWS rows (rounded down to whole
-groups in gsa), cut by row_tiles, with the whole-array arithmetic, so
+groups in gsa; half that in CCA and the attention kernels, see
+tile_rows), cut by row_tiles, with the whole-array arithmetic, so
 without a tape their temporaries are one tile big.  layer_norm can write
 its output over f, which is how the model's residual blocks call it: a
 block, norm(x + sublayer(x)), then holds its input, its output and one
@@ -465,14 +466,18 @@ def row_tiles(n: int, size: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
-TILE_ROWS = 256     # rows the tiled ops work on at a time
+TILE_ROWS = 512     # rows the tiled ops work on at a time
 
 
-def tile_rows(unit: int = 1) -> int:
-    """TILE_ROWS rounded down to a whole number of units, at least one unit:
-    the tile height of every op that works in row tiles (GSA's unit is a
-    group)."""
-    return max(TILE_ROWS // unit, 1) * unit
+def tile_rows(unit: int = 1, half: bool = False) -> int:
+    """TILE_ROWS, or half of it, rounded down to a whole number of units, at
+    least one unit: the tile height of every op that works in row tiles
+    (GSA's unit is a group).  Walks whose tile holds a row of scores per
+    key take half tiles: CCA's queries and the attention kernels they run,
+    and the GSA backward's walk.  Each tiled product is a BLAS call, and a
+    threaded one waits for every thread, so the row-wise ops take tiles as
+    tall as memory allows."""
+    return max((TILE_ROWS // 2 if half else TILE_ROWS) // unit, 1) * unit
 
 
 def layer_norm(x: Tensor, f: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6,

@@ -22,7 +22,7 @@ config at the train_long length, with its 4 heads and with 8 (so the head
 axis the GSA op batches over shows at two widths), the `gsaformer train`
 defaults, a compressed-CCA config with label_len=20, the local-only
 ablation, the bench config at lengths one row past a multiple of the
-256-row tiles (513 = 2 * 256 + 1, 1025 = 4 * 256 + 1), and the 1025 one at
+256- and 512-row tiles (513 = 2 * 256 + 1, 1025 = 2 * 512 + 1), and the 1025 one at
 d = 12 with 3 heads and 12 hidden units, whose products are 12, 4 and 7
 columns wide: OpenBLAS may round the rows of such products differently
 once they are cut, so a change of tile cuts shows in the same diff.

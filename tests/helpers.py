@@ -190,7 +190,7 @@ def relu(a):
 
 
 def multi_head_forward(q, k, v, heads, counter):
-    """Unmasked multi-head attention on arrays, multi_head_rows on one row
+    """Unmasked multi-head attention on arrays, multi_head_rows on one half
     tile of queries at a time, as cca_forward attends: the counter sees
     one l_q-by-l_k call per head."""
     (l_q, d), l_k = q.shape, k.shape[0]
@@ -200,7 +200,7 @@ def multi_head_forward(q, k, v, heads, counter):
     for _ in range(heads):
         counter.add_scores(l_q, l_k)
     out = np.empty((l_q, d))
-    for rows in row_tiles(l_q, tile_rows()):
+    for rows in row_tiles(l_q, tile_rows(half=True)):
         multi_head_rows(q[rows], keys, out[rows])
     return out
 
@@ -222,7 +222,7 @@ def multi_head_attention(q, k, v, heads, counter):
 
 def tiled_linear(x, w, b, tiles=None):
     """linear(x, w, b) with its product cut in row tiles (by default
-    row_tiles at tile_rows(), the tiles of the fused ops' projections), as
+    row_tiles at tile_rows(), the tiles of feed_forward's products), as
     one op with linear's rule: the oracle of a projection that a fused op
     computes a tile at a time.  Tiles change no bit of a product 8 or 16
     columns wide, but may change some of a narrower or ragged one."""
@@ -254,10 +254,12 @@ def composed_cca(h_dec, h_enc, params, counter, heads=1, compressed=False):
     linears, multi_head_attention and the output linear, the q and output
     projections cut in the fused op's query tiles."""
     memory = h_enc if compressed else compress_encoder_output(h_enc, params.c)
-    q = tiled_linear(h_dec, params.w_q, params.b_q)
+    tiles = row_tiles(h_dec.shape[0], tile_rows(half=True))
+    q = tiled_linear(h_dec, params.w_q, params.b_q, tiles)
     k = linear(memory, params.w_k, params.b_k)
     v = linear(memory, params.w_v, params.b_v)
-    return tiled_linear(multi_head_attention(q, k, v, heads, counter), params.w_o, params.b_o)
+    return tiled_linear(multi_head_attention(q, k, v, heads, counter), params.w_o, params.b_o,
+                        tiles)
 
 
 def composed_gsa(x, params, cfg, real_len, counter):

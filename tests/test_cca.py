@@ -145,9 +145,9 @@ class TestCcaMemory:
         h_dec = Tensor(rng.normal(size=(l_dec, d)))
         h_enc = Tensor(rng.normal(size=(l_enc, d)))
         one_head = l_dec * l_enc * 8     # bytes of one head's score matrix
-        one_tile = tensor.TILE_ROWS * l_enc * 8
+        one_tile = tensor.tile_rows(half=True) * l_enc * 8     # CCA's query tiles are half tiles
         activation = l_dec * d * 8      # bytes of one l_dec-by-d array
-        tile_rows = tensor.TILE_ROWS * d * 8     # bytes of one tile of Q or attended rows
+        tile_rows = tensor.tile_rows(half=True) * d * 8     # bytes of one tile of Q or attended rows
         keys = l_enc * d * 8
         tracemalloc.start()
         try:

@@ -295,7 +295,7 @@ class TestForwardMemory:
         # the encoder output is dropped once compressed, a block's input
         # once the next block has it, every op works in row tiles and each
         # block's norm writes over its sublayer's output: the peak is under
-        # 4 l-by-d arrays (3.7; it read 8 when every op held whole-length
+        # 4 l-by-d arrays (3.75; it read 8 when every op held whole-length
         # temporaries, and 4.5 when each sublayer still made whole-length
         # intermediates)
         cfg = model_config_for("grouped", 1440, BenchConfig(d=128, ffn_hidden=128))
@@ -304,7 +304,7 @@ class TestForwardMemory:
     def test_untaped_bench_forward_holds_its_input_its_output_and_tiles(self):
         # at the bench width a block holds its input, its output and one
         # row tile of its sublayer, plus the decoder's compressed memories:
-        # under 3 l-by-d arrays (2.7; 3.6 when each sublayer still made
+        # under 3 l-by-d arrays (2.76; 3.6 when each sublayer still made
         # whole-length intermediates)
         assert untaped_forward_peak(model_config_for("grouped", 2880, BenchConfig())) < 3
 
@@ -558,8 +558,10 @@ class TestTapeNodes:
         spy(cca_module, "multi_head_rows", lambda out, *args: [out])
         cfg = GRADIENT_CONFIGS["train_long"]
         # the encoder and the decoder are cut into the same row tiles, for
-        # every op (GSA's tiles of whole groups too)
+        # every op (GSA's tiles of whole groups too), CCA's queries into
+        # half tiles
         tiles = len(row_tiles(cfg.seq_len, tile_rows()))
+        cca_tiles = len(row_tiles(cfg.seq_len, tile_rows(half=True)))
         assert cfg.dec_len == cfg.seq_len and tiles > 1
         assert len(row_tiles(cfg.seq_len, tile_rows(cfg.l_g))) == tiles
         model = ForecasterModel(cfg, seed=0)
@@ -569,10 +571,11 @@ class TestTapeNodes:
         with ComputationTape() as tape:
             loss = multiply(mse_loss(model.forward(x), y), 1.0)
             # affine: 2 embeds and the head; per tile 2 per FFN and 1 (2
-            # refs) per GSA; per CCA K, V and 2 per tile
+            # refs) per GSA; per CCA K, V and 2 per half tile
             assert Counter(name for name, _ in refs) == {
-                "layer_norm": 15, "affine": 3 + tiles * (2 * 6 + 2 * 6) + 3 * (2 + 2 * tiles),
-                "multi_head_rows": 3 * tiles}
+                "layer_norm": 15,
+                "affine": 3 + tiles * (2 * 6 + 2 * 6) + 3 * (2 + 2 * cca_tiles),
+                "multi_head_rows": 3 * cca_tiles}
             assert [name for name, ref in refs if ref() is not None] == []
             backward(loss, tape)
         assert [n for n, p in model.parameters().items() if p.grad is None] == []

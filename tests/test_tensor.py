@@ -513,9 +513,9 @@ class TestFeedForwardMemory:
             tracemalloc.stop()
         # the output, the Tensor constructor's finiteness mask of it (a byte
         # an entry) and one tile of hidden activations, where the whole
-        # hidden activations would be 16 tiles
+        # hidden activations would be 8 tiles
         assert output + hidden_tile <= peak < output + output // 8 + hidden_tile * 5 // 4
-        assert l * hidden * 8 == 16 * hidden_tile
+        assert l * hidden * 8 == 8 * hidden_tile
 
 
 class TestOtherOps:
