@@ -38,7 +38,10 @@ class CcaLayerParams(ParameterSet):
     """Per-decoder-layer compression matrix plus Q/K/V/output projections.
 
     c is l_comp-by-l_enc and is never shared between layers.  It exists
-    only when l_enc > l_comp; otherwise the encoder output is used as is."""
+    only when l_enc > l_comp; otherwise the encoder output is used as is.
+    b_k is a constant zero row (requires_grad False): every key a query
+    scores carries it, which shifts that query's scores alike, so softmax
+    cancels it and it could learn nothing but rounding noise."""
 
     c: Optional[Tensor]
     w_q: Tensor
@@ -57,7 +60,7 @@ class CcaLayerParams(ParameterSet):
         c = uniform_param(rng, (l_comp, l_enc), fan_in=l_enc)
         return cls(c if l_enc > l_comp else None,
                    *(uniform_param(rng, (d, d), fan_in=d) for _ in range(4)),
-                   *(zero_row(d) for _ in range(4)))
+                   zero_row(d), Tensor(np.zeros((1, d))), zero_row(d), zero_row(d))
 
 
 def compress_encoder_output(h_enc: Tensor, c: Optional[Tensor]) -> Tensor:

@@ -115,7 +115,11 @@ class GsaLayerParams(ParameterSet):
     The summary projections e_q/e_k/e_v are single tensors applied to every
     group (shared weights); alpha/beta hold one merge scalar per group slot.
     These five exist only when cfg.uses_global: a causal or local-only
-    layer never reads them.
+    layer never reads them.  Without the global path b_k is a constant zero
+    row (requires_grad False): every key a query scores is in its own group
+    and carries b_k, which shifts that query's scores alike, so softmax
+    cancels it and it could learn nothing but rounding noise.  With the
+    global path the summary keys carry b_k unequally, so it is learnable.
     """
 
     w_q: Tensor
@@ -135,8 +139,9 @@ class GsaLayerParams(ParameterSet):
     @classmethod
     def init(cls, cfg: GsaConfig, rng: np.random.Generator) -> "GsaLayerParams":
         d = cfg.d
+        b_k = zero_row(d) if cfg.uses_global else Tensor(np.zeros((1, d)))
         params = cls(*(uniform_param(rng, (d, d), fan_in=d) for _ in range(4)),
-                     *(zero_row(d) for _ in range(4)))
+                     zero_row(d), b_k, zero_row(d), zero_row(d))
         # drawn even when unused, so later layers start at the same seed-stream point
         summaries = [uniform_param(rng, (cfg.l_s, cfg.l_g), fan_in=cfg.l_g) for _ in range(3)]
         if cfg.uses_global:

@@ -58,10 +58,14 @@ class ModelConfig:
         if self.label_len > self.seq_len:
             raise ConfigError(
                 f"label_len {self.label_len} exceeds seq_len {self.seq_len}")
-        for name, low in (("d", 1), ("l_g", 1), ("l_comp", 1), ("ffn_hidden", 1),
+        for name, low in (("n_features_in", 1), ("n_features_out", 1), ("d", 1),
+                          ("l_g", 1), ("l_comp", 1), ("ffn_hidden", 1),
                           ("e_l", 0), ("d_l", 0)):
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if self.e_l > 0 and self.d_l == 0:
+            raise ConfigError(f"e_l={self.e_l} encoder layers need d_l >= 1 decoder "
+                              f"layers to read them, got d_l=0")
         # the attention layers' own rules (heads, l_s, d % heads) fire here
         self.encoder_gsa()
         self.decoder_gsa()
@@ -204,14 +208,17 @@ class ForecasterModel:
         self.head = _Linear(cfg.d, cfg.n_features_out, rng)
 
     def parameters(self) -> dict[str, Tensor]:
-        """Every learnable tensor exactly once, keyed by a stable name."""
+        """Every learnable tensor exactly once, keyed by a stable name: the
+        tensors the layers hold that require a gradient.  A constant a layer
+        holds (a key bias that softmax cancels) is not a parameter, so Adam,
+        checkpoints and gradcheck never see it."""
         out = self.embed.named("embed.")
         for i, layer in enumerate(self.encoder_layers):
             out.update(layer.named(f"enc{i}."))
         for i, layer in enumerate(self.decoder_layers):
             out.update(layer.named(f"dec{i}."))
         out.update(self.head.named("head."))
-        return out
+        return {name: t for name, t in out.items() if t.requires_grad}
 
     def _embed(self, x: Tensor) -> Tensor:
         """The value embedding plus the position table, as one linear op."""

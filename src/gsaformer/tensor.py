@@ -39,10 +39,11 @@ and feed_forward here, cca_forward, gsa_forward and the attention kernels
 they run) work in row tiles of TILE_ROWS rows (rounded down to whole
 groups in gsa; half that in CCA and the attention kernels, see
 tile_rows), cut by row_tiles, with the whole-array arithmetic, so
-without a tape their temporaries are one tile big.  layer_norm can write
-its output over f, which is how the model's residual blocks call it: a
-block, norm(x + sublayer(x)), then holds its input, its output and one
-tile of its sublayer.
+without a tape their temporaries are one tile big; the constructor's
+finiteness check, too, makes its mask a tile at a time.  layer_norm can
+write its output over f, which is how the model's residual blocks call
+it: a block, norm(x + sublayer(x)), then holds its input, its output and
+one tile of its sublayer.
 """
 
 from __future__ import annotations
@@ -91,6 +92,16 @@ def _as_array(values) -> np.ndarray:
     return arr
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of the matrix a is finite, checked a row tile at
+    a time, so the check's mask is one tile big.  An array of one tile is
+    one call: most tensors are that small."""
+    n, size = a.shape[0], tile_rows()
+    if n <= size:
+        return bool(np.isfinite(a).all())
+    return all(np.isfinite(a[rows]).all() for rows in row_tiles(n, size))
+
+
 class GradSlot:
     """The gradient state of one tensor, without its values: what the tape
     and the backward rules hold of a tensor whose values they never read."""
@@ -119,7 +130,7 @@ class Tensor:
 
     def __init__(self, values, requires_grad: bool = False):
         self.data = _as_array(values)
-        if not np.all(np.isfinite(self.data)):
+        if not _all_finite(self.data):
             raise NumericsError("tensor constructed with non-finite values")
         self.slot = GradSlot(self.data.shape, requires_grad)
         self.recipe: Optional[Callable[[], np.ndarray]] = None
@@ -586,11 +597,14 @@ def zero_row(n: int) -> Tensor:
 
 
 class ParameterSet:
-    """A holder of learnable tensors."""
+    """A holder of a layer's tensors: its parameters, and any constant it
+    keeps as a tensor with requires_grad off (a key bias that softmax
+    cancels)."""
 
     def named(self, prefix: str = "") -> dict[str, Tensor]:
         """Every Tensor attribute as prefix + name, and the tensors of every
-        nested ParameterSet under prefix + `<attr>.`, in attribute order."""
+        nested ParameterSet under prefix + `<attr>.`, in attribute order,
+        constants and tensors frozen for a test included."""
         out = {}
         for attr, value in vars(self).items():
             if isinstance(value, Tensor):

@@ -49,7 +49,7 @@ class TrainConfig:
         for name in ("beta1", "beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ContractError(f"{name} must be in [0, 1), got {getattr(self, name)}")
-        for name in ("grad_clip", "lr_decay", "max_iterations"):
+        for name in ("epsilon", "grad_clip", "lr_decay", "max_iterations"):
             if getattr(self, name) is not None and getattr(self, name) <= 0:
                 raise ContractError(f"{name} must be > 0, got {getattr(self, name)}")
 

@@ -26,6 +26,15 @@ ablation, the bench config at lengths one row past a multiple of the
 d = 12 with 3 heads and 12 hidden units, whose products are 12, 4 and 7
 columns wide: OpenBLAS may round the rows of such products differently
 once they are cut, so a change of tile cuts shows in the same diff.
+
+The grad.* and adam.* lines walk ForecasterModel.parameters(), which
+leaves out the constants a model holds: the key biases that softmax
+cancels (each decoder GSA and CCA b_k, and each encoder GSA b_k under the
+local-only ablation) are fixed zero rows with no gradient, so they get no
+line.  Against a checkout in which they were parameters, their
+lines are the only ones removed; the adam.* lines differ there too,
+because Adam stepped those biases by their rounding-noise gradients.
+tests/test_bitcheck.py runs check() on one tiny config as a smoke test.
 """
 
 from __future__ import annotations

@@ -521,7 +521,9 @@ def naive_gsa(x, params, cfg, real_len=None):
 def old_layout_arrays(model):
     """The model's parameters plus the tensors every checkpoint written
     before unused parameters were dropped also held: the summary weights of
-    each decoder layer's causal GSA and each CCA compression matrix."""
+    each decoder layer's causal GSA, each CCA compression matrix and every
+    key bias that softmax cancels (the decoder's, and the encoder's under
+    the local-only ablation)."""
     cfg = model.cfg
     arrays = {name: p.data for name, p in model.parameters().items()}
     m_max = max(math.ceil(cfg.dec_len / cfg.l_g), 1)
@@ -531,4 +533,8 @@ def old_layout_arrays(model):
         arrays[f"dec{i}.gsa.alpha"] = np.ones((1, m_max))
         arrays[f"dec{i}.gsa.beta"] = np.zeros((1, m_max))
         arrays.setdefault(f"dec{i}.cca.c", np.zeros((cfg.l_comp, cfg.seq_len)))
+        for attn in ("gsa", "cca"):
+            arrays[f"dec{i}.{attn}.b_k"] = np.zeros((1, cfg.d))
+    for i in range(cfg.e_l):
+        arrays.setdefault(f"enc{i}.gsa.b_k", np.zeros((1, cfg.d)))
     return arrays

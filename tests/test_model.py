@@ -19,6 +19,7 @@ import gsaformer.tensor as tensor_module
 from gsaformer.attention import OpCounter
 from gsaformer.benchmark import BenchConfig, model_config_for
 from gsaformer.cli import GRADCHECK_PRESETS, config_from_mapping
+from gsaformer.data import WindowSet
 from gsaformer.gsa import ConfigError, gsa_forward
 from gsaformer.model import (
     ForecasterModel,
@@ -40,7 +41,7 @@ from gsaformer.tensor import (
     slice_rows,
     tile_rows,
 )
-from gsaformer.training import mse_loss
+from gsaformer.training import TrainConfig, mse_loss, train
 
 
 def tiny_config(**overrides):
@@ -377,14 +378,17 @@ class TestCheckpoint:
         message = str(err.value)
         assert str(path) in message
         assert "'dec0.gsa.e_q'" in message and "'dec0.cca.c'" in message
+        assert "'dec0.cca.b_k'" in message
 
 
 # the verbs' configs: train's defaults with 2 synthetic features, its local-only
-# ablation, the bench's train_long at L=1440 and the tiny gradcheck preset
+# ablation, the bench's train_long at L=1440 and the tiny gradcheck preset, and
+# train's defaults with a compressed CCA (seq_len > l_comp) and a label
 TRAIN_DEFAULTS = dict(seq_len=96, pred_len=24, n_features_in=2, n_features_out=2)
 NARROW_BENCH = BenchConfig(d=8, heads=2, ffn_hidden=8, n_features=2)
 GRADIENT_CONFIGS = {
     "train": ModelConfig(**TRAIN_DEFAULTS),
+    "train_compressed": ModelConfig(**TRAIN_DEFAULTS, label_len=20, l_comp=48),
     "train_local_only": ModelConfig(**TRAIN_DEFAULTS, ablation_local_only=True),
     "train_long": model_config_for("grouped", 1440, NARROW_BENCH),
     "gradcheck_tiny": ModelConfig(**GRADCHECK_PRESETS["tiny"]),
@@ -406,11 +410,13 @@ class TestEveryParameterReachesTheLoss:
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("name", sorted(GRADIENT_CONFIGS))
-    def test_only_the_key_biases_softmax_cancels_get_rounding_noise(self, name, seed):
+    def test_no_parameter_gets_only_rounding_noise(self, name, seed):
         # a key bias that every key of a softmax row carries shifts that row's
-        # scores alike, so only rounding noise (~1e-17) reaches it: every
-        # decoder GSA and CCA b_k, and the encoder GSA b_k unless a global
-        # path reads it (its summary keys mix rows, so carry b_k unequally)
+        # scores alike, so it would get only rounding noise (~1e-17); those
+        # (every decoder GSA and CCA b_k, and the encoder GSA b_k unless a
+        # global path reads it) are constants, not parameters.  Kept over
+        # fixed configs: at some shapes (one forecast row starting its own
+        # causal group) other decoder parameters get exact zeros
         cfg = GRADIENT_CONFIGS[name]
         model = ForecasterModel(cfg, seed=seed)
         rng = np.random.default_rng(seed)
@@ -421,10 +427,27 @@ class TestEveryParameterReachesTheLoss:
         with ComputationTape() as tape:
             backward(mse_loss(model.forward(x), y), tape)
         noise_only = {n for n, p in model.parameters().items() if np.abs(p.grad).max() < 1e-12}
-        expected = {f"dec{i}.{attn}.b_k" for i in range(cfg.d_l) for attn in ("gsa", "cca")}
+        assert noise_only == set()
+
+    @pytest.mark.parametrize("name", ["train", "train_local_only"])
+    def test_key_biases_softmax_cancels_stay_zero_constants_through_training(self, name):
+        cfg = GRADIENT_CONFIGS[name]
+        model = ForecasterModel(cfg, seed=0)
+        rng = np.random.default_rng(6)
+        windows = WindowSet([(rng.normal(size=(cfg.seq_len, cfg.n_features_in)),
+                              rng.normal(size=(cfg.pred_len, cfg.n_features_out)))
+                             for _ in range(4)], split="train")
+        train(model, windows, TrainConfig(batch_size=2, max_iterations=2))
+        frozen = [layer.gsa.b_k for layer in model.decoder_layers]
+        frozen += [layer.cca.b_k for layer in model.decoder_layers]
         if cfg.ablation_local_only:
-            expected |= {f"enc{i}.gsa.b_k" for i in range(cfg.e_l)}
-        assert noise_only == expected
+            frozen += [layer.gsa.b_k for layer in model.encoder_layers]
+        assert len(frozen) == 3 * (2 + cfg.ablation_local_only)
+        params = model.parameters().values()
+        for b_k in frozen:
+            assert not b_k.requires_grad and b_k.grad is None
+            assert not any(b_k is p for p in params)
+            npt.assert_array_equal(b_k.data, np.zeros((1, cfg.d)))
 
     def test_narrow_bench_has_the_bench_parameter_names(self):
         # width changes no parameter's existence, so the narrow model above
@@ -444,6 +467,7 @@ class TestEveryParameterReachesTheLoss:
 
 
 PROJECTIONS = ["w_q", "w_k", "w_v", "w_o", "b_q", "b_k", "b_v", "b_o"]
+CONSTANT_KEY_BIAS = [p for p in PROJECTIONS if p != "b_k"]     # softmax cancels b_k
 GLOBAL_PATH = ["e_q", "e_k", "e_v", "alpha", "beta"]
 FFN = ["ffn.lin1.w", "ffn.lin1.b", "ffn.lin2.w", "ffn.lin2.b"]
 
@@ -456,9 +480,9 @@ def train_parameter_names(encoder_gsa):
         names += [f"enc{i}.gsa.{n}" for n in encoder_gsa]
         names += [f"enc{i}.{n}" for n in ["norm1.g", "norm1.b", *FFN, "norm2.g", "norm2.b"]]
     for i in range(3):
-        names += [f"dec{i}.gsa.{n}" for n in PROJECTIONS]
+        names += [f"dec{i}.gsa.{n}" for n in CONSTANT_KEY_BIAS]
         names += [f"dec{i}.{n}" for n in ["norm1.g", "norm1.b",
-                                            *(f"cca.{p}" for p in PROJECTIONS),
+                                            *(f"cca.{p}" for p in CONSTANT_KEY_BIAS),
                                             "norm2.g", "norm2.b", *FFN,
                                             "norm3.g", "norm3.b"]]
     return names + ["head.w", "head.b"]
@@ -469,13 +493,18 @@ class TestParameterNames:
 
     def test_train_default_names_in_order(self):
         names = list(ForecasterModel(GRADIENT_CONFIGS["train"]).parameters())
-        assert len(names) == 145
+        assert len(names) == 139
         assert names == train_parameter_names(PROJECTIONS + GLOBAL_PATH)
 
     def test_train_local_only_names_in_order(self):
         names = list(ForecasterModel(GRADIENT_CONFIGS["train_local_only"]).parameters())
-        assert len(names) == 130
-        assert names == train_parameter_names(PROJECTIONS)
+        assert len(names) == 121
+        assert names == train_parameter_names(CONSTANT_KEY_BIAS)
+
+    @pytest.mark.parametrize("name, count", [
+        ("gradcheck_tiny", 49), ("train_compressed", 142), ("train_long", 142)])
+    def test_parameter_count(self, name, count):
+        assert len(ForecasterModel(GRADIENT_CONFIGS[name]).parameters()) == count
 
 
 class TestTapeNodes:
@@ -522,7 +551,7 @@ class TestTapeNodes:
         rng = np.random.default_rng(2)
         x = Tensor(rng.normal(size=(cfg.seq_len, cfg.n_features_in)))
         y = Tensor(rng.normal(size=(cfg.pred_len, cfg.n_features_out)))
-        leaves = {id(t.data) for t in (x, y, *model.parameters().values())}
+        leaves = {id(t.data) for t in (x, y, *_held_tensors(model))}
         with ComputationTape() as tape:
             pred = model.forward(x)
             loss = multiply(mse_loss(pred, y), 1.0)
@@ -605,6 +634,13 @@ class TestTapeNodes:
             assert [i for i, ref in enumerate(refs) if ref() is not None] == []
             backward(loss, tape)
         assert [n for n, p in model.parameters().items() if p.grad is None] == []
+
+
+def _held_tensors(model):
+    """Every tensor the model's layers hold: its parameters and its
+    constants."""
+    sets = (model.embed, *model.encoder_layers, *model.decoder_layers, model.head)
+    return [t for s in sets for t in s.named().values()]
 
 
 def _reachable_arrays(value):
@@ -735,8 +771,10 @@ class TestShapeRules:
     @pytest.mark.parametrize("setting", [
         {"d": 0, "heads": 1}, {"l_g": 0}, {"l_comp": 0}, {"ffn_hidden": 0},
         {"e_l": -1}, {"d_l": -1}, {"heads": 0}, {"heads": 3}, {"l_s": 0}, {"l_s": 8},
+        {"e_l": 1, "d_l": 0}, {"n_features_in": 0}, {"n_features_out": -2},
     ], ids=["d=0", "l_g=0", "l_comp=0", "ffn_hidden=0", "e_l=-1", "d_l=-1",
-            "heads=0", "heads=3", "l_s=0", "l_s=l_g"])
+            "heads=0", "heads=3", "l_s=0", "l_s=l_g", "encoder-without-decoder",
+            "n_features_in=0", "n_features_out=-2"])
     def test_bad_setting_rejected_at_construction_naming_it(self, setting):
         name = next(iter(setting))
         with pytest.raises(ConfigError, match=name):

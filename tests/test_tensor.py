@@ -594,6 +594,27 @@ class TestNumerics:
         with pytest.raises(NumericsError):
             Tensor([[np.nan]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_constructor_checks_every_row_tile(self, bad):
+        # the check runs a row tile at a time: a bad value in the last,
+        # short tile still raises
+        values = np.zeros((6 * TILE_ROWS + 3, 32))
+        Tensor(values)
+        values[-1, -1] = bad
+        with pytest.raises(NumericsError):
+            Tensor(values)
+
+    def test_constructor_check_holds_one_tile_of_mask(self):
+        values = np.ones((6 * TILE_ROWS + 3, 32))
+        whole_mask = values.size      # bytes of one bool per entry
+        tracemalloc.start()
+        try:
+            Tensor(values)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < whole_mask / 4, (peak, whole_mask)
+
     def test_large_magnitude_inputs_stay_finite(self):
         rng = np.random.default_rng(16)
         a = Tensor(rng.uniform(-1e6, 1e6, size=(4, 4)))

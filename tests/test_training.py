@@ -218,6 +218,7 @@ class TestAdam:
         ("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.0), ("beta2", -0.5),
         ("grad_clip", -1.0), ("grad_clip", 0.0), ("lr_decay", 0.0), ("lr_decay", -0.5),
         ("max_iterations", 0), ("max_iterations", -3), ("epochs", -1), ("patience", -1),
+        ("epsilon", 0.0), ("epsilon", -1e-8),
     ])
     def test_out_of_range_setting_rejected_naming_it(self, name, value):
         with pytest.raises(ContractError, match=name):
