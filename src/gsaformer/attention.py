@@ -209,10 +209,11 @@ def multi_head_rows(q: np.ndarray, keys: list[tuple[np.ndarray, np.ndarray]],
                     out: Optional[np.ndarray] = None) -> np.ndarray:
     """Unmasked scaled_dot_attention of the query rows q over the keys and
     values of every head (head_keys, one per contiguous column slab of q),
-    the head outputs side by side, written into out when given.  It runs
-    one head at a time, so one rows-by-l_k block of scores is alive at
-    once; softmax is row-wise, so a tile of queries gets the rows the
-    whole query block would.
+    the head outputs side by side, written into out when given, which may
+    be q itself: a head's queries are scored before its columns of out
+    are written.  It runs one head at a time, so one rows-by-l_k block of
+    scores is alive at once; softmax is row-wise, so a tile of queries
+    gets the rows the whole query block would.
 
     Each head works on a contiguous copy of its query columns, not a
     strided view: BLAS rounds one-row products differently for strided
@@ -227,16 +228,17 @@ def multi_head_rows(q: np.ndarray, keys: list[tuple[np.ndarray, np.ndarray]],
 
 
 def multi_head_backward(q: np.ndarray, k: np.ndarray, v: np.ndarray, g: np.ndarray,
-                        heads: int, counter: OpCounter) -> tuple[np.ndarray, np.ndarray]:
+                        heads: int, counter: OpCounter,
+                        tiles: list[slice]) -> tuple[np.ndarray, np.ndarray]:
     """The gradients of multi_head_rows(q[rows], head_keys(k, v, heads))
-    over the query tiles row_tiles(l_q, tile_rows(half=True)), from the output
-    gradient g, computed in place to spare two whole arrays: on return q
-    holds d_q and g holds the forward's output, rebuilt from the same
-    tiles' P @ V; returns (d_k, d_v).  A head's columns of q and g are
-    copied out before they are overwritten.  It holds nothing from the
-    forward: it rebuilds the probabilities in the forward's query tiles,
-    with its arithmetic, one whole head at a time, and adds those score
-    elements to the counter's recomputed_score_elements."""
+    over the query tiles `rows` in tiles, from the output gradient g,
+    computed in place to spare two whole arrays: on return q holds d_q
+    and g holds the forward's output, rebuilt from the same tiles' P @ V;
+    returns (d_k, d_v).  A head's columns of q and g are copied out before
+    they are overwritten.  It holds nothing from the forward: it rebuilds
+    the probabilities in the forward's query tiles, with its arithmetic,
+    one whole head at a time, and adds those score elements to the
+    counter's recomputed_score_elements."""
     (l_q, d), l_k = q.shape, k.shape[0]
     scale = 1.0 / np.sqrt(d // heads)
     d_k, d_v = np.empty(k.shape), np.empty(v.shape)
@@ -246,7 +248,7 @@ def multi_head_backward(q: np.ndarray, k: np.ndarray, v: np.ndarray, g: np.ndarr
         q_h, g_h = q[:, cols].copy(), g[:, cols].copy()
         counter.add_recomputed(l_q, l_k)
         p = np.empty((l_q, l_k))
-        for rows in row_tiles(l_q, tile_rows(half=True)):
+        for rows in tiles:
             attention_probs(q_h[rows], k_t, scale, out=p[rows])
             np.matmul(p[rows], v_h, out=g[rows, cols])
         q[:, cols], d_k_t, d_v[:, cols] = attention_backward(q_h, k_t, v_h, p, g_h, scale)

@@ -78,44 +78,75 @@ def cca_op_count(l_dec: int, l_enc: int, l_comp: int, heads: int = 1) -> int:
     return heads * l_dec * min(l_enc, l_comp)
 
 
+def cca_keys(memory: Tensor, params: CcaLayerParams, heads: int, counter: OpCounter,
+             l_dec: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each head's (K transposed, V) of memory (attention.head_keys of the
+    K and V projections, with linear's arithmetic), for l_dec queries:
+    the counter sees one l_dec-by-l_k call per head here, however the
+    queries are then cut.  A caller that runs cca_forward on row tiles of
+    its queries projects them once, with the whole query count, and hands
+    them to every tile's call."""
+    p = params
+    if memory.shape[1] != p.w_k.shape[0]:
+        raise DimensionError(f"cca: memory {memory.shape} for projections {p.w_k.shape}")
+    keys = head_keys(affine(memory.data, p.w_k, p.b_k), affine(memory.data, p.w_v, p.b_v),
+                     heads)
+    for _ in range(heads):
+        counter.add_scores(l_dec, memory.shape[0])
+    return keys
+
+
+def _attention_tiles(tiles: list[slice]) -> list[slice]:
+    """The half tiles (tile_rows(half=True)) that cca_forward attends each
+    of its query tiles in, in query rows: a half tile also holds a head's
+    scores, a row per key."""
+    return [slice(rows.start + half.start, rows.start + half.stop) for rows in tiles
+            for half in row_tiles(rows.stop - rows.start, tile_rows(half=True))]
+
+
 def cca_forward(h_dec: Tensor, h_enc: Tensor, params: CcaLayerParams,
-                counter: OpCounter, heads: int = 1, *, compressed: bool = False) -> Tensor:
+                counter: OpCounter, heads: int = 1, *, compressed: bool = False,
+                keys: Optional[list[tuple[np.ndarray, np.ndarray]]] = None) -> Tensor:
     """Queries from the decoder stream; keys/values projected from the
     compressed encoder output; canonical attention; output projection.
     With compressed=True, h_enc is already compress_encoder_output(encoder
-    output, params.c), as the model passes it, and is used as is.
+    output, params.c), as the model passes it, and is used as is.  keys,
+    when given, is cca_keys of that memory, made (and counted) once for a
+    query sequence of which h_dec is a row tile; by default this call
+    makes them for h_dec.
 
     Everything after the compression is one tape op, bit for bit the
     linear q/k/v projections, multi-head attention and linear output
-    projection composed, at every width a row tile cut does not change.  K
-    and V are projected once; then each half tile of queries (a tile also
-    holds a head's scores, a row per key: tensor.tile_rows) is projected,
-    attended over every head and output-projected, so Q and the attended
-    rows are one half tile big.  The counter sees one l_dec-by-l_k call per
-    head.  The rule holds h_dec and the memory (through held_values) and
-    the parameters: the backward rebuilds Q (in the forward's tiles), K, V,
-    the probabilities and the attended rows with the forward's arithmetic,
-    and adds into the memory's gradient v's share before k's, as the
-    composed rules' replay would.
+    projection composed, at every width a row tile cut does not change.
+    Each row tile of queries is projected, attended one half tile at a
+    time (attention.multi_head_rows writes a half tile's attended rows
+    over its Q rows) and output-projected, so Q and the attended rows are
+    one tile big and a head's scores one half tile.  The rule holds h_dec
+    and the memory (through held_values) and the parameters: the backward
+    rebuilds Q (in the forward's tiles), K, V, the probabilities (in its
+    half tiles) and the attended rows with the forward's arithmetic, and
+    adds into the memory's gradient v's share before k's, as the composed
+    rules' replay would.
 
     No mask: compressed rows are mixtures of all encoder positions, so a
     key-padding mask has nothing to point at.
     """
     memory = h_enc if compressed else compress_encoder_output(h_enc, params.c)
     p = params
-    if h_dec.shape[1] != p.w_q.shape[0] or memory.shape[1] != p.w_k.shape[0]:
-        raise DimensionError(f"cca: decoder {h_dec.shape} and memory {memory.shape} "
-                             f"for projections {p.w_q.shape}")
-    keys = head_keys(affine(memory.data, p.w_k, p.b_k), affine(memory.data, p.w_v, p.b_v),
-                     heads)
-    l_dec, l_k = h_dec.shape[0], memory.shape[0]
-    for _ in range(heads):
-        counter.add_scores(l_dec, l_k)
-    tiles = row_tiles(l_dec, tile_rows(half=True))
+    if h_dec.shape[1] != p.w_q.shape[0]:
+        raise DimensionError(f"cca: decoder {h_dec.shape} for projections {p.w_q.shape}")
+    l_dec = h_dec.shape[0]
+    if keys is None:
+        keys = cca_keys(memory, p, heads, counter, l_dec)
+    tiles = row_tiles(l_dec, tile_rows())
     out_data = np.empty((l_dec, p.w_o.shape[1]))
-    for rows in tiles:      # one statement, so no tile outlives its iteration
-        affine(multi_head_rows(affine(h_dec.data[rows], p.w_q, p.b_q), keys),
-               p.w_o, p.b_o, out_data[rows])
+    for rows in tiles:
+        q = affine(h_dec.data[rows], p.w_q, p.b_q)
+        for half in _attention_tiles([slice(0, q.shape[0])]):
+            multi_head_rows(q[half], keys, out=q[half])
+        affine(q, p.w_o, p.b_o, out_data[rows])
+        del q       # else two tiles of Q would be alive at once
+    del keys
     out = Tensor(out_data)
     inputs = (h_dec, memory, p.w_q, p.b_q, p.w_k, p.b_k, p.w_v, p.b_v, p.w_o, p.b_o)
     if not recording(inputs):
@@ -133,7 +164,8 @@ def cca_forward(h_dec: Tensor, h_enc: Tensor, params: CcaLayerParams,
         del dec
         attended = linear_input_grad(g, p.w_o, p.b_o)   # its gradient until then
         d_k, d_v = multi_head_backward(d_q, affine(mem, p.w_k, p.b_k),
-                                       affine(mem, p.w_v, p.b_v), attended, heads, counter)
+                                       affine(mem, p.w_v, p.b_v), attended, heads, counter,
+                                       _attention_tiles(tiles))
         accumulate_grad(p.w_o, attended.T @ g, owned=True)
         del attended
         linear_backward(memory_slot, mem, p.w_v, p.b_v, d_v)

@@ -4,7 +4,10 @@ self-attention and compressed cross-attention, and a linear output head.
 
 The decoder is generative-style: its input is the last label_len input rows
 followed by pred_len zero placeholders, and all horizons are predicted in
-one pass.
+one pass.  Every op in it is row-local, so without a tape it runs one row
+tile of whole groups at a time through every layer and the head; the
+encoder, whose global path reads the whole sequence, runs block by block
+over the whole length.
 """
 
 from __future__ import annotations
@@ -16,7 +19,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from .attention import OpCounter
-from .cca import CcaLayerParams, cca_forward, cca_op_count, compress_encoder_output
+from .cca import (
+    CcaLayerParams,
+    cca_forward,
+    cca_keys,
+    cca_op_count,
+    compress_encoder_output,
+)
 from .gsa import ConfigError, GsaConfig, GsaLayerParams, gsa_forward, gsa_op_count
 from .tensor import (
     ParameterSet,
@@ -25,8 +34,11 @@ from .tensor import (
     layer_norm,
     linear,
     load_checkpoint,
+    recording,
+    row_tiles,
     save_checkpoint,
     slice_rows,
+    tile_rows,
     uniform_param,
     zero_row,
 )
@@ -188,12 +200,17 @@ class _DecoderLayer(ParameterSet):
         its compression, or enc_out itself when the layer has no C."""
         return compress_encoder_output(enc_out, self.cca.c)
 
-    def blocks(self, memory: Tensor, counter: OpCounter) -> tuple:
+    def blocks(self, memory: Tensor, counter: OpCounter, l_dec: int) -> tuple:
         """The layer's residual blocks in order, as _EncoderLayer.blocks;
-        memory is the layer's memory(enc_out)."""
+        memory is the layer's memory(enc_out).  The blocks take row tiles
+        of whole groups of an l_dec-row decoder sequence: the
+        cross-attention's keys are projected (and its l_dec-by-l_k scores
+        counted) once, here, for every tile."""
+        keys = cca_keys(memory, self.cca, self.heads, counter, l_dec)
         return (_residual(self.norm1, lambda x: gsa_forward(x, self.gsa, self.gsa_cfg, counter)),
                 _residual(self.norm2, lambda x: cca_forward(x, memory, self.cca, counter,
-                                                            heads=self.heads, compressed=True)),
+                                                            heads=self.heads, compressed=True,
+                                                            keys=keys)),
                 _residual(self.norm3, self.ffn))
 
 
@@ -220,9 +237,10 @@ class ForecasterModel:
         out.update(self.head.named("head."))
         return {name: t for name, t in out.items() if t.requires_grad}
 
-    def _embed(self, x: Tensor) -> Tensor:
-        """The value embedding plus the position table, as one linear op."""
-        return self.embed(x, self.pos_table[:x.shape[0]])
+    def _embed(self, x: Tensor, start: int = 0) -> Tensor:
+        """The value embedding plus the position table's rows from start
+        on, as one linear op."""
+        return self.embed(x, self.pos_table[start:start + x.shape[0]])
 
     def encoder_forward(self, x: Tensor, counter: Optional[OpCounter] = None) -> Tensor:
         """Embed + position-encode, then run the encoder stack."""
@@ -241,18 +259,36 @@ class ForecasterModel:
         """Full pass; returns only the pred_len forecast rows.  Every
         decoder layer's compression of the encoder output is made first,
         so the encoder output is dropped before the decoder runs unless a
-        layer reads it uncompressed."""
+        layer reads it uncompressed.
+
+        Every op of the decoder is row-local (its GSA is causal, with no
+        global path, and its CCA reads fixed memories), so without a tape
+        the decoder runs one row tile of whole groups (tile_rows(l_g)) at
+        a time through every layer, and the head writes the tile's
+        forecast rows: it holds no decoder activation longer than a tile.
+        Under a tape it runs once over the whole length, so the tape holds
+        one node per op."""
         counter = counter if counter is not None else OpCounter()
+        cfg = self.cfg
         enc_out = self.encoder_forward(x, counter)
         memories = [layer.memory(enc_out) for layer in self.decoder_layers]
         del enc_out
-        h = self._embed(build_decoder_input(x, self.cfg))
-        for layer in self.decoder_layers:
-            for block in layer.blocks(memories.pop(0), counter):
-                h = block(h)
-        tail = slice_rows(h, self.cfg.label_len, self.cfg.dec_len) \
-            if self.cfg.label_len > 0 else h
-        return self.head(tail)
+        taped = recording([*memories, *self.parameters().values()])
+        layers = [layer.blocks(memory, counter, cfg.dec_len)
+                  for layer, memory in zip(self.decoder_layers, memories)]
+        dec_in = build_decoder_input(x, cfg).data
+        tiles = [slice(0, cfg.dec_len)] if taped else row_tiles(cfg.dec_len, tile_rows(cfg.l_g))
+        parts = []
+        for rows in tiles:
+            h = self._embed(Tensor(dec_in[rows]), rows.start)
+            for blocks in layers:
+                for block in blocks:
+                    h = block(h)
+            label_rows = cfg.label_len - rows.start     # the tile's rows before the forecast
+            if label_rows < h.shape[0]:
+                parts.append(self.head(slice_rows(h, label_rows, h.shape[0])
+                                       if label_rows > 0 else h))
+        return parts[0] if len(parts) == 1 else Tensor(np.concatenate([p.data for p in parts]))
 
     def closed_form_score_elements(self) -> int:
         """Score elements one full forward must spend, from the per-layer

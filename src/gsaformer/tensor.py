@@ -37,13 +37,16 @@ backward.
 The ops that would otherwise make whole-length temporaries (layer_norm
 and feed_forward here, cca_forward, gsa_forward and the attention kernels
 they run) work in row tiles of TILE_ROWS rows (rounded down to whole
-groups in gsa; half that in CCA and the attention kernels, see
+groups in gsa; half that in CCA's attention and the kernels, see
 tile_rows), cut by row_tiles, with the whole-array arithmetic, so
 without a tape their temporaries are one tile big; the constructor's
 finiteness check, too, makes its mask a tile at a time.  layer_norm can
 write its output over f, which is how the model's residual blocks call
 it: a block, norm(x + sublayer(x)), then holds its input, its output and
-one tile of its sublayer.
+one tile of its sublayer.  Without a tape the model's decoder goes
+further and runs one row tile through all its blocks at a time
+(model.ForecasterModel.forward), so its inputs and outputs are one tile
+big too.
 """
 
 from __future__ import annotations
@@ -484,7 +487,7 @@ def tile_rows(unit: int = 1, half: bool = False) -> int:
     """TILE_ROWS, or half of it, rounded down to a whole number of units, at
     least one unit: the tile height of every op that works in row tiles
     (GSA's unit is a group).  Walks whose tile holds a row of scores per
-    key take half tiles: CCA's queries and the attention kernels they run,
+    key take half tiles: CCA's attention and the kernels it runs,
     and the GSA backward's walk.  Each tiled product is a BLAS call, and a
     threaded one waits for every thread, so the row-wise ops take tiles as
     tall as memory allows."""

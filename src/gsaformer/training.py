@@ -16,14 +16,19 @@ from .tensor import (
     ComputationTape,
     ContractError,
     DimensionError,
+    TILE_ROWS,
     Tensor,
     _record,
     accumulate_grad,
     atomic_write,
     backward,
     multiply,
+    row_tiles,
     zero_grads,
 )
+
+
+_ADAM_TILE = TILE_ROWS * 128     # elements adam_step updates at a time: 0.5 MiB
 
 
 @dataclass
@@ -97,8 +102,11 @@ def adam_step(params: Mapping[str, Tensor],
     Consumes grads: each parameter's gradient is popped as it is applied,
     its buffer reused for the update's denominator (a caller must not read
     it afterwards) and freed before the next parameter's moments are
-    allocated, and grads comes back empty.  Every name is checked (and the
-    clip applied) first, so a rejected call leaves grads untouched."""
+    allocated, and grads comes back empty.  Each parameter is updated a
+    row tile of about _ADAM_TILE elements at a time, so the update's one
+    temporary is a tile big; the arithmetic is elementwise, so the tiles
+    change no bit.  Every name is checked (and the clip applied) first, so
+    a rejected call leaves grads untouched."""
     for name in params:
         if name not in grads or grads[name] is None:
             raise ContractError(f"adam_step: no gradient for parameter {name!r}")
@@ -115,25 +123,32 @@ def adam_step(params: Mapping[str, Tensor],
             state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
         m, v = state.m[name], state.v[name]
-        # in place, with the arithmetic and order of
-        #   m = beta1 * m + (1 - beta1) * g
-        #   v = beta2 * v + (1 - beta2) * g * g
-        #   p -= lr * (m / correct1) / (sqrt(v / correct2) + epsilon)
-        tmp = np.multiply(g, 1.0 - cfg.beta1)
-        m *= cfg.beta1
-        m += tmp
-        np.multiply(g, 1.0 - cfg.beta2, out=tmp)
-        tmp *= g
-        v *= cfg.beta2
-        v += tmp
-        denom = np.divide(v, correct2, out=g)
-        np.sqrt(denom, out=denom)
-        denom += cfg.epsilon
-        np.divide(m, correct1, out=tmp)
-        tmp *= lr
-        tmp /= denom
-        p.data -= tmp
-        del g, tmp, denom
+        for rows in row_tiles(p.shape[0], _ADAM_TILE // p.shape[1]):
+            _adam_update(p.data[rows], m[rows], v[rows], g[rows], cfg, lr, correct1, correct2)
+
+
+def _adam_update(p: np.ndarray, m: np.ndarray, v: np.ndarray, g: np.ndarray,
+                 cfg: TrainConfig, lr: float, correct1: float, correct2: float) -> None:
+    """adam_step's update of the values p, in place, with the arithmetic and
+    order of
+        m = beta1 * m + (1 - beta1) * g
+        v = beta2 * v + (1 - beta2) * g * g
+        p -= lr * (m / correct1) / (sqrt(v / correct2) + epsilon)
+    and one temporary: the denominator is written over g."""
+    tmp = np.multiply(g, 1.0 - cfg.beta1)
+    m *= cfg.beta1
+    m += tmp
+    np.multiply(g, 1.0 - cfg.beta2, out=tmp)
+    tmp *= g
+    v *= cfg.beta2
+    v += tmp
+    denom = np.divide(v, correct2, out=g)
+    np.sqrt(denom, out=denom)
+    denom += cfg.epsilon
+    np.divide(m, correct1, out=tmp)
+    tmp *= lr
+    tmp /= denom
+    p -= tmp
 
 
 def _clip_grads(grads: dict[str, np.ndarray], max_norm: float) -> None:

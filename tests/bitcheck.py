@@ -5,14 +5,15 @@ produce, so two checkouts can be compared bit for bit with one diff.
     PYTHONPATH=<other checkout>/src python tests/bitcheck.py > before.txt
     diff before.txt after.txt
 
-For each config it hashes the forecast of an untaped forward, then, under a
-tape, the forecast, the MSE loss and every parameter gradient after one
+For each config it hashes the forecast of an untaped forward and prints
+that forward's OpCounter totals (score_elements,
+recomputed_score_elements, peak_score_buffer), then, under a tape, hashes
+the forecast, the MSE loss and every parameter gradient after one
 backward, and prints the OpCounter totals of that taped forward and
-backward (score_elements, recomputed_score_elements, peak_score_buffer),
-so a change of work shows in the same diff as a change of bits.  It then
-hashes every parameter gradient after two windows accumulate on one
-tape, each loss scaled by 1/2 as training.train scales a batch of two (so
-the order in which the backward rules add into shared gradients shows
+backward, so a change of work shows in the same diff as a change of bits.
+It then hashes every parameter gradient after two windows accumulate on
+one tape, each loss scaled by 1/2 as training.train scales a batch of two
+(so the order in which the backward rules add into shared gradients shows
 across a batch too).  Last, it hashes every parameter after training.train
 runs 2 Adam steps of batch 2 on 4 seeded windows, once without clipping
 and once with grad_clip=0.5, so the optimizer's in-place update and the
@@ -21,11 +22,13 @@ global path carries forecast and gradient.  The configs are the bench
 config at the train_long length, with its 4 heads and with 8 (so the head
 axis the GSA op batches over shows at two widths), the `gsaformer train`
 defaults, a compressed-CCA config with label_len=20, the local-only
-ablation, the bench config at lengths one row past a multiple of the
-256- and 512-row tiles (513 = 2 * 256 + 1, 1025 = 2 * 512 + 1), and the 1025 one at
+ablation, the bench config at lengths one row past a multiple of the 256-
+and 512-row tiles (513 = 2 * 256 + 1, 1025 = 2 * 512 + 1), the 1025 one at
 d = 12 with 3 heads and 12 hidden units, whose products are 12, 4 and 7
 columns wide: OpenBLAS may round the rows of such products differently
-once they are cut, so a change of tile cuts shows in the same diff.
+once they are cut, so a change of tile cuts shows in the same diff; and
+the 1025 one with label_len = 300, whose label rows end inside a row tile
+of the untaped decoder.
 
 The grad.* and adam.* lines walk ForecasterModel.parameters(), which
 leaves out the constants a model holds: the key biases that softmax
@@ -65,6 +68,7 @@ def configs() -> dict[str, ModelConfig]:
         "bench_1025": model_config_for("grouped", 1025, bench),
         "bench_1025_d12": model_config_for("grouped", 1025,
                                            BenchConfig(d=12, heads=3, ffn_hidden=12)),
+        "bench_1025_label300": model_config_for("grouped", 1025, BenchConfig(label_len=300)),
     }
 
 
@@ -81,12 +85,19 @@ def build(cfg: ModelConfig) -> ForecasterModel:
     return model
 
 
+def counter_lines(prefix: str, counter: OpCounter) -> list[str]:
+    return [f"{prefix}.{field} {getattr(counter, field)}"
+            for field in ("score_elements", "recomputed_score_elements", "peak_score_buffer")]
+
+
 def check(name: str, cfg: ModelConfig) -> list[str]:
     model = build(cfg)
     rng = np.random.default_rng(1)
     x = Tensor(rng.normal(size=(cfg.seq_len, cfg.n_features_in)))
     y = Tensor(rng.normal(size=(cfg.pred_len, cfg.n_features_out)))
-    lines = [f"{name} forecast.untaped {digest(model.forward(x).data)}"]
+    counter = OpCounter()
+    lines = [f"{name} forecast.untaped {digest(model.forward(x, counter).data)}"]
+    lines += counter_lines(f"{name} untaped.counter", counter)
     counter = OpCounter()
     with ComputationTape() as tape:
         pred = model.forward(x, counter)
@@ -94,8 +105,7 @@ def check(name: str, cfg: ModelConfig) -> list[str]:
     lines.append(f"{name} forecast.taped {digest(pred.data)}")
     lines.append(f"{name} loss {digest(loss.data)}")
     backward(loss, tape)
-    for field in ("score_elements", "recomputed_score_elements", "peak_score_buffer"):
-        lines.append(f"{name} counter.{field} {getattr(counter, field)}")
+    lines += counter_lines(f"{name} counter", counter)
     for pname, p in model.parameters().items():
         lines.append(f"{name} grad.{pname} {digest(p.grad) if p.grad is not None else 'none'}")
     params = model.parameters()

@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from gsaformer import gsa
+from gsaformer import cca, gsa
 from gsaformer.attention import (
     AttentionMask,
     attention_forward,
@@ -189,31 +189,35 @@ def relu(a):
     return _record("relu", out, (a,), backward_fn)
 
 
-def multi_head_forward(q, k, v, heads, counter):
-    """Unmasked multi-head attention on arrays, multi_head_rows on one half
-    tile of queries at a time, as cca_forward attends: the counter sees
-    one l_q-by-l_k call per head."""
+def multi_head_forward(q, k, v, heads, counter, tiles=None):
+    """Unmasked multi-head attention on arrays, multi_head_rows on one tile
+    of queries at a time (by default half tiles, row_tiles at
+    tile_rows(half=True)), as cca_forward attends: the counter sees one
+    l_q-by-l_k call per head."""
     (l_q, d), l_k = q.shape, k.shape[0]
     if k.shape[1] != d:
         raise DimensionError(f"attention: Q {q.shape} and K {k.shape} do not line up")
+    tiles = row_tiles(l_q, tile_rows(half=True)) if tiles is None else tiles
     keys = head_keys(k, v, heads)
     for _ in range(heads):
         counter.add_scores(l_q, l_k)
     out = np.empty((l_q, d))
-    for rows in row_tiles(l_q, tile_rows(half=True)):
+    for rows in tiles:
         multi_head_rows(q[rows], keys, out[rows])
     return out
 
 
-def multi_head_attention(q, k, v, heads, counter):
+def multi_head_attention(q, k, v, heads, counter, tiles=None):
     """multi_head_forward as one tape op whose rule holds q, k and v and
-    runs multi_head_backward: the op the CCA sublayer recorded between its
-    projections before it became one op."""
-    out = Tensor(multi_head_forward(q.data, k.data, v.data, heads, counter))
+    runs multi_head_backward in the same query tiles: the op the CCA
+    sublayer recorded between its projections before it became one op."""
+    tiles = row_tiles(q.shape[0], tile_rows(half=True)) if tiles is None else tiles
+    out = Tensor(multi_head_forward(q.data, k.data, v.data, heads, counter, tiles))
 
     def backward_fn():
         d_q = q.data.copy()
-        d_k, d_v = multi_head_backward(d_q, k.data, v.data, out.grad.copy(), heads, counter)
+        d_k, d_v = multi_head_backward(d_q, k.data, v.data, out.grad.copy(), heads, counter,
+                                       tiles)
         for t, g in zip((q, k, v), (d_q, d_k, d_v)):
             accumulate_grad(t, g, owned=True)
 
@@ -252,14 +256,15 @@ def composed_feed_forward(x, w1, b1, w2, b2):
 def composed_cca(h_dec, h_enc, params, counter, heads=1, compressed=False):
     """cca_forward as separate tape ops: the compression, the q, k and v
     linears, multi_head_attention and the output linear, the q and output
-    projections cut in the fused op's query tiles."""
+    projections cut in the fused op's query tiles and the attention in
+    their half tiles."""
     memory = h_enc if compressed else compress_encoder_output(h_enc, params.c)
-    tiles = row_tiles(h_dec.shape[0], tile_rows(half=True))
+    tiles = row_tiles(h_dec.shape[0], tile_rows())
     q = tiled_linear(h_dec, params.w_q, params.b_q, tiles)
     k = linear(memory, params.w_k, params.b_k)
     v = linear(memory, params.w_v, params.b_v)
-    return tiled_linear(multi_head_attention(q, k, v, heads, counter), params.w_o, params.b_o,
-                        tiles)
+    attended = multi_head_attention(q, k, v, heads, counter, cca._attention_tiles(tiles))
+    return tiled_linear(attended, params.w_o, params.b_o, tiles)
 
 
 def composed_gsa(x, params, cfg, real_len, counter):

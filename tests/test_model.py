@@ -201,7 +201,7 @@ class TestModelForward:
         def decoder(rows):
             h = Tensor(rows)
             for layer in model.decoder_layers:
-                for block in layer.blocks(layer.memory(enc_out), OpCounter()):
+                for block in layer.blocks(layer.memory(enc_out), OpCounter(), cfg.dec_len):
                     h = block(h)
             return h.data
 
@@ -303,11 +303,39 @@ class TestForwardMemory:
         assert untaped_forward_peak(cfg) < 4
 
     def test_untaped_bench_forward_holds_its_input_its_output_and_tiles(self):
-        # at the bench width a block holds its input, its output and one
-        # row tile of its sublayer, plus the decoder's compressed memories:
-        # under 3 l-by-d arrays (2.76; 3.6 when each sublayer still made
+        # at the bench width an encoder block holds its input, its output
+        # and one row tile of its sublayer, and the decoder streams row
+        # tiles: the peak, in the first encoder GSA, is under 2.7 l-by-d
+        # arrays (2.65; 2.76 when the decoder held whole-length arrays and
+        # peaked in its first GSA, 3.6 when each sublayer still made
         # whole-length intermediates)
-        assert untaped_forward_peak(model_config_for("grouped", 2880, BenchConfig())) < 3
+        assert untaped_forward_peak(model_config_for("grouped", 2880, BenchConfig())) < 2.7
+
+    def test_untaped_decoder_holds_row_tiles_above_the_memories(self, monkeypatch):
+        # from the decoder input on, the decoder holds what it reads of the
+        # encoder (each layer's memory and its keys, l_comp rows each) and
+        # one row tile of every array it makes: its peak above them is
+        # under one l-by-d array (0.87; 2.5 when each block held its whole
+        # input and output)
+        cfg = model_config_for("grouped", 2880, BenchConfig())
+        model = ForecasterModel(cfg, seed=0)
+        x = Tensor(np.random.default_rng(0).normal(size=(cfg.seq_len, cfg.n_features_in)))
+        held = []
+        build = model_module.build_decoder_input
+
+        def decoder_starts(*args):
+            held.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+            return build(*args)
+        monkeypatch.setattr(model_module, "build_decoder_input", decoder_starts)
+        tracemalloc.start()
+        try:
+            model.forward(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(held) == 1
+        assert (peak - held[0]) / (cfg.dec_len * cfg.d * 8) < 1
 
 
 class TestCheckpoint:
@@ -587,7 +615,7 @@ class TestTapeNodes:
         spy(cca_module, "multi_head_rows", lambda out, *args: [out])
         cfg = GRADIENT_CONFIGS["train_long"]
         # the encoder and the decoder are cut into the same row tiles, for
-        # every op (GSA's tiles of whole groups too), CCA's queries into
+        # every op (GSA's tiles of whole groups too), CCA's attention into
         # half tiles
         tiles = len(row_tiles(cfg.seq_len, tile_rows()))
         cca_tiles = len(row_tiles(cfg.seq_len, tile_rows(half=True)))
@@ -600,10 +628,10 @@ class TestTapeNodes:
         with ComputationTape() as tape:
             loss = multiply(mse_loss(model.forward(x), y), 1.0)
             # affine: 2 embeds and the head; per tile 2 per FFN and 1 (2
-            # refs) per GSA; per CCA K, V and 2 per half tile
+            # refs) per GSA; per CCA K, V and 2 per tile
             assert Counter(name for name, _ in refs) == {
                 "layer_norm": 15,
-                "affine": 3 + tiles * (2 * 6 + 2 * 6) + 3 * (2 + 2 * cca_tiles),
+                "affine": 3 + tiles * (2 * 6 + 2 * 6) + 3 * (2 + 2 * tiles),
                 "multi_head_rows": 3 * cca_tiles}
             assert [name for name, ref in refs if ref() is not None] == []
             backward(loss, tape)

@@ -216,15 +216,20 @@ def test_model_with_small_tiles_matches_one_tile(overrides):
     rng = np.random.default_rng(5)
     x = Tensor(rng.normal(size=(cfg.seq_len, 2)))
     y = Tensor(rng.normal(size=(cfg.pred_len, 2)))
-    runs = []
+    runs, counts = [], []
     for small in (True, False):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(tensor, "TILE_ROWS", 3 if small else WHOLE)
-            forecast = model.forward(x).data
+            counter = OpCounter()
+            forecast = model.forward(x, counter).data
             for p in model.parameters().values():
                 p.grad = None
             with ComputationTape() as tape:
                 loss = mse_loss(model.forward(x), y)
             backward(loss, tape)
             runs.append([forecast, loss.data] + [p.grad for p in model.parameters().values()])
+            counts.append((counter.score_elements, counter.peak_score_buffer))
     assert all(same(a, b) for a, b in zip(*runs))
+    # the untaped decoder streams tiles of 3 rows, but its cross-attention
+    # counts one 13-row score matrix per layer, as in one piece
+    assert counts[0] == counts[1]
