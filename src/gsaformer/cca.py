@@ -104,7 +104,7 @@ def _attention_tiles(tiles: list[slice]) -> list[slice]:
             for half in row_tiles(rows.stop - rows.start, tile_rows(half=True))]
 
 
-def cca_forward(h_dec: Tensor, h_enc: Tensor, params: CcaLayerParams,
+def cca_forward(h_dec: Tensor, h_enc: Optional[Tensor], params: CcaLayerParams,
                 counter: OpCounter, heads: int = 1, *, compressed: bool = False,
                 keys: Optional[list[tuple[np.ndarray, np.ndarray]]] = None) -> Tensor:
     """Queries from the decoder stream; keys/values projected from the
@@ -113,7 +113,9 @@ def cca_forward(h_dec: Tensor, h_enc: Tensor, params: CcaLayerParams,
     output, params.c), as the model passes it, and is used as is.  keys,
     when given, is cca_keys of that memory, made (and counted) once for a
     query sequence of which h_dec is a row tile; by default this call
-    makes them for h_dec.
+    makes them for h_dec.  With keys, h_enc may be None for a call that
+    does not record, so that the caller need not hold the memory: only the
+    rule reads it.
 
     Everything after the compression is one tape op, bit for bit the
     linear q/k/v projections, multi-head attention and linear output
@@ -131,7 +133,7 @@ def cca_forward(h_dec: Tensor, h_enc: Tensor, params: CcaLayerParams,
     No mask: compressed rows are mixtures of all encoder positions, so a
     key-padding mask has nothing to point at.
     """
-    memory = h_enc if compressed else compress_encoder_output(h_enc, params.c)
+    memory = h_enc if compressed or h_enc is None else compress_encoder_output(h_enc, params.c)
     p = params
     if h_dec.shape[1] != p.w_q.shape[0]:
         raise DimensionError(f"cca: decoder {h_dec.shape} for projections {p.w_q.shape}")
@@ -148,9 +150,13 @@ def cca_forward(h_dec: Tensor, h_enc: Tensor, params: CcaLayerParams,
         del q       # else two tiles of Q would be alive at once
     del keys
     out = Tensor(out_data)
-    inputs = (h_dec, memory, p.w_q, p.b_q, p.w_k, p.b_k, p.w_v, p.b_v, p.w_o, p.b_o)
+    inputs = (h_dec, p.w_q, p.b_q, p.w_k, p.b_k, p.w_v, p.b_v, p.w_o, p.b_o)
+    if memory is not None:
+        inputs += (memory,)
     if not recording(inputs):
         return out
+    if memory is None:
+        raise ValueError("cca: a call that records needs the memory its rule reads")
     dec_slot, memory_slot, out_slot = h_dec.slot, memory.slot, out.slot
     dec_values, memory_values = held_values(h_dec), held_values(memory)
 

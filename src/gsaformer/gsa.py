@@ -20,7 +20,13 @@ groups), so one tile of K/V and half a tile of every head's group scores
 are alive at a time (a tile's Q sits where its outputs will go), only
 each group's summary rows outlive their tile, and the output projection
 writes over the merged rows a tile at a time: without a tape the op
-holds its input, its output and one tile.  The op's rule holds only its
+holds its input, its output and one tile.  The only whole-sequence value
+the layer needs is each group's pooled summary row, so a caller that
+does not record can pass a row-local continuation instead: the op then
+walks the tiles twice, once for the summary rows and once, projecting
+Q/K/V again, for the local attention, the merge and the output
+projection, and hands each tile's output rows to the continuation; it
+holds its input and one tile, and no output.  The op's rule holds only its
 input (through tensor.held_values, so a layer norm's output is rebuilt,
 not held) and its parameters, and rebuilds Q, K, V, the global path,
 every tile's local probabilities and the merged head outputs in the
@@ -37,7 +43,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -283,16 +289,18 @@ def _summary_attention(qs: np.ndarray, ks: np.ndarray, vs: np.ndarray,
     return qs, ks, vs, pg, og.reshape(heads, m, l_s, dh).mean(axis=2)
 
 
-def _merge(o: np.ndarray, pooled: np.ndarray, params: GsaLayerParams) -> None:
+def _merge(o: np.ndarray, pooled: np.ndarray, params: GsaLayerParams, first: int = 0) -> None:
     """out_j = alpha_j * local_j + beta_j * pooled_j, in place over the
-    (heads, m, l_g, d_h) local outputs o."""
-    m = o.shape[1]
-    o *= params.alpha.data[0, :m, None, None]
-    o += (pooled * params.beta.data[0, :m, None])[:, :, None, :]
+    (heads, n, l_g, d_h) local outputs o of groups first..first+n-1, pooled
+    their (heads, n, d_h) pooled rows."""
+    at = slice(first, first + o.shape[1])
+    o *= params.alpha.data[0, at, None, None]
+    o += (pooled * params.beta.data[0, at, None])[:, :, None, :]
 
 
 def gsa_forward(x: Tensor, params: GsaLayerParams, cfg: GsaConfig,
-                counter: OpCounter, real_len: Optional[int] = None) -> Tensor:
+                counter: OpCounter, real_len: Optional[int] = None, *,
+                then: Optional[Callable[[slice, np.ndarray], None]] = None) -> Optional[Tensor]:
     """One grouped self-attention layer over an l-by-d sequence: the Q/K/V
     projections of x, local attention in every group of every head, (when
     cfg.uses_global) the summary projection, global summary attention,
@@ -305,13 +313,25 @@ def gsa_forward(x: Tensor, params: GsaLayerParams, cfg: GsaConfig,
     works over tiles of whole groups, tile_rows(l_g) rows each (cut by
     row_tiles): it projects a tile's Q (into the rows of the output
     buffer that the tile's local outputs then overwrite), K and V, keeps
-    only its groups' summary rows and runs local attention on the
-    (heads, groups, l_g, d_h) blocks of every head's groups in half the
-    tile at once, so one tile of K/V and half a tile of scores are alive
-    at a time.  Every group is computed
-    alone, so the tiles' results are the whole layer's.  The summary
-    attention and the merge run once all tiles are done, and then the
-    output projection, a tile at a time in place over the merged rows.
+    only its groups' summary rows and runs local attention in half
+    tiles.  Every group is computed alone, so the tiles' results are the
+    whole layer's.  The summary attention and the merge run once
+    all tiles are done, and then the output projection, a tile at a time
+    in place over the merged rows.
+
+    then, a row-local continuation, is for a caller that does not record
+    and does not need the whole output at once: then(rows, f) gets each
+    tile's output rows f (a new array, the continuation's to overwrite)
+    for the rows slice of x, in order, and the op returns None.  It
+    builds no whole-length output buffer.  With the global path it walks
+    the tiles twice: pass 1 projects each tile's Q/K/V only for its
+    groups' summary rows, then the summary attention runs; pass 2
+    projects each tile's Q/K/V again (the three projections are repeated
+    work that no counter sees), runs its local attention, merges its
+    groups with their pooled rows, output-projects them and hands them
+    to then before the next tile is projected, so then may write over
+    the rows of x it is given.  The bits are the single pass's.
+
     The rule holds x and the parameters, nothing else: the backward gets x
     (from its recipe when x has one), projects Q, K and V again in the
     forward's tiles and re-runs the summary path, then walks half tiles
@@ -336,37 +356,63 @@ def gsa_forward(x: Tensor, params: GsaLayerParams, cfg: GsaConfig,
     if use_global:
         inputs += (params.e_q, params.e_k, params.e_v, params.alpha, params.beta)
     taped = recording(inputs)
+    if taped and then is not None:
+        raise ValueError("grouped attention: a continuation gets rows no tape records")
 
     allow = _local_allow(cfg, m, real_len)
     for _ in range(heads * m):
         counter.add_scores(l_g, l_g)
-    out_rows = np.empty((m * l_g, d))
-    o = _grouped(out_rows, m, l_g, heads)
-    if use_global:
-        summaries = np.empty((3, heads, m, l_s, dh))    # e_q/e_k/e_v rows of every group
+    # e_q/e_k/e_v rows of every group
+    summaries = np.empty((3, heads, m, l_s, dh)) if use_global else None
     tiles = _tiles(l, l_g)
-    for rows, groups in tiles:
+
+    def tile_pass(rows: slice, groups: slice, summaries: Optional[np.ndarray] = None,
+                  local: Optional[np.ndarray] = None) -> None:
+        """One tile, the rows of the whole groups in groups: project its
+        Q, K and V (Q into local when given); with summaries, write its
+        groups' summary rows there; with local, an (n*l_g, d) buffer, run
+        local attention on every head's groups in half tiles, as the
+        backward walks them, writing the outputs over their Q rows (a half
+        tile's scores are made before its outputs are written).  One tile
+        of K/V and half a tile of scores are alive at a time."""
         n = groups.stop - groups.start
-        # Q in the tile's output rows: the scores are made before the
-        # local outputs are written over it
         qg, kg, vg = (_grouped(a, n, l_g, heads) for a in
-                      _qkv(x.data[rows], params, n, l_g, real_len - rows.start,
-                           out_rows[rows.start:rows.start + n * l_g]))
-        if use_global:
-            # no loop variable holds a block, so the del below frees them all
+                      _qkv(x.data[rows], params, n, l_g, real_len - rows.start, local))
+        if summaries is not None:
             for i, e in enumerate((params.e_q, params.e_k, params.e_v)):
                 np.matmul(e.data, (qg, kg, vg)[i], out=summaries[i, :, groups])
-        # local attention in half tiles, as the backward walks it, so half
-        # a tile of scores is alive at a time
-        for _, sub in _tiles(n * l_g, l_g, half=True):
-            at = slice(groups.start + sub.start, groups.start + sub.stop)
-            attention_forward(qg[:, sub], kg[:, sub].swapaxes(-1, -2), vg[:, sub], scale,
-                              None if allow is None else allow[at], out=o[:, at])
-        del qg, kg, vg      # else two tiles of K/V would be alive at once
+        if local is not None:
+            for _, sub in _tiles(n * l_g, l_g, half=True):
+                at = slice(groups.start + sub.start, groups.start + sub.stop)
+                attention_forward(qg[:, sub], kg[:, sub].swapaxes(-1, -2), vg[:, sub], scale,
+                                  None if allow is None else allow[at], out=qg[:, sub])
+
+    if then is None:
+        out_rows = np.empty((m * l_g, d))
+        for rows, groups in tiles:
+            tile_pass(rows, groups, summaries=summaries,
+                      local=out_rows[rows.start:groups.stop * l_g])
+    elif use_global:        # pass 1: the summary rows only
+        for rows, groups in tiles:
+            tile_pass(rows, groups, summaries=summaries)
     if use_global:
         for _ in range(heads):
             counter.add_scores(n_s, n_s)
-        _merge(o, _summary_attention(*summaries, scale)[-1], params)
+        pooled = _summary_attention(*summaries, scale)[-1]
+        del summaries
+    if then is not None:    # pass 2
+        for rows, groups in tiles:
+            n = groups.stop - groups.start
+            local = np.empty((n * l_g, d))
+            tile_pass(rows, groups, local=local)
+            if use_global:
+                _merge(_grouped(local, n, l_g, heads), pooled[:, groups], params, groups.start)
+            f = affine(local[:rows.stop - rows.start], params.w_o, params.b_o)
+            del local       # else the continuation would run beside it
+            then(rows, f)
+        return None
+    if use_global:
+        _merge(_grouped(out_rows, m, l_g, heads), pooled, params)
     for rows, _ in tiles:      # the output projection, in place over the merged rows
         out_rows[rows] = affine(out_rows[rows], params.w_o, params.b_o)
     out = Tensor(out_rows[:l])

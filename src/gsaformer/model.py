@@ -5,9 +5,14 @@ self-attention and compressed cross-attention, and a linear output head.
 The decoder is generative-style: its input is the last label_len input rows
 followed by pred_len zero placeholders, and all horizons are predicted in
 one pass.  Every op in it is row-local, so without a tape it runs one row
-tile of whole groups at a time through every layer and the head; the
-encoder, whose global path reads the whole sequence, runs block by block
-over the whole length.
+tile of whole groups at a time through every layer and the head, reading
+each layer's cross-attention keys, made once.  In an encoder layer only
+the GSA's pooled summary rows span the sequence, so without a tape each
+layer streams over its own input: the GSA makes the summaries in a first
+pass over row tiles, then, tile by tile, finishes its output and runs
+the rest of the layer (norm, FFN, norm) on it, writing the result over
+the tile's input rows.  Under a tape both run block by block over the
+whole length, so the tape holds one node per op.
 """
 
 from __future__ import annotations
@@ -183,6 +188,18 @@ class _EncoderLayer(ParameterSet):
         return (_residual(self.norm1, lambda x: gsa_forward(x, self.gsa, self.gsa_cfg, counter)),
                 _residual(self.norm2, self.ffn))
 
+    def stream(self, h: Tensor, counter: OpCounter) -> None:
+        """The layer over h without a tape, written over h's rows (h's
+        array is the forward's own): the GSA runs with a continuation that
+        takes each row tile of its output through the rest of the layer,
+        norm1, the FFN and norm2, which are row-local, and writes the
+        tile's result over the rows it came from.  The layer holds h and
+        one tile of each array it makes; the bits are the blocks'."""
+        def rest(rows: slice, f: np.ndarray) -> None:
+            y = self.norm1(Tensor(h.data[rows]), Tensor(f), out=f)
+            self.norm2(y, self.ffn(y), out=h.data[rows])
+        gsa_forward(h, self.gsa, self.gsa_cfg, counter, then=rest)
+
 
 class _DecoderLayer(ParameterSet):
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
@@ -200,13 +217,17 @@ class _DecoderLayer(ParameterSet):
         its compression, or enc_out itself when the layer has no C."""
         return compress_encoder_output(enc_out, self.cca.c)
 
-    def blocks(self, memory: Tensor, counter: OpCounter, l_dec: int) -> tuple:
+    def blocks(self, memory: Tensor, counter: OpCounter, l_dec: Optional[int] = None) -> tuple:
         """The layer's residual blocks in order, as _EncoderLayer.blocks;
-        memory is the layer's memory(enc_out).  The blocks take row tiles
-        of whole groups of an l_dec-row decoder sequence: the
-        cross-attention's keys are projected (and its l_dec-by-l_k scores
-        counted) once, here, for every tile."""
-        keys = cca_keys(memory, self.cca, self.heads, counter, l_dec)
+        memory is the layer's memory(enc_out), and each cross-attention
+        call makes its own keys from it.  With l_dec, for a decoder that
+        does not record, the blocks take row tiles of whole groups of an
+        l_dec-row decoder sequence: the cross-attention's keys are
+        projected (and its l_dec-by-l_k scores counted) once, here, for
+        every tile, and the blocks hold the keys, not the memory."""
+        keys = None
+        if l_dec is not None:
+            keys, memory = cca_keys(memory, self.cca, self.heads, counter, l_dec), None
         return (_residual(self.norm1, lambda x: gsa_forward(x, self.gsa, self.gsa_cfg, counter)),
                 _residual(self.norm2, lambda x: cca_forward(x, memory, self.cca, counter,
                                                             heads=self.heads, compressed=True,
@@ -243,14 +264,20 @@ class ForecasterModel:
         return self.embed(x, self.pos_table[start:start + x.shape[0]])
 
     def encoder_forward(self, x: Tensor, counter: Optional[OpCounter] = None) -> Tensor:
-        """Embed + position-encode, then run the encoder stack."""
+        """Embed + position-encode, then run the encoder stack: block by
+        block under a tape, and streamed (_EncoderLayer.stream) over the
+        embedding's array without one."""
         if x.shape[1] != self.cfg.n_features_in:
             raise ConfigError(
                 f"input has {x.shape[1]} features, expected {self.cfg.n_features_in}")
         counter = counter if counter is not None else OpCounter()
         h = self._embed(x)
-        # block by block, so that no layer's input outlives its first block
+        streamed = not recording([h, *self.parameters().values()])
         for layer in self.encoder_layers:
+            if streamed:
+                layer.stream(h, counter)
+                continue
+            # block by block, so that no layer's input outlives its first block
             for block in layer.blocks(counter):
                 h = block(h)
         return h
@@ -265,17 +292,20 @@ class ForecasterModel:
         global path, and its CCA reads fixed memories), so without a tape
         the decoder runs one row tile of whole groups (tile_rows(l_g)) at
         a time through every layer, and the head writes the tile's
-        forecast rows: it holds no decoder activation longer than a tile.
-        Under a tape it runs once over the whole length, so the tape holds
-        one node per op."""
+        forecast rows: it holds each layer's cross-attention keys, made
+        once (the memories are dropped once the keys exist), and no
+        decoder activation longer than a tile.  Under a tape it runs once
+        over the whole length, so the tape holds one node per op, and
+        each cross-attention call makes its own keys."""
         counter = counter if counter is not None else OpCounter()
         cfg = self.cfg
         enc_out = self.encoder_forward(x, counter)
         memories = [layer.memory(enc_out) for layer in self.decoder_layers]
         del enc_out
         taped = recording([*memories, *self.parameters().values()])
-        layers = [layer.blocks(memory, counter, cfg.dec_len)
+        layers = [layer.blocks(memory, counter, None if taped else cfg.dec_len)
                   for layer, memory in zip(self.decoder_layers, memories)]
+        del memories        # held by the taped blocks; the streamed ones hold their keys
         dec_in = build_decoder_input(x, cfg).data
         tiles = [slice(0, cfg.dec_len)] if taped else row_tiles(cfg.dec_len, tile_rows(cfg.l_g))
         parts = []
@@ -284,10 +314,15 @@ class ForecasterModel:
             for blocks in layers:
                 for block in blocks:
                     h = block(h)
-            label_rows = cfg.label_len - rows.start     # the tile's rows before the forecast
-            if label_rows < h.shape[0]:
-                parts.append(self.head(slice_rows(h, label_rows, h.shape[0])
-                                       if label_rows > 0 else h))
+            label_rows = max(cfg.label_len - rows.start, 0)  # the tile's rows before the forecast
+            if label_rows >= h.shape[0]:
+                continue
+            # a one-row product goes to gemv, which rounds otherwise than the
+            # gemm that computes the row among the forecast's others: a tile
+            # with one forecast row of several gives the head a label row too
+            first = label_rows - int(label_rows == h.shape[0] - 1 and cfg.pred_len > 1)
+            y = self.head(slice_rows(h, first, h.shape[0]) if first > 0 else h)
+            parts.append(y if first == label_rows else Tensor(y.data[1:]))
         return parts[0] if len(parts) == 1 else Tensor(np.concatenate([p.data for p in parts]))
 
     def closed_form_score_elements(self) -> int:

@@ -11,10 +11,11 @@ from gsaformer.attention import AttentionMask, OpCounter, scaled_dot_attention
 from gsaformer.cca import (
     CcaLayerParams,
     cca_forward,
+    cca_keys,
     cca_op_count,
     compress_encoder_output,
 )
-from gsaformer.tensor import DimensionError, Tensor, broadcast_add, matmul
+from gsaformer.tensor import ComputationTape, DimensionError, Tensor, broadcast_add, matmul
 
 
 def make_params(d, l_enc, l_comp, seed=0):
@@ -129,6 +130,18 @@ class TestCcaForward:
                                          heads=2), y),
             params.named("cca."), max_coords=16, seed=8)
         assert report.ok, report.lines()
+
+    def test_keys_made_beforehand_need_no_memory_unless_the_call_records(self):
+        rng = np.random.default_rng(11)
+        params = make_params(8, 12, 4, seed=11)
+        h_dec = Tensor(rng.normal(size=(6, 8)))
+        memory = compress_encoder_output(Tensor(rng.normal(size=(12, 8))), params.c)
+        keys = cca_keys(memory, params, 2, OpCounter(), 6)
+        expected = cca_forward(h_dec, memory, params, OpCounter(), heads=2, compressed=True)
+        out = cca_forward(h_dec, None, params, OpCounter(), heads=2, keys=keys)
+        assert out.data.tobytes() == expected.data.tobytes()
+        with ComputationTape(), pytest.raises(ValueError, match="memory"):
+            cca_forward(h_dec, None, params, OpCounter(), heads=2, keys=keys)
 
     def test_distinct_layers_hold_distinct_matrices(self):
         a = make_params(4, 10, 3, seed=9)

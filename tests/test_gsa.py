@@ -1,5 +1,6 @@
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import numpy.testing as npt
@@ -182,6 +183,20 @@ class TestOpCount:
 
     def test_padding_case(self):
         assert gsa_op_count(100, 64, 4, True) == 2 * 64 * 64 + (2 * 4) ** 2
+
+    @settings(max_examples=200)
+    @given(st.integers(2, 1024), st.data())
+    def test_doubling_ratio_is_the_closed_form_in_r(self, l_g, data):
+        # with r = L/l*, l* = l_g^3/l_s^2 (where the global term equals the
+        # local one), doubling a whole-group L multiplies the count by
+        # exactly 2(1 + 2r)/(1 + r): inside gate 03's [2, 9/4] band while
+        # r <= 1/7, above it beyond
+        l_s = data.draw(st.integers(1, l_g - 1))
+        l = data.draw(st.integers(1, 10 ** 6)) * l_g
+        r = Fraction(l * l_s ** 2, l_g ** 3)
+        ratio = Fraction(gsa_op_count(2 * l, l_g, l_s), gsa_op_count(l, l_g, l_s))
+        assert ratio == 2 * (1 + 2 * r) / (1 + r)
+        assert 2 <= ratio and (ratio <= Fraction(9, 4)) == (r <= Fraction(1, 7))
 
 
 class TestGsaForward:
@@ -610,6 +625,12 @@ class TestFusedOpProperties:
         rows[:real_len] = linear(x, w, b).data[:real_len]
         npt.assert_array_equal(_grouped(_project(x.data, w, b, m, l_g, real_len), m, l_g, heads),
                                _grouped(rows, m, l_g, heads))
+
+    def test_continuation_rejected_under_a_tape(self):
+        cfg = GsaConfig(l_g=4, l_s=2, d=8, heads=2, m_max=3)
+        x = Tensor(np.random.default_rng(41).normal(size=(12, 8)), requires_grad=True)
+        with ComputationTape(), pytest.raises(ValueError, match="continuation"):
+            gsa_forward(x, make_params(cfg), cfg, OpCounter(), then=lambda rows, f: None)
 
     def test_no_tape_leaves_inputs_untouched(self):
         cfg = GsaConfig(l_g=8, l_s=2, d=8, heads=2, m_max=3)

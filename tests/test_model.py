@@ -7,7 +7,7 @@ from dataclasses import fields
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import loop_multi_head_attention, old_layout_arrays
@@ -277,6 +277,60 @@ class TestCcaBypass:
             npt.assert_array_equal(g, ref_grads[name], err_msg=name)
 
 
+@st.composite
+def streamed_cases(draw):
+    """A small random model, a TILE_ROWS constant of a few rows (so the
+    encoder GSA's second pass and the decoder cross several tiles) and a
+    seed.  seq_len is often not a multiple of l_g, label_len often > 0.
+    Every product a tile cut can split is 8 or 16 columns wide (d, the
+    FFN, CCA's 8 keys, the head), so the bits do not depend on the cuts."""
+    heads = draw(st.sampled_from([1, 2]))
+    l_g = draw(st.integers(2, 5))
+    seq_len = draw(st.integers(9, 28))
+    cfg = ModelConfig(seq_len=seq_len, pred_len=draw(st.integers(1, 10)),
+                      label_len=draw(st.integers(0, seq_len)),
+                      n_features_in=2, n_features_out=8, d=8 * heads, heads=heads,
+                      e_l=draw(st.integers(1, 2)), d_l=draw(st.integers(1, 2)), l_g=l_g,
+                      l_s=draw(st.integers(1, l_g - 1)), l_comp=8,
+                      ffn_hidden=draw(st.sampled_from([8, 16])),
+                      ablation_local_only=draw(st.booleans()))
+    return cfg, draw(st.integers(2, 12)), draw(st.integers(0, 2 ** 16))
+
+
+class TestStreamedForward:
+    @settings(max_examples=60, deadline=None)
+    @given(streamed_cases())
+    # a tile with one forecast row of several (label_len ends a row short of
+    # the first tile's end): a one-row head product would round otherwise
+    @example((ModelConfig(seq_len=9, pred_len=3, label_len=1, n_features_in=2,
+                          n_features_out=8, d=8, heads=1, e_l=1, d_l=1, l_g=2, l_s=1,
+                          l_comp=8, ffn_hidden=8), 2, 0))
+    def test_untaped_forecast_is_the_taped_forecast(self, case):
+        # without a tape each encoder layer streams over its input in two
+        # passes and the decoder streams row tiles; under one both run
+        # block by block over the whole length
+        cfg, tile, seed = case
+        model = ForecasterModel(cfg, seed=seed)
+        rng = np.random.default_rng(seed)
+        for p in model.parameters().values():     # beta too: the global path counts
+            p.data = rng.normal(size=p.shape)
+        x = Tensor(rng.normal(size=(cfg.seq_len, 2)))
+        runs = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tensor_module, "TILE_ROWS", tile)
+            for taped in (False, True):
+                counter = OpCounter()
+                if taped:
+                    with ComputationTape():
+                        forecast = model.forward(x, counter)
+                else:
+                    forecast = model.forward(x, counter)
+                runs.append((forecast.data, counter.score_elements))
+        (streamed, streamed_count), (whole, whole_count) = runs
+        assert streamed.tobytes() == whole.tobytes()
+        assert streamed_count == whole_count == model.closed_form_score_elements()
+
+
 def untaped_forward_peak(cfg):
     """tracemalloc's peak over one untaped forward of a fresh model, in
     l-by-d arrays."""
@@ -293,30 +347,30 @@ def untaped_forward_peak(cfg):
 
 class TestForwardMemory:
     def test_untaped_forward_holds_a_few_full_width_arrays(self):
-        # the encoder output is dropped once compressed, a block's input
-        # once the next block has it, every op works in row tiles and each
-        # block's norm writes over its sublayer's output: the peak is under
-        # 4 l-by-d arrays (3.75; it read 8 when every op held whole-length
-        # temporaries, and 4.5 when each sublayer still made whole-length
-        # intermediates)
+        # the encoder output is dropped once compressed, every op works in
+        # row tiles, each encoder layer streams over its own input and the
+        # decoder streams row tiles: the peak is under 3.1 l-by-d arrays
+        # (3.01; 3.54 when each encoder block held its input and output,
+        # 3.75 before the decoder streamed, 8 when every op held
+        # whole-length temporaries)
         cfg = model_config_for("grouped", 1440, BenchConfig(d=128, ffn_hidden=128))
-        assert untaped_forward_peak(cfg) < 4
+        assert untaped_forward_peak(cfg) < 3.1
 
     def test_untaped_bench_forward_holds_its_input_its_output_and_tiles(self):
-        # at the bench width an encoder block holds its input, its output
-        # and one row tile of its sublayer, and the decoder streams row
-        # tiles: the peak, in the first encoder GSA, is under 2.7 l-by-d
-        # arrays (2.65; 2.76 when the decoder held whole-length arrays and
-        # peaked in its first GSA, 3.6 when each sublayer still made
-        # whole-length intermediates)
-        assert untaped_forward_peak(model_config_for("grouped", 2880, BenchConfig())) < 2.7
+        # at the bench width an encoder layer holds its input, which it
+        # writes over, and one row tile of each array it makes, and the
+        # decoder streams row tiles: the peak, in the encoder GSA's second
+        # pass, is under 2.1 l-by-d arrays (1.83; 2.65 when each encoder
+        # block held its input and a whole-length output, 2.76 when the
+        # decoder held whole-length arrays, 3.6 when each sublayer still
+        # made whole-length intermediates)
+        assert untaped_forward_peak(model_config_for("grouped", 2880, BenchConfig())) < 2.1
 
-    def test_untaped_decoder_holds_row_tiles_above_the_memories(self, monkeypatch):
+    def test_untaped_decoder_holds_row_tiles_above_the_keys(self, monkeypatch):
         # from the decoder input on, the decoder holds what it reads of the
-        # encoder (each layer's memory and its keys, l_comp rows each) and
-        # one row tile of every array it makes: its peak above them is
-        # under one l-by-d array (0.87; 2.5 when each block held its whole
-        # input and output)
+        # encoder (each layer's CCA keys, 2 * l_comp rows) and one row tile
+        # of every array it makes: its peak above them is under one l-by-d
+        # array (0.87; 2.5 when each block held its whole input and output)
         cfg = model_config_for("grouped", 2880, BenchConfig())
         model = ForecasterModel(cfg, seed=0)
         x = Tensor(np.random.default_rng(0).normal(size=(cfg.seq_len, cfg.n_features_in)))
@@ -336,6 +390,55 @@ class TestForwardMemory:
             tracemalloc.stop()
         assert len(held) == 1
         assert (peak - held[0]) / (cfg.dec_len * cfg.d * 8) < 1
+
+    def test_untaped_decoder_holds_the_keys_and_no_memory(self, monkeypatch):
+        # once each layer's keys are made its memory is dropped: at the
+        # decoder input no memory array is alive and what is held is the
+        # keys, 2 * l_comp rows a layer, and no more than a fraction of a
+        # memory besides (the memories beside them added 1.5 MiB)
+        cfg = model_config_for("grouped", 2880, BenchConfig())
+        model = ForecasterModel(cfg, seed=0)
+        x = Tensor(np.random.default_rng(0).normal(size=(cfg.seq_len, cfg.n_features_in)))
+        memories, alive, held = [], [], []
+        compress = model_module.compress_encoder_output
+        build = model_module.build_decoder_input
+
+        def compressed(*args):
+            memory = compress(*args)
+            memories.append(weakref.ref(memory.data))
+            return memory
+
+        def decoder_starts(*args):
+            alive.extend(ref() is not None for ref in memories)
+            held.append(tracemalloc.get_traced_memory()[0])
+            return build(*args)
+        monkeypatch.setattr(model_module, "compress_encoder_output", compressed)
+        monkeypatch.setattr(model_module, "build_decoder_input", decoder_starts)
+        tracemalloc.start()
+        try:
+            model.forward(x)
+        finally:
+            tracemalloc.stop()
+        memory_bytes = cfg.l_comp * cfg.d * 8
+        assert alive == [False] * cfg.d_l
+        assert 2 * cfg.d_l * memory_bytes <= held[0] < (2 * cfg.d_l + 0.5) * memory_bytes
+
+    def test_taped_forward_holds_one_layers_cca_keys_at_a_time(self):
+        # under a tape each cross-attention call makes its own keys and
+        # drops them: the forward's peak is under 18.5 l-by-d arrays
+        # (18.0; 19.06 when every decoder layer's keys were made before the
+        # decoder ran and held to its end, 1 MiB a layer)
+        cfg = model_config_for("grouped", 1440, BenchConfig())
+        model = ForecasterModel(cfg, seed=0)
+        x = Tensor(np.random.default_rng(0).normal(size=(cfg.seq_len, cfg.n_features_in)))
+        tracemalloc.start()
+        try:
+            with ComputationTape():
+                model.forward(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (cfg.seq_len * cfg.d * 8) < 18.5
 
 
 class TestCheckpoint:

@@ -204,6 +204,15 @@ def test_grouped_attention_tiles_match_whole_arrays(case):
                 expected, Tensor(rng.normal(size=(l, cfg.d))),
                 [x, *params.named().values()])
 
+    def streamed():
+        # the rows a continuation gets, one tile after another, in order
+        parts = []
+        assert gsa_forward(x, params, cfg, OpCounter(), real_len,
+                           then=lambda rows, f: parts.append((rows, f))) is None
+        assert [rows.start for rows, _ in parts] == [0] + [rows.stop for rows, _ in parts[:-1]]
+        return Tensor(np.concatenate([f for _, f in parts]))
+    assert same(untaped(tensor, "TILE_ROWS", tile, streamed), expected)
+
 
 @pytest.mark.parametrize("overrides", [dict(seq_len=19, l_comp=8),
                                        dict(seq_len=16, ablation_local_only=True)])
