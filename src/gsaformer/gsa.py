@@ -14,28 +14,25 @@ gsa_forward runs the Q/K/V projections, every group of every head and
 the output projection as one tape op, grouped_attention, with a
 hand-written backward; the projections write straight into zero-padded
 group buffers, viewed as (heads, groups, l_g, d_h) blocks, so the heads
-are one more batch axis of every attention call.  The forward works over
-tiles of whole groups (tensor.TILE_ROWS rows rounded down to whole
-groups), so one tile of K/V and half a tile of every head's group scores
-are alive at a time (a tile's Q sits where its outputs will go), only
-each group's summary rows outlive their tile, and the output projection
-writes over the merged rows a tile at a time: without a tape the op
-holds its input, its output and one tile.  The only whole-sequence value
-the layer needs is each group's pooled summary row, so a caller that
-does not record can pass a row-local continuation instead: the op then
-walks the tiles twice, once for the summary rows and once, projecting
-Q/K/V again, for the local attention, the merge and the output
-projection, and hands each tile's output rows to the continuation; it
-holds its input and one tile, and no output.  The op's rule holds only its
-input (through tensor.held_values, so a layer norm's output is rebuilt,
-not held) and its parameters, and rebuilds Q, K, V, the global path,
-every tile's local probabilities and the merged head outputs in the
-backward, which walks half tiles once.  summarize_group,
-global_summary_attention and merge_outputs are the global path's steps
-for a single group, composed from separate tape ops; the model does not
-call them, and the tests build their loop-based reference from them
-(cutting the sequence into groups is part of that reference, in
-tests/helpers.py).
+are one more batch axis of every attention call.  A group's summary rows
+are linear in its rows, so the op makes them from x first, without
+projecting it, and runs the summary attention; then it walks tiles of
+whole groups (tensor.TILE_ROWS rows rounded down to whole groups) once,
+so one tile of K/V and half a tile of every head's group scores are
+alive at a time (a tile's Q sits where its outputs will go) and each
+tile is merged and output-projected before the next: without a tape the
+op holds its input, its output and one tile.  A caller that does not
+record can pass a row-local continuation instead, which gets each
+tile's output rows; the op then holds its input and one tile, and no
+output.  The op's rule holds only its input (through tensor.held_values,
+so a layer norm's output is rebuilt, not held) and its parameters, and
+rebuilds Q, K, V, the global path, every tile's local probabilities and
+the merged head outputs in the backward, which walks half tiles once.
+summarize_group, global_summary_attention and merge_outputs are the
+global path's steps for a single group, composed from separate tape
+ops; the model does not call them, and the tests build their loop-based
+reference from them (cutting the sequence into groups is part of that
+reference, in tests/helpers.py).
 """
 
 from __future__ import annotations
@@ -277,6 +274,34 @@ def _qkv(x: np.ndarray, params: GsaLayerParams, m: int, l_g: int, real_len: int,
                   (params.w_v, params.b_v, None)))
 
 
+def _summaries(x: np.ndarray, params: GsaLayerParams, m: int, l_g: int, real_len: int,
+               heads: int) -> list[np.ndarray]:
+    """Every group's Q, K and V summary rows, each (heads, m, l_s, d_h):
+    e times the group's _project rows, made from x without projecting it.
+    A group's rows are linear in its real rows, e.(x_g.w + b) =
+    (e.x_g).w + (e.1)b, so e summarizes each group's real rows, the m*l_s
+    summaries are projected through w, and each gets b weighted by the sum
+    of e's columns over the group's real rows.  Whole groups are a view of
+    x; only the group real_len ends in is copied, its pad rows zero."""
+    d = x.shape[1]
+    full, valid = divmod(real_len, l_g)
+    groups = [x[:full * l_g].reshape(full, l_g, d)]
+    if valid:
+        last = np.zeros((1, l_g, d))
+        last[0, :valid] = x[full * l_g:real_len]
+        groups.append(last)
+    out = []
+    for e, w, b in ((params.e_q, params.w_q, params.b_q), (params.e_k, params.w_k, params.b_k),
+                    (params.e_v, params.w_v, params.b_v)):
+        weights = np.empty((m, e.shape[0], 1))
+        weights[:full] = e.data.sum(axis=1, keepdims=True)
+        weights[full:] = e.data[:, :valid].sum(axis=1, keepdims=True)
+        s = np.concatenate([np.matmul(e.data, g) for g in groups]).reshape(-1, d) @ w.data
+        s += weights.reshape(-1, 1) * b.data
+        out.append(_grouped(s, m, e.shape[0], heads))
+    return out
+
+
 def _summary_attention(qs: np.ndarray, ks: np.ndarray, vs: np.ndarray,
                        scale: float) -> tuple[np.ndarray, ...]:
     """The global path from every group's summary rows, each (heads, m,
@@ -289,7 +314,7 @@ def _summary_attention(qs: np.ndarray, ks: np.ndarray, vs: np.ndarray,
     return qs, ks, vs, pg, og.reshape(heads, m, l_s, dh).mean(axis=2)
 
 
-def _merge(o: np.ndarray, pooled: np.ndarray, params: GsaLayerParams, first: int = 0) -> None:
+def _merge(o: np.ndarray, pooled: np.ndarray, params: GsaLayerParams, first: int) -> None:
     """out_j = alpha_j * local_j + beta_j * pooled_j, in place over the
     (heads, n, l_g, d_h) local outputs o of groups first..first+n-1, pooled
     their (heads, n, d_h) pooled rows."""
@@ -309,36 +334,30 @@ def gsa_forward(x: Tensor, params: GsaLayerParams, cfg: GsaConfig,
 
     Rows of x at index >= real_len (default: all real) are padding: their
     projected queries, keys and values are zero and masked as keys, so
-    outputs at real positions never depend on pad values.  The forward
-    works over tiles of whole groups, tile_rows(l_g) rows each (cut by
-    row_tiles): it projects a tile's Q (into the rows of the output
-    buffer that the tile's local outputs then overwrite), K and V, keeps
-    only its groups' summary rows and runs local attention in half
-    tiles.  Every group is computed alone, so the tiles' results are the
-    whole layer's.  The summary attention and the merge run once
-    all tiles are done, and then the output projection, a tile at a time
-    in place over the merged rows.
+    outputs at real positions never depend on pad values.  With the
+    global path the op first makes every group's summary rows from x
+    (_summaries) and runs the summary attention.  Then it walks tiles of
+    whole groups, tile_rows(l_g) rows each (cut by row_tiles), once: it
+    projects a tile's Q (into the rows of the output buffer that the
+    tile's local outputs then overwrite), K and V, runs local attention
+    in half tiles, merges the tile's groups with their pooled rows and
+    output-projects them.  Every group is computed alone, so the tiles'
+    results are the whole layer's.
 
     then, a row-local continuation, is for a caller that does not record
     and does not need the whole output at once: then(rows, f) gets each
     tile's output rows f (a new array, the continuation's to overwrite)
-    for the rows slice of x, in order, and the op returns None.  It
-    builds no whole-length output buffer.  With the global path it walks
-    the tiles twice: pass 1 projects each tile's Q/K/V only for its
-    groups' summary rows, then the summary attention runs; pass 2
-    projects each tile's Q/K/V again (the three projections are repeated
-    work that no counter sees), runs its local attention, merges its
-    groups with their pooled rows, output-projects them and hands them
-    to then before the next tile is projected, so then may write over
-    the rows of x it is given.  The bits are the single pass's.
+    for the rows slice of x, in order, before the next tile is projected,
+    so then may write over the rows of x it is given.  The op builds no
+    whole-length output buffer and returns None; the bits are the same.
 
     The rule holds x and the parameters, nothing else: the backward gets x
     (from its recipe when x has one), projects Q, K and V again in the
-    forward's tiles and re-runs the summary path, then walks half tiles
-    once, every head at once, rebuilding each tile's
-    probabilities and local outputs with the forward's arithmetic
-    for the local backward, alpha's gradient and (merged in place of the
-    consumed output gradient) w_o's.  It adds every score element it
+    forward's tiles, re-runs the summary path from x, then walks half tiles
+    once, every head at once, rebuilding each tile's probabilities and
+    local outputs with the forward's arithmetic for the local backward,
+    alpha's gradient and (merged in place of the consumed output
+    gradient) w_o's.  It adds every score element it
     rebuilds to the counter's recomputed_score_elements.  The forward
     counter sees one l_g-by-l_g matrix per head and group and one
     m*l_s-by-m*l_s matrix per head, however the groups are computed.
@@ -362,59 +381,35 @@ def gsa_forward(x: Tensor, params: GsaLayerParams, cfg: GsaConfig,
     allow = _local_allow(cfg, m, real_len)
     for _ in range(heads * m):
         counter.add_scores(l_g, l_g)
-    # e_q/e_k/e_v rows of every group
-    summaries = np.empty((3, heads, m, l_s, dh)) if use_global else None
-    tiles = _tiles(l, l_g)
-
-    def tile_pass(rows: slice, groups: slice, summaries: Optional[np.ndarray] = None,
-                  local: Optional[np.ndarray] = None) -> None:
-        """One tile, the rows of the whole groups in groups: project its
-        Q, K and V (Q into local when given); with summaries, write its
-        groups' summary rows there; with local, an (n*l_g, d) buffer, run
-        local attention on every head's groups in half tiles, as the
-        backward walks them, writing the outputs over their Q rows (a half
-        tile's scores are made before its outputs are written).  One tile
-        of K/V and half a tile of scores are alive at a time."""
-        n = groups.stop - groups.start
-        qg, kg, vg = (_grouped(a, n, l_g, heads) for a in
-                      _qkv(x.data[rows], params, n, l_g, real_len - rows.start, local))
-        if summaries is not None:
-            for i, e in enumerate((params.e_q, params.e_k, params.e_v)):
-                np.matmul(e.data, (qg, kg, vg)[i], out=summaries[i, :, groups])
-        if local is not None:
-            for _, sub in _tiles(n * l_g, l_g, half=True):
-                at = slice(groups.start + sub.start, groups.start + sub.stop)
-                attention_forward(qg[:, sub], kg[:, sub].swapaxes(-1, -2), vg[:, sub], scale,
-                                  None if allow is None else allow[at], out=qg[:, sub])
-
-    if then is None:
-        out_rows = np.empty((m * l_g, d))
-        for rows, groups in tiles:
-            tile_pass(rows, groups, summaries=summaries,
-                      local=out_rows[rows.start:groups.stop * l_g])
-    elif use_global:        # pass 1: the summary rows only
-        for rows, groups in tiles:
-            tile_pass(rows, groups, summaries=summaries)
     if use_global:
         for _ in range(heads):
             counter.add_scores(n_s, n_s)
-        pooled = _summary_attention(*summaries, scale)[-1]
-        del summaries
-    if then is not None:    # pass 2
-        for rows, groups in tiles:
-            n = groups.stop - groups.start
-            local = np.empty((n * l_g, d))
-            tile_pass(rows, groups, local=local)
-            if use_global:
-                _merge(_grouped(local, n, l_g, heads), pooled[:, groups], params, groups.start)
-            f = affine(local[:rows.stop - rows.start], params.w_o, params.b_o)
-            del local       # else the continuation would run beside it
+        pooled = _summary_attention(*_summaries(x.data, params, m, l_g, real_len, heads),
+                                    scale)[-1]
+    out_rows = np.empty((m * l_g, d)) if then is None else None
+    for rows, groups in _tiles(l, l_g):
+        n = groups.stop - groups.start
+        # the tile's Q, where its local outputs will go
+        local = out_rows[rows.start:groups.stop * l_g] if then is None else np.empty((n * l_g, d))
+        qg, kg, vg = (_grouped(a, n, l_g, heads) for a in
+                      _qkv(x.data[rows], params, n, l_g, real_len - rows.start, local))
+        # local attention in the backward's half tiles, the outputs over Q
+        for _, sub in _tiles(n * l_g, l_g, half=True):
+            at = slice(groups.start + sub.start, groups.start + sub.stop)
+            attention_forward(qg[:, sub], kg[:, sub].swapaxes(-1, -2), vg[:, sub], scale,
+                              None if allow is None else allow[at], out=qg[:, sub])
+        del kg, vg          # else two tiles' K/V would be alive at once
+        if use_global:
+            _merge(qg, pooled[:, groups], params, groups.start)
+        f = affine(local[:rows.stop - rows.start], params.w_o, params.b_o)
+        del qg, local       # else the continuation would run beside them
+        if then is None:
+            out_rows[rows] = f
+        else:
             then(rows, f)
+        del f               # else it would outlive its tile
+    if then is not None:
         return None
-    if use_global:
-        _merge(_grouped(out_rows, m, l_g, heads), pooled, params)
-    for rows, _ in tiles:      # the output projection, in place over the merged rows
-        out_rows[rows] = affine(out_rows[rows], params.w_o, params.b_o)
     out = Tensor(out_rows[:l])
     if not taped:
         return out
@@ -422,19 +417,21 @@ def gsa_forward(x: Tensor, params: GsaLayerParams, cfg: GsaConfig,
     x_values = held_values(x)
 
     def backward():
+        x_data = x_values()
         # Q, K and V until the local backward overwrites their blocks with
         # their gradients
-        grads = _qkv(x_values(), params, m, l_g, real_len)
+        grads = _qkv(x_data, params, m, l_g, real_len)
+        if use_global:
+            qs, ks, vs, pg, pooled = _summary_attention(
+                *_summaries(x_data, params, m, l_g, real_len, heads), scale)
+            counter.add_recomputed(heads * n_s, n_s)
+        del x_data
         qg, kg, vg = (_grouped(a, m, l_g, heads) for a in grads)
         # the merged outputs' gradient, zero-padded to whole groups, until the walk
         d_rows = np.zeros((m * l_g, d))
         d_rows[:l] = linear_input_grad(out_slot.grad, params.w_o, params.b_o)
         d_out = _grouped(d_rows, m, l_g, heads)
         if use_global:
-            qs, ks, vs, pg, pooled = _summary_attention(
-                *(np.matmul(e.data, blocks) for e, blocks in
-                  ((params.e_q, qg), (params.e_k, kg), (params.e_v, vg))), scale)
-            counter.add_recomputed(heads * n_s, n_s)
             g_cols = d_out.sum(axis=2)
             d_beta = (g_cols * pooled).sum(axis=-1)
             d_pooled = g_cols * params.beta.data[0, :m, None] / l_s
@@ -480,7 +477,7 @@ def gsa_forward(x: Tensor, params: GsaLayerParams, cfg: GsaConfig,
                 full = np.zeros(param.shape)
                 full[0, :m] = _sum_last_to_first(d_slot)
                 accumulate_grad(param, full, owned=True)
-            _merge(d_out, pooled, params)
+            _merge(d_out, pooled, params, 0)
         # the walk left the local outputs in d_rows: now the merged ones, as in the forward
         accumulate_grad(params.w_o, d_rows[:l].T @ out_slot.grad, owned=True)
         del d_rows, d_out

@@ -7,12 +7,12 @@ followed by pred_len zero placeholders, and all horizons are predicted in
 one pass.  Every op in it is row-local, so without a tape it runs one row
 tile of whole groups at a time through every layer and the head, reading
 each layer's cross-attention keys, made once.  In an encoder layer only
-the GSA's pooled summary rows span the sequence, so without a tape each
-layer streams over its own input: the GSA makes the summaries in a first
-pass over row tiles, then, tile by tile, finishes its output and runs
-the rest of the layer (norm, FFN, norm) on it, writing the result over
-the tile's input rows.  Under a tape both run block by block over the
-whole length, so the tape holds one node per op.
+the GSA's pooled summary rows span the sequence, and the GSA makes them
+from its input first, so without a tape each layer streams over its own
+input: tile by tile, the GSA finishes its output and the rest of the
+layer (norm, FFN, norm) runs on it, writing the result over the tile's
+input rows.  Under a tape both run block by block over the whole
+length, so the tape holds one node per op.
 """
 
 from __future__ import annotations
@@ -70,7 +70,9 @@ class ModelConfig:
         if self.seq_len <= 0 or self.pred_len < 1:
             raise ConfigError(
                 f"bad lengths: seq_len={self.seq_len}, pred_len={self.pred_len}")
-        if self.label_len < 0:
+        if self.label_len < -1:
+            raise ConfigError(f"label_len must be >= -1, got {self.label_len}")
+        if self.label_len == -1:
             self.label_len = self.seq_len // 2
         if self.label_len > self.seq_len:
             raise ConfigError(

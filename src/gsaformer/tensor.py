@@ -494,7 +494,7 @@ def tile_rows(unit: int = 1, half: bool = False) -> int:
     return max((TILE_ROWS // 2 if half else TILE_ROWS) // unit, 1) * unit
 
 
-def layer_norm(x: Tensor, f: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6,
+def layer_norm(x: Tensor, f: Tensor, gain: Tensor, bias: Tensor,
                out: Optional[np.ndarray] = None) -> Tensor:
     """Row-wise layer norm of the residual sum x + f, gain and bias 1-by-d:
     one tape node, bit for bit the norm of broadcast_add(x, f).  The output
@@ -518,7 +518,7 @@ def layer_norm(x: Tensor, f: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e
         t -= t.mean(axis=1, keepdims=True)
         # the variance exactly as np.var computes it, from the same x + f - mu
         var = np.square(t).sum(axis=1, keepdims=True) / d
-        inv[rows] = 1.0 / np.sqrt(var + eps)
+        inv[rows] = 1.0 / np.sqrt(var + 1e-6)
         t *= inv[rows]
         if not taped:
             t *= gain.data

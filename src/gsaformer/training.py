@@ -298,19 +298,19 @@ def relative_error(a: float, n: float) -> float:
 
 
 GRAD_CHECK_LOSS_SCALE = 1e-4    # why: see grad_check
+GRAD_CHECK_COORDS = 32          # coordinates grad_check perturbs per tensor, at most
 
 
 def grad_check(loss_fn: Callable[[], Tensor],
                params: Mapping[str, Tensor],
                epsilon: float = 1e-6,
                tolerance: float = 1e-5,
-               max_coords: int = 32,
                seed: int = 0) -> GradCheckReport:
     """Compare analytic gradients against central differences.
 
     loss_fn must rebuild the forward pass from the current parameter values
-    each call.  Per tensor, at most max_coords randomly sampled coordinates
-    are perturbed by +/- epsilon.
+    each call.  Per tensor, at most GRAD_CHECK_COORDS randomly sampled
+    coordinates are perturbed by +/- epsilon.
 
     The loss is multiplied by GRAD_CHECK_LOSS_SCALE before differencing: an
     O(1) loss carries ~1 ulp of forward roundoff, which at epsilon=1e-6
@@ -338,8 +338,8 @@ def grad_check(loss_fn: Callable[[], Tensor],
     entries = []
     for name, p in params.items():
         size = p.data.size
-        coords = (np.arange(size) if size <= max_coords
-                  else rng.choice(size, size=max_coords, replace=False))
+        coords = (np.arange(size) if size <= GRAD_CHECK_COORDS
+                  else rng.choice(size, size=GRAD_CHECK_COORDS, replace=False))
         flat = p.data.reshape(-1)
         worst = 0.0
         for c in coords:

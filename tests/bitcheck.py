@@ -37,6 +37,10 @@ local-only ablation) are fixed zero rows with no gradient, so they get no
 line.  Against a checkout in which they were parameters, their
 lines are the only ones removed; the adam.* lines differ there too,
 because Adam stepped those biases by their rounding-noise gradients.
+arrays() returns every value check() prints, keyed by line name, so a
+change that alters rounding on purpose can compare two checkouts
+numerically over the same configs (import each checkout's bitcheck in
+its own process and save what arrays() returns).
 tests/test_bitcheck.py runs check() on one tiny config as a smoke test.
 """
 
@@ -85,29 +89,32 @@ def build(cfg: ModelConfig) -> ForecasterModel:
     return model
 
 
-def counter_lines(prefix: str, counter: OpCounter) -> list[str]:
-    return [f"{prefix}.{field} {getattr(counter, field)}"
-            for field in ("score_elements", "recomputed_score_elements", "peak_score_buffer")]
+def counter_values(prefix: str, counter: OpCounter) -> dict[str, int]:
+    return {f"{prefix}.{field}": getattr(counter, field)
+            for field in ("score_elements", "recomputed_score_elements", "peak_score_buffer")}
 
 
-def check(name: str, cfg: ModelConfig) -> list[str]:
+def arrays(name: str, cfg: ModelConfig) -> dict[str, np.ndarray | int | None]:
+    """Every value check() prints, keyed by its line's name, in line order:
+    the arrays it hashes (None for a parameter with no gradient) and the
+    counter totals."""
     model = build(cfg)
     rng = np.random.default_rng(1)
     x = Tensor(rng.normal(size=(cfg.seq_len, cfg.n_features_in)))
     y = Tensor(rng.normal(size=(cfg.pred_len, cfg.n_features_out)))
     counter = OpCounter()
-    lines = [f"{name} forecast.untaped {digest(model.forward(x, counter).data)}"]
-    lines += counter_lines(f"{name} untaped.counter", counter)
+    values = {f"{name} forecast.untaped": model.forward(x, counter).data}
+    values.update(counter_values(f"{name} untaped.counter", counter))
     counter = OpCounter()
     with ComputationTape() as tape:
         pred = model.forward(x, counter)
         loss = mse_loss(pred, y)
-    lines.append(f"{name} forecast.taped {digest(pred.data)}")
-    lines.append(f"{name} loss {digest(loss.data)}")
+    values[f"{name} forecast.taped"] = pred.data
+    values[f"{name} loss"] = loss.data
     backward(loss, tape)
-    lines += counter_lines(f"{name} counter", counter)
+    values.update(counter_values(f"{name} counter", counter))
     for pname, p in model.parameters().items():
-        lines.append(f"{name} grad.{pname} {digest(p.grad) if p.grad is not None else 'none'}")
+        values[f"{name} grad.{pname}"] = p.grad
     params = model.parameters()
     zero_grads(params.values())
     x2 = Tensor(rng.normal(size=(cfg.seq_len, cfg.n_features_in)))
@@ -116,8 +123,7 @@ def check(name: str, cfg: ModelConfig) -> list[str]:
         for window_x, window_y in ((x, y), (x2, y2)):
             backward(multiply(mse_loss(model.forward(window_x), window_y), 1.0 / 2), tape)
     for pname, p in params.items():
-        lines.append(f"{name} batch2.grad.{pname} "
-                     f"{digest(p.grad) if p.grad is not None else 'none'}")
+        values[f"{name} batch2.grad.{pname}"] = p.grad
     windows = WindowSet([(rng.normal(size=(cfg.seq_len, cfg.n_features_in)),
                           rng.normal(size=(cfg.pred_len, cfg.n_features_out)))
                          for _ in range(4)], split="train")
@@ -125,8 +131,20 @@ def check(name: str, cfg: ModelConfig) -> list[str]:
         model = build(cfg)
         train(model, windows, TrainConfig(batch_size=2, max_iterations=2, grad_clip=clip))
         for pname, p in model.parameters().items():
-            lines.append(f"{name} adam.clip{clip}.{pname} {digest(p.data)}")
-    return lines
+            values[f"{name} adam.clip{clip}.{pname}"] = p.data
+    return values
+
+
+def line_value(value: np.ndarray | int | None) -> str:
+    """What a line prints of its value: an array's digest, 'none' for a
+    missing gradient, a counter total as it is."""
+    if value is None:
+        return "none"
+    return str(value) if isinstance(value, int) else digest(value)
+
+
+def check(name: str, cfg: ModelConfig) -> list[str]:
+    return [f"{line} {line_value(value)}" for line, value in arrays(name, cfg).items()]
 
 
 def main() -> None:

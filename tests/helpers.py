@@ -148,7 +148,8 @@ def whole_multi_head_attention(q, k, v, heads):
 def whole_grouped_attention(x, params, cfg, real_len=None):
     """gsa_forward's forward on an (l, d) array: Q, K and V of every group
     projected at once, then local attention one head at a time, the
-    summary path, the merge and the output projection."""
+    summary path (its summary rows made from x, as the op makes them), the
+    merge and the output projection."""
     l, d = x.shape
     real_len, m = gsa._check_lengths(l, real_len, cfg)
     heads, l_g = cfg.heads, cfg.l_g
@@ -168,8 +169,7 @@ def whole_grouped_attention(x, params, cfg, real_len=None):
         attention_forward(qg[h], kg[h].swapaxes(-1, -2), vg[h], scale, allow, out=o[h])
     if cfg.uses_global:
         pooled = gsa._summary_attention(
-            *(np.matmul(e.data, blocks) for e, blocks in
-              ((params.e_q, qg), (params.e_k, kg), (params.e_v, vg))), scale)[-1]
+            *gsa._summaries(x, params, m, l_g, real_len, heads), scale)[-1]
         o *= params.alpha.data[0, :m, None, None]
         o += (pooled * params.beta.data[0, :m, None])[:, :, None, :]
     out = out_rows[:l] @ params.w_o.data

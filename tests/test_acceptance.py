@@ -195,8 +195,7 @@ def test_07_gradient_correctness_full_model():
         x = Tensor(rng.normal(size=(24, 2)))
         y = Tensor(rng.normal(size=(8, 2)))
         report = grad_check(lambda: mse_loss(model.forward(x), y),
-                            model.parameters(), epsilon=1e-6, tolerance=1e-5,
-                            max_coords=32, seed=7)
+                            model.parameters(), epsilon=1e-6, tolerance=1e-5, seed=7)
         assert report.ok, "\n".join(report.lines())
         assert time.perf_counter() - start < 120.0
 

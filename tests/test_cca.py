@@ -128,7 +128,7 @@ class TestCcaForward:
         report = grad_check(
             lambda: mse_loss(cca_forward(h_dec, h_enc, params, OpCounter(),
                                          heads=2), y),
-            params.named("cca."), max_coords=16, seed=8)
+            params.named("cca."), seed=8)
         assert report.ok, report.lines()
 
     def test_keys_made_beforehand_need_no_memory_unless_the_call_records(self):

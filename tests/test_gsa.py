@@ -1,3 +1,4 @@
+import contextlib
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -8,11 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gsaformer import gsa, tensor
 from gsaformer.attention import AttentionMask, OpCounter, scaled_dot_attention
 from gsaformer.gsa import (
     ConfigError,
     _grouped,
     _project,
+    _summaries,
     GsaConfig,
     GsaLayerParams,
     LengthError,
@@ -314,7 +317,7 @@ class TestGsaForward:
         y = Tensor(rng.normal(size=(20, 8)))
         report = grad_check(
             lambda: mse_loss(gsa_forward(x, params, cfg, OpCounter()), y),
-            params.named("gsa."), max_coords=16, seed=16)
+            params.named("gsa."), seed=16)
         assert report.ok, report.lines()
 
     def test_shared_summary_projections_are_same_objects(self):
@@ -642,6 +645,68 @@ class TestFusedOpProperties:
         npt.assert_array_equal(first, second)
         for name, t in params.named().items():
             npt.assert_array_equal(t.data, before[name])
+
+
+def global_cases():
+    """gsa_cases with the global path on."""
+    return gsa_cases().map(
+        lambda case: (replace(case[0], causal=False, global_path=True), *case[1:]))
+
+
+def random_params(cfg, rng):
+    params = make_params(cfg)
+    for t in params.named().values():
+        t.data[:] = rng.normal(size=t.shape)
+    return params
+
+
+class TestSummaries:
+    """_summaries makes every group's summary rows from x, without
+    projecting it; the forward projects each row of x once."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(global_cases())
+    def test_rows_are_e_times_the_projected_rows_and_ignore_pad_rows(self, case):
+        cfg, l, real_len, seed = case
+        rng = np.random.default_rng(seed)
+        params = random_params(cfg, rng)
+        x = rng.normal(size=(l, cfg.d))
+        m, l_g, heads = -(-real_len // cfg.l_g), cfg.l_g, cfg.heads
+        rows = _summaries(x, params, m, l_g, real_len, heads)
+        for s, e, w, b in zip(rows, (params.e_q, params.e_k, params.e_v),
+                              (params.w_q, params.w_k, params.w_v),
+                              (params.b_q, params.b_k, params.b_v)):
+            expected = np.matmul(e.data, _grouped(_project(x, w, b, m, l_g, real_len),
+                                                  m, l_g, heads))
+            assert s.shape == expected.shape
+            assert np.abs(s - expected).max() <= 1e-12 * np.abs(expected).max()
+        x[real_len:] = rng.uniform(-10.0, 10.0, size=(l - real_len, cfg.d))
+        for s, padded in zip(rows, _summaries(x, params, m, l_g, real_len, heads)):
+            npt.assert_array_equal(padded, s)
+
+    @pytest.mark.parametrize("call", ["taped", "untaped", "continuation"])
+    def test_forward_projects_each_row_of_x_once(self, call):
+        # 43 rows of 4-row groups in tiles of 8 rows: six tiles, the last
+        # one three rows of the group that real_len ends in, one a pad row
+        cfg = GsaConfig(l_g=4, l_s=2, d=8, heads=2, m_max=12)
+        rng = np.random.default_rng(42)
+        params = random_params(cfg, rng)
+        x = Tensor(rng.normal(size=(43, 8)))
+        projected, parts, project = [], [], gsa._qkv
+
+        def qkv(rows, *args, **kwargs):
+            projected.append(rows.copy())
+            return project(rows, *args, **kwargs)
+
+        tape = ComputationTape() if call == "taped" else contextlib.nullcontext()
+        with pytest.MonkeyPatch.context() as mp, tape:
+            mp.setattr(tensor, "TILE_ROWS", 8)
+            mp.setattr(gsa, "_qkv", qkv)
+            gsa_forward(x, params, cfg, OpCounter(), real_len=42,
+                        then=(lambda rows, f: parts.append(rows))
+                        if call == "continuation" else None)
+        assert len(projected) == 6 and len(parts) == (6 if call == "continuation" else 0)
+        npt.assert_array_equal(np.concatenate(projected), x.data)
 
 
 class TestPropertiesOverRandomShapes:

@@ -903,9 +903,10 @@ class TestShapeRules:
         {"d": 0, "heads": 1}, {"l_g": 0}, {"l_comp": 0}, {"ffn_hidden": 0},
         {"e_l": -1}, {"d_l": -1}, {"heads": 0}, {"heads": 3}, {"l_s": 0}, {"l_s": 8},
         {"e_l": 1, "d_l": 0}, {"n_features_in": 0}, {"n_features_out": -2},
+        {"label_len": -7},
     ], ids=["d=0", "l_g=0", "l_comp=0", "ffn_hidden=0", "e_l=-1", "d_l=-1",
             "heads=0", "heads=3", "l_s=0", "l_s=l_g", "encoder-without-decoder",
-            "n_features_in=0", "n_features_out=-2"])
+            "n_features_in=0", "n_features_out=-2", "label_len=-7"])
     def test_bad_setting_rejected_at_construction_naming_it(self, setting):
         name = next(iter(setting))
         with pytest.raises(ConfigError, match=name):

@@ -575,7 +575,7 @@ class TestOtherOps:
         s = x + f
         inv = 1.0 / np.sqrt(s.var(axis=1, keepdims=True) + eps)
         expected = (s - s.mean(axis=1, keepdims=True)) * inv * g + b
-        out = layer_norm(Tensor(x), Tensor(f), Tensor(g), Tensor(b), eps)
+        out = layer_norm(Tensor(x), Tensor(f), Tensor(g), Tensor(b))
         npt.assert_array_equal(out.data, expected)
 
     def test_relu_gradients(self):

@@ -328,7 +328,7 @@ class TestGradCheck:
         y = Tensor(rng.normal(size=(12, 8)))
         report = grad_check(
             lambda: mse_loss(gsa_forward(x, params, cfg, OpCounter()), y),
-            params.named(), max_coords=12, seed=1)
+            params.named(), seed=1)
         assert report.ok, report.lines()
 
     def test_corrupted_backward_rule_is_flagged(self):
@@ -399,7 +399,7 @@ class TestGradCheck:
                 params.beta.data[:] = 0.4
             report = grad_check(
                 lambda: mse_loss(gsa_forward(x, params, cfg, OpCounter()), y),
-                params.named(), max_coords=10, seed=3)
+                params.named(), seed=3)
             assert report.ok, (global_path, report.lines())
 
         # compressed cross-attention
@@ -407,25 +407,22 @@ class TestGradCheck:
         h_enc = Tensor(rng.normal(size=(12, 8)))
         report = grad_check(
             lambda: mse_loss(cca_forward(x, h_enc, cca, OpCounter()), y),
-            cca.named(), max_coords=10, seed=3)
+            cca.named(), seed=3)
         assert report.ok, report.lines()
 
         # feed-forward, embedding-style linear, and layer norm
         ffn = _FeedForward(8, 16, rng)
-        report = grad_check(lambda: mse_loss(ffn(x), y), ffn.named("ffn."),
-                            max_coords=10, seed=3)
+        report = grad_check(lambda: mse_loss(ffn(x), y), ffn.named("ffn."), seed=3)
         assert report.ok, report.lines()
 
         lin = _Linear(8, 8, rng)
-        report = grad_check(lambda: mse_loss(lin(x), y), lin.named("lin."),
-                            max_coords=10, seed=3)
+        report = grad_check(lambda: mse_loss(lin(x), y), lin.named("lin."), seed=3)
         assert report.ok, report.lines()
 
         norm = _LayerNorm(8)
         norm.b.data[:] = rng.normal(size=(1, 8))
         f = Tensor(rng.normal(size=(12, 8)))
-        report = grad_check(lambda: mse_loss(norm(x, f), y), norm.named("norm."),
-                            max_coords=10, seed=3)
+        report = grad_check(lambda: mse_loss(norm(x, f), y), norm.named("norm."), seed=3)
         assert report.ok, report.lines()
 
 
