@@ -1,20 +1,18 @@
-"""Attention kernel, multi-head attention, the canonical reference, masks,
-and the score-element counter shared by every attention variant.
+"""Attention kernel, the head layout, the canonical reference, masks, and
+the score-element counter shared by every attention variant.
 
 attention_probs/attention_forward/attention_backward are the one score ->
 softmax -> value kernel (and its gradient) on plain arrays, batched over
-leading axes; the fused tape ops cca.cca_forward (through
-multi_head_rows/multi_head_backward, unmasked) and gsa.gsa_forward (which
-builds its own boolean allow array) both run it.  cca_forward hands
-multi_head_rows one half tile of queries at a time (tensor.tile_rows),
-and multi_head_rows scores one head of it at a time;
-multi_head_backward holds nothing from the forward and rebuilds the
-probabilities in the same tiles with attention_probs, the forward's own
-arithmetic.  scaled_dot_attention and row_softmax compose the same
-arithmetic from separate tape ops: they are the canonical reference that
-the acceptance gates and the loop oracles of the tests are built from.
-Their mask argument, AttentionMask, is either none or a custom allow
-matrix."""
+leading axes.  head_view is the one head layout: it views an (n, d) array
+as (heads, n, d_h) blocks, head h being column slab h, so the heads are a
+batch axis of every kernel call.  Both fused tape ops run the kernel on
+it: cca.cca_forward (unmasked, every head of a tile of queries in one
+call; its backward one head at a time) and gsa.gsa_forward (which builds
+its own boolean allow array and cuts the rows into groups).
+scaled_dot_attention and row_softmax compose the same arithmetic from
+separate tape ops: they are the canonical reference that the acceptance
+gates and the loop oracles of the tests are built from.  Their mask
+argument, AttentionMask, is either none or a custom allow matrix."""
 
 from __future__ import annotations
 
@@ -189,68 +187,11 @@ def attention_backward(q: np.ndarray, k_t: np.ndarray, v: np.ndarray, p: np.ndar
     return np.matmul(d_p, k_t.swapaxes(-1, -2)), np.matmul(q.swapaxes(-1, -2), d_p), d_v
 
 
-def _head_slabs(d: int, heads: int) -> list[slice]:
-    return [slice(h * (d // heads), (h + 1) * (d // heads)) for h in range(heads)]
-
-
-def head_keys(k: np.ndarray, v: np.ndarray, heads: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Contiguous (k transposed, v) of each of `heads` column slabs of the
-    keys k and values v (arrays)."""
-    d = k.shape[1]
+def head_view(a: np.ndarray, heads: int) -> np.ndarray:
+    """View an (n, d) array as (heads, n, d_h) blocks: head h is column
+    slab h.  Every attention op that splits features into heads splits
+    them here."""
+    n, d = a.shape
     if d % heads != 0:
         raise DimensionError(f"feature dim {d} not divisible by {heads} heads")
-    if v.shape != k.shape:
-        raise DimensionError(f"attention: K {k.shape} and V {v.shape} do not line up")
-    return [(np.ascontiguousarray(k[:, cols].T), np.ascontiguousarray(v[:, cols]))
-            for cols in _head_slabs(d, heads)]
-
-
-def multi_head_rows(q: np.ndarray, keys: list[tuple[np.ndarray, np.ndarray]],
-                    out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Unmasked scaled_dot_attention of the query rows q over the keys and
-    values of every head (head_keys, one per contiguous column slab of q),
-    the head outputs side by side, written into out when given, which may
-    be q itself: a head's queries are scored before its columns of out
-    are written.  It runs one head at a time, so one rows-by-l_k block of
-    scores is alive at once; softmax is row-wise, so a tile of queries
-    gets the rows the whole query block would.
-
-    Each head works on a contiguous copy of its query columns, not a
-    strided view: BLAS rounds one-row products differently for strided
-    operands, and the copies keep every product bit-identical to
-    scaled_dot_attention."""
-    d = q.shape[1]
-    scale = 1.0 / np.sqrt(d // len(keys))
-    out = np.empty(q.shape) if out is None else out
-    for cols, (k_t, v_h) in zip(_head_slabs(d, len(keys)), keys):
-        attention_forward(np.ascontiguousarray(q[:, cols]), k_t, v_h, scale, out=out[:, cols])
-    return out
-
-
-def multi_head_backward(q: np.ndarray, k: np.ndarray, v: np.ndarray, g: np.ndarray,
-                        heads: int, counter: OpCounter,
-                        tiles: list[slice]) -> tuple[np.ndarray, np.ndarray]:
-    """The gradients of multi_head_rows(q[rows], head_keys(k, v, heads))
-    over the query tiles `rows` in tiles, from the output gradient g,
-    computed in place to spare two whole arrays: on return q holds d_q
-    and g holds the forward's output, rebuilt from the same tiles' P @ V;
-    returns (d_k, d_v).  A head's columns of q and g are copied out before
-    they are overwritten.  It holds nothing from the forward: it rebuilds
-    the probabilities in the forward's query tiles, with its arithmetic,
-    one whole head at a time, and adds those score elements to the
-    counter's recomputed_score_elements."""
-    (l_q, d), l_k = q.shape, k.shape[0]
-    scale = 1.0 / np.sqrt(d // heads)
-    d_k, d_v = np.empty(k.shape), np.empty(v.shape)
-    for cols, (k_t, v_h) in zip(_head_slabs(d, heads), head_keys(k, v, heads)):
-        # contiguous copies (ascontiguousarray would return g itself for one
-        # head, which the P @ V below overwrites)
-        q_h, g_h = q[:, cols].copy(), g[:, cols].copy()
-        counter.add_recomputed(l_q, l_k)
-        p = np.empty((l_q, l_k))
-        for rows in tiles:
-            attention_probs(q_h[rows], k_t, scale, out=p[rows])
-            np.matmul(p[rows], v_h, out=g[rows, cols])
-        q[:, cols], d_k_t, d_v[:, cols] = attention_backward(q_h, k_t, v_h, p, g_h, scale)
-        d_k[:, cols] = d_k_t.T
-    return d_k, d_v
+    return a.reshape(n, heads, d // heads).transpose(1, 0, 2)

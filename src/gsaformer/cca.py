@@ -4,7 +4,10 @@ cost is l_dec * l_comp no matter how long the encoder sequence gets.
 Each decoder layer owns its own compression matrix, when it needs one.
 The compression is a matmul op of its own; the projections, attention and
 output projection after it are one tape op whose rule rebuilds Q, K, V,
-the probabilities and the attended rows."""
+the probabilities and the attended rows.  Its attention runs on the
+(heads, rows, d_h) layout of attention.head_view, as GSA's does: the
+heads are a batch axis of the forward's kernel calls, and the backward
+walks them one at a time."""
 
 from __future__ import annotations
 
@@ -13,7 +16,13 @@ from typing import Optional
 
 import numpy as np
 
-from .attention import OpCounter, head_keys, multi_head_backward, multi_head_rows
+from .attention import (
+    OpCounter,
+    attention_backward,
+    attention_forward,
+    attention_probs,
+    head_view,
+)
 from .tensor import (
     DimensionError,
     ParameterSet,
@@ -78,77 +87,94 @@ def cca_op_count(l_dec: int, l_enc: int, l_comp: int, heads: int = 1) -> int:
     return heads * l_dec * min(l_enc, l_comp)
 
 
+def _head_keys(mem: np.ndarray, p: CcaLayerParams,
+               heads: int) -> tuple[np.ndarray, np.ndarray]:
+    """K transposed and V of the memory rows mem (linear's arithmetic) as
+    contiguous (heads, d_h, l_k) and (heads, l_k, d_h) arrays: strided
+    views would round some gradients differently."""
+    return (np.ascontiguousarray(head_view(affine(mem, p.w_k, p.b_k), heads).swapaxes(-1, -2)),
+            np.ascontiguousarray(head_view(affine(mem, p.w_v, p.b_v), heads)))
+
+
 def cca_keys(memory: Tensor, params: CcaLayerParams, heads: int, counter: OpCounter,
-             l_dec: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Each head's (K transposed, V) of memory (attention.head_keys of the
-    K and V projections, with linear's arithmetic), for l_dec queries:
-    the counter sees one l_dec-by-l_k call per head here, however the
-    queries are then cut.  A caller that runs cca_forward on row tiles of
-    its queries projects them once, with the whole query count, and hands
-    them to every tile's call."""
-    p = params
-    if memory.shape[1] != p.w_k.shape[0]:
-        raise DimensionError(f"cca: memory {memory.shape} for projections {p.w_k.shape}")
-    keys = head_keys(affine(memory.data, p.w_k, p.b_k), affine(memory.data, p.w_v, p.b_v),
-                     heads)
+             l_dec: int) -> tuple[np.ndarray, np.ndarray]:
+    """_head_keys of memory for l_dec queries: the counter sees one
+    l_dec-by-l_k call per head here, however the queries are then cut.
+    A caller that runs cca_forward on row tiles of its queries projects
+    them once, with the whole query count, and hands them to every
+    tile's call."""
+    if memory.shape[1] != params.w_k.shape[0]:
+        raise DimensionError(f"cca: memory {memory.shape} for projections {params.w_k.shape}")
+    keys = _head_keys(memory.data, params, heads)
     for _ in range(heads):
         counter.add_scores(l_dec, memory.shape[0])
     return keys
 
 
-def _attention_tiles(tiles: list[slice]) -> list[slice]:
-    """The half tiles (tile_rows(half=True)) that cca_forward attends each
-    of its query tiles in, in query rows: a half tile also holds a head's
-    scores, a row per key."""
+def _attention_tiles(tiles: list[slice], heads: int) -> list[slice]:
+    """The tiles that cca_forward attends each of its query tiles in, in
+    query rows: a half tile (tile_rows(half=True)) cut by the head count,
+    so that every head's scores of one tile, a row per key and head, are
+    no more than a half tile of one head's."""
     return [slice(rows.start + half.start, rows.start + half.stop) for rows in tiles
-            for half in row_tiles(rows.stop - rows.start, tile_rows(half=True))]
+            for half in row_tiles(rows.stop - rows.start, tile_rows(half=True) // heads)]
 
 
 def cca_forward(h_dec: Tensor, h_enc: Optional[Tensor], params: CcaLayerParams,
-                counter: OpCounter, heads: int = 1, *, compressed: bool = False,
-                keys: Optional[list[tuple[np.ndarray, np.ndarray]]] = None) -> Tensor:
+                counter: OpCounter, heads: int = 1, *,
+                keys: Optional[tuple[np.ndarray, np.ndarray]] = None) -> Tensor:
     """Queries from the decoder stream; keys/values projected from the
     compressed encoder output; canonical attention; output projection.
-    With compressed=True, h_enc is already compress_encoder_output(encoder
-    output, params.c), as the model passes it, and is used as is.  keys,
-    when given, is cca_keys of that memory, made (and counted) once for a
-    query sequence of which h_dec is a row tile; by default this call
-    makes them for h_dec.  With keys, h_enc may be None for a call that
-    does not record, so that the caller need not hold the memory: only the
-    rule reads it.
+    h_enc is the encoder output (l_enc rows), which the call compresses,
+    or its compress_encoder_output (l_comp rows), as the model passes it,
+    which is used as is; the row count tells them apart, since a layer
+    has a C only when l_enc > l_comp.  keys, when given, is cca_keys of
+    that memory, made (and counted) once for a query sequence of which
+    h_dec is a row tile; by default this call makes them for h_dec.  With
+    keys, h_enc may be None for a call that does not record, so that the
+    caller need not hold the memory: only the rule reads it.
 
     Everything after the compression is one tape op, bit for bit the
-    linear q/k/v projections, multi-head attention and linear output
-    projection composed, at every width a row tile cut does not change.
-    Each row tile of queries is projected, attended one half tile at a
-    time (attention.multi_head_rows writes a half tile's attended rows
-    over its Q rows) and output-projected, so Q and the attended rows are
-    one tile big and a head's scores one half tile.  The rule holds h_dec
-    and the memory (through held_values) and the parameters: the backward
-    rebuilds Q (in the forward's tiles), K, V, the probabilities (in its
-    half tiles) and the attended rows with the forward's arithmetic, and
+    linear q/k/v projections, attention on each head's column slab and
+    the linear output projection composed, at every width a row tile cut
+    does not change.  Each row tile of queries is projected, attended in
+    _attention_tiles (one attention_forward call over every head of the
+    head_view of a tile's Q rows, which the attended rows overwrite) and
+    output-projected, so Q and the attended rows are one tile big and
+    the scores of every head no more than one head's of a half tile.  The
+    rule holds h_dec, the memory (through held_values) and the
+    parameters: the backward rebuilds Q (in the forward's tiles), K and
+    V, then, one head at a time so that one head's l_dec-by-l_k
+    probabilities are alive at once, its probabilities (in the forward's
+    attention tiles) and attended rows with the forward's arithmetic.  It
     adds into the memory's gradient v's share before k's, as the composed
-    rules' replay would.
+    rules' replay would, and every score element it rebuilds to the
+    counter's recomputed_score_elements.
 
     No mask: compressed rows are mixtures of all encoder positions, so a
     key-padding mask has nothing to point at.
     """
-    memory = h_enc if compressed or h_enc is None else compress_encoder_output(h_enc, params.c)
     p = params
+    memory = h_enc
+    if h_enc is not None and p.c is not None and h_enc.shape[0] != p.c.shape[0]:
+        memory = compress_encoder_output(h_enc, p.c)
     if h_dec.shape[1] != p.w_q.shape[0]:
         raise DimensionError(f"cca: decoder {h_dec.shape} for projections {p.w_q.shape}")
     l_dec = h_dec.shape[0]
     if keys is None:
         keys = cca_keys(memory, p, heads, counter, l_dec)
+    k_t, v = keys
+    scale = 1.0 / np.sqrt(k_t.shape[1])
     tiles = row_tiles(l_dec, tile_rows())
     out_data = np.empty((l_dec, p.w_o.shape[1]))
     for rows in tiles:
         q = affine(h_dec.data[rows], p.w_q, p.b_q)
-        for half in _attention_tiles([slice(0, q.shape[0])]):
-            multi_head_rows(q[half], keys, out=q[half])
+        q_heads = head_view(q, heads)
+        for half in _attention_tiles([slice(0, q.shape[0])], heads):
+            attention_forward(q_heads[:, half], k_t, v, scale, out=q_heads[:, half])
         affine(q, p.w_o, p.b_o, out_data[rows])
-        del q       # else two tiles of Q would be alive at once
-    del keys
+        del q, q_heads      # else two tiles of Q would be alive at once
+    del keys, k_t, v
     out = Tensor(out_data)
     inputs = (h_dec, p.w_q, p.b_q, p.w_k, p.b_k, p.w_v, p.b_v, p.w_o, p.b_o)
     if memory is not None:
@@ -159,19 +185,37 @@ def cca_forward(h_dec: Tensor, h_enc: Optional[Tensor], params: CcaLayerParams,
         raise ValueError("cca: a call that records needs the memory its rule reads")
     dec_slot, memory_slot, out_slot = h_dec.slot, memory.slot, out.slot
     dec_values, memory_values = held_values(h_dec), held_values(memory)
+    l_k = memory.shape[0]
+    halves = _attention_tiles(tiles, heads)
 
     def backward():
         g = out_slot.grad
         mem = memory_values()
         dec = dec_values()
-        d_q = np.empty((l_dec, p.w_q.shape[1]))     # Q until multi_head_backward
+        d_q = np.empty((l_dec, p.w_q.shape[1]))     # Q until its head's backward
         for rows in tiles:
             affine(dec[rows], p.w_q, p.b_q, d_q[rows])
         del dec
         attended = linear_input_grad(g, p.w_o, p.b_o)   # its gradient until then
-        d_k, d_v = multi_head_backward(d_q, affine(mem, p.w_k, p.b_k),
-                                       affine(mem, p.w_v, p.b_v), attended, heads, counter,
-                                       _attention_tiles(tiles))
+        k_t, v = _head_keys(mem, p, heads)
+        d_k, d_v = np.empty(mem.shape), np.empty(mem.shape)
+        q_heads, a_heads, d_k_heads, d_v_heads = (head_view(a, heads)
+                                                  for a in (d_q, attended, d_k, d_v))
+        counter.add_recomputed(heads * l_dec, l_k)
+        for h in range(heads):
+            # contiguous copies: at d_h = 1 BLAS rounds q's products
+            # differently when it is strided, and the attended rows
+            # overwrite g's columns
+            q_h, g_h = q_heads[h].copy(), a_heads[h].copy()
+            probs = np.empty((l_dec, l_k))
+            for half in halves:
+                attention_probs(q_h[half], k_t[h], scale, out=probs[half])
+                np.matmul(probs[half], v[h], out=a_heads[h, half])
+            q_heads[h], d_k_t, d_v_heads[h] = attention_backward(q_h, k_t[h], v[h], probs,
+                                                                 g_h, scale)
+            d_k_heads[h] = d_k_t.T
+            del q_h, g_h, probs, d_k_t      # else two heads' would be alive at once
+        del k_t, v
         accumulate_grad(p.w_o, attended.T @ g, owned=True)
         del attended
         linear_backward(memory_slot, mem, p.w_v, p.b_v, d_v)

@@ -13,8 +13,9 @@ m*l_g^2 + (m*l_s)^2, linear in l for fixed l_g and l_s.
 gsa_forward runs the Q/K/V projections, every group of every head and
 the output projection as one tape op, grouped_attention, with a
 hand-written backward; the projections write straight into zero-padded
-group buffers, viewed as (heads, groups, l_g, d_h) blocks, so the heads
-are one more batch axis of every attention call.  A group's summary rows
+group buffers, viewed as (heads, groups, l_g, d_h) blocks (the
+attention.head_view layout, its rows cut into groups), so the heads are
+one more batch axis of every attention call.  A group's summary rows
 are linear in its rows, so the op makes them from x first, without
 projecting it, and runs the summary attention; then it walks tiles of
 whole groups (tensor.TILE_ROWS rows rounded down to whole groups) once,
@@ -50,6 +51,7 @@ from .attention import (
     attention_backward,
     attention_forward,
     attention_probs,
+    head_view,
     scaled_dot_attention,
 )
 from .tensor import (
@@ -216,8 +218,8 @@ def _check_lengths(l: int, real_len: Optional[int], cfg: GsaConfig) -> tuple[int
 
 def _grouped(rows: np.ndarray, m: int, l_g: int, heads: int) -> np.ndarray:
     """View an (m*l_g, d) array as (heads, m, l_g, d_h) blocks."""
-    d = rows.shape[1]
-    return rows.reshape(m, l_g, heads, d // heads).transpose(2, 0, 1, 3)
+    blocks = head_view(rows, heads)
+    return blocks.reshape(heads, m, l_g, blocks.shape[-1])
 
 
 def _local_allow(cfg: GsaConfig, m: int, real_len: int) -> Optional[np.ndarray]:

@@ -232,8 +232,7 @@ class _DecoderLayer(ParameterSet):
             keys, memory = cca_keys(memory, self.cca, self.heads, counter, l_dec), None
         return (_residual(self.norm1, lambda x: gsa_forward(x, self.gsa, self.gsa_cfg, counter)),
                 _residual(self.norm2, lambda x: cca_forward(x, memory, self.cca, counter,
-                                                            heads=self.heads, compressed=True,
-                                                            keys=keys)),
+                                                            heads=self.heads, keys=keys)),
                 _residual(self.norm3, self.ffn))
 
 

@@ -20,7 +20,7 @@ and once with grad_clip=0.5, so the optimizer's in-place update and the
 clip's in-place scaling show too.  Every GSA beta is set to 0.3, so the
 global path carries forecast and gradient.  The configs are the bench
 config at the train_long length, with its 4 heads and with 8 (so the head
-axis the GSA op batches over shows at two widths), the `gsaformer train`
+axis that the GSA and CCA ops both batch over shows at two widths), the `gsaformer train`
 defaults, a compressed-CCA config with label_len=20, the local-only
 ablation, the bench config at lengths one row past a multiple of the 256-
 and 512-row tiles (513 = 2 * 256 + 1, 1025 = 2 * 512 + 1), the 1025 one at
@@ -37,16 +37,50 @@ local-only ablation) are fixed zero rows with no gradient, so they get no
 line.  Against a checkout in which they were parameters, their
 lines are the only ones removed; the adam.* lines differ there too,
 because Adam stepped those biases by their rounding-noise gradients.
-arrays() returns every value check() prints, keyed by line name, so a
-change that alters rounding on purpose can compare two checkouts
-numerically over the same configs (import each checkout's bitcheck in
-its own process and save what arrays() returns).
-tests/test_bitcheck.py runs check() on one tiny config as a smoke test.
+arrays() returns every value check() prints, keyed by line name.  A
+change that alters rounding on purpose compares numerically instead:
+
+    PYTHONPATH=src python tests/bitcheck.py --compare <parent checkout>/src
+
+runs arrays() over the same configs for the parent's src and this
+checkout's, each in its own process, under 1 and 2 BLAS threads, and
+reports each line as identical (the same bits as the parent's under both
+thread counts), within the noise floor or beyond it.  A line's deviation
+is max |change - parent| relative to the parent array's largest |value|,
+the worse of the two thread counts; its floor is the larger of
+NOISE_MULTIPLE (10) times the parent's own deviation between 1 and 2
+threads on that array and ABSOLUTE_FLOOR (1e-12), the floor of an array
+whose bits the thread count does not change.
+Counter totals, missing gradients, shapes and the set of lines must be
+identical.  It prints every line that is not identical, then per config
+and family (forecast, loss, grad, adam, counter) the count of each
+verdict and the worst deviation, and exits 1 if any line is beyond the
+floor.  Adam's lines need the loose floors: Adam steps each coordinate
+by m/sqrt(v), so a small gradient coordinate's rounding reaches the
+parameter at full step size; the parent alone differs there by up to
+7.5e-12 between thread counts, against 1e-15 in forecasts.  With these
+floors, summing every bias gradient's rows in reverse order read within
+them at train_defaults, compressed_label20, local_only and train_long
+(gradients moved by up to 2.8e-14, Adam's parameters by up to 5.3e-12),
+and adding 1e-9 to every forecast row read beyond them on every
+forecast, loss and gradient line.
+tests/test_bitcheck.py runs check() on one tiny config as a smoke test,
+and compares this checkout's src with itself on it.
 """
 
 from __future__ import annotations
 
+import argparse
+import dataclasses
 import hashlib
+import json
+import os
+import pickle
+import subprocess
+import sys
+import tempfile
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 
@@ -147,9 +181,124 @@ def check(name: str, cfg: ModelConfig) -> list[str]:
     return [f"{line} {line_value(value)}" for line, value in arrays(name, cfg).items()]
 
 
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
+THREADS = (1, 2)
+NOISE_MULTIPLE = 10     # the floor: this many times the parent's own thread-count deviation
+ABSOLUTE_FLOOR = 1e-12  # the floor of an array the thread count does not change
+
+
+def dump(name: str, fields: str, out_path: str) -> None:
+    """Pickle arrays(name, ModelConfig(**json.loads(fields))) into out_path."""
+    with open(out_path, "wb") as f:
+        pickle.dump(arrays(name, ModelConfig(**json.loads(fields))), f)
+
+
+def run_arrays(src: Path, name: str, cfg: ModelConfig, threads: int, out_path: str) -> dict:
+    """arrays(name, cfg) from a new process that imports gsaformer from
+    src and runs BLAS on `threads` threads."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(TESTS)]),
+               OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads),
+               MKL_NUM_THREADS=str(threads))
+    subprocess.run([sys.executable, "-c", "import sys, bitcheck; bitcheck.dump(*sys.argv[1:])",
+                    name, json.dumps(dataclasses.asdict(cfg)), out_path], env=env, check=True)
+    with open(out_path, "rb") as f:
+        return pickle.load(f)
+
+
+def same(a, b) -> bool:
+    """a and b are the same value: arrays of one shape and the same bits,
+    or equal counter totals, or both None."""
+    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
+        return a.shape == b.shape and a.tobytes() == b.tobytes()
+    return type(a) is type(b) and a == b
+
+
+def deviation(a: np.ndarray, b: np.ndarray) -> float:
+    """max |a - b| relative to b's largest |value| (inf when b is all zero
+    and a is not)."""
+    diff, scale = np.abs(a - b).max(initial=0.0), np.abs(b).max(initial=0.0)
+    return float(diff / scale) if scale > 0 else float("inf") if diff > 0 else 0.0
+
+
+def verdict(change: list, parent: list) -> tuple[str, float, float]:
+    """(verdict, deviation, floor) of one line from its values under each
+    thread count of THREADS: 'identical' when every value is the parent's
+    under the same thread count; else 'within' when the worse deviation
+    is at most the floor, max(NOISE_MULTIPLE times the parent's deviation
+    between 1 and 2 threads, ABSOLUTE_FLOOR), and 'beyond' when it is
+    larger.  A counter total, a missing gradient or a shape that differs
+    is beyond."""
+    if all(same(c, p) for c, p in zip(change, parent)):
+        return "identical", 0.0, 0.0
+    values = change + parent
+    if not all(isinstance(v, np.ndarray) and v.shape == values[0].shape for v in values):
+        return "beyond", float("inf"), 0.0
+    floor = max(NOISE_MULTIPLE * deviation(parent[1], parent[0]), ABSOLUTE_FLOOR)
+    worst = max(deviation(c, p) for c, p in zip(change, parent))
+    return ("within" if worst <= floor else "beyond"), worst, floor
+
+
+def family(line: str) -> str:
+    """The kind of value a line prints: forecast, loss, grad, adam or counter."""
+    what = line.split(" ", 1)[1]
+    if "counter" in what:
+        return "counter"
+    return "grad" if what.startswith("batch2.") else what.split(".")[0]
+
+
+def compare(parent_src: Path, cfgs: dict[str, ModelConfig]) -> dict[str, tuple]:
+    """verdict() of every line of each config's arrays(), this checkout's
+    src against parent_src, under 1 and 2 BLAS threads, one config at a
+    time; a line only one side prints is 'only in parent' or 'only in
+    change'."""
+    result = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "arrays.pkl")
+        for name, cfg in cfgs.items():
+            parent, change = ([run_arrays(src, name, cfg, n, out) for n in THREADS]
+                              for src in (Path(parent_src), SRC))
+            for line in {**parent[0], **change[0]}:
+                if line not in change[0]:
+                    result[line] = ("only in parent", float("inf"), 0.0)
+                elif line not in parent[0]:
+                    result[line] = ("only in change", float("inf"), 0.0)
+                else:
+                    result[line] = verdict([run[line] for run in change],
+                                           [run[line] for run in parent])
+    return result
+
+
+def report(result: dict[str, tuple]) -> list[str]:
+    """Every line that is not identical, then per config and family the
+    number of lines of each verdict and the worst deviation."""
+    out = [f"{line} {v} {dev:.2e} (floor {floor:.2e})"
+           for line, (v, dev, floor) in result.items() if v != "identical"]
+    groups = {}
+    for line, (v, dev, floor) in result.items():
+        groups.setdefault((line.split(" ", 1)[0], family(line)), []).append((dev, floor, line, v))
+    for (name, fam), rows in groups.items():
+        counts = Counter(v for *_, v in rows)
+        dev, floor, line, _ = max(rows, key=lambda row: row[0])
+        worst = f"; worst {dev:.2e} (floor {floor:.2e}) at {line}" if dev > 0 else ""
+        out.append(f"{name} {fam}: " + ", ".join(f"{n} {v}" for v, n in counts.items()) + worst)
+    return out
+
+
 def main() -> None:
-    for name, cfg in configs().items():
-        print("\n".join(check(name, cfg)), flush=True)
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--compare", metavar="PARENT_SRC", type=Path,
+                        help="compare every line with the checkout whose src/ this is")
+    args = parser.parse_args()
+    if args.compare is None:
+        for name, cfg in configs().items():
+            print("\n".join(check(name, cfg)), flush=True)
+        return
+    result = compare(args.compare, configs())
+    print("\n".join(report(result)))
+    counts = Counter(v for v, _, _ in result.values())
+    print(f"{len(result)} lines: " + ", ".join(f"{n} {v}" for v, n in counts.items()))
+    sys.exit(0 if set(counts) <= {"identical", "within"} else 1)
 
 
 if __name__ == "__main__":

@@ -7,7 +7,8 @@ zero padding, cutting a sequence into groups, the layer norm of one input,
 relu, a linear cut in row tiles, multi-head attention as one op,
 subtraction, the sum of all entries and the MSE composed from them) live
 here, not in the library, and so does multi_head_forward, the tiled
-multi-head attention that op runs.  So do the whole-array forwards of the
+attention that op runs one head at a time, the per-head oracle of the
+CCA op's batched heads.  So do the whole-array forwards of the
 ops that work in tiles (layer_norm, feed_forward, multi-head attention,
 gsa_forward): their bodies from before the tiling, the oracle the tiled
 forwards must match bit for bit; and the sublayers the model records as
@@ -23,10 +24,9 @@ import numpy as np
 from gsaformer import cca, gsa
 from gsaformer.attention import (
     AttentionMask,
+    attention_backward,
     attention_forward,
-    head_keys,
-    multi_head_backward,
-    multi_head_rows,
+    attention_probs,
     scaled_dot_attention,
 )
 from gsaformer.cca import compress_encoder_output
@@ -189,36 +189,60 @@ def relu(a):
     return _record("relu", out, (a,), backward_fn)
 
 
+def _head_slabs(d, heads):
+    """The column slab of each of `heads` heads of a d-wide array."""
+    if d % heads != 0:
+        raise DimensionError(f"feature dim {d} not divisible by {heads} heads")
+    return [slice(h * (d // heads), (h + 1) * (d // heads)) for h in range(heads)]
+
+
 def multi_head_forward(q, k, v, heads, counter, tiles=None):
-    """Unmasked multi-head attention on arrays, multi_head_rows on one tile
-    of queries at a time (by default half tiles, row_tiles at
-    tile_rows(half=True)), as cca_forward attends: the counter sees one
-    l_q-by-l_k call per head."""
+    """Unmasked multi-head attention on arrays, one head at a time on
+    contiguous copies of its column slabs, one tile of queries at a time
+    (by default half tiles, row_tiles at tile_rows(half=True)): the
+    counter sees one l_q-by-l_k call per head.  The per-head oracle of
+    cca_forward's attention, which batches the heads."""
     (l_q, d), l_k = q.shape, k.shape[0]
-    if k.shape[1] != d:
-        raise DimensionError(f"attention: Q {q.shape} and K {k.shape} do not line up")
+    if k.shape[1] != d or v.shape != k.shape:
+        raise DimensionError(f"attention: Q {q.shape}, K {k.shape} and V {v.shape} "
+                             "do not line up")
+    slabs = _head_slabs(d, heads)
     tiles = row_tiles(l_q, tile_rows(half=True)) if tiles is None else tiles
-    keys = head_keys(k, v, heads)
+    scale = 1.0 / np.sqrt(d // heads)
     for _ in range(heads):
         counter.add_scores(l_q, l_k)
     out = np.empty((l_q, d))
-    for rows in tiles:
-        multi_head_rows(q[rows], keys, out[rows])
+    for cols in slabs:
+        k_t, v_h = np.ascontiguousarray(k[:, cols].T), np.ascontiguousarray(v[:, cols])
+        for rows in tiles:
+            attention_forward(np.ascontiguousarray(q[rows, cols]), k_t, v_h, scale,
+                              out=out[rows, cols])
     return out
 
 
 def multi_head_attention(q, k, v, heads, counter, tiles=None):
-    """multi_head_forward as one tape op whose rule holds q, k and v and
-    runs multi_head_backward in the same query tiles: the op the CCA
-    sublayer recorded between its projections before it became one op."""
+    """multi_head_forward as one tape op whose rule holds q, k and v and,
+    one head at a time on contiguous copies of its column slabs, rebuilds
+    the probabilities in the same query tiles and runs attention_backward:
+    the op the CCA sublayer recorded between its projections before it
+    became one op."""
     tiles = row_tiles(q.shape[0], tile_rows(half=True)) if tiles is None else tiles
     out = Tensor(multi_head_forward(q.data, k.data, v.data, heads, counter, tiles))
+    (l_q, d), l_k = q.shape, k.shape[0]
+    scale = 1.0 / np.sqrt(d // heads)
 
     def backward_fn():
-        d_q = q.data.copy()
-        d_k, d_v = multi_head_backward(d_q, k.data, v.data, out.grad.copy(), heads, counter,
-                                       tiles)
-        for t, g in zip((q, k, v), (d_q, d_k, d_v)):
+        grads = [np.empty(t.shape) for t in (q, k, v)]
+        for cols in _head_slabs(d, heads):
+            q_h, g_h, v_h = (np.ascontiguousarray(a[:, cols]) for a in (q.data, out.grad, v.data))
+            k_t = np.ascontiguousarray(k.data[:, cols].T)
+            counter.add_recomputed(l_q, l_k)
+            p = np.empty((l_q, l_k))
+            for rows in tiles:
+                attention_probs(q_h[rows], k_t, scale, out=p[rows])
+            d_q, d_k_t, d_v = attention_backward(q_h, k_t, v_h, p, g_h, scale)
+            grads[0][:, cols], grads[1][:, cols], grads[2][:, cols] = d_q, d_k_t.T, d_v
+        for t, g in zip((q, k, v), grads):
             accumulate_grad(t, g, owned=True)
 
     return _record("multi_head_attention", out, (q, k, v), backward_fn)
@@ -253,17 +277,17 @@ def composed_feed_forward(x, w1, b1, w2, b2):
     return tiled_linear(relu(tiled_linear(x, w1, b1)), w2, b2)
 
 
-def composed_cca(h_dec, h_enc, params, counter, heads=1, compressed=False):
+def composed_cca(h_dec, h_enc, params, counter, heads=1):
     """cca_forward as separate tape ops: the compression, the q, k and v
     linears, multi_head_attention and the output linear, the q and output
     projections cut in the fused op's query tiles and the attention in
-    their half tiles."""
-    memory = h_enc if compressed else compress_encoder_output(h_enc, params.c)
+    its attention tiles."""
+    memory = compress_encoder_output(h_enc, params.c)
     tiles = row_tiles(h_dec.shape[0], tile_rows())
     q = tiled_linear(h_dec, params.w_q, params.b_q, tiles)
     k = linear(memory, params.w_k, params.b_k)
     v = linear(memory, params.w_v, params.b_v)
-    attended = multi_head_attention(q, k, v, heads, counter, cca._attention_tiles(tiles))
+    attended = multi_head_attention(q, k, v, heads, counter, cca._attention_tiles(tiles, heads))
     return tiled_linear(attended, params.w_o, params.b_o, tiles)
 
 

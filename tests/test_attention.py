@@ -15,6 +15,7 @@ from gsaformer.attention import (
     scaled_dot_attention,
     softmax_last_axis_backward,
 )
+from gsaformer.cca import CcaLayerParams, cca_forward
 from gsaformer.tensor import (
     ComputationTape,
     DimensionError,
@@ -225,11 +226,6 @@ class TestMultiHead:
                             atol=1e-12)
         assert counter.score_elements == 2 * 36
 
-    def test_indivisible_heads_rejected(self):
-        x = Tensor(np.zeros((2, 6)))
-        with pytest.raises(DimensionError):
-            multi_head_attention(x, x, x, 4, OpCounter())
-
 
 @st.composite
 def mha_cases(draw):
@@ -239,47 +235,76 @@ def mha_cases(draw):
             draw(st.integers(1, 4)), draw(st.integers(0, 2**16)))
 
 
-def _attend_and_grads(op, arrays, heads, weights):
-    q, k, v = (Tensor(a.copy(), requires_grad=True) for a in arrays)
+def passthrough_cca(d):
+    """CCA parameters (no compression) whose projections return their
+    input rows exactly, but for w_v, which reverses their columns: so
+    cca_forward(q, memory) is multi-head attention of q over the keys
+    memory and the values memory[:, ::-1], each head's values taken from
+    other columns than its keys."""
+    params = CcaLayerParams.init(d, 1, 1, np.random.default_rng(0))
+    for w in (params.w_q, params.w_k, params.w_o):
+        w.data[:] = np.eye(d)
+    params.w_v.data[:] = np.eye(d)[:, ::-1]
+    return params
+
+
+def _attend_and_grads(op, arrays, weights):
+    tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
     counter = OpCounter()
     with ComputationTape() as tape:
-        out = op(q, k, v, heads, counter)
+        out = op(*tensors, counter)
         backward(sum_all(multiply(out, weights)), tape)
-    return (out.data, q.grad, k.grad, v.grad), (counter.score_elements,
-                                                 counter.peak_score_buffer)
+    return (out.data, *(t.grad for t in tensors)), (counter.score_elements,
+                                                     counter.peak_score_buffer)
 
 
 class TestFusedMultiHead:
-    """multi_head_attention (one tape op) against the per-head composition
-    of slice_cols, scaled_dot_attention and concat_cols, bit for bit."""
+    """cca_forward's attention, every head batched, against the per-head
+    composition of slice_cols, scaled_dot_attention and concat_cols, bit
+    for bit."""
 
     @settings(max_examples=30)
     @given(mha_cases())
     def test_matches_per_head_composition_bit_for_bit(self, case):
         l_q, l_k, heads, dh, seed = case
         rng = np.random.default_rng(seed)
-        arrays = [rng.normal(size=(n, heads * dh)) for n in (l_q, l_k, l_k)]
+        q, memory = (rng.normal(size=(n, heads * dh)) for n in (l_q, l_k))
         weights = Tensor(rng.normal(size=(l_q, heads * dh)))
-        fused, fused_counts = _attend_and_grads(multi_head_attention, arrays, heads,
-                                                weights)
-        loop, loop_counts = _attend_and_grads(loop_multi_head_attention, arrays, heads,
-                                              weights)
-        for a, b in zip(fused, loop):
-            npt.assert_array_equal(a, b)
+        params = passthrough_cca(heads * dh)
+        (out, d_q, d_memory), fused_counts = _attend_and_grads(
+            lambda q, memory, counter: cca_forward(q, memory, params, counter, heads),
+            (q, memory), weights)
+        (ref, ref_d_q, d_k, d_v), loop_counts = _attend_and_grads(
+            lambda q, k, v, counter: loop_multi_head_attention(q, k, v, heads, counter),
+            (q, memory, memory[:, ::-1]), weights)
+        npt.assert_array_equal(out, ref)
+        npt.assert_array_equal(d_q, ref_d_q)
+        # the memory's gradient is v's share, its columns reversed back, plus k's
+        npt.assert_array_equal(d_memory, d_v[:, ::-1] + d_k)
         assert fused_counts == loop_counts
-        untaped = multi_head_attention(*(Tensor(a) for a in arrays), heads, OpCounter())
-        npt.assert_array_equal(untaped.data, fused[0])
+        untaped = cca_forward(Tensor(q), Tensor(memory), params, OpCounter(), heads)
+        npt.assert_array_equal(untaped.data, out)
 
     def test_one_tape_node(self):
         q = Tensor(np.random.default_rng(20).normal(size=(5, 8)), requires_grad=True)
         with ComputationTape() as tape:
-            multi_head_attention(q, q, q, 4, OpCounter())
+            cca_forward(q, q, passthrough_cca(8), OpCounter(), 4)
         assert len(tape) == 1
 
-    def test_mismatched_keys_and_values_rejected(self):
+    def test_indivisible_heads_rejected(self):
+        x = Tensor(np.zeros((2, 6)))
+        counter = OpCounter()
         with pytest.raises(DimensionError):
-            multi_head_attention(Tensor(np.zeros((2, 4))), Tensor(np.zeros((3, 4))),
-                                 Tensor(np.zeros((2, 4))), 2, OpCounter())
+            cca_forward(x, x, passthrough_cca(6), counter, 4)
+        # a rejected call counts nothing
+        assert counter.score_elements == counter.peak_score_buffer == 0
+
+    def test_memory_of_another_width_rejected(self):
+        counter = OpCounter()
+        with pytest.raises(DimensionError):
+            cca_forward(Tensor(np.zeros((2, 4))), Tensor(np.zeros((3, 6))),
+                        passthrough_cca(4), counter, 2)
+        assert counter.score_elements == counter.peak_score_buffer == 0
 
 
 class TestExtremeMagnitudes:

@@ -29,3 +29,26 @@ def test_each_line_prints_the_digest_of_its_array():
             assert printed == bitcheck.digest(value), line
         else:
             assert isinstance(value, int) and printed == str(value), line
+
+
+def test_a_checkout_compared_with_itself_reads_all_identical():
+    # each side runs arrays() in its own process, under 1 and 2 BLAS threads
+    cfg = ModelConfig(**GRADCHECK_PRESETS["tiny"])
+    result = bitcheck.compare(bitcheck.SRC, {"tiny": cfg})
+    assert list(result) == list(bitcheck.arrays("tiny", cfg))
+    assert {v for v, _, _ in result.values()} == {"identical"}
+
+
+def test_the_floor_is_a_multiple_of_the_parents_thread_count_deviation():
+    x = np.random.default_rng(0).normal(size=(3, 4))
+    scale = np.abs(x).max()
+    parent = [x, x + 1e-12 * scale]     # what 2 threads change
+    assert bitcheck.verdict([x, parent[1]], parent)[0] == "identical"
+    assert bitcheck.verdict([x + 5e-12 * scale, parent[1]], parent)[0] == "within"
+    assert bitcheck.verdict([x + 1e-9 * scale, parent[1]], parent)[0] == "beyond"
+    # an array the thread count does not change gets the absolute floor
+    assert bitcheck.verdict([x + 5e-13 * scale] * 2, [x, x])[0] == "within"
+    assert bitcheck.verdict([x + 5e-12 * scale] * 2, [x, x])[0] == "beyond"
+    # counter totals and missing gradients must match
+    assert bitcheck.verdict([7, 7], [6, 6])[0] == "beyond"
+    assert bitcheck.verdict([x, x], [None, None])[0] == "beyond"

@@ -110,6 +110,24 @@ class TestCcaForward:
         expected = broadcast_add(matmul(attended, params.w_o), params.b_o)
         assert np.abs(out.data - expected.data).max() < 1e-10
 
+    def test_compressed_input_is_used_as_is_and_a_raw_one_compressed(self):
+        rng = np.random.default_rng(12)
+        params = make_params(8, 20, 6, seed=12)
+        h_dec = Tensor(rng.normal(size=(5, 8)))
+        h_enc = Tensor(rng.normal(size=(20, 8)))
+        results = []
+        for memory in (h_enc, compress_encoder_output(h_enc, params.c)):
+            counter = OpCounter()
+            out = cca_forward(h_dec, memory, params, counter, heads=2)
+            results.append((out.data.tobytes(), counter.score_elements,
+                            counter.peak_score_buffer))
+        assert results[0] == results[1]
+        # neither l_enc nor l_comp rows
+        counter = OpCounter()
+        with pytest.raises(DimensionError):
+            cca_forward(h_dec, Tensor(rng.normal(size=(7, 8))), params, counter, heads=2)
+        assert counter.score_elements == 0
+
     def test_multi_head_count(self):
         rng = np.random.default_rng(7)
         params = make_params(8, 20, 6, seed=7)
@@ -137,7 +155,7 @@ class TestCcaForward:
         h_dec = Tensor(rng.normal(size=(6, 8)))
         memory = compress_encoder_output(Tensor(rng.normal(size=(12, 8))), params.c)
         keys = cca_keys(memory, params, 2, OpCounter(), 6)
-        expected = cca_forward(h_dec, memory, params, OpCounter(), heads=2, compressed=True)
+        expected = cca_forward(h_dec, memory, params, OpCounter(), heads=2)
         out = cca_forward(h_dec, None, params, OpCounter(), heads=2, keys=keys)
         assert out.data.tobytes() == expected.data.tobytes()
         with ComputationTape(), pytest.raises(ValueError, match="memory"):
@@ -158,7 +176,8 @@ class TestCcaMemory:
         h_dec = Tensor(rng.normal(size=(l_dec, d)))
         h_enc = Tensor(rng.normal(size=(l_enc, d)))
         one_head = l_dec * l_enc * 8     # bytes of one head's score matrix
-        one_tile = tensor.tile_rows(half=True) * l_enc * 8     # CCA's query tiles are half tiles
+        # every head's scores of one query tile: a half tile of one head's
+        one_tile = tensor.tile_rows(half=True) * l_enc * 8
         activation = l_dec * d * 8      # bytes of one l_dec-by-d array
         tile_rows = tensor.tile_rows(half=True) * d * 8     # bytes of one tile of Q or attended rows
         keys = l_enc * d * 8

@@ -160,14 +160,14 @@ def test_cca_is_projections_attention_and_output_projection(data):
     by_dec = {id(win): e for win, e in zip(windows, enc)}
     leaves = (list(params.named().values())
               + [t for win in windows + enc for t in win.leaves()])
-    # the model passes the memory compressed; the default compresses itself
+    # the model passes the memory compressed; the op compresses a raw one itself
     pre = draw(st.booleans())
 
     def fused(win):
         h_enc = by_dec[id(win)].tensor()
         if pre:
             h_enc = compress_encoder_output(h_enc, params.c)
-        return cca_forward(win.tensor(), h_enc, params, OpCounter(), heads, compressed=pre)
+        return cca_forward(win.tensor(), h_enc, params, OpCounter(), heads)
 
     def reference(win):
         return composed_cca(win.tensor(), by_dec[id(win)].tensor(), params, OpCounter(),

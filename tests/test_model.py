@@ -715,13 +715,14 @@ class TestTapeNodes:
         spy(tensor_module, "affine", lambda out, x, w, b, *into: [out])   # linear, feed_forward
         spy(gsa_module, "affine", lambda out, x, w, b: [out, x])    # x: the merged outputs
         spy(cca_module, "affine", lambda out, x, w, b, *into: [out])
-        spy(cca_module, "multi_head_rows", lambda out, *args: [out])
+        spy(cca_module, "attention_forward", lambda out, *args: list(out))
         cfg = GRADIENT_CONFIGS["train_long"]
         # the encoder and the decoder are cut into the same row tiles, for
         # every op (GSA's tiles of whole groups too), CCA's attention into
-        # half tiles
+        # half tiles cut by the head count
         tiles = len(row_tiles(cfg.seq_len, tile_rows()))
-        cca_tiles = len(row_tiles(cfg.seq_len, tile_rows(half=True)))
+        cca_tiles = len(cca_module._attention_tiles(row_tiles(cfg.seq_len, tile_rows()),
+                                                    cfg.heads))
         assert cfg.dec_len == cfg.seq_len and tiles > 1
         assert len(row_tiles(cfg.seq_len, tile_rows(cfg.l_g))) == tiles
         model = ForecasterModel(cfg, seed=0)
@@ -735,7 +736,7 @@ class TestTapeNodes:
             assert Counter(name for name, _ in refs) == {
                 "layer_norm": 15,
                 "affine": 3 + tiles * (2 * 6 + 2 * 6) + 3 * (2 + 2 * tiles),
-                "multi_head_rows": 3 * cca_tiles}
+                "attention_forward": 2 * 3 * cca_tiles}   # attended rows and scores
             assert [name for name, ref in refs if ref() is not None] == []
             backward(loss, tape)
         assert [n for n, p in model.parameters().items() if p.grad is None] == []
