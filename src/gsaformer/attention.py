@@ -4,11 +4,11 @@ the score-element counter shared by every attention variant.
 attention_probs/attention_forward/attention_backward are the one score ->
 softmax -> value kernel (and its gradient) on plain arrays, batched over
 leading axes.  head_view is the one head layout: it views an (n, d) array
-as (heads, n, d_h) blocks, head h being column slab h, so the heads are a
-batch axis of every kernel call.  Both fused tape ops run the kernel on
-it: cca.cca_forward (unmasked, every head of a tile of queries in one
-call; its backward one head at a time) and gsa.gsa_forward (which builds
-its own boolean allow array and cuts the rows into groups).
+as (heads, n, d_h) blocks, head h being column slab h.  Both fused tape
+ops run the kernel on it: gsa.gsa_forward on every head at once (it
+builds its own boolean allow array and cuts the rows into groups) and
+cca.cca_forward on one head's block at a time (unmasked, a half tile of
+queries against every key per call, forward and backward).
 scaled_dot_attention and row_softmax compose the same arithmetic from
 separate tape ops: they are the canonical reference that the acceptance
 gates and the loop oracles of the tests are built from.  Their mask

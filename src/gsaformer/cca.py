@@ -5,9 +5,9 @@ Each decoder layer owns its own compression matrix, when it needs one.
 The compression is a matmul op of its own; the projections, attention and
 output projection after it are one tape op whose rule rebuilds Q, K, V,
 the probabilities and the attended rows.  Its attention runs on the
-(heads, rows, d_h) layout of attention.head_view, as GSA's does: the
-heads are a batch axis of the forward's kernel calls, and the backward
-walks them one at a time."""
+(heads, rows, d_h) layout of attention.head_view, as GSA's does, but
+walks the heads one at a time, forward and backward: a kernel call
+scores one head's half tile of queries against every key."""
 
 from __future__ import annotations
 
@@ -111,13 +111,12 @@ def cca_keys(memory: Tensor, params: CcaLayerParams, heads: int, counter: OpCoun
     return keys
 
 
-def _attention_tiles(tiles: list[slice], heads: int) -> list[slice]:
-    """The tiles that cca_forward attends each of its query tiles in, in
-    query rows: a half tile (tile_rows(half=True)) cut by the head count,
-    so that every head's scores of one tile, a row per key and head, are
-    no more than a half tile of one head's."""
+def _attention_tiles(tiles: list[slice]) -> list[slice]:
+    """The half tiles (tile_rows(half=True)) that cca_forward attends each
+    of its query tiles in, in query rows: a half tile also holds a head's
+    scores, a row per key."""
     return [slice(rows.start + half.start, rows.start + half.stop) for rows in tiles
-            for half in row_tiles(rows.stop - rows.start, tile_rows(half=True) // heads)]
+            for half in row_tiles(rows.stop - rows.start, tile_rows(half=True))]
 
 
 def cca_forward(h_dec: Tensor, h_enc: Optional[Tensor], params: CcaLayerParams,
@@ -138,11 +137,13 @@ def cca_forward(h_dec: Tensor, h_enc: Optional[Tensor], params: CcaLayerParams,
     linear q/k/v projections, attention on each head's column slab and
     the linear output projection composed, at every width a row tile cut
     does not change.  Each row tile of queries is projected, attended in
-    _attention_tiles (one attention_forward call over every head of the
-    head_view of a tile's Q rows, which the attended rows overwrite) and
-    output-projected, so Q and the attended rows are one tile big and
-    the scores of every head no more than one head's of a half tile.  The
-    rule holds h_dec, the memory (through held_values) and the
+    _attention_tiles (an attention_forward call per head on its block of
+    the head_view of a half tile's Q rows, which the attended rows
+    overwrite) and output-projected, so Q and the attended rows are one
+    tile big and the scores one head's of a half tile.  (Every head in
+    one call would make the scores heads times that; a half tile cut by
+    the head count would make heads times as many, shorter BLAS calls.)
+    The rule holds h_dec, the memory (through held_values) and the
     parameters: the backward rebuilds Q (in the forward's tiles), K and
     V, then, one head at a time so that one head's l_dec-by-l_k
     probabilities are alive at once, its probabilities (in the forward's
@@ -170,8 +171,9 @@ def cca_forward(h_dec: Tensor, h_enc: Optional[Tensor], params: CcaLayerParams,
     for rows in tiles:
         q = affine(h_dec.data[rows], p.w_q, p.b_q)
         q_heads = head_view(q, heads)
-        for half in _attention_tiles([slice(0, q.shape[0])], heads):
-            attention_forward(q_heads[:, half], k_t, v, scale, out=q_heads[:, half])
+        for half in _attention_tiles([slice(0, q.shape[0])]):
+            for h in range(heads):
+                attention_forward(q_heads[h, half], k_t[h], v[h], scale, out=q_heads[h, half])
         affine(q, p.w_o, p.b_o, out_data[rows])
         del q, q_heads      # else two tiles of Q would be alive at once
     del keys, k_t, v
@@ -186,7 +188,7 @@ def cca_forward(h_dec: Tensor, h_enc: Optional[Tensor], params: CcaLayerParams,
     dec_slot, memory_slot, out_slot = h_dec.slot, memory.slot, out.slot
     dec_values, memory_values = held_values(h_dec), held_values(memory)
     l_k = memory.shape[0]
-    halves = _attention_tiles(tiles, heads)
+    halves = _attention_tiles(tiles)
 
     def backward():
         g = out_slot.grad

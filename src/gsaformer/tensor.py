@@ -37,14 +37,13 @@ backward.
 The ops that would otherwise make whole-length temporaries (layer_norm
 and feed_forward here, cca_forward, gsa_forward and the attention kernels
 they run) work in row tiles of TILE_ROWS rows (rounded down to whole
-groups in gsa; half that where a tile holds scores, and in CCA's
-attention, which scores every head at once, a half tile cut by the head
-count; see tile_rows), cut by row_tiles, with the whole-array
-arithmetic, so without a tape their temporaries are one tile big; the
-constructor's finiteness check, too, makes its mask a tile at a time.  layer_norm can
-write its output over f, which is how the model's residual blocks call
-it: a block, norm(x + sublayer(x)), then holds its input, its output and
-one tile of its sublayer.  Without a tape the model's decoder goes
+groups in gsa; half that where a tile holds scores, see tile_rows),
+cut by row_tiles, with the whole-array arithmetic, so without a tape
+their temporaries are one tile big; the constructor's finiteness check,
+too, makes its mask a tile at a time.  layer_norm can write its output
+over f, which is how the model's residual blocks call it: a block,
+norm(x + sublayer(x)), then holds its input, its output and one tile of
+its sublayer.  Without a tape the model's decoder goes
 further and runs one row tile through all its blocks at a time
 (model.ForecasterModel.forward), so its inputs and outputs are one tile
 big too.
@@ -489,10 +488,9 @@ def tile_rows(unit: int = 1, half: bool = False) -> int:
     least one unit: the tile height of every op that works in row tiles
     (GSA's unit is a group).  Walks whose tile holds a row of scores per
     key take half tiles: GSA's local attention and its backward's walk,
-    the attention kernels, and CCA's attention, which cuts them by its
-    head count, since each of its calls scores every head.  Each tiled
-    product is a BLAS call, and a threaded one waits for every thread, so
-    the row-wise ops take tiles as tall as memory allows."""
+    the attention kernels, and CCA's attention, one head at a time.  Each
+    tiled product is a BLAS call, and a threaded one waits for every
+    thread, so the row-wise ops take tiles as tall as memory allows."""
     return max((TILE_ROWS // 2 if half else TILE_ROWS) // unit, 1) * unit
 
 

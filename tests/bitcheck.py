@@ -19,9 +19,9 @@ runs 2 Adam steps of batch 2 on 4 seeded windows, once without clipping
 and once with grad_clip=0.5, so the optimizer's in-place update and the
 clip's in-place scaling show too.  Every GSA beta is set to 0.3, so the
 global path carries forecast and gradient.  The configs are the bench
-config at the train_long length, with its 4 heads and with 8 (so the head
-axis that the GSA and CCA ops both batch over shows at two widths), the `gsaformer train`
-defaults, a compressed-CCA config with label_len=20, the local-only
+config at the train_long length, with its 4 heads and with 8 (so the
+head_view layout that the GSA and CCA ops both run on shows at two
+widths), the `gsaformer train` defaults, a compressed-CCA config with label_len=20, the local-only
 ablation, the bench config at lengths one row past a multiple of the 256-
 and 512-row tiles (513 = 2 * 256 + 1, 1025 = 2 * 512 + 1), the 1025 one at
 d = 12 with 3 heads and 12 hidden units, whose products are 12, 4 and 7

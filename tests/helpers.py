@@ -8,7 +8,7 @@ relu, a linear cut in row tiles, multi-head attention as one op,
 subtraction, the sum of all entries and the MSE composed from them) live
 here, not in the library, and so does multi_head_forward, the tiled
 attention that op runs one head at a time, the per-head oracle of the
-CCA op's batched heads.  So do the whole-array forwards of the
+CCA op's head_view blocks.  So do the whole-array forwards of the
 ops that work in tiles (layer_norm, feed_forward, multi-head attention,
 gsa_forward): their bodies from before the tiling, the oracle the tiled
 forwards must match bit for bit; and the sublayers the model records as
@@ -201,7 +201,7 @@ def multi_head_forward(q, k, v, heads, counter, tiles=None):
     contiguous copies of its column slabs, one tile of queries at a time
     (by default half tiles, row_tiles at tile_rows(half=True)): the
     counter sees one l_q-by-l_k call per head.  The per-head oracle of
-    cca_forward's attention, which batches the heads."""
+    cca_forward's attention, which runs on head_view blocks."""
     (l_q, d), l_k = q.shape, k.shape[0]
     if k.shape[1] != d or v.shape != k.shape:
         raise DimensionError(f"attention: Q {q.shape}, K {k.shape} and V {v.shape} "
@@ -287,7 +287,7 @@ def composed_cca(h_dec, h_enc, params, counter, heads=1):
     q = tiled_linear(h_dec, params.w_q, params.b_q, tiles)
     k = linear(memory, params.w_k, params.b_k)
     v = linear(memory, params.w_v, params.b_v)
-    attended = multi_head_attention(q, k, v, heads, counter, cca._attention_tiles(tiles, heads))
+    attended = multi_head_attention(q, k, v, heads, counter, cca._attention_tiles(tiles))
     return tiled_linear(attended, params.w_o, params.b_o, tiles)
 
 

@@ -259,7 +259,7 @@ def _attend_and_grads(op, arrays, weights):
 
 
 class TestFusedMultiHead:
-    """cca_forward's attention, every head batched, against the per-head
+    """cca_forward's attention, on head_view blocks, against the per-head
     composition of slice_cols, scaled_dot_attention and concat_cols, bit
     for bit."""
 

@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from helpers import naive_attention, naive_matmul
+from helpers import naive_attention, naive_matmul, sum_all
 
 from gsaformer import tensor
 from gsaformer.attention import AttentionMask, OpCounter, scaled_dot_attention
@@ -176,8 +176,7 @@ class TestCcaMemory:
         h_dec = Tensor(rng.normal(size=(l_dec, d)))
         h_enc = Tensor(rng.normal(size=(l_enc, d)))
         one_head = l_dec * l_enc * 8     # bytes of one head's score matrix
-        # every head's scores of one query tile: a half tile of one head's
-        one_tile = tensor.tile_rows(half=True) * l_enc * 8
+        one_tile = tensor.tile_rows(half=True) * l_enc * 8     # one call: a head's half tile
         activation = l_dec * d * 8      # bytes of one l_dec-by-d array
         tile_rows = tensor.tile_rows(half=True) * d * 8     # bytes of one tile of Q or attended rows
         keys = l_enc * d * 8
@@ -193,3 +192,29 @@ class TestCcaMemory:
         # activation more than that slack, and a whole head's scores more
         assert activation + one_tile <= peak < activation + one_tile + 4 * tile_rows + 4 * keys
         assert 4 * tile_rows + 4 * keys <= activation and one_tile + activation < one_head
+
+    def test_backward_holds_one_heads_probabilities_at_a_time(self):
+        d, heads, l_dec, l_enc = 16, 4, 4096, 256
+        rng = np.random.default_rng(10)
+        params = make_params(d, l_enc, l_enc)
+        h_dec = Tensor(rng.normal(size=(l_dec, d)), requires_grad=True)
+        h_enc = Tensor(rng.normal(size=(l_enc, d)), requires_grad=True)
+        one_head = l_dec * l_enc * 8     # bytes of one head's probabilities
+        one_tile = tensor.tile_rows(half=True) * l_enc * 8     # a head's half tile of them
+        activation = l_dec * d * 8      # bytes of one l_dec-by-d array
+        with ComputationTape() as tape:
+            loss = sum_all(cca_forward(h_dec, h_enc, params, OpCounter(), heads=heads))
+        tracemalloc.start()
+        try:
+            tensor.backward(loss, tape)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one head's probabilities and their gradient, a half tile of the
+        # softmax backward's products, and a few l_dec-by-d arrays (the
+        # output's gradient, Q and the attended rows with their gradients,
+        # a head's copies of them, h_dec's gradient); a second head's
+        # probabilities and gradient would need more than that slack
+        bound = 2 * one_head + one_tile + 8 * activation
+        assert 2 * one_head <= peak < bound
+        assert bound < 3 * one_head

@@ -719,10 +719,9 @@ class TestTapeNodes:
         cfg = GRADIENT_CONFIGS["train_long"]
         # the encoder and the decoder are cut into the same row tiles, for
         # every op (GSA's tiles of whole groups too), CCA's attention into
-        # half tiles cut by the head count
+        # half tiles, one call per head
         tiles = len(row_tiles(cfg.seq_len, tile_rows()))
-        cca_tiles = len(cca_module._attention_tiles(row_tiles(cfg.seq_len, tile_rows()),
-                                                    cfg.heads))
+        cca_tiles = len(row_tiles(cfg.seq_len, tile_rows(half=True)))
         assert cfg.dec_len == cfg.seq_len and tiles > 1
         assert len(row_tiles(cfg.seq_len, tile_rows(cfg.l_g))) == tiles
         model = ForecasterModel(cfg, seed=0)
@@ -736,7 +735,8 @@ class TestTapeNodes:
             assert Counter(name for name, _ in refs) == {
                 "layer_norm": 15,
                 "affine": 3 + tiles * (2 * 6 + 2 * 6) + 3 * (2 + 2 * tiles),
-                "attention_forward": 2 * 3 * cca_tiles}   # attended rows and scores
+                # attended rows and scores
+                "attention_forward": 2 * 3 * cfg.heads * cca_tiles}
             assert [name for name, ref in refs if ref() is not None] == []
             backward(loss, tape)
         assert [n for n, p in model.parameters().items() if p.grad is None] == []
