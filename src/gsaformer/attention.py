@@ -5,10 +5,11 @@ attention_probs/attention_forward/attention_backward are the one score ->
 softmax -> value kernel (and its gradient) on plain arrays, batched over
 leading axes.  head_view is the one head layout: it views an (n, d) array
 as (heads, n, d_h) blocks, head h being column slab h.  Both fused tape
-ops run the kernel on it: gsa.gsa_forward on every head at once (it
-builds its own boolean allow array and cuts the rows into groups) and
-cca.cca_forward on one head's block at a time (unmasked, a half tile of
-queries against every key per call, forward and backward).
+ops run the kernel on it: gsa.gsa_forward on every head's groups at
+once (it builds its own boolean allow array and cuts the rows into
+groups), and gsa.gsa_forward's summary rows and cca.cca_forward on one
+head's block at a time (unmasked, a half tile of queries against every
+key per call, forward and backward).
 scaled_dot_attention and row_softmax compose the same arithmetic from
 separate tape ops: they are the canonical reference that the acceptance
 gates and the loop oracles of the tests are built from.  Their mask
@@ -176,13 +177,22 @@ def attention_forward(q: np.ndarray, k_t: np.ndarray, v: np.ndarray, scale: floa
 
 
 def attention_backward(q: np.ndarray, k_t: np.ndarray, v: np.ndarray, p: np.ndarray,
-                       g: np.ndarray, scale: float) -> tuple[np.ndarray, ...]:
+                       g: np.ndarray, scale: float,
+                       tiles: Optional[list[slice]] = None) -> tuple[np.ndarray, ...]:
     """(d_q, d_k_t, d_v) of attention_forward from its inputs, its
     probabilities p and the output gradient g, with the arithmetic of the
-    matmul/multiply/row_softmax rules; changes none of its arguments."""
-    d_p = np.matmul(g, v.swapaxes(-1, -2))
+    matmul/multiply/row_softmax rules; changes none of its arguments but,
+    with tiles, p.  tiles, row slices that cut the queries, make the score
+    gradient a tile at a time over p's rows once d_v has read p, so one
+    tile of it is alive beside p, not a second score array."""
     d_v = np.matmul(p.swapaxes(-1, -2), g)
-    softmax_last_axis_backward(p, d_p)
+    if tiles is None:
+        d_p = softmax_last_axis_backward(p, np.matmul(g, v.swapaxes(-1, -2)))
+    else:
+        d_p = p
+        for rows in tiles:
+            d_p[..., rows, :] = softmax_last_axis_backward(
+                p[..., rows, :], np.matmul(g[..., rows, :], v.swapaxes(-1, -2)))
     d_p *= scale
     return np.matmul(d_p, k_t.swapaxes(-1, -2)), np.matmul(q.swapaxes(-1, -2), d_p), d_v
 

@@ -7,8 +7,10 @@ the largest logical score matrix (one group of one head for GSA, one head
 for canonical attention), so it reflects the mechanism's working-set claim
 and is deterministic.  The real buffers differ: the fused GSA op scores
 half a tile of every head's groups at a time (4 heads x 4 groups at
-l_g = 64, forward and backward), CCA 256 queries of one head forward and
-a whole head backward; no rule keeps scores on the tape.
+l_g = 64, forward and backward) and its summary rows one head's half
+tile of queries at a time forward, a whole head backward; CCA scores 256
+queries of one head forward and a whole head backward; no rule keeps
+scores on the tape.
 """
 
 from __future__ import annotations

@@ -17,18 +17,22 @@ group buffers, viewed as (heads, groups, l_g, d_h) blocks (the
 attention.head_view layout, its rows cut into groups), so the heads are
 one more batch axis of every attention call.  A group's summary rows
 are linear in its rows, so the op makes them from x first, without
-projecting it, and runs the summary attention; then it walks tiles of
-whole groups (tensor.TILE_ROWS rows rounded down to whole groups) once,
-so one tile of K/V and half a tile of every head's group scores are
-alive at a time (a tile's Q sits where its outputs will go) and each
-tile is merged and output-projected before the next: without a tape the
-op holds its input, its output and one tile.  A caller that does not
-record can pass a row-local continuation instead, which gets each
-tile's output rows; the op then holds its input and one tile, and no
-output.  The op's rule holds only its input (through tensor.held_values,
-so a layer norm's output is rebuilt, not held) and its parameters, and
-rebuilds Q, K, V, the global path, every tile's local probabilities and
-the merged head outputs in the backward, which walks half tiles once.
+projecting it, and runs the summary attention one head at a time, a half
+tile of its queries per call; only the pooled rows outlive it.  Then it
+walks tiles of whole groups (tensor.TILE_ROWS rows rounded down to whole
+groups) once: a tile's Q sits where its outputs will go, and K and V are
+projected a half tile at a time, each dropped before the next, so one
+tile of Q, a half tile of K/V and half a tile of every head's group
+scores are alive at a time, and each tile is merged and output-projected
+before the next: without a tape the op holds its input, its output and
+one tile.  A caller that does not record can pass a row-local
+continuation instead, which gets each tile's output rows; the op then
+holds its input and one tile, and no output.  The op's rule holds only
+its input (through tensor.held_values, so a layer norm's output is
+rebuilt, not held) and its parameters, and rebuilds Q (in the forward's
+tiles), K and V (in its half tiles), the global path (one head's summary
+probabilities at a time), every tile's local probabilities and the
+merged head outputs in the backward, which walks half tiles once.
 summarize_group, global_summary_attention and merge_outputs are the
 global path's steps for a single group, composed from separate tape
 ops; the model does not call them, and the tests build their loop-based
@@ -245,35 +249,44 @@ def _sum_last_to_first(parts: np.ndarray) -> np.ndarray:
 
 def _tiles(l: int, l_g: int, half: bool = False) -> list[tuple[slice, slice]]:
     """The row tiles gsa_forward works over, tile_rows(l_g) rows of whole
-    groups each (or half tiles, the local attention's walk): (rows, groups)
+    groups each, or with half its half tiles: each tile's rows cut by
+    tile_rows(l_g, half=True), the rows its local attention walks and K
+    and V are projected in.  Both come from row_tiles, so neither is ever
+    one row high (a one-row product would go to gemv).  (rows, groups)
     slice pairs."""
-    return [(rows, slice(rows.start // l_g, -(-rows.stop // l_g)))
-            for rows in row_tiles(l, tile_rows(l_g, half))]
+    tiles = row_tiles(l, tile_rows(l_g))
+    if half:
+        tiles = [slice(t.start + h.start, t.start + h.stop) for t in tiles
+                 for h in row_tiles(t.stop - t.start, tile_rows(l_g, half=True))]
+    return [(rows, slice(rows.start // l_g, -(-rows.stop // l_g))) for rows in tiles]
 
 
 def _project(x: np.ndarray, w: Tensor, b: Tensor, m: int, l_g: int,
-             real_len: int, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """x @ w + b, x an (l, d) array, with linear's arithmetic and the
-    forward's row tiles, in one zero-padded (m*l_g, d) buffer (out when
-    given) that the product is written straight into, every row at index
-    >= real_len zero.
-    A forward tile is one tile here, so a backward that projects the whole
-    x gets the forward's bits at every width."""
+             real_len: int, out: Optional[np.ndarray] = None,
+             half: bool = False) -> np.ndarray:
+    """x @ w + b, x an (l, d) array, with linear's arithmetic in the
+    forward's row tiles (with half, its half tiles), in one zero-padded
+    (m*l_g, d) buffer (out when given) that the product is written
+    straight into, every row at index >= real_len zero.  The forward
+    projects Q a tile and K and V a half tile at a time, so a backward
+    that projects the whole x in the same cut gets the forward's bits at
+    every width."""
     l = x.shape[0]
     rows = np.empty((m * l_g, w.shape[1])) if out is None else out
-    for tile, _ in _tiles(l, l_g):
+    for tile, _ in _tiles(l, l_g, half):
         np.matmul(x[tile], w.data, out=rows[tile])
     rows[:l] += b.data
     rows[real_len:] = 0.0
     return rows
 
 
-def _qkv(x: np.ndarray, params: GsaLayerParams, m: int, l_g: int, real_len: int,
-         q_out: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The _project buffers of Q (q_out when given), K and V."""
-    return tuple(_project(x, w, b, m, l_g, real_len, out) for w, b, out in
-                 ((params.w_q, params.b_q, q_out), (params.w_k, params.b_k, None),
-                  (params.w_v, params.b_v, None)))
+def _qkv(x: np.ndarray, params: GsaLayerParams, m: int, l_g: int,
+         real_len: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The _project buffers of Q, in the forward's tiles, and of K and V,
+    in its half tiles."""
+    return (_project(x, params.w_q, params.b_q, m, l_g, real_len),
+            *(_project(x, w, b, m, l_g, real_len, half=True)
+              for w, b in ((params.w_k, params.b_k), (params.w_v, params.b_v))))
 
 
 def _summaries(x: np.ndarray, params: GsaLayerParams, m: int, l_g: int, real_len: int,
@@ -304,16 +317,32 @@ def _summaries(x: np.ndarray, params: GsaLayerParams, m: int, l_g: int, real_len
     return out
 
 
-def _summary_attention(qs: np.ndarray, ks: np.ndarray, vs: np.ndarray,
-                       scale: float) -> tuple[np.ndarray, ...]:
-    """The global path from every group's summary rows, each (heads, m,
-    l_s, d_h): (qs, ks, vs, pg, pooled), the summary rows as (heads,
-    m*l_s, d_h), the summary attention's probabilities and each group's
-    mean-pooled summary output, (heads, m, d_h)."""
-    heads, m, l_s, dh = qs.shape
-    qs, ks, vs = (a.reshape(heads, m * l_s, dh) for a in (qs, ks, vs))
-    og, pg = attention_forward(qs, ks.swapaxes(-1, -2), vs, scale)
-    return qs, ks, vs, pg, og.reshape(heads, m, l_s, dh).mean(axis=2)
+def _summary_attention(summaries: list[np.ndarray], scale: float,
+                       backward: Optional[Callable[..., None]] = None) -> np.ndarray:
+    """The global path from every group's summary rows (_summaries, each
+    (heads, m, l_s, d_h)): each group's mean-pooled summary output,
+    (heads, m, d_h).  It attends one head at a time, a half tile of its
+    queries per call, as cca_forward does, so one half tile of scores is
+    alive at a time.  The rule passes backward: each head's probabilities
+    are then kept, n_s by n_s, and handed with the head's operands and
+    query tiles to backward(h, q, k_t, v, p, tiles), which consumes them
+    before the next head's are made."""
+    heads, m, l_s, dh = summaries[0].shape
+    n_s = m * l_s
+    qs, ks, vs = (a.reshape(heads, n_s, dh) for a in summaries)
+    tiles = row_tiles(n_s, tile_rows(half=True))
+    og = np.empty(qs.shape)
+    for h in range(heads):
+        q, k_t, v = qs[h], ks[h].T, vs[h]
+        p = None if backward is None else np.empty((n_s, n_s))
+        for rows in tiles:
+            # unnamed, else two half tiles' scores would be alive at once
+            np.matmul(attention_probs(q[rows], k_t, scale, out=None if p is None else p[rows]),
+                      v, out=og[h, rows])
+        if backward is not None:
+            backward(h, q, k_t, v, p, tiles)
+        del p               # else two heads' probabilities would be alive at once
+    return og.reshape(heads, m, l_s, dh).mean(axis=2)
 
 
 def _merge(o: np.ndarray, pooled: np.ndarray, params: GsaLayerParams, first: int) -> None:
@@ -338,13 +367,16 @@ def gsa_forward(x: Tensor, params: GsaLayerParams, cfg: GsaConfig,
     projected queries, keys and values are zero and masked as keys, so
     outputs at real positions never depend on pad values.  With the
     global path the op first makes every group's summary rows from x
-    (_summaries) and runs the summary attention.  Then it walks tiles of
+    (_summaries) and runs the summary attention (_summary_attention), one
+    head at a time on half tiles of its queries.  Then it walks tiles of
     whole groups, tile_rows(l_g) rows each (cut by row_tiles), once: it
     projects a tile's Q (into the rows of the output buffer that the
-    tile's local outputs then overwrite), K and V, runs local attention
-    in half tiles, merges the tile's groups with their pooled rows and
-    output-projects them.  Every group is computed alone, so the tiles'
-    results are the whole layer's.
+    tile's local outputs then overwrite), then runs local attention in
+    the tile's half tiles (_tiles with half), projecting each half tile's
+    K and V from its rows of x and dropping them before the next, merges
+    the tile's groups with their pooled rows and output-projects them.
+    Every group is computed alone, so the tiles' results are the whole
+    layer's.
 
     then, a row-local continuation, is for a caller that does not record
     and does not need the whole output at once: then(rows, f) gets each
@@ -355,12 +387,15 @@ def gsa_forward(x: Tensor, params: GsaLayerParams, cfg: GsaConfig,
 
     The rule holds x and the parameters, nothing else: the backward gets x
     (from its recipe when x has one), projects Q, K and V again in the
-    forward's tiles, re-runs the summary path from x, then walks half tiles
-    once, every head at once, rebuilding each tile's probabilities and
-    local outputs with the forward's arithmetic for the local backward,
-    alpha's gradient and (merged in place of the consumed output
-    gradient) w_o's.  It adds every score element it
-    rebuilds to the counter's recomputed_score_elements.  The forward
+    forward's cut (_qkv), makes the summary rows again from x and runs the
+    summary attention's backward one head at a time (rebuilding that
+    head's probabilities with the forward's arithmetic, and writing its
+    score gradient over them in the forward's query tiles), then walks
+    half tiles once, every head at once, rebuilding each tile's
+    probabilities and local outputs with the forward's arithmetic for the
+    local backward, alpha's gradient and (merged in place of the consumed
+    output gradient) w_o's.  It adds every score element it rebuilds to
+    the counter's recomputed_score_elements.  The forward
     counter sees one l_g-by-l_g matrix per head and group and one
     m*l_s-by-m*l_s matrix per head, however the groups are computed.
     """
@@ -386,21 +421,24 @@ def gsa_forward(x: Tensor, params: GsaLayerParams, cfg: GsaConfig,
     if use_global:
         for _ in range(heads):
             counter.add_scores(n_s, n_s)
-        pooled = _summary_attention(*_summaries(x.data, params, m, l_g, real_len, heads),
-                                    scale)[-1]
+        pooled = _summary_attention(_summaries(x.data, params, m, l_g, real_len, heads), scale)
     out_rows = np.empty((m * l_g, d)) if then is None else None
     for rows, groups in _tiles(l, l_g):
         n = groups.stop - groups.start
         # the tile's Q, where its local outputs will go
         local = out_rows[rows.start:groups.stop * l_g] if then is None else np.empty((n * l_g, d))
-        qg, kg, vg = (_grouped(a, n, l_g, heads) for a in
-                      _qkv(x.data[rows], params, n, l_g, real_len - rows.start, local))
-        # local attention in the backward's half tiles, the outputs over Q
-        for _, sub in _tiles(n * l_g, l_g, half=True):
-            at = slice(groups.start + sub.start, groups.start + sub.stop)
-            attention_forward(qg[:, sub], kg[:, sub].swapaxes(-1, -2), vg[:, sub], scale,
-                              None if allow is None else allow[at], out=qg[:, sub])
-        del kg, vg          # else two tiles' K/V would be alive at once
+        qg = _grouped(_project(x.data[rows], params.w_q, params.b_q, n, l_g,
+                               real_len - rows.start, local), n, l_g, heads)
+        # local attention in half tiles, each with its own K and V, the outputs over Q
+        for half, sub in _tiles(rows.stop - rows.start, l_g, half=True):
+            at = slice(rows.start + half.start, rows.start + half.stop)
+            n_half = sub.stop - sub.start
+            kg, vg = (_grouped(_project(x.data[at], w, b, n_half, l_g, real_len - at.start),
+                               n_half, l_g, heads)
+                      for w, b in ((params.w_k, params.b_k), (params.w_v, params.b_v)))
+            attention_forward(qg[:, sub], kg.swapaxes(-1, -2), vg, scale,
+                              None if allow is None else allow[groups][sub], out=qg[:, sub])
+            del kg, vg      # else two half tiles' K/V would be alive at once
         if use_global:
             _merge(qg, pooled[:, groups], params, groups.start)
         f = affine(local[:rows.stop - rows.start], params.w_o, params.b_o)
@@ -424,9 +462,7 @@ def gsa_forward(x: Tensor, params: GsaLayerParams, cfg: GsaConfig,
         # their gradients
         grads = _qkv(x_data, params, m, l_g, real_len)
         if use_global:
-            qs, ks, vs, pg, pooled = _summary_attention(
-                *_summaries(x_data, params, m, l_g, real_len, heads), scale)
-            counter.add_recomputed(heads * n_s, n_s)
+            summaries = _summaries(x_data, params, m, l_g, real_len, heads)
         del x_data
         qg, kg, vg = (_grouped(a, m, l_g, heads) for a in grads)
         # the merged outputs' gradient, zero-padded to whole groups, until the walk
@@ -435,14 +471,22 @@ def gsa_forward(x: Tensor, params: GsaLayerParams, cfg: GsaConfig,
         d_out = _grouped(d_rows, m, l_g, heads)
         if use_global:
             g_cols = d_out.sum(axis=2)
-            d_beta = (g_cols * pooled).sum(axis=-1)
             d_pooled = g_cols * params.beta.data[0, :m, None] / l_s
             d_og = np.repeat(d_pooled[:, :, None, :], l_s, axis=2).reshape(heads, n_s, dh)
-            # global summary attention
-            d_qs, d_ks, d_vs = attention_backward(qs, ks.swapaxes(-1, -2), vs, pg, d_og, scale)
+            # global summary attention, one head's probabilities alive at a
+            # time, its score gradient written over them
+            d_qs, d_vs = np.empty((heads, n_s, dh)), np.empty((heads, n_s, dh))
+            d_ks = np.empty((heads, dh, n_s))
+
+            def head_backward(h, q, k_t, v, p, tiles):
+                d_qs[h], d_ks[h], d_vs[h] = attention_backward(q, k_t, v, p, d_og[h], scale,
+                                                               tiles)
+            counter.add_recomputed(heads * n_s, n_s)
+            pooled = _summary_attention(summaries, scale, head_backward)
+            d_beta = (g_cols * pooled).sum(axis=-1)
             d_summaries = [a.reshape(heads, m, l_s, dh)
                            for a in (d_qs, d_ks.swapaxes(-1, -2), d_vs)]
-            del qs, ks, vs, pg, d_og, d_qs, d_ks, d_vs
+            del summaries, d_og, d_qs, d_ks, d_vs
             # summary projections, shared by every group and head
             for e, blocks, d_s in zip((params.e_q, params.e_k, params.e_v), (qg, kg, vg),
                                       d_summaries):

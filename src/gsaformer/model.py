@@ -171,8 +171,8 @@ class _FeedForward(ParameterSet):
         self.lin1 = _Linear(d, hidden, rng)
         self.lin2 = _Linear(hidden, d, rng)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return feed_forward(x, self.lin1.w, self.lin1.b, self.lin2.w, self.lin2.b)
+    def __call__(self, x: Tensor, out: Optional[np.ndarray] = None) -> Tensor:
+        return feed_forward(x, self.lin1.w, self.lin1.b, self.lin2.w, self.lin2.b, out=out)
 
 
 class _EncoderLayer(ParameterSet):
@@ -195,11 +195,15 @@ class _EncoderLayer(ParameterSet):
         array is the forward's own): the GSA runs with a continuation that
         takes each row tile of its output through the rest of the layer,
         norm1, the FFN and norm2, which are row-local, and writes the
-        tile's result over the rows it came from.  The layer holds h and
-        one tile of each array it makes; the bits are the blocks'."""
+        tile's result over the rows it came from.  Once norm1 has read a
+        tile of h, those rows are dead: the FFN writes its output over
+        them and norm2 normalizes it there, in place.  The layer holds h,
+        a half tile of K and V and one tile of every other array it
+        makes; the bits are the blocks'."""
         def rest(rows: slice, f: np.ndarray) -> None:
             y = self.norm1(Tensor(h.data[rows]), Tensor(f), out=f)
-            self.norm2(y, self.ffn(y), out=h.data[rows])
+            h_rows = h.data[rows]
+            self.norm2(y, self.ffn(y, out=h_rows), out=h_rows)
         gsa_forward(h, self.gsa, self.gsa_cfg, counter, then=rest)
 
 

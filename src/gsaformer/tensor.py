@@ -320,11 +320,14 @@ def linear_backward(x: GradSlot, x_data: np.ndarray, w: Tensor, b: "Tensor | Gra
     accumulate_grad(w, x_data.T @ g, owned=True)
 
 
-def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
+                 out: Optional[np.ndarray] = None) -> Tensor:
     """relu(x @ w1 + b1) @ w2 + b2 as one tape node, bit for bit
     linear(relu(linear(x, w1, b1)), w2, b2) at every width a tile cut does
     not change.  The forward computes its output a row tile at a time, so
-    its hidden activations are one tile big.  The rule holds x (through
+    its hidden activations are one tile big, and writes it into out (a new
+    array by default), which must not overlap x: a caller that is done
+    with some rows of its own passes them.  The rule holds x (through
     held_values) and the parameters: the backward rebuilds the hidden
     activations in the forward's tiles and gives b2, w2, b1, x and w1
     their gradients as the three composed rules would, reading the relu
@@ -338,7 +341,7 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
         h = affine(x_rows, w1, b1, out)
         return np.maximum(h, 0.0, out=h)
 
-    out_data = np.empty((x.shape[0], w2.shape[1]))
+    out_data = np.empty((x.shape[0], w2.shape[1])) if out is None else out
     for rows in tiles:
         affine(hidden(x.data[rows]), w2, b2, out_data[rows])
     out = Tensor(out_data)

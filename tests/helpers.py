@@ -148,8 +148,9 @@ def whole_multi_head_attention(q, k, v, heads):
 def whole_grouped_attention(x, params, cfg, real_len=None):
     """gsa_forward's forward on an (l, d) array: Q, K and V of every group
     projected at once, then local attention one head at a time, the
-    summary path (its summary rows made from x, as the op makes them), the
-    merge and the output projection."""
+    summary path (its summary rows made from x, as the op makes them, and
+    attended by every head's whole rows at once), the merge and the output
+    projection."""
     l, d = x.shape
     real_len, m = gsa._check_lengths(l, real_len, cfg)
     heads, l_g = cfg.heads, cfg.l_g
@@ -168,8 +169,10 @@ def whole_grouped_attention(x, params, cfg, real_len=None):
     for h in range(heads):
         attention_forward(qg[h], kg[h].swapaxes(-1, -2), vg[h], scale, allow, out=o[h])
     if cfg.uses_global:
-        pooled = gsa._summary_attention(
-            *gsa._summaries(x, params, m, l_g, real_len, heads), scale)[-1]
+        qs, ks, vs = (a.reshape(heads, m * cfg.l_s, -1)
+                      for a in gsa._summaries(x, params, m, l_g, real_len, heads))
+        og = attention_forward(qs, ks.swapaxes(-1, -2), vs, scale)[0]
+        pooled = og.reshape(heads, m, cfg.l_s, -1).mean(axis=2)
         o *= params.alpha.data[0, :m, None, None]
         o += (pooled * params.beta.data[0, :m, None])[:, :, None, :]
     out = out_rows[:l] @ params.w_o.data

@@ -237,6 +237,12 @@ def gsa_cases(draw):
 # d = 18 in tiles of 6 rows, where OpenBLAS rounds some rows of x[tile] @ w
 # differently from the same rows of x @ w: few random shapes do
 @example((GsaConfig(l_g=3, l_s=1, d=18, heads=2, m_max=14), 40, 40, 6, False, True, 2, 17))
+# 17 = 2 * 8 + 1 rows in one tile of 16, the last half tile of x one row
+# longer: the rule must project K and V in the forward's half tiles, the
+# tail joined to the half tile before it, or the rebuilt rows round otherwise
+@example((GsaConfig(l_g=4, l_s=1, d=16, heads=2, m_max=5), 17, 17, 16, False, True, 1, 1))
+@example((GsaConfig(l_g=4, l_s=1, d=16, heads=2, m_max=5, causal=True), 17, 17, 16, False,
+          True, 1, 0))
 def test_gsa_output_projection_rebuilds_the_merged_head_outputs(case):
     cfg, l, real_len, tile_rows, normed, x_grad, count, seed = case
     rng = np.random.default_rng(seed)

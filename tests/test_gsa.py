@@ -370,6 +370,29 @@ class TestBackwardMemory:
         assert kept < 0.1 * l * cfg.d * 8
         assert peak < 9 * l * cfg.d * 8
 
+    def test_rule_holds_one_heads_summary_probabilities_at_a_time(self):
+        # at d = 8 with l_g 8 and l_s 4 the summary attention dominates:
+        # 2048 rows make 1024 summary rows, so one head's probabilities are
+        # 8 MiB and an l-by-d array 128 KiB.  The rule rebuilds one head's
+        # probabilities at a time and writes their gradient over them a
+        # half tile at a time: its peak is under two heads' probabilities
+        # (1.65; 4.63 when every head's probabilities and score gradients
+        # were alive at once)
+        cfg = GsaConfig(l_g=8, l_s=4, d=8, heads=2, m_max=256)
+        l = 2048
+        one_head = (l // cfg.l_g * cfg.l_s) ** 2 * 8
+        params = make_params(cfg, beta=0.3)
+        x = Tensor(np.random.default_rng(3).normal(size=(l, cfg.d)), requires_grad=True)
+        with ComputationTape() as tape:
+            loss = sum_all(gsa_forward(x, params, cfg, OpCounter()))
+        tracemalloc.start()
+        try:
+            backward(loss, tape)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * one_head
+
 
 class TestConfigValidation:
     def test_l_s_must_be_smaller(self):
@@ -687,26 +710,31 @@ class TestSummaries:
     @pytest.mark.parametrize("call", ["taped", "untaped", "continuation"])
     def test_forward_projects_each_row_of_x_once(self, call):
         # 43 rows of 4-row groups in tiles of 8 rows: six tiles, the last
-        # one three rows of the group that real_len ends in, one a pad row
+        # one three rows of the group that real_len ends in, one a pad row.
+        # Q is projected a tile at a time, K and V a half tile (4 rows) at
+        # a time: two per tile but the last, which is one half tile
         cfg = GsaConfig(l_g=4, l_s=2, d=8, heads=2, m_max=12)
         rng = np.random.default_rng(42)
         params = random_params(cfg, rng)
         x = Tensor(rng.normal(size=(43, 8)))
-        projected, parts, project = [], [], gsa._qkv
+        streams = {id(params.w_q): "q", id(params.w_k): "k", id(params.w_v): "v"}
+        projected, parts, project = {"q": [], "k": [], "v": []}, [], gsa._project
 
-        def qkv(rows, *args, **kwargs):
-            projected.append(rows.copy())
-            return project(rows, *args, **kwargs)
+        def spy(rows, w, *args, **kwargs):
+            projected[streams[id(w)]].append(rows.copy())
+            return project(rows, w, *args, **kwargs)
 
         tape = ComputationTape() if call == "taped" else contextlib.nullcontext()
         with pytest.MonkeyPatch.context() as mp, tape:
             mp.setattr(tensor, "TILE_ROWS", 8)
-            mp.setattr(gsa, "_qkv", qkv)
+            mp.setattr(gsa, "_project", spy)
             gsa_forward(x, params, cfg, OpCounter(), real_len=42,
                         then=(lambda rows, f: parts.append(rows))
                         if call == "continuation" else None)
-        assert len(projected) == 6 and len(parts) == (6 if call == "continuation" else 0)
-        npt.assert_array_equal(np.concatenate(projected), x.data)
+        assert len(parts) == (6 if call == "continuation" else 0)
+        assert [len(projected[s]) for s in "qkv"] == [6, 11, 11]
+        for s in "qkv":
+            npt.assert_array_equal(np.concatenate(projected[s]), x.data)
 
 
 class TestPropertiesOverRandomShapes:
