@@ -7,9 +7,10 @@ leading axes.  head_view is the one head layout: it views an (n, d) array
 as (heads, n, d_h) blocks, head h being column slab h.  Both fused tape
 ops run the kernel on it: gsa.gsa_forward on every head's groups at
 once (it builds its own boolean allow array and cuts the rows into
-groups), and gsa.gsa_forward's summary rows and cca.cca_forward on one
-head's block at a time (unmasked, a half tile of queries against every
-key per call, forward and backward).
+groups), and head_attention, unmasked, on one head's block at a time, a
+half tile of queries against every key per call, forward and backward:
+it is the whole of GSA's global path over the summary rows and of
+cca.cca_forward's attention.
 scaled_dot_attention and row_softmax compose the same arithmetic from
 separate tape ops: they are the canonical reference that the acceptance
 gates and the loop oracles of the tests are built from.  Their mask
@@ -26,6 +27,7 @@ from .tensor import (
     Tensor,
     _record,
     accumulate_grad,
+    half_tiles,
     matmul,
     multiply,
     row_tiles,
@@ -177,24 +179,48 @@ def attention_forward(q: np.ndarray, k_t: np.ndarray, v: np.ndarray, scale: floa
 
 
 def attention_backward(q: np.ndarray, k_t: np.ndarray, v: np.ndarray, p: np.ndarray,
-                       g: np.ndarray, scale: float,
-                       tiles: Optional[list[slice]] = None) -> tuple[np.ndarray, ...]:
+                       g: np.ndarray, scale: float) -> tuple[np.ndarray, ...]:
     """(d_q, d_k_t, d_v) of attention_forward from its inputs, its
     probabilities p and the output gradient g, with the arithmetic of the
-    matmul/multiply/row_softmax rules; changes none of its arguments but,
-    with tiles, p.  tiles, row slices that cut the queries, make the score
-    gradient a tile at a time over p's rows once d_v has read p, so one
-    tile of it is alive beside p, not a second score array."""
+    matmul/multiply/row_softmax rules; changes none of its arguments but
+    p.  Once d_v has read p, the score gradient is written over p in
+    half_tiles of its rows, so one half tile of it is alive beside p, not
+    a second score array."""
     d_v = np.matmul(p.swapaxes(-1, -2), g)
-    if tiles is None:
-        d_p = softmax_last_axis_backward(p, np.matmul(g, v.swapaxes(-1, -2)))
-    else:
-        d_p = p
+    for rows in half_tiles(p.shape[-2]):
+        p[..., rows, :] = softmax_last_axis_backward(
+            p[..., rows, :], np.matmul(g[..., rows, :], v.swapaxes(-1, -2)))
+    p *= scale
+    return np.matmul(p, k_t.swapaxes(-1, -2)), np.matmul(q.swapaxes(-1, -2), p), d_v
+
+
+def head_attention(q: np.ndarray, k_t: np.ndarray, v: np.ndarray, scale: float,
+                   out: np.ndarray, g: Optional[np.ndarray] = None) -> None:
+    """Unmasked attention of (heads, n, d_h) queries q on (heads, d_h, l_k)
+    transposed keys k_t and (heads, l_k, d_h) values v, one head at a
+    time, an attention_forward call per half tile of queries (half_tiles),
+    so one head's half tile of scores is alive at a time.  Each head's
+    output rows go into out, which may be q.
+
+    With g, the output gradient, it is the backward of that forward: per
+    head it rebuilds the probabilities with the forward's arithmetic
+    (into one n-by-l_k array, the head's only one alive) and the output
+    rows into out, which may be g, then overwrites q, k_t and v with
+    their gradients.  It reads the head's q and g from contiguous copies,
+    as at d_h = 1 BLAS rounds a strided q's products differently."""
+    tiles = half_tiles(q.shape[1])
+    for h in range(q.shape[0]):
+        if g is None:
+            for rows in tiles:
+                attention_forward(q[h, rows], k_t[h], v[h], scale, out=out[h, rows])
+            continue
+        q_h, g_h = q[h].copy(), g[h].copy()
+        p = np.empty((q.shape[1], k_t.shape[-1]))
         for rows in tiles:
-            d_p[..., rows, :] = softmax_last_axis_backward(
-                p[..., rows, :], np.matmul(g[..., rows, :], v.swapaxes(-1, -2)))
-    d_p *= scale
-    return np.matmul(d_p, k_t.swapaxes(-1, -2)), np.matmul(q.swapaxes(-1, -2), d_p), d_v
+            attention_probs(q_h[rows], k_t[h], scale, out=p[rows])
+            np.matmul(p[rows], v[h], out=out[h, rows])
+        q[h], k_t[h], v[h] = attention_backward(q_h, k_t[h], v[h], p, g_h, scale)
+        del q_h, g_h, p     # else two heads' would be alive at once
 
 
 def head_view(a: np.ndarray, heads: int) -> np.ndarray:

@@ -4,10 +4,10 @@ cost is l_dec * l_comp no matter how long the encoder sequence gets.
 Each decoder layer owns its own compression matrix, when it needs one.
 The compression is a matmul op of its own; the projections, attention and
 output projection after it are one tape op whose rule rebuilds Q, K, V,
-the probabilities and the attended rows.  Its attention runs on the
-(heads, rows, d_h) layout of attention.head_view, as GSA's does, but
-walks the heads one at a time, forward and backward: a kernel call
-scores one head's half tile of queries against every key."""
+the probabilities and the attended rows.  Its attention is
+attention.head_attention, as GSA's global path is: one head at a time,
+forward and backward, a kernel call scoring one head's half tile of
+queries against every key."""
 
 from __future__ import annotations
 
@@ -16,13 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .attention import (
-    OpCounter,
-    attention_backward,
-    attention_forward,
-    attention_probs,
-    head_view,
-)
+from .attention import OpCounter, head_attention, head_view
 from .tensor import (
     DimensionError,
     ParameterSet,
@@ -111,14 +105,6 @@ def cca_keys(memory: Tensor, params: CcaLayerParams, heads: int, counter: OpCoun
     return keys
 
 
-def _attention_tiles(tiles: list[slice]) -> list[slice]:
-    """The half tiles (tile_rows(half=True)) that cca_forward attends each
-    of its query tiles in, in query rows: a half tile also holds a head's
-    scores, a row per key."""
-    return [slice(rows.start + half.start, rows.start + half.stop) for rows in tiles
-            for half in row_tiles(rows.stop - rows.start, tile_rows(half=True))]
-
-
 def cca_forward(h_dec: Tensor, h_enc: Optional[Tensor], params: CcaLayerParams,
                 counter: OpCounter, heads: int = 1, *,
                 keys: Optional[tuple[np.ndarray, np.ndarray]] = None) -> Tensor:
@@ -136,21 +122,17 @@ def cca_forward(h_dec: Tensor, h_enc: Optional[Tensor], params: CcaLayerParams,
     Everything after the compression is one tape op, bit for bit the
     linear q/k/v projections, attention on each head's column slab and
     the linear output projection composed, at every width a row tile cut
-    does not change.  Each row tile of queries is projected, attended in
-    _attention_tiles (an attention_forward call per head on its block of
-    the head_view of a half tile's Q rows, which the attended rows
-    overwrite) and output-projected, so Q and the attended rows are one
-    tile big and the scores one head's of a half tile.  (Every head in
-    one call would make the scores heads times that; a half tile cut by
-    the head count would make heads times as many, shorter BLAS calls.)
-    The rule holds h_dec, the memory (through held_values) and the
-    parameters: the backward rebuilds Q (in the forward's tiles), K and
-    V, then, one head at a time so that one head's l_dec-by-l_k
-    probabilities are alive at once, its probabilities (in the forward's
-    attention tiles) and attended rows with the forward's arithmetic.  It
-    adds into the memory's gradient v's share before k's, as the composed
-    rules' replay would, and every score element it rebuilds to the
-    counter's recomputed_score_elements.
+    does not change.  Each row tile of queries is projected, attended by
+    head_attention on the head_view of its Q rows, which the attended
+    rows overwrite, and output-projected, so Q and the attended rows are
+    one tile big and the scores one head's of a half tile.  The rule
+    holds h_dec, the memory (through held_values) and the parameters:
+    the backward rebuilds Q (in the forward's tiles), K and V, then runs
+    head_attention's backward, which rebuilds one head's l_dec-by-l_k
+    probabilities at a time and the attended rows with the forward's
+    arithmetic.  It adds into the memory's gradient v's share before
+    k's, as the composed rules' replay would, and every score element it
+    rebuilds to the counter's recomputed_score_elements.
 
     No mask: compressed rows are mixtures of all encoder positions, so a
     key-padding mask has nothing to point at.
@@ -171,9 +153,7 @@ def cca_forward(h_dec: Tensor, h_enc: Optional[Tensor], params: CcaLayerParams,
     for rows in tiles:
         q = affine(h_dec.data[rows], p.w_q, p.b_q)
         q_heads = head_view(q, heads)
-        for half in _attention_tiles([slice(0, q.shape[0])]):
-            for h in range(heads):
-                attention_forward(q_heads[h, half], k_t[h], v[h], scale, out=q_heads[h, half])
+        head_attention(q_heads, k_t, v, scale, out=q_heads)
         affine(q, p.w_o, p.b_o, out_data[rows])
         del q, q_heads      # else two tiles of Q would be alive at once
     del keys, k_t, v
@@ -187,37 +167,24 @@ def cca_forward(h_dec: Tensor, h_enc: Optional[Tensor], params: CcaLayerParams,
         raise ValueError("cca: a call that records needs the memory its rule reads")
     dec_slot, memory_slot, out_slot = h_dec.slot, memory.slot, out.slot
     dec_values, memory_values = held_values(h_dec), held_values(memory)
-    l_k = memory.shape[0]
-    halves = _attention_tiles(tiles)
 
     def backward():
         g = out_slot.grad
         mem = memory_values()
         dec = dec_values()
-        d_q = np.empty((l_dec, p.w_q.shape[1]))     # Q until its head's backward
+        d_q = np.empty((l_dec, p.w_q.shape[1]))     # Q until head_attention's backward
         for rows in tiles:
             affine(dec[rows], p.w_q, p.b_q, d_q[rows])
         del dec
-        attended = linear_input_grad(g, p.w_o, p.b_o)   # its gradient until then
-        k_t, v = _head_keys(mem, p, heads)
-        d_k, d_v = np.empty(mem.shape), np.empty(mem.shape)
-        q_heads, a_heads, d_k_heads, d_v_heads = (head_view(a, heads)
-                                                  for a in (d_q, attended, d_k, d_v))
-        counter.add_recomputed(heads * l_dec, l_k)
-        for h in range(heads):
-            # contiguous copies: at d_h = 1 BLAS rounds q's products
-            # differently when it is strided, and the attended rows
-            # overwrite g's columns
-            q_h, g_h = q_heads[h].copy(), a_heads[h].copy()
-            probs = np.empty((l_dec, l_k))
-            for half in halves:
-                attention_probs(q_h[half], k_t[h], scale, out=probs[half])
-                np.matmul(probs[half], v[h], out=a_heads[h, half])
-            q_heads[h], d_k_t, d_v_heads[h] = attention_backward(q_h, k_t[h], v[h], probs,
-                                                                 g_h, scale)
-            d_k_heads[h] = d_k_t.T
-            del q_h, g_h, probs, d_k_t      # else two heads' would be alive at once
-        del k_t, v
+        # the attended rows' gradient, until head_attention rebuilds them over it
+        attended = linear_input_grad(g, p.w_o, p.b_o)
+        k_t, v = _head_keys(mem, p, heads)      # K and V, then their gradients
+        counter.add_recomputed(heads * l_dec, mem.shape[0])
+        a_heads = head_view(attended, heads)
+        head_attention(head_view(d_q, heads), k_t, v, scale, out=a_heads, g=a_heads)
+        d_k, d_v = (np.ascontiguousarray(a.swapaxes(0, 1)).reshape(mem.shape)
+                    for a in (k_t.swapaxes(-1, -2), v))
+        del k_t, v, a_heads
         accumulate_grad(p.w_o, attended.T @ g, owned=True)
         del attended
         linear_backward(memory_slot, mem, p.w_v, p.b_v, d_v)

@@ -17,22 +17,24 @@ group buffers, viewed as (heads, groups, l_g, d_h) blocks (the
 attention.head_view layout, its rows cut into groups), so the heads are
 one more batch axis of every attention call.  A group's summary rows
 are linear in its rows, so the op makes them from x first, without
-projecting it, and runs the summary attention one head at a time, a half
-tile of its queries per call; only the pooled rows outlive it.  Then it
-walks tiles of whole groups (tensor.TILE_ROWS rows rounded down to whole
-groups) once: a tile's Q sits where its outputs will go, and K and V are
-projected a half tile at a time, each dropped before the next, so one
-tile of Q, a half tile of K/V and half a tile of every head's group
-scores are alive at a time, and each tile is merged and output-projected
-before the next: without a tape the op holds its input, its output and
-one tile.  A caller that does not record can pass a row-local
-continuation instead, which gets each tile's output rows; the op then
-holds its input and one tile, and no output.  The op's rule holds only
-its input (through tensor.held_values, so a layer norm's output is
-rebuilt, not held) and its parameters, and rebuilds Q (in the forward's
-tiles), K and V (in its half tiles), the global path (one head's summary
-probabilities at a time), every tile's local probabilities and the
-merged head outputs in the backward, which walks half tiles once.
+projecting it, and runs the summary attention through
+attention.head_attention, as CCA runs its attention: one head at a time,
+a half tile of its queries per call; only the pooled rows outlive it.
+Then it walks tiles of whole groups (tensor.TILE_ROWS rows rounded down
+to whole groups) once: a tile's Q sits where its outputs will go, and K
+and V are projected a half tile at a time, each dropped before the
+next, so one tile of Q, a half tile of K/V and half a tile of every
+head's group scores are alive at a time, and each tile is merged and
+output-projected before the next: without a tape the op holds its
+input, its output and one tile.  A caller that does not record can pass
+a row-local continuation instead, which gets each tile's output rows;
+the op then holds its input and one tile, and no output.  The op's rule
+holds only its input (through tensor.held_values, so a layer norm's
+output is rebuilt, not held) and its parameters, and rebuilds Q (in the
+forward's tiles), K and V (in its half tiles), the global path (one
+head's summary probabilities at a time), every tile's local
+probabilities and the merged head outputs in the backward, which walks
+half tiles once.
 summarize_group, global_summary_attention and merge_outputs are the
 global path's steps for a single group, composed from separate tape
 ops; the model does not call them, and the tests build their loop-based
@@ -55,6 +57,7 @@ from .attention import (
     attention_backward,
     attention_forward,
     attention_probs,
+    head_attention,
     head_view,
     scaled_dot_attention,
 )
@@ -66,6 +69,7 @@ from .tensor import (
     accumulate_grad,
     affine,
     broadcast_add,
+    half_tiles,
     held_values,
     linear_backward,
     linear_input_grad,
@@ -249,15 +253,11 @@ def _sum_last_to_first(parts: np.ndarray) -> np.ndarray:
 
 def _tiles(l: int, l_g: int, half: bool = False) -> list[tuple[slice, slice]]:
     """The row tiles gsa_forward works over, tile_rows(l_g) rows of whole
-    groups each, or with half its half tiles: each tile's rows cut by
-    tile_rows(l_g, half=True), the rows its local attention walks and K
-    and V are projected in.  Both come from row_tiles, so neither is ever
-    one row high (a one-row product would go to gemv).  (rows, groups)
-    slice pairs."""
-    tiles = row_tiles(l, tile_rows(l_g))
-    if half:
-        tiles = [slice(t.start + h.start, t.start + h.stop) for t in tiles
-                 for h in row_tiles(t.stop - t.start, tile_rows(l_g, half=True))]
+    groups each, or with half their half_tiles, the rows its local
+    attention walks and K and V are projected in; neither is ever one row
+    high (a one-row product would go to gemv).  (rows, groups) slice
+    pairs."""
+    tiles = half_tiles(l, l_g) if half else row_tiles(l, tile_rows(l_g))
     return [(rows, slice(rows.start // l_g, -(-rows.stop // l_g))) for rows in tiles]
 
 
@@ -318,30 +318,17 @@ def _summaries(x: np.ndarray, params: GsaLayerParams, m: int, l_g: int, real_len
 
 
 def _summary_attention(summaries: list[np.ndarray], scale: float,
-                       backward: Optional[Callable[..., None]] = None) -> np.ndarray:
+                       g: Optional[np.ndarray] = None) -> np.ndarray:
     """The global path from every group's summary rows (_summaries, each
     (heads, m, l_s, d_h)): each group's mean-pooled summary output,
-    (heads, m, d_h).  It attends one head at a time, a half tile of its
-    queries per call, as cca_forward does, so one half tile of scores is
-    alive at a time.  The rule passes backward: each head's probabilities
-    are then kept, n_s by n_s, and handed with the head's operands and
-    query tiles to backward(h, q, k_t, v, p, tiles), which consumes them
-    before the next head's are made."""
+    (heads, m, d_h), attended by attention.head_attention.  With g, the
+    (heads, m*l_s, d_h) gradient of the summary outputs, it runs
+    head_attention's backward: the summaries come back as their gradients
+    and g as the summary outputs."""
     heads, m, l_s, dh = summaries[0].shape
-    n_s = m * l_s
-    qs, ks, vs = (a.reshape(heads, n_s, dh) for a in summaries)
-    tiles = row_tiles(n_s, tile_rows(half=True))
-    og = np.empty(qs.shape)
-    for h in range(heads):
-        q, k_t, v = qs[h], ks[h].T, vs[h]
-        p = None if backward is None else np.empty((n_s, n_s))
-        for rows in tiles:
-            # unnamed, else two half tiles' scores would be alive at once
-            np.matmul(attention_probs(q[rows], k_t, scale, out=None if p is None else p[rows]),
-                      v, out=og[h, rows])
-        if backward is not None:
-            backward(h, q, k_t, v, p, tiles)
-        del p               # else two heads' probabilities would be alive at once
+    qs, ks, vs = (a.reshape(heads, m * l_s, dh) for a in summaries)
+    og = np.empty(qs.shape) if g is None else g
+    head_attention(qs, ks.swapaxes(-1, -2), vs, scale, og, g)
     return og.reshape(heads, m, l_s, dh).mean(axis=2)
 
 
@@ -367,9 +354,9 @@ def gsa_forward(x: Tensor, params: GsaLayerParams, cfg: GsaConfig,
     projected queries, keys and values are zero and masked as keys, so
     outputs at real positions never depend on pad values.  With the
     global path the op first makes every group's summary rows from x
-    (_summaries) and runs the summary attention (_summary_attention), one
-    head at a time on half tiles of its queries.  Then it walks tiles of
-    whole groups, tile_rows(l_g) rows each (cut by row_tiles), once: it
+    (_summaries) and runs the summary attention (_summary_attention, by
+    attention.head_attention).  Then it walks tiles of whole groups,
+    tile_rows(l_g) rows each (cut by row_tiles), once: it
     projects a tile's Q (into the rows of the output buffer that the
     tile's local outputs then overwrite), then runs local attention in
     the tile's half tiles (_tiles with half), projecting each half tile's
@@ -388,16 +375,15 @@ def gsa_forward(x: Tensor, params: GsaLayerParams, cfg: GsaConfig,
     The rule holds x and the parameters, nothing else: the backward gets x
     (from its recipe when x has one), projects Q, K and V again in the
     forward's cut (_qkv), makes the summary rows again from x and runs the
-    summary attention's backward one head at a time (rebuilding that
-    head's probabilities with the forward's arithmetic, and writing its
-    score gradient over them in the forward's query tiles), then walks
-    half tiles once, every head at once, rebuilding each tile's
-    probabilities and local outputs with the forward's arithmetic for the
-    local backward, alpha's gradient and (merged in place of the consumed
-    output gradient) w_o's.  It adds every score element it rebuilds to
-    the counter's recomputed_score_elements.  The forward
-    counter sees one l_g-by-l_g matrix per head and group and one
-    m*l_s-by-m*l_s matrix per head, however the groups are computed.
+    summary attention's backward (head_attention's, one head's
+    probabilities at a time), then walks half tiles once, every head at
+    once, rebuilding each tile's probabilities and local outputs with the
+    forward's arithmetic for the local backward, alpha's gradient and
+    (merged in place of the consumed output gradient) w_o's.  It adds
+    every score element it rebuilds to the counter's
+    recomputed_score_elements.  The forward counter sees one l_g-by-l_g
+    matrix per head and group and one m*l_s-by-m*l_s matrix per head,
+    however the groups are computed.
     """
     l, d = x.shape
     if d != cfg.d:
@@ -474,19 +460,16 @@ def gsa_forward(x: Tensor, params: GsaLayerParams, cfg: GsaConfig,
             d_pooled = g_cols * params.beta.data[0, :m, None] / l_s
             d_og = np.repeat(d_pooled[:, :, None, :], l_s, axis=2).reshape(heads, n_s, dh)
             # global summary attention, one head's probabilities alive at a
-            # time, its score gradient written over them
-            d_qs, d_vs = np.empty((heads, n_s, dh)), np.empty((heads, n_s, dh))
-            d_ks = np.empty((heads, dh, n_s))
-
-            def head_backward(h, q, k_t, v, p, tiles):
-                d_qs[h], d_ks[h], d_vs[h] = attention_backward(q, k_t, v, p, d_og[h], scale,
-                                                               tiles)
+            # time; the summaries become their gradients
             counter.add_recomputed(heads * n_s, n_s)
-            pooled = _summary_attention(summaries, scale, head_backward)
+            pooled = _summary_attention(summaries, scale, d_og)
             d_beta = (g_cols * pooled).sum(axis=-1)
-            d_summaries = [a.reshape(heads, m, l_s, dh)
-                           for a in (d_qs, d_ks.swapaxes(-1, -2), d_vs)]
-            del summaries, d_og, d_qs, d_ks, d_vs
+            # the key gradient in (heads, d_h, n_s) rows, the layout in
+            # which e_k's product rounds as the composed ops' does
+            d_ks = np.ascontiguousarray(summaries[1].reshape(heads, n_s, dh).swapaxes(-1, -2))
+            d_summaries = [summaries[0], d_ks.swapaxes(-1, -2).reshape(heads, m, l_s, dh),
+                           summaries[2]]
+            del summaries, d_og, d_ks
             # summary projections, shared by every group and head
             for e, blocks, d_s in zip((params.e_q, params.e_k, params.e_v), (qg, kg, vg),
                                       d_summaries):

@@ -490,11 +490,21 @@ def tile_rows(unit: int = 1, half: bool = False) -> int:
     """TILE_ROWS, or half of it, rounded down to a whole number of units, at
     least one unit: the tile height of every op that works in row tiles
     (GSA's unit is a group).  Walks whose tile holds a row of scores per
-    key take half tiles: GSA's local attention and its backward's walk,
-    the attention kernels, and CCA's attention, one head at a time.  Each
-    tiled product is a BLAS call, and a threaded one waits for every
-    thread, so the row-wise ops take tiles as tall as memory allows."""
+    key take half tiles (half_tiles).  Each tiled product is a BLAS call,
+    and a threaded one waits for every thread, so the row-wise ops take
+    tiles as tall as memory allows."""
     return max((TILE_ROWS // 2 if half else TILE_ROWS) // unit, 1) * unit
+
+
+def half_tiles(n: int, unit: int = 1) -> list[slice]:
+    """The half tiles of n rows: each row_tiles tile of tile_rows(unit)
+    rows cut by tile_rows(unit, half=True), so no half tile crosses a
+    tile's edge and none is one row high.  The rows of every walk whose
+    tile holds a row of scores per key: GSA's local attention and its
+    backward's walk (in whole groups), attention.head_attention and
+    attention_backward's score gradient."""
+    return [slice(t.start + h.start, t.start + h.stop) for t in row_tiles(n, tile_rows(unit))
+            for h in row_tiles(t.stop - t.start, tile_rows(unit, half=True))]
 
 
 def layer_norm(x: Tensor, f: Tensor, gain: Tensor, bias: Tensor,

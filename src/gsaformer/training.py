@@ -29,6 +29,7 @@ from .tensor import (
 
 
 _ADAM_TILE = TILE_ROWS * 128     # elements adam_step updates at a time: 0.5 MiB
+VAL_WINDOWS = 64                # validation windows train scores each epoch
 
 
 @dataclass
@@ -159,16 +160,12 @@ def _clip_grads(grads: dict[str, np.ndarray], max_norm: float) -> None:
             g *= scale
 
 
-def _check_limit(name: str, limit: Optional[int]) -> None:
-    if limit is not None and limit < 1:
-        raise ContractError(f"{name} must be None or >= 1, got {limit}")
-
-
 def evaluate(model: ForecasterModel, window_set: WindowSet,
              limit: Optional[int] = None) -> float:
     """Mean MSE over the first limit windows (all when limit is None), no
     gradients recorded."""
-    _check_limit("limit", limit)
+    if limit is not None and limit < 1:
+        raise ContractError(f"limit must be None or >= 1, got {limit}")
     windows = window_set.windows[:limit]
     if not windows:
         raise DataError("evaluate: empty window set")
@@ -195,16 +192,16 @@ class TrainHistory:
 
 def train(model: ForecasterModel, train_set: WindowSet, cfg: TrainConfig,
           val_set: Optional[WindowSet] = None,
-          checkpoint_path=None,
-          val_limit: Optional[int] = 64) -> TrainHistory:
+          checkpoint_path=None) -> TrainHistory:
     """Deterministic training given the seed: per-epoch shuffling comes from
     one seeded generator, batches average window losses, and the best-val
     parameters are checkpointed when a path is given.  Each batch's
     gradients move from the parameters into the dict adam_step consumes,
-    so none outlives its update and every p.grad is None on return."""
+    so none outlives its update and every p.grad is None on return.  Each
+    epoch's validation MSE is that of the first VAL_WINDOWS windows of
+    val_set."""
     if not train_set.windows:
         raise DataError("train: empty window set")
-    _check_limit("val_limit", val_limit)
     params = model.parameters()
     state = AdamState()
     rng = np.random.default_rng(cfg.seed)
@@ -236,7 +233,7 @@ def train(model: ForecasterModel, train_set: WindowSet, cfg: TrainConfig,
             if cfg.max_iterations is not None and iterations >= cfg.max_iterations:
                 break
         train_mse = float(np.mean(epoch_losses)) if epoch_losses else math.nan
-        val_mse = evaluate(model, val_set, limit=val_limit) if val_set else math.nan
+        val_mse = evaluate(model, val_set, limit=VAL_WINDOWS) if val_set else math.nan
         history.epochs.append((epoch, train_mse, val_mse))
         if val_set and val_mse < best_val:
             best_val = val_mse

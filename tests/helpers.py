@@ -7,13 +7,14 @@ zero padding, cutting a sequence into groups, the layer norm of one input,
 relu, a linear cut in row tiles, multi-head attention as one op,
 subtraction, the sum of all entries and the MSE composed from them) live
 here, not in the library, and so does multi_head_forward, the tiled
-attention that op runs one head at a time, the per-head oracle of the
-CCA op's head_view blocks.  So do the whole-array forwards of the
-ops that work in tiles (layer_norm, feed_forward, multi-head attention,
-gsa_forward): their bodies from before the tiling, the oracle the tiled
-forwards must match bit for bit; and the sublayers the model records as
-one op each (the embedding, the feed-forward block, the CCA sublayer),
-composed from separate tape ops that hold their intermediate values.
+attention that op runs one head at a time, the per-head oracle of
+attention.head_attention, which GSA's summary path and the CCA op run.
+So do the whole-array forwards of the ops that work in tiles
+(layer_norm, feed_forward, multi-head attention, gsa_forward): their
+bodies from before the tiling, the oracle the tiled forwards must match
+bit for bit; and the sublayers the model records as one op each (the
+embedding, the feed-forward block, the CCA sublayer), composed from
+separate tape ops that hold their intermediate values.
 """
 
 import dataclasses
@@ -21,7 +22,7 @@ import math
 
 import numpy as np
 
-from gsaformer import cca, gsa
+from gsaformer import gsa
 from gsaformer.attention import (
     AttentionMask,
     attention_backward,
@@ -48,6 +49,7 @@ from gsaformer.tensor import (
     backward,
     affine,
     broadcast_add,
+    half_tiles,
     linear,
     linear_backward,
     matmul,
@@ -199,18 +201,18 @@ def _head_slabs(d, heads):
     return [slice(h * (d // heads), (h + 1) * (d // heads)) for h in range(heads)]
 
 
-def multi_head_forward(q, k, v, heads, counter, tiles=None):
+def multi_head_forward(q, k, v, heads, counter):
     """Unmasked multi-head attention on arrays, one head at a time on
-    contiguous copies of its column slabs, one tile of queries at a time
-    (by default half tiles, row_tiles at tile_rows(half=True)): the
-    counter sees one l_q-by-l_k call per head.  The per-head oracle of
-    cca_forward's attention, which runs on head_view blocks."""
+    contiguous copies of its column slabs, one half tile of queries
+    (half_tiles) at a time: the counter sees one l_q-by-l_k call per
+    head.  The per-head oracle of attention.head_attention, which runs
+    on head_view blocks."""
     (l_q, d), l_k = q.shape, k.shape[0]
     if k.shape[1] != d or v.shape != k.shape:
         raise DimensionError(f"attention: Q {q.shape}, K {k.shape} and V {v.shape} "
                              "do not line up")
     slabs = _head_slabs(d, heads)
-    tiles = row_tiles(l_q, tile_rows(half=True)) if tiles is None else tiles
+    tiles = half_tiles(l_q)
     scale = 1.0 / np.sqrt(d // heads)
     for _ in range(heads):
         counter.add_scores(l_q, l_k)
@@ -223,14 +225,14 @@ def multi_head_forward(q, k, v, heads, counter, tiles=None):
     return out
 
 
-def multi_head_attention(q, k, v, heads, counter, tiles=None):
+def multi_head_attention(q, k, v, heads, counter):
     """multi_head_forward as one tape op whose rule holds q, k and v and,
     one head at a time on contiguous copies of its column slabs, rebuilds
     the probabilities in the same query tiles and runs attention_backward:
     the op the CCA sublayer recorded between its projections before it
     became one op."""
-    tiles = row_tiles(q.shape[0], tile_rows(half=True)) if tiles is None else tiles
-    out = Tensor(multi_head_forward(q.data, k.data, v.data, heads, counter, tiles))
+    tiles = half_tiles(q.shape[0])
+    out = Tensor(multi_head_forward(q.data, k.data, v.data, heads, counter))
     (l_q, d), l_k = q.shape, k.shape[0]
     scale = 1.0 / np.sqrt(d // heads)
 
@@ -283,14 +285,13 @@ def composed_feed_forward(x, w1, b1, w2, b2):
 def composed_cca(h_dec, h_enc, params, counter, heads=1):
     """cca_forward as separate tape ops: the compression, the q, k and v
     linears, multi_head_attention and the output linear, the q and output
-    projections cut in the fused op's query tiles and the attention in
-    its attention tiles."""
+    projections cut in the fused op's query tiles."""
     memory = compress_encoder_output(h_enc, params.c)
     tiles = row_tiles(h_dec.shape[0], tile_rows())
     q = tiled_linear(h_dec, params.w_q, params.b_q, tiles)
     k = linear(memory, params.w_k, params.b_k)
     v = linear(memory, params.w_v, params.b_v)
-    attended = multi_head_attention(q, k, v, heads, counter, cca._attention_tiles(tiles))
+    attended = multi_head_attention(q, k, v, heads, counter)
     return tiled_linear(attended, params.w_o, params.b_o, tiles)
 
 

@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gsaformer import tensor
 from gsaformer.attention import (
     AttentionMask,
     OpCounter,
     attention_probs,
+    head_attention,
+    head_view,
     row_softmax,
     scaled_dot_attention,
     softmax_last_axis_backward,
@@ -305,6 +308,63 @@ class TestFusedMultiHead:
             cca_forward(Tensor(np.zeros((2, 4))), Tensor(np.zeros((3, 6))),
                         passthrough_cca(4), counter, 2)
         assert counter.score_elements == counter.peak_score_buffer == 0
+
+
+@st.composite
+def head_attention_cases(draw):
+    """(TILE_ROWS, heads, d_h, n, l_k, GSA's layout or CCA's, seed): n
+    runs from one row to past a whole tile, so calls cover one, several
+    and joined half tiles.  GSA's summary rows attend to each other, so
+    its layout has l_k = n."""
+    tile = draw(st.integers(2, 12))
+    n, gsa_layout = draw(st.integers(1, tile + 2)), draw(st.booleans())
+    l_k = n if gsa_layout else draw(st.integers(1, 8))
+    return (tile, draw(st.integers(1, 3)), draw(st.integers(1, 5)), n, l_k, gsa_layout,
+            draw(st.integers(0, 2**16)))
+
+
+class TestHeadAttention:
+    """attention.head_attention, forward and backward, against the
+    helpers' per-head oracle, multi_head_attention, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(head_attention_cases())
+    def test_matches_the_per_head_oracle_bit_for_bit(self, case):
+        tile, heads, dh, n, l_k, gsa_layout, seed = case
+        rng = np.random.default_rng(seed)
+        q, k, v, g = (rng.normal(size=(rows, heads * dh)) for rows in (n, l_k, l_k, n))
+        scale = 1.0 / np.sqrt(dh)
+
+        def operands():
+            """head_view blocks of copies of q, K transposed and v: GSA's
+            summary path hands strided views of its rows, CCA contiguous
+            keys and values."""
+            q_h, k_h, v_h = (head_view(a.copy(), heads) for a in (q, k, v))
+            if gsa_layout:
+                return q_h, k_h.swapaxes(-1, -2), v_h
+            return q_h, np.ascontiguousarray(k_h.swapaxes(-1, -2)), np.ascontiguousarray(v_h)
+
+        def bits(blocks):
+            """The bytes of (heads, rows, d_h) blocks as (rows, d) rows."""
+            return np.ascontiguousarray(blocks.swapaxes(0, 1)).tobytes()
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tensor, "TILE_ROWS", tile)
+            (out, d_q, d_k, d_v), _ = _attend_and_grads(
+                lambda q, k, v, counter: multi_head_attention(q, k, v, heads, counter),
+                (q, k, v), Tensor(g))
+            q_h, k_t, v_h = operands()
+            head_attention(q_h, k_t, v_h, scale, q_h)      # out may be q
+            assert bits(q_h) == out.tobytes()
+            for aliased in (False, True):
+                q_h, k_t, v_h = operands()
+                g_h = head_view(g.copy(), heads)
+                into = g_h if aliased else np.empty(g_h.shape)
+                head_attention(q_h, k_t, v_h, scale, into, g_h)
+                assert bits(into) == out.tobytes()
+                assert bits(q_h) == d_q.tobytes()
+                assert bits(k_t.swapaxes(-1, -2)) == d_k.tobytes()
+                assert bits(v_h) == d_v.tobytes()
 
 
 class TestExtremeMagnitudes:

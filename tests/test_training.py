@@ -273,15 +273,6 @@ class TestTrainLoop:
         n = len(train_set.windows)
         assert evaluate(model, train_set) == evaluate(model, train_set, limit=n)
 
-    def test_val_limit_zero_rejected_before_training(self):
-        model, train_set, val_set = smoke_setup()
-        before = {n: p.data.copy() for n, p in model.parameters().items()}
-        with pytest.raises(ContractError, match="val_limit"):
-            train(model, train_set, TrainConfig(epochs=1, max_iterations=1),
-                  val_set=val_set, val_limit=0)
-        for name, p in model.parameters().items():
-            npt.assert_array_equal(p.data, before[name])
-
     def test_adam_phase_peaks_no_higher_than_forward_and_backward(self, monkeypatch):
         cfg = model_config_for("grouped", 256, BenchConfig(d=64, heads=2, ffn_hidden=64,
                                                            l_comp=32))
@@ -427,11 +418,12 @@ class TestGradCheck:
 
 
 class TestTrainingFlags:
-    def test_patience_stops_early(self):
+    def test_patience_stops_early(self, monkeypatch):
         model, train_set, val_set = smoke_setup(stride=64)
         cfg = TrainConfig(learning_rate=1e-4, batch_size=8, epochs=50,
                           max_iterations=None, seed=1, patience=0)
-        history = train(model, train_set, cfg, val_set=val_set, val_limit=4)
+        monkeypatch.setattr(training, "VAL_WINDOWS", 4)
+        history = train(model, train_set, cfg, val_set=val_set)
         # stops as soon as val fails to improve, far before 50 epochs
         assert len(history.epochs) < 50
 
