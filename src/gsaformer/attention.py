@@ -30,8 +30,6 @@ from .tensor import (
     half_tiles,
     matmul,
     multiply,
-    row_tiles,
-    tile_rows,
     transpose,
 )
 
@@ -121,12 +119,9 @@ def softmax_last_axis(s: np.ndarray, allow: Optional[np.ndarray] = None) -> np.n
 def softmax_last_axis_backward(p: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Score gradient P * (G - sum_j G_j P_j) of a last-axis softmax with
     output p and output gradient g, overwriting g; exact zeros in p kill
-    masked entries.  Returns g.  Row sums are taken in row tiles, so G * P
-    is one tile, not a whole score array; each row sums as in one piece."""
-    inner = np.empty_like(g[..., :1])
-    for rows in row_tiles(g.shape[-2], tile_rows(half=True)):
-        inner[..., rows, :] = (g[..., rows, :] * p[..., rows, :]).sum(axis=-1, keepdims=True)
-    g -= inner
+    masked entries.  Returns g.  Its one temporary, G * P, is as big as
+    p: attention_backward calls it a half tile of rows at a time."""
+    g -= (g * p).sum(axis=-1, keepdims=True)
     g *= p
     return g
 

@@ -29,8 +29,7 @@ from .tensor import (
     linear_input_grad,
     matmul,
     recording,
-    row_tiles,
-    tile_rows,
+    tiles,
     uniform_param,
     zero_row,
 )
@@ -148,9 +147,9 @@ def cca_forward(h_dec: Tensor, h_enc: Optional[Tensor], params: CcaLayerParams,
         keys = cca_keys(memory, p, heads, counter, l_dec)
     k_t, v = keys
     scale = 1.0 / np.sqrt(k_t.shape[1])
-    tiles = row_tiles(l_dec, tile_rows())
+    cut = tiles(l_dec)
     out_data = np.empty((l_dec, p.w_o.shape[1]))
-    for rows in tiles:
+    for rows in cut:
         q = affine(h_dec.data[rows], p.w_q, p.b_q)
         q_heads = head_view(q, heads)
         head_attention(q_heads, k_t, v, scale, out=q_heads)
@@ -173,7 +172,7 @@ def cca_forward(h_dec: Tensor, h_enc: Optional[Tensor], params: CcaLayerParams,
         mem = memory_values()
         dec = dec_values()
         d_q = np.empty((l_dec, p.w_q.shape[1]))     # Q until head_attention's backward
-        for rows in tiles:
+        for rows in cut:
             affine(dec[rows], p.w_q, p.b_q, d_q[rows])
         del dec
         # the attended rows' gradient, until head_attention rebuilds them over it

@@ -20,13 +20,13 @@ are linear in its rows, so the op makes them from x first, without
 projecting it, and runs the summary attention through
 attention.head_attention, as CCA runs its attention: one head at a time,
 a half tile of its queries per call; only the pooled rows outlive it.
-Then it walks tiles of whole groups (tensor.TILE_ROWS rows rounded down
-to whole groups) once: a tile's Q sits where its outputs will go, and K
-and V are projected a half tile at a time, each dropped before the
-next, so one tile of Q, a half tile of K/V and half a tile of every
-head's group scores are alive at a time, and each tile is merged and
-output-projected before the next: without a tape the op holds its
-input, its output and one tile.  A caller that does not record can pass
+Then it walks tiles of whole groups (tensor.tiles: TILE_ROWS rows
+rounded down to whole groups) once: a tile's Q sits where its outputs
+will go, and K and V are projected a half tile at a time, each dropped
+before the next, so one tile of Q, a half tile of K/V and half a tile
+of every head's group scores are alive at a time, and each tile is
+merged and output-projected before the next: without a tape the op
+holds its input, its output and one tile.  A caller that does not record can pass
 a row-local continuation instead, which gets each tile's output rows;
 the op then holds its input and one tile, and no output.  The op's rule
 holds only its input (through tensor.held_values, so a layer norm's
@@ -56,7 +56,6 @@ from .attention import (
     OpCounter,
     attention_backward,
     attention_forward,
-    attention_probs,
     head_attention,
     head_view,
     scaled_dot_attention,
@@ -77,8 +76,7 @@ from .tensor import (
     mean_rows,
     multiply,
     recording,
-    row_tiles,
-    tile_rows,
+    tiles,
     uniform_param,
     zero_row,
 )
@@ -252,30 +250,27 @@ def _sum_last_to_first(parts: np.ndarray) -> np.ndarray:
 
 
 def _tiles(l: int, l_g: int, half: bool = False) -> list[tuple[slice, slice]]:
-    """The row tiles gsa_forward works over, tile_rows(l_g) rows of whole
-    groups each, or with half their half_tiles, the rows its local
-    attention walks and K and V are projected in; neither is ever one row
-    high (a one-row product would go to gemv).  (rows, groups) slice
-    pairs."""
-    tiles = half_tiles(l, l_g) if half else row_tiles(l, tile_rows(l_g))
-    return [(rows, slice(rows.start // l_g, -(-rows.stop // l_g))) for rows in tiles]
+    """The row tiles gsa_forward works over, tensor.tiles of whole groups,
+    or with half their half_tiles, the rows its local attention walks and
+    K and V are projected in; neither is ever one row high (a one-row
+    product would go to gemv).  (rows, groups) slice pairs."""
+    cut = half_tiles(l, l_g) if half else tiles(l, l_g)
+    return [(rows, slice(rows.start // l_g, -(-rows.stop // l_g))) for rows in cut]
 
 
 def _project(x: np.ndarray, w: Tensor, b: Tensor, m: int, l_g: int,
              real_len: int, out: Optional[np.ndarray] = None,
              half: bool = False) -> np.ndarray:
-    """x @ w + b, x an (l, d) array, with linear's arithmetic in the
-    forward's row tiles (with half, its half tiles), in one zero-padded
-    (m*l_g, d) buffer (out when given) that the product is written
-    straight into, every row at index >= real_len zero.  The forward
-    projects Q a tile and K and V a half tile at a time, so a backward
-    that projects the whole x in the same cut gets the forward's bits at
-    every width."""
+    """x @ w + b, x an (l, d) array, by affine in the forward's row tiles
+    (with half, its half tiles), in one zero-padded (m*l_g, d) buffer
+    (out when given) that the product is written straight into, every
+    row at index >= real_len zero.  The forward projects Q a tile and K
+    and V a half tile at a time, so a backward that projects the whole x
+    in the same cut gets the forward's bits at every width."""
     l = x.shape[0]
     rows = np.empty((m * l_g, w.shape[1])) if out is None else out
     for tile, _ in _tiles(l, l_g, half):
-        np.matmul(x[tile], w.data, out=rows[tile])
-    rows[:l] += b.data
+        affine(x[tile], w, b, rows[tile])
     rows[real_len:] = 0.0
     return rows
 
@@ -355,13 +350,13 @@ def gsa_forward(x: Tensor, params: GsaLayerParams, cfg: GsaConfig,
     outputs at real positions never depend on pad values.  With the
     global path the op first makes every group's summary rows from x
     (_summaries) and runs the summary attention (_summary_attention, by
-    attention.head_attention).  Then it walks tiles of whole groups,
-    tile_rows(l_g) rows each (cut by row_tiles), once: it
-    projects a tile's Q (into the rows of the output buffer that the
-    tile's local outputs then overwrite), then runs local attention in
-    the tile's half tiles (_tiles with half), projecting each half tile's
-    K and V from its rows of x and dropping them before the next, merges
-    the tile's groups with their pooled rows and output-projects them.
+    attention.head_attention).  Then it walks tiles of whole groups
+    (_tiles, cut by tensor.tiles) once: it projects a tile's Q (into the
+    rows of the output buffer that the tile's local outputs then
+    overwrite), then runs local attention in the tile's half tiles
+    (_tiles with half), projecting each half tile's K and V from its rows
+    of x and dropping them before the next, merges the tile's groups
+    with their pooled rows and output-projects them.
     Every group is computed alone, so the tiles' results are the whole
     layer's.
 
@@ -484,8 +479,8 @@ def gsa_forward(x: Tensor, params: GsaLayerParams, cfg: GsaConfig,
         allow = _local_allow(cfg, m, real_len)
         for _, groups in _tiles(l, l_g, half=True):
             q_t, k_t, v_t = qg[:, groups], kg[:, groups].swapaxes(-1, -2), vg[:, groups]
-            p = attention_probs(q_t, k_t, scale, None if allow is None else allow[groups])
-            local = np.matmul(p, v_t)
+            local, p = attention_forward(q_t, k_t, v_t, scale,
+                                         None if allow is None else allow[groups])
             d_local = d_out[:, groups]
             if use_global:
                 d_alpha[:, groups] = (d_local * local).reshape(

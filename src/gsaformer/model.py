@@ -40,10 +40,9 @@ from .tensor import (
     linear,
     load_checkpoint,
     recording,
-    row_tiles,
     save_checkpoint,
     slice_rows,
-    tile_rows,
+    tiles,
     uniform_param,
     zero_row,
 )
@@ -295,8 +294,8 @@ class ForecasterModel:
 
         Every op of the decoder is row-local (its GSA is causal, with no
         global path, and its CCA reads fixed memories), so without a tape
-        the decoder runs one row tile of whole groups (tile_rows(l_g)) at
-        a time through every layer, and the head writes the tile's
+        the decoder runs one row tile of whole groups (tiles(dec_len, l_g))
+        at a time through every layer, and the head writes the tile's
         forecast rows: it holds each layer's cross-attention keys, made
         once (the memories are dropped once the keys exist), and no
         decoder activation longer than a tile.  Under a tape it runs once
@@ -312,9 +311,9 @@ class ForecasterModel:
                   for layer, memory in zip(self.decoder_layers, memories)]
         del memories        # held by the taped blocks; the streamed ones hold their keys
         dec_in = build_decoder_input(x, cfg).data
-        tiles = [slice(0, cfg.dec_len)] if taped else row_tiles(cfg.dec_len, tile_rows(cfg.l_g))
+        cut = [slice(0, cfg.dec_len)] if taped else tiles(cfg.dec_len, cfg.l_g)
         parts = []
-        for rows in tiles:
+        for rows in cut:
             h = self._embed(Tensor(dec_in[rows]), rows.start)
             for blocks in layers:
                 for block in blocks:

@@ -37,8 +37,8 @@ backward.
 The ops that would otherwise make whole-length temporaries (layer_norm
 and feed_forward here, cca_forward, gsa_forward and the attention kernels
 they run) work in row tiles of TILE_ROWS rows (rounded down to whole
-groups in gsa; half that where a tile holds scores, see tile_rows),
-cut by row_tiles, with the whole-array arithmetic, so without a tape
+groups in gsa; half that where a tile holds scores), cut by tiles or
+half_tiles, with the whole-array arithmetic, so without a tape
 their temporaries are one tile big; the constructor's finiteness check,
 too, makes its mask a tile at a time.  layer_norm can write its output
 over f, which is how the model's residual blocks call it: a block,
@@ -99,10 +99,9 @@ def _all_finite(a: np.ndarray) -> bool:
     """Whether every entry of the matrix a is finite, checked a row tile at
     a time, so the check's mask is one tile big.  An array of one tile is
     one call: most tensors are that small."""
-    n, size = a.shape[0], tile_rows()
-    if n <= size:
+    if a.shape[0] <= TILE_ROWS:
         return bool(np.isfinite(a).all())
-    return all(np.isfinite(a[rows]).all() for rows in row_tiles(n, size))
+    return all(np.isfinite(a[rows]).all() for rows in tiles(a.shape[0]))
 
 
 class GradSlot:
@@ -335,14 +334,14 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
     pre-activation is)."""
     if x.shape[1] != w1.shape[0]:
         raise DimensionError(f"feed_forward: input {x.shape} for weights {w1.shape}")
-    tiles = row_tiles(x.shape[0], tile_rows())
+    cut = tiles(x.shape[0])
 
     def hidden(x_rows: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         h = affine(x_rows, w1, b1, out)
         return np.maximum(h, 0.0, out=h)
 
     out_data = np.empty((x.shape[0], w2.shape[1])) if out is None else out
-    for rows in tiles:
+    for rows in cut:
         affine(hidden(x.data[rows]), w2, b2, out_data[rows])
     out = Tensor(out_data)
     inputs = (x, w1, b1, w2, b2)
@@ -355,7 +354,7 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
         g = out_slot.grad
         x_data = x_values()
         h = np.empty((x_data.shape[0], w1.shape[1]))
-        for rows in tiles:
+        for rows in cut:
             hidden(x_data[rows], h[rows])
         g_h = linear_input_grad(g, w2, b2)
         accumulate_grad(w2, h.T @ g, owned=True)
@@ -486,25 +485,25 @@ def row_tiles(n: int, size: int) -> list[slice]:
 TILE_ROWS = 512     # rows the tiled ops work on at a time
 
 
-def tile_rows(unit: int = 1, half: bool = False) -> int:
-    """TILE_ROWS, or half of it, rounded down to a whole number of units, at
-    least one unit: the tile height of every op that works in row tiles
-    (GSA's unit is a group).  Walks whose tile holds a row of scores per
-    key take half tiles (half_tiles).  Each tiled product is a BLAS call,
-    and a threaded one waits for every thread, so the row-wise ops take
-    tiles as tall as memory allows."""
-    return max((TILE_ROWS // 2 if half else TILE_ROWS) // unit, 1) * unit
+def tiles(n: int, unit: int = 1) -> list[slice]:
+    """The row tiles of n rows that every op working in row tiles walks:
+    TILE_ROWS rows each, rounded down to a whole number of units (GSA's
+    unit is a group), at least one unit, cut by row_tiles.  Each tiled
+    product is a BLAS call, and a threaded one waits for every thread, so
+    the row-wise ops take tiles as tall as memory allows."""
+    return row_tiles(n, max(TILE_ROWS // unit, 1) * unit)
 
 
 def half_tiles(n: int, unit: int = 1) -> list[slice]:
-    """The half tiles of n rows: each row_tiles tile of tile_rows(unit)
-    rows cut by tile_rows(unit, half=True), so no half tile crosses a
-    tile's edge and none is one row high.  The rows of every walk whose
-    tile holds a row of scores per key: GSA's local attention and its
-    backward's walk (in whole groups), attention.head_attention and
-    attention_backward's score gradient."""
-    return [slice(t.start + h.start, t.start + h.stop) for t in row_tiles(n, tile_rows(unit))
-            for h in row_tiles(t.stop - t.start, tile_rows(unit, half=True))]
+    """The half tiles of n rows: each of tiles(n, unit) cut into tiles of
+    TILE_ROWS // 2 rows, rounded down to whole units as in tiles, so no
+    half tile crosses a tile's edge and none is one row high.  The rows
+    of every walk whose tile holds a row of scores per key: GSA's local
+    attention and its backward's walk (in whole groups),
+    attention.head_attention and attention_backward's score gradient."""
+    half = max(TILE_ROWS // 2 // unit, 1) * unit
+    return [slice(t.start + h.start, t.start + h.stop) for t in tiles(n, unit)
+            for h in row_tiles(t.stop - t.start, half)]
 
 
 def layer_norm(x: Tensor, f: Tensor, gain: Tensor, bias: Tensor,
@@ -526,7 +525,7 @@ def layer_norm(x: Tensor, f: Tensor, gain: Tensor, bias: Tensor,
     data = np.empty((l, d)) if out is None else out
     xhat = np.empty((l, d)) if taped else data
     inv = np.empty((l, 1))
-    for rows in row_tiles(l, tile_rows()):
+    for rows in tiles(l):
         t = np.add(x.data[rows], f.data[rows], out=xhat[rows])
         t -= t.mean(axis=1, keepdims=True)
         # the variance exactly as np.var computes it, from the same x + f - mu

@@ -10,13 +10,13 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
+from . import tensor
 from .data import DataError, WindowSet
 from .model import ForecasterModel
 from .tensor import (
     ComputationTape,
     ContractError,
     DimensionError,
-    TILE_ROWS,
     Tensor,
     _record,
     accumulate_grad,
@@ -28,7 +28,6 @@ from .tensor import (
 )
 
 
-_ADAM_TILE = TILE_ROWS * 128     # elements adam_step updates at a time: 0.5 MiB
 VAL_WINDOWS = 64                # validation windows train scores each epoch
 
 
@@ -104,10 +103,11 @@ def adam_step(params: Mapping[str, Tensor],
     its buffer reused for the update's denominator (a caller must not read
     it afterwards) and freed before the next parameter's moments are
     allocated, and grads comes back empty.  Each parameter is updated a
-    row tile of about _ADAM_TILE elements at a time, so the update's one
-    temporary is a tile big; the arithmetic is elementwise, so the tiles
-    change no bit.  Every name is checked (and the clip applied) first, so
-    a rejected call leaves grads untouched."""
+    row tile of about 128 * tensor.TILE_ROWS elements (0.5 MiB), read
+    when it runs, at a time, so the update's one temporary is a tile big;
+    the arithmetic is elementwise, so the tiles change no bit.  Every
+    name is checked (and the clip applied) first, so a rejected call
+    leaves grads untouched."""
     for name in params:
         if name not in grads or grads[name] is None:
             raise ContractError(f"adam_step: no gradient for parameter {name!r}")
@@ -124,7 +124,7 @@ def adam_step(params: Mapping[str, Tensor],
             state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
         m, v = state.m[name], state.v[name]
-        for rows in row_tiles(p.shape[0], _ADAM_TILE // p.shape[1]):
+        for rows in row_tiles(p.shape[0], tensor.TILE_ROWS * 128 // p.shape[1]):
             _adam_update(p.data[rows], m[rows], v[rows], g[rows], cfg, lr, correct1, correct2)
 
 

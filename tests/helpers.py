@@ -54,9 +54,8 @@ from gsaformer.tensor import (
     linear_backward,
     matmul,
     multiply,
-    row_tiles,
     slice_rows,
-    tile_rows,
+    tiles,
     zero_grads,
 )
 
@@ -253,15 +252,15 @@ def multi_head_attention(q, k, v, heads, counter):
     return _record("multi_head_attention", out, (q, k, v), backward_fn)
 
 
-def tiled_linear(x, w, b, tiles=None):
-    """linear(x, w, b) with its product cut in row tiles (by default
-    row_tiles at tile_rows(), the tiles of feed_forward's products), as
+def tiled_linear(x, w, b, cut=None):
+    """linear(x, w, b) with its product cut in row tiles cut (by default
+    tensor.tiles, the tiles of feed_forward's products), as
     one op with linear's rule: the oracle of a projection that a fused op
     computes a tile at a time.  Tiles change no bit of a product 8 or 16
     columns wide, but may change some of a narrower or ragged one."""
-    tiles = row_tiles(x.shape[0], tile_rows()) if tiles is None else tiles
+    cut = tiles(x.shape[0]) if cut is None else cut
     data = np.empty((x.shape[0], w.shape[1]))
-    for rows in tiles:
+    for rows in cut:
         affine(x.data[rows], w, b, data[rows])
     out = Tensor(data)
 
@@ -287,12 +286,12 @@ def composed_cca(h_dec, h_enc, params, counter, heads=1):
     linears, multi_head_attention and the output linear, the q and output
     projections cut in the fused op's query tiles."""
     memory = compress_encoder_output(h_enc, params.c)
-    tiles = row_tiles(h_dec.shape[0], tile_rows())
-    q = tiled_linear(h_dec, params.w_q, params.b_q, tiles)
+    cut = tiles(h_dec.shape[0])
+    q = tiled_linear(h_dec, params.w_q, params.b_q, cut)
     k = linear(memory, params.w_k, params.b_k)
     v = linear(memory, params.w_v, params.b_v)
     attended = multi_head_attention(q, k, v, heads, counter)
-    return tiled_linear(attended, params.w_o, params.b_o, tiles)
+    return tiled_linear(attended, params.w_o, params.b_o, cut)
 
 
 def composed_gsa(x, params, cfg, real_len, counter):

@@ -11,6 +11,7 @@ from gsaformer import tensor
 from gsaformer.attention import (
     AttentionMask,
     OpCounter,
+    attention_backward,
     attention_probs,
     head_attention,
     head_view,
@@ -121,18 +122,20 @@ class TestSoftmaxBackward:
         expected = (g - (g * p).sum(axis=-1, keepdims=True)) * p
         npt.assert_array_equal(softmax_last_axis_backward(p, g.copy()), expected)
 
-    def test_temporaries_stay_one_tile(self):
-        # 2048 rows, so a whole-array G * P temporary would be eight tiles
+    def test_attention_backward_holds_a_half_tile_of_score_gradient(self):
+        # 2048 query rows, so a whole score gradient (or G * P) would be
+        # eight half tiles
         rng = np.random.default_rng(7)
-        p = attention_probs(rng.normal(size=(2048, 8)), rng.normal(size=(8, 128)), 0.3)
-        g = rng.normal(size=p.shape)
+        q, k_t, v = (rng.normal(size=shape) for shape in ((2048, 8), (8, 128), (128, 8)))
+        p = attention_probs(q, k_t, 0.3)
+        g = rng.normal(size=q.shape)
         tracemalloc.start()
         try:
-            softmax_last_axis_backward(p, g)
+            grads = attention_backward(q, k_t, v, p, g, 0.3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 0.25 * p.nbytes
+        assert peak - sum(a.nbytes for a in grads) < 0.25 * p.nbytes
 
 
 class TestScaledDotAttention:

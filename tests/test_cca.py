@@ -176,9 +176,9 @@ class TestCcaMemory:
         h_dec = Tensor(rng.normal(size=(l_dec, d)))
         h_enc = Tensor(rng.normal(size=(l_enc, d)))
         one_head = l_dec * l_enc * 8     # bytes of one head's score matrix
-        one_tile = tensor.tile_rows(half=True) * l_enc * 8     # one call: a head's half tile
+        one_tile = tensor.TILE_ROWS // 2 * l_enc * 8     # one call: a head's half tile
         activation = l_dec * d * 8      # bytes of one l_dec-by-d array
-        tile_rows = tensor.tile_rows(half=True) * d * 8     # bytes of one tile of Q or attended rows
+        q_tile = tensor.TILE_ROWS // 2 * d * 8     # bytes of one tile of Q or attended rows
         keys = l_enc * d * 8
         tracemalloc.start()
         try:
@@ -190,8 +190,8 @@ class TestCcaMemory:
         # attended rows, a head's queries) and K and V with their head
         # copies; a whole Q or whole attended rows would need an
         # activation more than that slack, and a whole head's scores more
-        assert activation + one_tile <= peak < activation + one_tile + 4 * tile_rows + 4 * keys
-        assert 4 * tile_rows + 4 * keys <= activation and one_tile + activation < one_head
+        assert activation + one_tile <= peak < activation + one_tile + 4 * q_tile + 4 * keys
+        assert 4 * q_tile + 4 * keys <= activation and one_tile + activation < one_head
 
     def test_backward_holds_one_heads_probabilities_at_a_time(self):
         d, heads, l_dec, l_enc = 16, 4, 4096, 256
@@ -200,7 +200,7 @@ class TestCcaMemory:
         h_dec = Tensor(rng.normal(size=(l_dec, d)), requires_grad=True)
         h_enc = Tensor(rng.normal(size=(l_enc, d)), requires_grad=True)
         one_head = l_dec * l_enc * 8     # bytes of one head's probabilities
-        one_tile = tensor.tile_rows(half=True) * l_enc * 8     # a head's half tile of them
+        one_tile = tensor.TILE_ROWS // 2 * l_enc * 8     # a head's half tile of them
         activation = l_dec * d * 8      # bytes of one l_dec-by-d array
         with ComputationTape() as tape:
             loss = sum_all(cca_forward(h_dec, h_enc, params, OpCounter(), heads=heads))

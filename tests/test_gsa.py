@@ -30,7 +30,6 @@ from gsaformer.tensor import (
     Tensor,
     backward,
     linear,
-    matmul,
     multiply,
     zero_grads,
 )
@@ -52,15 +51,6 @@ def randomize_merge(params, cfg, rng):
     if params.alpha is not None:
         params.alpha.data[:] = alpha
         params.beta.data[:] = beta
-
-
-def plain_projection_params(cfg, seed=0):
-    """Random Q/K/V, identity output projection, zero biases."""
-    params = make_params(cfg, seed=seed)
-    params.w_o.data = np.eye(cfg.d)
-    for b in (params.b_q, params.b_k, params.b_v, params.b_o):
-        b.data[:] = 0.0
-    return params
 
 
 class TestPartitionGroups:
@@ -203,16 +193,32 @@ class TestOpCount:
 
 
 class TestGsaForward:
-    def test_reduces_to_canonical_with_one_group(self):
-        rng = np.random.default_rng(8)
-        cfg = GsaConfig(l_g=64, l_s=4, d=16, heads=1, m_max=1, global_path=False)
-        params = plain_projection_params(cfg, seed=8)
-        x = Tensor(rng.normal(size=(64, 16)))
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 5), st.integers(2, 12), st.data())
+    def test_reduces_to_canonical_with_one_group(self, heads, d_h, l_g, data):
+        # one group, no global path: each head is canonical attention on
+        # its column slab (under a lower-triangle mask when causal), and
+        # the output projection follows
+        l, causal = data.draw(st.integers(1, l_g)), data.draw(st.booleans())
+        d = heads * d_h
+        cfg = GsaConfig(l_g=l_g, l_s=1, d=d, heads=heads, m_max=1, causal=causal,
+                        global_path=False)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+        params = GsaLayerParams.init(cfg, rng)
+        for b in (params.b_q, params.b_v, params.b_o):
+            b.data[:] = rng.normal(size=b.shape)
+        x = Tensor(rng.normal(size=(l, d)))
         out = gsa_forward(x, params, cfg, OpCounter())
-        q = matmul(x, params.w_q)
-        k = matmul(x, params.w_k)
-        v = matmul(x, params.w_v)
-        oracle = scaled_dot_attention(q, k, v, AttentionMask.none(), OpCounter())
+        mask = (AttentionMask.custom(np.tril(np.ones((l, l), dtype=bool))) if causal
+                else AttentionMask.none())
+        q, k, v = (linear(x, w, b) for w, b in ((params.w_q, params.b_q),
+                                                (params.w_k, params.b_k),
+                                                (params.w_v, params.b_v)))
+        cols = [slice(h * d_h, (h + 1) * d_h) for h in range(heads)]
+        attended = np.concatenate([scaled_dot_attention(
+            *(Tensor(a.data[:, c]) for a in (q, k, v)), mask, OpCounter()).data
+            for c in cols], axis=1)
+        oracle = linear(Tensor(attended), params.w_o, params.b_o)
         assert np.abs(out.data - oracle.data).max() < 1e-10
 
     def test_instrumented_count_512(self):

@@ -34,12 +34,12 @@ from gsaformer.tensor import (
     Tensor,
     backward,
     broadcast_add,
+    half_tiles,
     matmul,
     multiply,
-    row_tiles,
     save_checkpoint,
     slice_rows,
-    tile_rows,
+    tiles,
 )
 from gsaformer.training import TrainConfig, mse_loss, train
 
@@ -134,6 +134,24 @@ def decoder_cases(draw):
     return cfg, draw(st.integers(0, cfg.dec_len - 1)), draw(st.integers(0, 2 ** 16))
 
 
+@st.composite
+def count_cases(draw):
+    """A tiny random model: compressed CCA (l_comp < seq_len) or bypass
+    CCA, the encoder's global path on or off, 0-2 encoder layers,
+    label_len anywhere in 0..seq_len (at or above l_g too) and lengths
+    that are often not a multiple of l_g."""
+    heads = draw(st.integers(1, 3))
+    l_g = draw(st.integers(2, 6))
+    seq_len = draw(st.integers(1, 20))
+    return ModelConfig(seq_len=seq_len, pred_len=draw(st.integers(1, 8)),
+                       label_len=draw(st.integers(0, seq_len)),
+                       n_features_in=2, n_features_out=2, d=heads * draw(st.integers(1, 3)),
+                       heads=heads, e_l=draw(st.integers(0, 2)), d_l=draw(st.integers(1, 2)),
+                       l_g=l_g, l_s=draw(st.integers(1, l_g - 1)),
+                       l_comp=draw(st.integers(1, 2 * seq_len)), ffn_hidden=4,
+                       ablation_local_only=draw(st.booleans()))
+
+
 class TestModelForward:
     def test_output_shape(self):
         cfg = ModelConfig(seq_len=96, pred_len=96, n_features_in=7,
@@ -151,16 +169,24 @@ class TestModelForward:
         out = model.forward(Tensor(np.zeros((24, 2))))
         npt.assert_array_equal(out.data, np.zeros((8, 2)))
 
-    def test_total_count_matches_closed_form(self):
-        for kwargs in (dict(), dict(ablation_local_only=True),
-                       dict(heads=4, e_l=2, d_l=2),
-                       dict(seq_len=40, pred_len=12, l_comp=8)):
-            cfg = tiny_config(**kwargs)
-            model = ForecasterModel(cfg, seed=0)
-            counter = OpCounter()
-            model.forward(Tensor(np.random.default_rng(4).normal(
-                size=(cfg.seq_len, 2))), counter)
-            assert counter.score_elements == model.closed_form_score_elements()
+    @settings(max_examples=40, deadline=None)
+    @given(count_cases(), st.integers(0, 2 ** 16))
+    def test_total_count_matches_closed_form(self, cfg, seed):
+        # the untaped forward, the taped forward and the taped backward's
+        # rebuilds each spend the closed form's score elements
+        model = ForecasterModel(cfg, seed=seed)
+        rng = np.random.default_rng(seed)
+        x = Tensor(rng.normal(size=(cfg.seq_len, 2)))
+        y = Tensor(rng.normal(size=(cfg.pred_len, 2)))
+        untaped, taped = OpCounter(), OpCounter()
+        model.forward(x, untaped)
+        with ComputationTape() as tape:
+            loss = mse_loss(model.forward(x, taped), y)
+        forward_count = taped.score_elements
+        backward(loss, tape)
+        expected = model.closed_form_score_elements()
+        assert (untaped.score_elements, forward_count,
+                taped.recomputed_score_elements) == (expected, expected, expected)
 
     def test_ablation_flag_equals_frozen_beta(self):
         x = Tensor(np.random.default_rng(5).normal(size=(24, 2)))
@@ -727,29 +753,32 @@ class TestTapeNodes:
         # the op's output, whose root the next norm writes over
         spy(model_module, "layer_norm", lambda out, x, f, gain, bias: [f.data])
         spy(tensor_module, "affine", lambda out, x, w, b, *into: [out])   # linear, feed_forward
-        spy(gsa_module, "affine", lambda out, x, w, b: [out, x])    # x: the merged outputs
+        # x: the layer's input rows (Q, K, V) or the merged outputs
+        spy(gsa_module, "affine", lambda out, x, w, b, *into: [out, x])
         spy(cca_module, "affine", lambda out, x, w, b, *into: [out])
         spy(cca_module, "head_attention", lambda out, q, k_t, v, scale: [q, k_t, v])
         cfg = GRADIENT_CONFIGS["train_long"]
         # the encoder and the decoder are cut into the same row tiles, for
         # every op (GSA's tiles of whole groups too), CCA's attention one
         # call per tile
-        tiles = len(row_tiles(cfg.seq_len, tile_rows()))
-        assert cfg.dec_len == cfg.seq_len and tiles > 1
-        assert len(row_tiles(cfg.seq_len, tile_rows(cfg.l_g))) == tiles
+        n_tiles, halves = len(tiles(cfg.seq_len)), len(half_tiles(cfg.seq_len, cfg.l_g))
+        assert cfg.dec_len == cfg.seq_len and n_tiles > 1
+        assert len(tiles(cfg.seq_len, cfg.l_g)) == n_tiles
         model = ForecasterModel(cfg, seed=0)
         rng = np.random.default_rng(3)
         x = Tensor(rng.normal(size=(cfg.seq_len, cfg.n_features_in)))
         y = Tensor(rng.normal(size=(cfg.pred_len, cfg.n_features_out)))
         with ComputationTape() as tape:
             loss = multiply(mse_loss(model.forward(x), y), 1.0)
-            # affine: 2 embeds and the head; per tile 2 per FFN and 1 (2
-            # refs) per GSA; per CCA K, V and 2 per tile
+            # affine: 2 embeds and the head; per tile 2 per FFN and 2 (4
+            # refs) per GSA, Q and the output projection; per half tile 2
+            # (4 refs) per GSA, K and V; per CCA K, V and 2 per tile
             assert Counter(name for name, _ in refs) == {
                 "layer_norm": 15,
-                "affine": 3 + tiles * (2 * 6 + 2 * 6) + 3 * (2 + 2 * tiles),
+                "affine": 3 + n_tiles * (2 * 6 + 4 * 6) + halves * 4 * 6
+                + 3 * (2 + 2 * n_tiles),
                 # per CCA tile: its attended rows, K and V
-                "head_attention": 3 * 3 * tiles}
+                "head_attention": 3 * 3 * n_tiles}
             assert [name for name, ref in refs if ref() is not None] == []
             backward(loss, tape)
         assert [n for n, p in model.parameters().items() if p.grad is None] == []

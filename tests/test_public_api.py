@@ -138,3 +138,30 @@ def test_every_defaulted_parameter_is_set_by_a_caller():
                        for name, positional, keywords in calls):
                 unset.append(f"{path.stem}.{callee}({parameter})")
     assert unset == []
+
+
+def _tile_uses(tree):
+    """(enclosing module-level definition or None, name) of every call of
+    row_tiles and every read or import of TILE_ROWS in tree."""
+    for top in tree.body:
+        scope = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if getattr(func, "id", getattr(func, "attr", None)) == "row_tiles":
+                    yield scope, "row_tiles"
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                if getattr(node, "id", getattr(node, "attr", None)) == "TILE_ROWS":
+                    yield scope, "TILE_ROWS"
+            elif isinstance(node, ast.ImportFrom):
+                yield from ((scope, a.name) for a in node.names if a.name == "TILE_ROWS")
+
+
+def test_only_tensor_turns_tile_rows_into_tiles():
+    """Every op's row tiles come from tensor.tiles or tensor.half_tiles.
+    The one other reader is adam_step, whose tiles are an element budget
+    of TILE_ROWS times 128, read when it runs."""
+    uses = [(path.stem, *use) for path in SRC if path.stem != "tensor"
+            for use in _tile_uses(ast.parse(path.read_text(encoding="utf-8")))]
+    assert ("training", "adam_step", "TILE_ROWS") in uses
+    assert [use for use in uses if use[:2] != ("training", "adam_step")] == []

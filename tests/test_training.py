@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import check_op_gradients, composed_mse_loss, sum_all
 
-from gsaformer import training
+from gsaformer import tensor, training
 from gsaformer.attention import OpCounter
 from gsaformer.benchmark import BenchConfig, model_config_for
 from gsaformer.data import DataError, WindowSet, make_windows, synthetic_series
@@ -210,6 +210,37 @@ class TestAdam:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * p.data.nbytes, (peak, p.data.nbytes)
+
+    @pytest.mark.parametrize("grad_clip", [None, 0.5])
+    def test_tiles_change_no_bit(self, grad_clip, monkeypatch):
+        # at TILE_ROWS = 2 a step updates 256 elements at a time: p in
+        # tiles of 8 rows, its one-row tail joining the tile before it,
+        # and q in tiles of 64 rows; at TILE_ROWS = 10**6 each is one tile
+        rng = np.random.default_rng(22)
+        shapes = {"p": (17, 32), "q": (70, 4), "r": (1, 5)}
+        start = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        steps = [{name: rng.normal(size=shape) for name, shape in shapes.items()}
+                 for _ in range(2)]
+        cfg = TrainConfig(learning_rate=0.01, grad_clip=grad_clip)
+        update, heights = training._adam_update, []
+
+        def counted(p, *args):
+            heights.append(p.shape[0])
+            update(p, *args)
+
+        monkeypatch.setattr(training, "_adam_update", counted)
+        results = []
+        for tile in (2, 10**6):
+            monkeypatch.setattr(tensor, "TILE_ROWS", tile)
+            params = {name: Tensor(a.copy(), requires_grad=True) for name, a in start.items()}
+            state = AdamState()
+            for grads in steps:
+                adam_step(params, {name: g.copy() for name, g in grads.items()}, state, cfg)
+            results.append([a for name in shapes
+                            for a in (params[name].data, state.m[name], state.v[name])])
+        assert heights == 2 * [8, 9, 64, 6, 1] + 2 * [17, 70, 1]
+        for tiled, whole in zip(*results):
+            npt.assert_array_equal(tiled, whole)
 
     def test_learning_rate_must_be_positive(self):
         with pytest.raises(ContractError):
