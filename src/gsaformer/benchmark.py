@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,12 +58,6 @@ class BenchRow:
     peak_score_buffer: int
     wall_ms_per_iter: float
     closed_form_elements: int
-    error: str = ""
-
-
-@dataclass
-class BenchReport:
-    rows: list[BenchRow] = field(default_factory=list)
 
 
 def model_config_for(mechanism: str, seq_len: int, cfg: BenchConfig) -> ModelConfig:
@@ -97,14 +91,15 @@ def _one_iteration(model: ForecasterModel, x: np.ndarray, y: np.ndarray) -> None
 
 
 def run_scaling_benchmark(lengths: list[int], mechanisms: list[str],
-                          cfg: BenchConfig) -> BenchReport:
-    """One row per (mechanism, length): counters from one instrumented
-    forward, wall time averaged over enough iterations to fill
-    min_cell_seconds.  An out-of-memory cell is recorded as a failed row
-    instead of aborting the sweep."""
+                          cfg: BenchConfig) -> list[BenchRow]:
+    """One row per (mechanism, length), ordered by (mechanism, length):
+    counters from one instrumented forward, wall time averaged over enough
+    iterations to fill min_cell_seconds.  An out-of-memory cell is recorded
+    as a row with -1 counts and no wall time instead of aborting the
+    sweep."""
     if sorted(lengths) != list(lengths):
         raise DataError(f"lengths must be sorted ascending, got {lengths}")
-    report = BenchReport()
+    rows = []
     for mechanism in mechanisms:
         for seq_len in lengths:
             model_cfg = model_config_for(mechanism, seq_len, cfg)
@@ -129,32 +124,30 @@ def run_scaling_benchmark(lengths: list[int], mechanisms: list[str],
                     for _ in range(n):
                         _one_iteration(model, x, y)
                     wall_ms = (once + time.perf_counter() - start) / (n + 1) * 1000.0
-                report.rows.append(BenchRow(
+                rows.append(BenchRow(
                     mechanism=mechanism, seq_len=seq_len,
                     score_elements=counter.score_elements,
                     peak_score_buffer=counter.peak_score_buffer,
                     wall_ms_per_iter=wall_ms,
                     closed_form_elements=closed_form))
             except MemoryError:
-                report.rows.append(BenchRow(
+                rows.append(BenchRow(
                     mechanism=mechanism, seq_len=seq_len,
                     score_elements=-1, peak_score_buffer=-1,
                     wall_ms_per_iter=math.nan,
-                    closed_form_elements=closed_form if closed_form else -1,
-                    error="out-of-memory"))
-    report.rows.sort(key=lambda r: (r.mechanism, r.seq_len))
-    return report
+                    closed_form_elements=closed_form if closed_form else -1))
+    rows.sort(key=lambda r: (r.mechanism, r.seq_len))
+    return rows
 
 
-def emit_csv_report(report: BenchReport, path) -> None:
-    """Fixed header, one row per report row, ordered by (mechanism, length)."""
-    if not report.rows:
+def emit_csv_report(rows: list[BenchRow], path) -> None:
+    """Fixed header, one line per row, ordered by (mechanism, length)."""
+    if not rows:
         raise DataError("emit_csv_report: empty report")
-    rows = sorted(report.rows, key=lambda r: (r.mechanism, r.seq_len))
     with atomic_write(path, newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
-        for r in rows:
+        for r in sorted(rows, key=lambda r: (r.mechanism, r.seq_len)):
             wall = "" if math.isnan(r.wall_ms_per_iter) else repr(r.wall_ms_per_iter)
             writer.writerow([r.mechanism, r.seq_len, r.score_elements,
                              r.peak_score_buffer, wall, r.closed_form_elements])

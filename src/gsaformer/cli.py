@@ -260,13 +260,16 @@ def cmd_bench(args) -> int:
     for m in mechanisms:
         if m not in MECHANISMS:
             raise UsageError(f"unknown mechanism {m!r}; choose from {MECHANISMS}")
+    for flag, values in (("--lengths", lengths), ("--mechanisms", mechanisms)):
+        if len(set(values)) < len(values):
+            raise UsageError(f"{flag} names a value twice: {values}")
     bench_cfg = _build(BenchConfig, mapping, seed=args.seed, timing=not args.no_timing,
                        min_cell_seconds=args.min_cell_seconds)
-    report = run_scaling_benchmark(lengths, mechanisms, bench_cfg)
+    rows = run_scaling_benchmark(lengths, mechanisms, bench_cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    emit_csv_report(report, out / "bench.csv")
-    for row in report.rows:
+    emit_csv_report(rows, out / "bench.csv")
+    for row in rows:
         print(f"{row.mechanism:20s} l={row.seq_len:6d} "
               f"score_elements={row.score_elements:12d} "
               f"peak_buffer={row.peak_score_buffer:10d}")
@@ -402,8 +405,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if not args.verb:
-            raise UsageError(f"missing verb; choose from {sorted(_COMMANDS)}\n"
-                             f"{parser.format_usage()}")
+            parser.error(f"missing verb; choose from {sorted(_COMMANDS)}")
         return _COMMANDS[args.verb](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

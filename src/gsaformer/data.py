@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -39,7 +39,6 @@ class TimeSeries:
     timestamps: list[str]
     values: np.ndarray            # T x F, float64
     feature_names: list[str]
-    target_index: int
 
     @property
     def length(self) -> int:
@@ -62,14 +61,7 @@ class NormStats:
         return (values - self.mean) / self.std
 
 
-@dataclass
-class WindowSet:
-    windows: list[tuple[np.ndarray, np.ndarray]]   # (seq_len x F, pred_len x F)
-    split: str                                      # train | val | test
-    stats: NormStats = field(repr=False, default=None)
-
-    def __len__(self) -> int:
-        return len(self.windows)
+WindowSet = list[tuple[np.ndarray, np.ndarray]]   # (seq_len x F, pred_len x F) pairs
 
 
 def load_csv(path, target_name: str) -> TimeSeries:
@@ -116,7 +108,6 @@ def load_csv(path, target_name: str) -> TimeSeries:
         timestamps=timestamps,
         values=np.asarray(rows, dtype=np.float64),
         feature_names=feature_names,
-        target_index=feature_names.index(target_name),
     )
 
 
@@ -129,7 +120,7 @@ def write_csv(ts: TimeSeries, path) -> None:
 
 
 def _slice_windows(values: np.ndarray, seq_len: int, pred_len: int,
-                   stride: int) -> list[tuple[np.ndarray, np.ndarray]]:
+                   stride: int) -> WindowSet:
     out = []
     total = seq_len + pred_len
     for start in range(0, values.shape[0] - total + 1, stride):
@@ -142,7 +133,8 @@ def make_windows(ts: TimeSeries, seq_len: int, pred_len: int,
                  split_ratios: tuple[float, float, float] = (0.7, 0.1, 0.2),
                  stride: int = 1,
                  ) -> tuple[WindowSet, WindowSet, WindowSet]:
-    """Chronological split, then stride-windowed (input, target) pairs.
+    """Chronological train/val/test split, then one list per split of
+    stride-windowed (input, target) pairs.
 
     All three splits are normalized with statistics computed from the train
     split only, so nothing leaks backward from val/test.
@@ -172,13 +164,8 @@ def make_windows(ts: TimeSeries, seq_len: int, pred_len: int,
                 f"{split} split has {hi - lo} rows; needs at least "
                 f"{minimum} (seq_len + pred_len)")
     stats = NormStats.from_values(ts.values[:n_train])
-    sets = []
-    for split, (lo, hi) in bounds.items():
-        normalized = stats.apply(ts.values[lo:hi])
-        sets.append(WindowSet(
-            windows=_slice_windows(normalized, seq_len, pred_len, stride),
-            split=split, stats=stats))
-    return tuple(sets)
+    return tuple(_slice_windows(stats.apply(ts.values[lo:hi]), seq_len, pred_len, stride)
+                 for lo, hi in bounds.values())
 
 
 def synthetic_series(kind: str, t: int, f: int, seed: int) -> TimeSeries:
@@ -216,5 +203,4 @@ def synthetic_series(kind: str, t: int, f: int, seed: int) -> TimeSeries:
     start = datetime(2020, 1, 1)
     stamps = [(start + timedelta(hours=i)).strftime("%Y-%m-%d %H:%M:%S")
               for i in range(t)]
-    return TimeSeries(timestamps=stamps, values=values,
-                      feature_names=names, target_index=f - 1)
+    return TimeSeries(timestamps=stamps, values=values, feature_names=names)

@@ -217,18 +217,13 @@ class _DecoderLayer(ParameterSet):
         self.norm3 = _LayerNorm(cfg.d)
         self.heads = cfg.heads
 
-    def memory(self, enc_out: Tensor) -> Tensor:
-        """What the layer's cross-attention reads of the encoder output:
-        its compression, or enc_out itself when the layer has no C."""
-        return compress_encoder_output(enc_out, self.cca.c)
-
     def blocks(self, memory: Tensor, counter: OpCounter, l_dec: Optional[int] = None) -> tuple:
         """The layer's residual blocks in order, as _EncoderLayer.blocks;
-        memory is the layer's memory(enc_out), and each cross-attention
-        call makes its own keys from it.  With l_dec, for a decoder that
-        does not record, the blocks take row tiles of whole groups of an
-        l_dec-row decoder sequence: the cross-attention's keys are
-        projected (and its l_dec-by-l_k scores counted) once, here, for
+        memory is compress_encoder_output(enc_out, self.cca.c), and each
+        cross-attention call makes its own keys from it.  With l_dec, for a
+        decoder that does not record, the blocks take row tiles of whole
+        groups of an l_dec-row decoder sequence: the cross-attention's keys
+        are projected (and its l_dec-by-l_k scores counted) once, here, for
         every tile, and the blocks hold the keys, not the memory."""
         keys = None
         if l_dec is not None:
@@ -304,7 +299,8 @@ class ForecasterModel:
         counter = counter if counter is not None else OpCounter()
         cfg = self.cfg
         enc_out = self.encoder_forward(x, counter)
-        memories = [layer.memory(enc_out) for layer in self.decoder_layers]
+        memories = [compress_encoder_output(enc_out, layer.cca.c)
+                    for layer in self.decoder_layers]
         del enc_out
         taped = recording([*memories, *self.parameters().values()])
         layers = [layer.blocks(memory, counter, None if taped else cfg.dec_len)

@@ -46,17 +46,17 @@ class TrainConfig:
     lr_decay: Optional[float] = None    # per-epoch multiplier, off by default
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ContractError(f"learning_rate must be > 0, got {self.learning_rate}")
-        for name, low in (("batch_size", 1), ("epochs", 0), ("patience", 0)):
+        for name, low in (("batch_size", 1), ("epochs", 0), ("patience", 0),
+                          ("max_iterations", 1)):
             if getattr(self, name) is not None and getattr(self, name) < low:
                 raise ContractError(f"{name} must be >= {low}, got {getattr(self, name)}")
         for name in ("beta1", "beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ContractError(f"{name} must be in [0, 1), got {getattr(self, name)}")
-        for name in ("epsilon", "grad_clip", "lr_decay", "max_iterations"):
-            if getattr(self, name) is not None and getattr(self, name) <= 0:
-                raise ContractError(f"{name} must be > 0, got {getattr(self, name)}")
+        for name in ("learning_rate", "epsilon", "grad_clip", "lr_decay"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ContractError(f"{name} must be finite and > 0, got {value}")
 
 
 def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
@@ -160,13 +160,13 @@ def _clip_grads(grads: dict[str, np.ndarray], max_norm: float) -> None:
             g *= scale
 
 
-def evaluate(model: ForecasterModel, window_set: WindowSet,
+def evaluate(model: ForecasterModel, windows: WindowSet,
              limit: Optional[int] = None) -> float:
-    """Mean MSE over the first limit windows (all when limit is None), no
-    gradients recorded."""
+    """Mean MSE over the first limit (input, target) pairs of windows (all
+    when limit is None), no gradients recorded."""
     if limit is not None and limit < 1:
         raise ContractError(f"limit must be None or >= 1, got {limit}")
-    windows = window_set.windows[:limit]
+    windows = windows[:limit]
     if not windows:
         raise DataError("evaluate: empty window set")
     total = 0.0
@@ -200,7 +200,7 @@ def train(model: ForecasterModel, train_set: WindowSet, cfg: TrainConfig,
     so none outlives its update and every p.grad is None on return.  Each
     epoch's validation MSE is that of the first VAL_WINDOWS windows of
     val_set."""
-    if not train_set.windows:
+    if not train_set:
         raise DataError("train: empty window set")
     params = model.parameters()
     state = AdamState()
@@ -211,7 +211,7 @@ def train(model: ForecasterModel, train_set: WindowSet, cfg: TrainConfig,
     iterations = 0
     lr = cfg.learning_rate
     for epoch in range(cfg.epochs):
-        order = rng.permutation(len(train_set.windows))
+        order = rng.permutation(len(train_set))
         epoch_losses = []
         for lo in range(0, len(order), cfg.batch_size):
             batch = order[lo:lo + cfg.batch_size]
@@ -219,7 +219,7 @@ def train(model: ForecasterModel, train_set: WindowSet, cfg: TrainConfig,
             batch_loss = 0.0
             with ComputationTape() as tape:
                 for idx in batch:
-                    x, y = train_set.windows[idx]
+                    x, y = train_set[idx]
                     window_loss = mse_loss(model.forward(Tensor(x)), Tensor(y))
                     batch_loss += float(window_loss.data[0, 0]) / len(batch)
                     # scale so accumulated grads form the batch-mean gradient

@@ -86,7 +86,6 @@ import numpy as np
 
 from gsaformer.attention import OpCounter
 from gsaformer.benchmark import BenchConfig, model_config_for
-from gsaformer.data import WindowSet
 from gsaformer.model import ForecasterModel, ModelConfig
 from gsaformer.tensor import ComputationTape, Tensor, backward, multiply, zero_grads
 from gsaformer.training import TrainConfig, mse_loss, train
@@ -158,9 +157,9 @@ def arrays(name: str, cfg: ModelConfig) -> dict[str, np.ndarray | int | None]:
             backward(multiply(mse_loss(model.forward(window_x), window_y), 1.0 / 2), tape)
     for pname, p in params.items():
         values[f"{name} batch2.grad.{pname}"] = p.grad
-    windows = WindowSet([(rng.normal(size=(cfg.seq_len, cfg.n_features_in)),
-                          rng.normal(size=(cfg.pred_len, cfg.n_features_out)))
-                         for _ in range(4)], split="train")
+    windows = [(rng.normal(size=(cfg.seq_len, cfg.n_features_in)),
+                rng.normal(size=(cfg.pred_len, cfg.n_features_out)))
+               for _ in range(4)]
     for clip in (None, 0.5):
         model = build(cfg)
         train(model, windows, TrainConfig(batch_size=2, max_iterations=2, grad_clip=clip))

@@ -5,9 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import gsaformer.benchmark as benchmark
 from gsaformer.benchmark import (
     BenchConfig,
-    BenchReport,
     BenchRow,
     CSV_HEADER,
     emit_csv_report,
@@ -45,24 +45,24 @@ class TestClosedForms:
 
 class TestRunScalingBenchmark:
     def test_instrumented_equals_closed_form_per_row(self):
-        report = run_scaling_benchmark(
+        rows = run_scaling_benchmark(
             [32, 64], ["grouped", "grouped_local_only", "canonical"],
             tiny_bench_cfg())
-        assert len(report.rows) == 6
-        for row in report.rows:
+        assert len(rows) == 6
+        for row in rows:
             assert row.score_elements == row.closed_form_elements, row
 
     def test_rows_sorted_by_mechanism_then_length(self):
-        report = run_scaling_benchmark([32, 64], ["grouped", "canonical"],
+        rows = run_scaling_benchmark([32, 64], ["grouped", "canonical"],
                                        tiny_bench_cfg())
-        keys = [(r.mechanism, r.seq_len) for r in report.rows]
+        keys = [(r.mechanism, r.seq_len) for r in rows]
         assert keys == sorted(keys)
 
     def test_canonical_grows_quadratically_grouped_linearly(self):
-        report = run_scaling_benchmark([32, 64, 128], ["grouped", "canonical"],
+        rows = run_scaling_benchmark([32, 64, 128], ["grouped", "canonical"],
                                        tiny_bench_cfg())
         by_mech = {}
-        for row in report.rows:
+        for row in rows:
             by_mech.setdefault(row.mechanism, []).append(row.score_elements)
         canonical = by_mech["canonical"]
         grouped = by_mech["grouped"]
@@ -77,29 +77,65 @@ class TestRunScalingBenchmark:
         with pytest.raises(DataError):
             model_config_for("probsparse", 64, tiny_bench_cfg())
 
+    def test_out_of_memory_cell_gives_marker_row_and_the_sweep_goes_on(self, monkeypatch):
+        # canonical at 32 fails before its model exists, grouped at 64 after
+        # its closed form is known; the cells after each still run
+        cfg = tiny_bench_cfg(timing=True)
+        real_model, real_series = benchmark.ForecasterModel, benchmark.synthetic_series
+        series_calls = []
+
+        def model(model_cfg, seed):
+            if model_cfg.l_g == model_cfg.seq_len == 32:
+                raise MemoryError
+            return real_model(model_cfg, seed=seed)
+
+        def series(kind, t, f, seed):
+            series_calls.append(t)
+            if t == 128 and series_calls.count(t) == 1:
+                raise MemoryError
+            return real_series(kind, t, f, seed)
+
+        monkeypatch.setattr(benchmark, "ForecasterModel", model)
+        monkeypatch.setattr(benchmark, "synthetic_series", series)
+        rows = run_scaling_benchmark([32, 64], ["grouped", "canonical"], cfg)
+        assert [(r.mechanism, r.seq_len) for r in rows] == [
+            ("canonical", 32), ("canonical", 64), ("grouped", 32), ("grouped", 64)]
+        grouped_64 = real_model(model_config_for("grouped", 64, cfg), seed=0)
+        failed = {(r.mechanism, r.seq_len): r for r in rows if r.score_elements == -1}
+        assert failed.keys() == {("canonical", 32), ("grouped", 64)}
+        assert failed["canonical", 32].closed_form_elements == -1
+        assert (failed["grouped", 64].closed_form_elements
+                == grouped_64.closed_form_score_elements())
+        for r in rows:
+            if (r.mechanism, r.seq_len) in failed:
+                assert r.peak_score_buffer == -1 and math.isnan(r.wall_ms_per_iter)
+            else:
+                assert r.score_elements == r.closed_form_elements > 0
+                assert r.wall_ms_per_iter > 0.0
+
     def test_timing_populates_wall_clock(self):
-        report = run_scaling_benchmark([32], ["grouped"], tiny_bench_cfg(timing=True))
-        assert report.rows[0].wall_ms_per_iter > 0.0
+        rows = run_scaling_benchmark([32], ["grouped"], tiny_bench_cfg(timing=True))
+        assert rows[0].wall_ms_per_iter > 0.0
 
 
 class TestEmitCsv:
     def test_header_and_row_count(self, tmp_path):
-        report = run_scaling_benchmark([32, 64], ["grouped"], tiny_bench_cfg())
+        rows = run_scaling_benchmark([32, 64], ["grouped"], tiny_bench_cfg())
         path = tmp_path / "bench.csv"
-        emit_csv_report(report, path)
+        emit_csv_report(rows, path)
         lines = path.read_text(encoding="utf-8").strip().splitlines()
         assert lines[0] == ",".join(CSV_HEADER)
         assert len(lines) == 3
 
     def test_roundtrip_parse_recovers_numbers(self, tmp_path):
-        report = run_scaling_benchmark([32], ["grouped", "canonical"],
+        rows = run_scaling_benchmark([32], ["grouped", "canonical"],
                                        tiny_bench_cfg())
         path = tmp_path / "bench.csv"
-        emit_csv_report(report, path)
+        emit_csv_report(rows, path)
         with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 2
-        for parsed, row in zip(rows, report.rows):
+            parsed_rows = list(csv.DictReader(fh))
+        assert len(parsed_rows) == 2
+        for parsed, row in zip(parsed_rows, rows):
             assert parsed["mechanism"] == row.mechanism
             assert int(parsed["seq_len"]) == row.seq_len
             assert int(parsed["score_elements"]) == row.score_elements
@@ -109,25 +145,25 @@ class TestEmitCsv:
     def test_empty_report_is_an_error_and_no_file(self, tmp_path):
         path = tmp_path / "bench.csv"
         with pytest.raises(DataError):
-            emit_csv_report(BenchReport(rows=[]), path)
+            emit_csv_report([], path)
         assert not path.exists()
 
     def test_no_timing_output_is_deterministic(self, tmp_path):
         blobs = []
         for i in range(2):
-            report = run_scaling_benchmark([32, 64], ["grouped"], tiny_bench_cfg())
+            rows = run_scaling_benchmark([32, 64], ["grouped"], tiny_bench_cfg())
             path = tmp_path / f"bench{i}.csv"
-            emit_csv_report(report, path)
+            emit_csv_report(rows, path)
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1]
 
     def test_failure_marker_row_serializes(self, tmp_path):
-        report = BenchReport(rows=[BenchRow(
+        rows = [BenchRow(
             mechanism="canonical", seq_len=99999, score_elements=-1,
             peak_score_buffer=-1, wall_ms_per_iter=math.nan,
-            closed_form_elements=-1, error="out-of-memory")])
+            closed_form_elements=-1)]
         path = tmp_path / "bench.csv"
-        emit_csv_report(report, path)
+        emit_csv_report(rows, path)
         lines = path.read_text(encoding="utf-8").strip().splitlines()
         assert len(lines) == 2 and lines[1].startswith("canonical,99999,-1")
 
@@ -175,8 +211,8 @@ class TestWallClockScaling:
                           l_g=64, l_s=4, l_comp=256, n_features=2,
                           label_len=0, seed=0, timing=True,
                           min_cell_seconds=0.4)
-        report = run_scaling_benchmark([1024, 2048], ["grouped", "canonical"], cfg)
-        wall = {(r.mechanism, r.seq_len): r.wall_ms_per_iter for r in report.rows}
+        rows = run_scaling_benchmark([1024, 2048], ["grouped", "canonical"], cfg)
+        wall = {(r.mechanism, r.seq_len): r.wall_ms_per_iter for r in rows}
         grouped_ratio = wall[("grouped", 2048)] / wall[("grouped", 1024)]
         canonical_ratio = wall[("canonical", 2048)] / wall[("canonical", 1024)]
         assert grouped_ratio < 3.0, (grouped_ratio, canonical_ratio)

@@ -50,6 +50,17 @@ class TestBenchVerb:
         assert "--min-cell-seconds" in err and repr(value) in err
         assert not out.exists()
 
+    # a repeated value would run its cells once per copy and write each row twice
+    @pytest.mark.parametrize("flag, value", [("--lengths", "64,32,64"),
+                                             ("--mechanisms", "grouped,grouped")])
+    def test_repeated_value_is_usage_error_before_making_out(self, tmp_path, capsys,
+                                                             flag, value):
+        out = tmp_path / "run"
+        code = run(["bench", flag, value, "--no-timing", "--out", str(out)])
+        assert code == 1
+        assert f"{flag} names a value twice" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_positive_length_exits_2_naming_it_before_making_out(self, tmp_path, capsys):
         out = tmp_path / "run"
         code = run(["bench", "--lengths", "-5", "--no-timing", "--out", str(out)])

@@ -26,7 +26,6 @@ class TestLoadCsv:
                            "2016-07-01 02:00:00,5.157,27.787"])
         ts = load_csv(path, "OT")
         assert ts.values.shape == (3, 2)
-        assert ts.target_index == 1
         assert ts.feature_names == ["HUFL", "OT"]
         npt.assert_allclose(ts.values[0], [5.827, 30.531])
 
@@ -91,8 +90,7 @@ class TestMakeWindows:
         rng = np.random.default_rng(seed)
         return TimeSeries(timestamps=[str(i) for i in range(t)],
                           values=rng.normal(size=(t, f)),
-                          feature_names=[f"c{i}" for i in range(f)],
-                          target_index=0)
+                          feature_names=[f"c{i}" for i in range(f)])
 
     def test_window_count_single_split(self):
         ts = self.series(1000)
@@ -114,10 +112,11 @@ class TestMakeWindows:
     def test_offsets_match_naive_slicer(self):
         ts = self.series(300)
         train, val, test = make_windows(ts, 20, 10, split_ratios=(0.8, 0.1, 0.1))
-        normalized = train.stats.apply(ts.values)   # every split uses train statistics
+        # every split uses the statistics of the train split, its first 240 rows
+        normalized = NormStats.from_values(ts.values[:240]).apply(ts.values)
         windows = [(train, k, k) for k in (0, 5, 117)] + [(val, 0, 240), (test, 0, 270)]
         for split, k, start in windows:
-            x, y = split.windows[k]
+            x, y = split[k]
             npt.assert_array_equal(x, normalized[start:start + 20])
             npt.assert_array_equal(y, normalized[start + 20:start + 30])
 
@@ -145,13 +144,10 @@ class TestMakeWindows:
         train_a, _, _ = make_windows(ts, 20, 10)
         tampered = TimeSeries(timestamps=ts.timestamps,
                               values=ts.values.copy(),
-                              feature_names=ts.feature_names,
-                              target_index=ts.target_index)
+                              feature_names=ts.feature_names)
         tampered.values[280:] += 1000.0   # val + test region only
         train_b, _, _ = make_windows(tampered, 20, 10)
-        npt.assert_array_equal(train_a.stats.mean, train_b.stats.mean)
-        npt.assert_array_equal(train_a.stats.std, train_b.stats.std)
-        for (xa, ya), (xb, yb) in zip(train_a.windows, train_b.windows):
+        for (xa, ya), (xb, yb) in zip(train_a, train_b, strict=True):
             npt.assert_array_equal(xa, xb)
             npt.assert_array_equal(ya, yb)
 
@@ -160,7 +156,7 @@ class TestMakeWindows:
         full, _, _ = make_windows(ts, 20, 10)
         strided, _, _ = make_windows(ts, 20, 10, stride=7)
         assert len(strided) == (len(full) + 6) // 7
-        npt.assert_array_equal(strided.windows[1][0], full.windows[7][0])
+        npt.assert_array_equal(strided[1][0], full[7][0])
 
 
 class TestSyntheticSeries:
@@ -194,5 +190,5 @@ class TestSyntheticSeries:
 
     def test_target_column_is_ot(self):
         series = synthetic_series("sine_mix", 10, 3, seed=2)
-        assert series.feature_names[series.target_index] == "OT"
+        assert series.feature_names[-1] == "OT"
 

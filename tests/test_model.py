@@ -19,7 +19,6 @@ import gsaformer.tensor as tensor_module
 from gsaformer.attention import OpCounter
 from gsaformer.benchmark import BenchConfig, model_config_for
 from gsaformer.cli import GRADCHECK_PRESETS, config_from_mapping
-from gsaformer.data import WindowSet
 from gsaformer.gsa import ConfigError, gsa_forward
 from gsaformer.model import (
     ForecasterModel,
@@ -227,7 +226,8 @@ class TestModelForward:
         def decoder(rows):
             h = Tensor(rows)
             for layer in model.decoder_layers:
-                for block in layer.blocks(layer.memory(enc_out), OpCounter(), cfg.dec_len):
+                memory = model_module.compress_encoder_output(enc_out, layer.cca.c)
+                for block in layer.blocks(memory, OpCounter(), cfg.dec_len):
                     h = block(h)
             return h.data
 
@@ -605,9 +605,9 @@ class TestEveryParameterReachesTheLoss:
         cfg = GRADIENT_CONFIGS[name]
         model = ForecasterModel(cfg, seed=0)
         rng = np.random.default_rng(6)
-        windows = WindowSet([(rng.normal(size=(cfg.seq_len, cfg.n_features_in)),
-                              rng.normal(size=(cfg.pred_len, cfg.n_features_out)))
-                             for _ in range(4)], split="train")
+        windows = [(rng.normal(size=(cfg.seq_len, cfg.n_features_in)),
+                    rng.normal(size=(cfg.pred_len, cfg.n_features_out)))
+                   for _ in range(4)]
         train(model, windows, TrainConfig(batch_size=2, max_iterations=2))
         frozen = [layer.gsa.b_k for layer in model.decoder_layers]
         frozen += [layer.cca.b_k for layer in model.decoder_layers]

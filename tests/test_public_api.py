@@ -38,13 +38,14 @@ def _definitions(tree):
 
 
 def _references(tree, strings):
-    """(name, line) of every identifier and attribute in tree and, when
-    strings, of every part of a dotted-name string constant (the perfbench
-    tracer looks functions up by such strings)."""
+    """(name, line) of every identifier and attribute that tree reads and,
+    when strings, of every part of a dotted-name string constant (the
+    perfbench tracer looks functions up by such strings).  A store is no
+    reference: a field declared or assigned under a name calls nothing."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             yield node.id, node.lineno
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             yield node.attr, node.lineno
         elif (strings and isinstance(node, ast.Constant) and isinstance(node.value, str)
               and re.fullmatch(r"[\w.]+", node.value)):

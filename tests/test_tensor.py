@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from gsaformer.benchmark import BenchReport, BenchRow, emit_csv_report
+from gsaformer.benchmark import BenchRow, emit_csv_report
 from gsaformer.cli import write_text
 from gsaformer.data import TimeSeries, write_csv
 from gsaformer.model import ModelConfig, model_config_to_text
@@ -778,13 +778,13 @@ def _write_history(path, fail):
 def _write_bench(path, fail):
     rows = [BenchRow("grouped", n, 1, 1, "x" if fail and n == 64 else 1.0, 1)
             for n in (32, 64)]
-    emit_csv_report(BenchReport(rows=rows), path)
+    emit_csv_report(rows, path)
 
 
 def _write_synth(path, fail):
     # the second data row fails after the header and first row are out
     values = np.array([[1.0], [None if fail else 2.0]], dtype=object)
-    write_csv(TimeSeries(["t0", "t1"], values, ["OT"], 0), path)
+    write_csv(TimeSeries(["t0", "t1"], values, ["OT"]), path)
 
 
 def _write_model_cfg(path, fail):

@@ -12,7 +12,7 @@ from helpers import check_op_gradients, composed_mse_loss, sum_all
 from gsaformer import tensor, training
 from gsaformer.attention import OpCounter
 from gsaformer.benchmark import BenchConfig, model_config_for
-from gsaformer.data import DataError, WindowSet, make_windows, synthetic_series
+from gsaformer.data import DataError, make_windows, synthetic_series
 from gsaformer.model import ForecasterModel, ModelConfig
 from gsaformer.tensor import (
     ComputationTape,
@@ -251,6 +251,10 @@ class TestAdam:
         ("grad_clip", -1.0), ("grad_clip", 0.0), ("lr_decay", 0.0), ("lr_decay", -0.5),
         ("max_iterations", 0), ("max_iterations", -3), ("epochs", -1), ("patience", -1),
         ("epsilon", 0.0), ("epsilon", -1e-8),
+        # nan <= 0 is False, so a sign check alone lets NaN through (a NaN
+        # grad_clip turns clipping off), and inf through everywhere
+        *[(name, value) for name in ("learning_rate", "epsilon", "grad_clip", "lr_decay")
+          for value in (math.nan, math.inf, -math.inf)],
     ])
     def test_out_of_range_setting_rejected_naming_it(self, name, value):
         with pytest.raises(ContractError, match=name):
@@ -288,7 +292,7 @@ class TestTrainLoop:
 
     def test_empty_window_set_rejected(self):
         model, train_set, _ = smoke_setup()
-        train_set.windows = []
+        train_set.clear()
         with pytest.raises(DataError):
             train(model, train_set, TrainConfig())
 
@@ -301,7 +305,7 @@ class TestTrainLoop:
 
     def test_evaluate_limit_none_scores_every_window(self):
         model, train_set, _ = smoke_setup(stride=200)
-        n = len(train_set.windows)
+        n = len(train_set)
         assert evaluate(model, train_set) == evaluate(model, train_set, limit=n)
 
     def test_adam_phase_peaks_no_higher_than_forward_and_backward(self, monkeypatch):
@@ -309,9 +313,8 @@ class TestTrainLoop:
                                                            l_comp=32))
         model = ForecasterModel(cfg, seed=0)
         rng = np.random.default_rng(0)
-        windows = WindowSet([(rng.normal(size=(cfg.seq_len, cfg.n_features_in)),
-                              rng.normal(size=(cfg.pred_len, cfg.n_features_out)))],
-                            split="train")
+        windows = [(rng.normal(size=(cfg.seq_len, cfg.n_features_in)),
+                    rng.normal(size=(cfg.pred_len, cfg.n_features_out)))]
         peaks = {}
         inner = training.adam_step
 
