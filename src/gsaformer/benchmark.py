@@ -97,8 +97,10 @@ def run_scaling_benchmark(lengths: list[int], mechanisms: list[str],
     iterations to fill min_cell_seconds.  An out-of-memory cell is recorded
     as a row with -1 counts and no wall time instead of aborting the
     sweep."""
-    if sorted(lengths) != list(lengths):
-        raise DataError(f"lengths must be sorted ascending, got {lengths}")
+    if sorted(set(lengths)) != list(lengths):
+        raise DataError(f"lengths must be distinct and sorted ascending, got {lengths}")
+    if len(set(mechanisms)) != len(mechanisms):
+        raise DataError(f"mechanisms must be distinct, got {mechanisms}")
     rows = []
     for mechanism in mechanisms:
         for seq_len in lengths:

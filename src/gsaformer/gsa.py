@@ -20,21 +20,21 @@ are linear in its rows, so the op makes them from x first, without
 projecting it, and runs the summary attention through
 attention.head_attention, as CCA runs its attention: one head at a time,
 a half tile of its queries per call; only the pooled rows outlive it.
-Then it walks tiles of whole groups (tensor.tiles: TILE_ROWS rows
-rounded down to whole groups) once: a tile's Q sits where its outputs
-will go, and K and V are projected a half tile at a time, each dropped
-before the next, so one tile of Q, a half tile of K/V and half a tile
-of every head's group scores are alive at a time, and each tile is
-merged and output-projected before the next: without a tape the op
-holds its input, its output and one tile.  A caller that does not record can pass
-a row-local continuation instead, which gets each tile's output rows;
-the op then holds its input and one tile, and no output.  The op's rule
-holds only its input (through tensor.held_values, so a layer norm's
-output is rebuilt, not held) and its parameters, and rebuilds Q (in the
-forward's tiles), K and V (in its half tiles), the global path (one
-head's summary probabilities at a time), every tile's local
-probabilities and the merged head outputs in the backward, which walks
-half tiles once.
+Then it walks one cut, the half tiles of whole groups (tensor.half_tiles:
+TILE_ROWS // 2 rows rounded down to whole groups), once: a half tile's Q
+sits where its outputs will go, its K is projected, scored and dropped
+before its V is projected, and p @ V is written over Q, then merged and
+output-projected, so a half tile each of Q, of K or V and of every
+head's group probabilities is alive at a time: without a tape the op
+holds its input, its output and one half tile.  A caller that does not
+record can pass a row-local continuation instead, which gets each half
+tile's output rows; the op then holds its input and one half tile, and
+no output.  The op's rule holds only its input (through
+tensor.held_values, so a layer norm's output is rebuilt, not held) and
+its parameters, and rebuilds Q, K and V (in the forward's half tiles),
+the global path (one head's summary probabilities at a time), every
+half tile's local probabilities and the merged head outputs in the
+backward, which walks the same half tiles once.
 summarize_group, global_summary_attention and merge_outputs are the
 global path's steps for a single group, composed from separate tape
 ops; the model does not call them, and the tests build their loop-based
@@ -56,6 +56,7 @@ from .attention import (
     OpCounter,
     attention_backward,
     attention_forward,
+    attention_probs,
     head_attention,
     head_view,
     scaled_dot_attention,
@@ -76,7 +77,6 @@ from .tensor import (
     mean_rows,
     multiply,
     recording,
-    tiles,
     uniform_param,
     zero_row,
 )
@@ -249,27 +249,25 @@ def _sum_last_to_first(parts: np.ndarray) -> np.ndarray:
     return functools.reduce(np.add, parts[::-1])
 
 
-def _tiles(l: int, l_g: int, half: bool = False) -> list[tuple[slice, slice]]:
-    """The row tiles gsa_forward works over, tensor.tiles of whole groups,
-    or with half their half_tiles, the rows its local attention walks and
-    K and V are projected in; neither is ever one row high (a one-row
-    product would go to gemv).  (rows, groups) slice pairs."""
-    cut = half_tiles(l, l_g) if half else tiles(l, l_g)
-    return [(rows, slice(rows.start // l_g, -(-rows.stop // l_g))) for rows in cut]
+def _tiles(l: int, l_g: int) -> list[tuple[slice, slice]]:
+    """The one cut gsa_forward and its backward walk: tensor.half_tiles of
+    whole groups, never one row high (a one-row product would go to
+    gemv), as (rows, groups) slice pairs."""
+    return [(rows, slice(rows.start // l_g, -(-rows.stop // l_g)))
+            for rows in half_tiles(l, l_g)]
 
 
 def _project(x: np.ndarray, w: Tensor, b: Tensor, m: int, l_g: int,
-             real_len: int, out: Optional[np.ndarray] = None,
-             half: bool = False) -> np.ndarray:
-    """x @ w + b, x an (l, d) array, by affine in the forward's row tiles
-    (with half, its half tiles), in one zero-padded (m*l_g, d) buffer
-    (out when given) that the product is written straight into, every
-    row at index >= real_len zero.  The forward projects Q a tile and K
-    and V a half tile at a time, so a backward that projects the whole x
-    in the same cut gets the forward's bits at every width."""
+             real_len: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """x @ w + b, x an (l, d) array, by affine in the forward's half tiles,
+    in one zero-padded (m*l_g, d) buffer (out when given) that the product
+    is written straight into, every row at index >= real_len zero.  The
+    forward projects Q, K and V a half tile at a time, so a backward that
+    projects the whole x in the same cut gets the forward's bits at every
+    width."""
     l = x.shape[0]
     rows = np.empty((m * l_g, w.shape[1])) if out is None else out
-    for tile, _ in _tiles(l, l_g, half):
+    for tile, _ in _tiles(l, l_g):
         affine(x[tile], w, b, rows[tile])
     rows[real_len:] = 0.0
     return rows
@@ -277,11 +275,10 @@ def _project(x: np.ndarray, w: Tensor, b: Tensor, m: int, l_g: int,
 
 def _qkv(x: np.ndarray, params: GsaLayerParams, m: int, l_g: int,
          real_len: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The _project buffers of Q, in the forward's tiles, and of K and V,
-    in its half tiles."""
-    return (_project(x, params.w_q, params.b_q, m, l_g, real_len),
-            *(_project(x, w, b, m, l_g, real_len, half=True)
-              for w, b in ((params.w_k, params.b_k), (params.w_v, params.b_v))))
+    """The _project buffers of Q, K and V, all three in the forward's cut."""
+    return tuple(_project(x, w, b, m, l_g, real_len)
+                 for w, b in ((params.w_q, params.b_q), (params.w_k, params.b_k),
+                              (params.w_v, params.b_v)))
 
 
 def _summaries(x: np.ndarray, params: GsaLayerParams, m: int, l_g: int, real_len: int,
@@ -350,35 +347,36 @@ def gsa_forward(x: Tensor, params: GsaLayerParams, cfg: GsaConfig,
     outputs at real positions never depend on pad values.  With the
     global path the op first makes every group's summary rows from x
     (_summaries) and runs the summary attention (_summary_attention, by
-    attention.head_attention).  Then it walks tiles of whole groups
-    (_tiles, cut by tensor.tiles) once: it projects a tile's Q (into the
-    rows of the output buffer that the tile's local outputs then
-    overwrite), then runs local attention in the tile's half tiles
-    (_tiles with half), projecting each half tile's K and V from its rows
-    of x and dropping them before the next, merges the tile's groups
-    with their pooled rows and output-projects them.
-    Every group is computed alone, so the tiles' results are the whole
-    layer's.
+    attention.head_attention).  Then it walks the half tiles of whole
+    groups (_tiles, cut by tensor.half_tiles) once: it projects a half
+    tile's Q (into the rows of the output buffer that its local outputs
+    then overwrite) and its K, scores them (attention.attention_probs)
+    and drops K, projects its V and writes p @ V over Q, then merges the
+    half tile's groups with their pooled rows and output-projects them.
+    Every group is computed alone, so the half tiles' results are the
+    whole layer's.
 
     then, a row-local continuation, is for a caller that does not record
     and does not need the whole output at once: then(rows, f) gets each
-    tile's output rows f (a new array, the continuation's to overwrite)
-    for the rows slice of x, in order, before the next tile is projected,
-    so then may write over the rows of x it is given.  The op builds no
-    whole-length output buffer and returns None; the bits are the same.
+    half tile's output rows f (a new array, the continuation's to
+    overwrite) for the rows slice of x, in order, before the next half
+    tile is projected, so then may write over the rows of x it is given.
+    The op builds no whole-length output buffer and returns None; the
+    bits are the same.
 
     The rule holds x and the parameters, nothing else: the backward gets x
     (from its recipe when x has one), projects Q, K and V again in the
     forward's cut (_qkv), makes the summary rows again from x and runs the
     summary attention's backward (head_attention's, one head's
-    probabilities at a time), then walks half tiles once, every head at
-    once, rebuilding each tile's probabilities and local outputs with the
-    forward's arithmetic for the local backward, alpha's gradient and
-    (merged in place of the consumed output gradient) w_o's.  It adds
+    probabilities at a time), then walks the same half tiles once, every
+    head at once, rebuilding each one's probabilities and local outputs
+    with the forward's arithmetic for the local backward, alpha's
+    gradient and (merged in place of the consumed output gradient) w_o's.
+    It adds
     every score element it rebuilds to the counter's
-    recomputed_score_elements.  The forward counter sees one l_g-by-l_g
-    matrix per head and group and one m*l_s-by-m*l_s matrix per head,
-    however the groups are computed.
+    recomputed_score_elements.  The forward counter sees one
+    l_g-by-l_g matrix per head and group and one m*l_s-by-m*l_s matrix
+    per head, however the groups are computed.
     """
     l, d = x.shape
     if d != cfg.d:
@@ -405,21 +403,18 @@ def gsa_forward(x: Tensor, params: GsaLayerParams, cfg: GsaConfig,
         pooled = _summary_attention(_summaries(x.data, params, m, l_g, real_len, heads), scale)
     out_rows = np.empty((m * l_g, d)) if then is None else None
     for rows, groups in _tiles(l, l_g):
-        n = groups.stop - groups.start
-        # the tile's Q, where its local outputs will go
+        n, x_rows, pad = groups.stop - groups.start, x.data[rows], real_len - rows.start
+        # Q where the half tile's local outputs will go; K scored and
+        # dropped before V is made, so the two are never alive together
         local = out_rows[rows.start:groups.stop * l_g] if then is None else np.empty((n * l_g, d))
-        qg = _grouped(_project(x.data[rows], params.w_q, params.b_q, n, l_g,
-                               real_len - rows.start, local), n, l_g, heads)
-        # local attention in half tiles, each with its own K and V, the outputs over Q
-        for half, sub in _tiles(rows.stop - rows.start, l_g, half=True):
-            at = slice(rows.start + half.start, rows.start + half.stop)
-            n_half = sub.stop - sub.start
-            kg, vg = (_grouped(_project(x.data[at], w, b, n_half, l_g, real_len - at.start),
-                               n_half, l_g, heads)
-                      for w, b in ((params.w_k, params.b_k), (params.w_v, params.b_v)))
-            attention_forward(qg[:, sub], kg.swapaxes(-1, -2), vg, scale,
-                              None if allow is None else allow[groups][sub], out=qg[:, sub])
-            del kg, vg      # else two half tiles' K/V would be alive at once
+        qg = _grouped(_project(x_rows, params.w_q, params.b_q, n, l_g, pad, local), n, l_g, heads)
+        kg = _grouped(_project(x_rows, params.w_k, params.b_k, n, l_g, pad), n, l_g, heads)
+        p = attention_probs(qg, kg.swapaxes(-1, -2), scale,
+                            None if allow is None else allow[groups])
+        del kg
+        vg = _grouped(_project(x_rows, params.w_v, params.b_v, n, l_g, pad), n, l_g, heads)
+        np.matmul(p, vg, out=qg)
+        del p, vg           # else they would outlive their half tile
         if use_global:
             _merge(qg, pooled[:, groups], params, groups.start)
         f = affine(local[:rows.stop - rows.start], params.w_o, params.b_o)
@@ -428,7 +423,7 @@ def gsa_forward(x: Tensor, params: GsaLayerParams, cfg: GsaConfig,
             out_rows[rows] = f
         else:
             then(rows, f)
-        del f               # else it would outlive its tile
+        del f               # else it would outlive its half tile
     if then is not None:
         return None
     out = Tensor(out_rows[:l])
@@ -477,7 +472,7 @@ def gsa_forward(x: Tensor, params: GsaLayerParams, cfg: GsaConfig,
         # rebuilt with the forward's arithmetic
         counter.add_recomputed(heads * m * l_g, l_g)
         allow = _local_allow(cfg, m, real_len)
-        for _, groups in _tiles(l, l_g, half=True):
+        for _, groups in _tiles(l, l_g):
             q_t, k_t, v_t = qg[:, groups], kg[:, groups].swapaxes(-1, -2), vg[:, groups]
             local, p = attention_forward(q_t, k_t, v_t, scale,
                                          None if allow is None else allow[groups])

@@ -192,13 +192,13 @@ class _EncoderLayer(ParameterSet):
     def stream(self, h: Tensor, counter: OpCounter) -> None:
         """The layer over h without a tape, written over h's rows (h's
         array is the forward's own): the GSA runs with a continuation that
-        takes each row tile of its output through the rest of the layer,
-        norm1, the FFN and norm2, which are row-local, and writes the
+        takes each half tile of its output through the rest of the layer,
+        norm1, the FFN and norm2, which are row-local, and writes the half
         tile's result over the rows it came from.  Once norm1 has read a
-        tile of h, those rows are dead: the FFN writes its output over
-        them and norm2 normalizes it there, in place.  The layer holds h,
-        a half tile of K and V and one tile of every other array it
-        makes; the bits are the blocks'."""
+        half tile of h, those rows are dead: the FFN writes its output
+        over them and norm2 normalizes it there, in place.  The layer
+        holds h and one half tile of every array it makes (of K or V, not
+        both); the bits are the blocks'."""
         def rest(rows: slice, f: np.ndarray) -> None:
             y = self.norm1(Tensor(h.data[rows]), Tensor(f), out=f)
             h_rows = h.data[rows]

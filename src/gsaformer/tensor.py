@@ -36,17 +36,17 @@ backward.
 
 The ops that would otherwise make whole-length temporaries (layer_norm
 and feed_forward here, cca_forward, gsa_forward and the attention kernels
-they run) work in row tiles of TILE_ROWS rows (rounded down to whole
-groups in gsa; half that where a tile holds scores), cut by tiles or
-half_tiles, with the whole-array arithmetic, so without a tape
-their temporaries are one tile big; the constructor's finiteness check,
-too, makes its mask a tile at a time.  layer_norm can write its output
-over f, which is how the model's residual blocks call it: a block,
-norm(x + sublayer(x)), then holds its input, its output and one tile of
-its sublayer.  Without a tape the model's decoder goes
-further and runs one row tile through all its blocks at a time
-(model.ForecasterModel.forward), so its inputs and outputs are one tile
-big too.
+they run) work in row tiles of TILE_ROWS rows, cut by tiles, or half
+that where a tile holds scores, cut by half_tiles (gsa_forward walks
+only half tiles, of whole groups, and its backward the same ones), with
+the whole-array arithmetic, so without a tape their temporaries are one
+tile big; the constructor's finiteness check, too, makes its mask a
+tile at a time.  layer_norm can write its output over f, which is how
+the model's residual blocks call it: a block, norm(x + sublayer(x)),
+then holds its input, its output and one tile of its sublayer.  Without
+a tape the model's decoder goes further and runs one row tile through
+all its blocks at a time (model.ForecasterModel.forward), so its inputs
+and outputs are one tile big too.
 """
 
 from __future__ import annotations

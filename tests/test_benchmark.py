@@ -73,6 +73,14 @@ class TestRunScalingBenchmark:
         with pytest.raises(DataError):
             run_scaling_benchmark([64, 32], ["grouped"], tiny_bench_cfg())
 
+    @pytest.mark.parametrize("lengths, mechanisms", [([32, 32], ["grouped"]),
+                                                     ([32], ["grouped", "grouped"])])
+    def test_repeated_length_or_mechanism_rejected(self, lengths, mechanisms):
+        # a repeat would give its cells twice: [32, 32] x ["grouped",
+        # "grouped"] gave four rows
+        with pytest.raises(DataError):
+            run_scaling_benchmark(lengths, mechanisms, tiny_bench_cfg(timing=False))
+
     def test_unknown_mechanism_rejected(self):
         with pytest.raises(DataError):
             model_config_for("probsparse", 64, tiny_bench_cfg())

@@ -234,11 +234,11 @@ def gsa_cases(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(gsa_cases())
-# d = 18 in tiles of 6 rows, where OpenBLAS rounds some rows of x[tile] @ w
-# differently from the same rows of x @ w: few random shapes do
+# d = 18 in half tiles of 3 rows, where OpenBLAS rounds some rows of
+# x[tile] @ w differently from the same rows of x @ w: few random shapes do
 @example((GsaConfig(l_g=3, l_s=1, d=18, heads=2, m_max=14), 40, 40, 6, False, True, 2, 17))
 # 17 = 2 * 8 + 1 rows in one tile of 16, the last half tile of x one row
-# longer: the rule must project K and V in the forward's half tiles, the
+# longer: the rule must project Q, K and V in the forward's half tiles, the
 # tail joined to the half tile before it, or the rebuilt rows round otherwise
 @example((GsaConfig(l_g=4, l_s=1, d=16, heads=2, m_max=5), 17, 17, 16, False, True, 1, 1))
 @example((GsaConfig(l_g=4, l_s=1, d=16, heads=2, m_max=5, causal=True), 17, 17, 16, False,
@@ -255,9 +255,10 @@ def test_gsa_output_projection_rebuilds_the_merged_head_outputs(case):
 
 @pytest.mark.parametrize("causal", [False, True])
 def test_gsa_rebuilds_q_k_v_in_the_forward_tiles(causal):
-    # d = 18 in tiles of 6 rows: OpenBLAS rounds some rows of x[tile] @ w
-    # differently from the same rows of x @ w here, so a backward that
-    # projected Q, K and V in other tiles than the forward would show.
+    # d = 18 in half tiles of 3 rows (tiles of 6): OpenBLAS rounds some
+    # rows of x[tile] @ w differently from the same rows of x @ w here, so
+    # a backward that projected Q, K and V whole, in whole tiles or in
+    # half tiles without the one-row tail joined would show.
     # Whether a differing row reaches a gradient depends on the draw:
     # seed 1's does in both the causal and the full case
     rng = np.random.default_rng(1)

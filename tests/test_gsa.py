@@ -341,6 +341,31 @@ class TestGsaForward:
         assert params.e_q.grad is not None and np.abs(params.e_q.grad).max() > 0
 
 
+class TestForwardMemory:
+    def test_streamed_forward_holds_a_half_tile_of_q_of_k_or_v_and_of_scores(self, monkeypatch):
+        # 1024 rows of 16-row groups at d = 256, 2 heads, in half tiles of
+        # 128 rows: a half tile of Q, of K or V (never both) and of both
+        # heads' group probabilities is 544 KiB, and the continuation takes
+        # each half tile's output rows, so nothing whole-length is made.
+        # The slack is numpy's buffer for affine's in-place bias add (up to
+        # 8192 float64, 64 KiB) and 32 KiB of slices and softmax row
+        # maxima: the peak above x reads 613 KiB at every length, 1098
+        # when a tile of Q and a half tile of K and V were alive together
+        monkeypatch.setattr(tensor, "TILE_ROWS", 256)
+        cfg = GsaConfig(l_g=16, l_s=4, d=256, heads=2, m_max=64, global_path=False)
+        half = 128 * cfg.d * 8
+        probs = cfg.heads * 128 * cfg.l_g * 8
+        x = Tensor(np.random.default_rng(4).normal(size=(1024, cfg.d)))
+        params = make_params(cfg)
+        tracemalloc.start()
+        try:
+            gsa_forward(x, params, cfg, OpCounter(), then=lambda rows, f: None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * half + probs + (64 + 32) * 1024
+
+
 class TestBackwardMemory:
     def test_rule_runs_the_local_backward_one_tile_at_a_time(self):
         # 2040 rows in four tiles of 32 groups (the last one padded): the
@@ -715,10 +740,10 @@ class TestSummaries:
 
     @pytest.mark.parametrize("call", ["taped", "untaped", "continuation"])
     def test_forward_projects_each_row_of_x_once(self, call):
-        # 43 rows of 4-row groups in tiles of 8 rows: six tiles, the last
-        # one three rows of the group that real_len ends in, one a pad row.
-        # Q is projected a tile at a time, K and V a half tile (4 rows) at
-        # a time: two per tile but the last, which is one half tile
+        # 43 rows of 4-row groups in tiles of 8 rows: eleven half tiles of
+        # one group each, the last three rows of the group that real_len
+        # ends in, one a pad row.  Q, K and V are each projected a half
+        # tile at a time, and the continuation gets each half tile's rows
         cfg = GsaConfig(l_g=4, l_s=2, d=8, heads=2, m_max=12)
         rng = np.random.default_rng(42)
         params = random_params(cfg, rng)
@@ -737,8 +762,8 @@ class TestSummaries:
             gsa_forward(x, params, cfg, OpCounter(), real_len=42,
                         then=(lambda rows, f: parts.append(rows))
                         if call == "continuation" else None)
-        assert len(parts) == (6 if call == "continuation" else 0)
-        assert [len(projected[s]) for s in "qkv"] == [6, 11, 11]
+        assert len(parts) == (11 if call == "continuation" else 0)
+        assert [len(projected[s]) for s in "qkv"] == [11, 11, 11]
         for s in "qkv":
             npt.assert_array_equal(np.concatenate(projected[s]), x.data)
 

@@ -166,3 +166,18 @@ def test_only_tensor_turns_tile_rows_into_tiles():
             for use in _tile_uses(ast.parse(path.read_text(encoding="utf-8")))]
     assert ("training", "adam_step", "TILE_ROWS") in uses
     assert [use for use in uses if use[:2] != ("training", "adam_step")] == []
+
+
+def test_gsa_forward_and_backward_walk_one_cut():
+    """gsa_forward and its rule project and attend in the same half tiles:
+    gsa.py reads tensor.half_tiles and never tensor.tiles, and neither
+    _tiles nor _project takes a parameter that would pick another cut."""
+    tree = ast.parse((ROOT / "src" / "gsaformer" / "gsa.py").read_text(encoding="utf-8"))
+    names = {name for name, _ in _references(tree, strings=False)}
+    imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for a in node.names}
+    assert "half_tiles" in names and "tiles" not in names | imported
+    parameters = {node.name: [a.arg for a in node.args.args + node.args.kwonlyargs]
+                  for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert parameters["_tiles"] == ["l", "l_g"]
+    assert "half" not in parameters["_project"]
