@@ -43,7 +43,10 @@ class OpCounter:
     call is one query block against one key block (one head of canonical
     attention, one group of one GSA head, or one head's summary rows); the
     fused GSA op reports each group's matrix separately even though it
-    holds all groups of a layer in one array.
+    holds all groups of a half tile in one array.  A causal GSA group is
+    two blocks, its first l_g // 2 rows against as many keys and its
+    other rows against every key, since its top-right quarter is masked
+    and never computed.
 
     recomputed_score_elements: the score entries that backward rules compute
     again from their op's inputs instead of holding them: every one, since

@@ -3,14 +3,15 @@ recording instrumented score-element counts, peak score-buffer sizes, and
 wall-clock time per training iteration, as plot-ready CSV.
 
 Memory is reported as score-buffer elements, not process RSS: the peak is
-the largest logical score matrix (one group of one head for GSA, one head
-for canonical attention), so it reflects the mechanism's working-set claim
-and is deterministic.  The real buffers differ: the fused GSA op scores
-half a tile of every head's groups at a time (4 heads x 4 groups at
-l_g = 64, forward and backward) and its summary rows one head's half
-tile of queries at a time forward, a whole head backward; CCA scores 256
-queries of one head forward and a whole head backward; no rule keeps
-scores on the tape.
+the largest logical score matrix (one group of one head for GSA, the
+larger of a causal group's two blocks, one head for canonical attention),
+so it reflects the mechanism's working-set claim and is deterministic.
+The real buffers differ.  The fused GSA op holds the probabilities of a
+half tile of every head's groups at a time (4 heads x 4 groups at
+l_g = 64, forward and backward; a causal group's two blocks, 3/4 of its
+l_g^2), and its summary rows' of one head's half tile of queries at a
+time forward, a whole head backward.  CCA holds 256 queries of one head
+forward and a whole head backward.  No rule keeps scores on the tape.
 """
 
 from __future__ import annotations

@@ -8,7 +8,11 @@ is projected down to l_s summary rows; the m*l_s summary rows attend to
 each other, each group's summary output is average-pooled to one row, and
 that row is blended back into the group's local output as
 alpha_j * local + beta_j * pooled.  Score-element cost per head is
-m*l_g^2 + (m*l_s)^2, linear in l for fixed l_g and l_s.
+m*l_g^2 + (m*l_s)^2, linear in l for fixed l_g and l_s.  A causal layer
+scores each group as two blocks (_stripes), split at h = l_g // 2: rows
+[0, h) on keys [0, h) and rows [h, l_g) on every key, so the top-right
+quarter its mask zeroes is never computed, and a group costs
+h^2 + (l_g - h)*l_g.
 
 gsa_forward runs the Q/K/V projections, every group of every head and
 the output projection as one tape op, grouped_attention, with a
@@ -22,19 +26,20 @@ attention.head_attention, as CCA runs its attention: one head at a time,
 a half tile of its queries per call; only the pooled rows outlive it.
 Then it walks one cut, the half tiles of whole groups (tensor.half_tiles:
 TILE_ROWS // 2 rows rounded down to whole groups), once: a half tile's Q
-sits where its outputs will go, its K is projected, scored and dropped
-before its V is projected, and p @ V is written over Q, then merged and
-output-projected, so a half tile each of Q, of K or V and of every
-head's group probabilities is alive at a time: without a tape the op
-holds its input, its output and one half tile.  A caller that does not
-record can pass a row-local continuation instead, which gets each half
-tile's output rows; the op then holds its input and one half tile, and
-no output.  The op's rule holds only its input (through
-tensor.held_values, so a layer norm's output is rebuilt, not held) and
-its parameters, and rebuilds Q, K and V (in the forward's half tiles),
-the global path (one head's summary probabilities at a time), every
-half tile's local probabilities and the merged head outputs in the
-backward, which walks the same half tiles once.
+sits where its outputs will go, its K is projected, scored (block by
+block) and dropped before its V is projected, and p @ V is written over
+Q, then merged and output-projected, so a half tile each of Q, of K or V
+and of every head's group probabilities (3/4 of them when causal) is
+alive at a time: without a tape the op holds its input, its output and
+one half tile.  A caller that does not record can pass a row-local
+continuation instead, which gets each half tile's output rows; the op
+then holds its input and one half tile, and no output.  The op's rule
+holds only its input (through tensor.held_values, so a layer norm's
+output is rebuilt, not held) and its parameters, and rebuilds Q, K and V
+(in the forward's half tiles), the global path (one head's summary
+probabilities at a time), every half tile's local probabilities and the
+merged head outputs in the backward, which walks the same half tiles
+once.
 summarize_group, global_summary_attention and merge_outputs are the
 global path's steps for a single group, composed from separate tape
 ops; the model does not call them, and the tests build their loop-based
@@ -190,13 +195,17 @@ def merge_outputs(o_local: Tensor, o_summary_segment: Tensor,
     return broadcast_add(multiply(o_local, alpha_j), multiply(pooled, beta_j))
 
 
-def gsa_op_count(l: int, l_g: int, l_s: int, global_path: bool = True) -> int:
-    """Closed-form score-element count for one head: m*l_g^2 plus, with the
+def gsa_op_count(l: int, l_g: int, l_s: int, global_path: bool = True,
+                 causal: bool = False) -> int:
+    """Closed-form score-element count for one head: m*l_g^2, or, when
+    causal, m*(h^2 + (l_g - h)*l_g) with h = l_g // 2 (a group's top-right
+    h-by-(l_g - h) quarter is masked and never scored), plus, with the
     global path on, (m*l_s)^2."""
     if l <= 0 or l_g <= 0 or l_s <= 0:
         raise ConfigError(f"lengths must be positive: l={l}, l_g={l_g}, l_s={l_s}")
     m = math.ceil(l / l_g)
-    count = m * l_g * l_g
+    h = l_g // 2
+    count = m * (h * h + (l_g - h) * l_g) if causal else m * l_g * l_g
     if global_path:
         count += (m * l_s) ** 2
     return count
@@ -240,6 +249,19 @@ def _local_allow(cfg: GsaConfig, m: int, real_len: int) -> Optional[np.ndarray]:
     if cfg.causal:
         allow &= np.tril(np.ones((cfg.l_g, cfg.l_g), dtype=bool))
     return allow
+
+
+def _stripes(cfg: GsaConfig) -> list[tuple[slice, slice]]:
+    """The (query rows, keys) blocks of a group's scores that are computed:
+    the whole l_g-by-l_g group, or, when causal, the group split at
+    h = l_g // 2, rows [h, l_g) on every key first and then rows [0, h) on
+    keys [0, h) only, since the causal mask zeroes the top-right quarter.
+    Its first block scores every key."""
+    l_g = cfg.l_g
+    if not cfg.causal:
+        return [(slice(0, l_g), slice(0, l_g))]
+    h = l_g // 2
+    return [(slice(h, l_g), slice(0, l_g)), (slice(0, h), slice(0, h))]
 
 
 def _sum_last_to_first(parts: np.ndarray) -> np.ndarray:
@@ -354,7 +376,9 @@ def gsa_forward(x: Tensor, params: GsaLayerParams, cfg: GsaConfig,
     and drops K, projects its V and writes p @ V over Q, then merges the
     half tile's groups with their pooled rows and output-projects them.
     Every group is computed alone, so the half tiles' results are the
-    whole layer's.
+    whole layer's.  A group's scores are computed in the blocks of
+    _stripes: the whole group, or, when causal, two blocks that leave out
+    the top-right quarter the mask zeroes.
 
     then, a row-local continuation, is for a caller that does not record
     and does not need the whole output at once: then(rows, f) gets each
@@ -369,14 +393,15 @@ def gsa_forward(x: Tensor, params: GsaLayerParams, cfg: GsaConfig,
     forward's cut (_qkv), makes the summary rows again from x and runs the
     summary attention's backward (head_attention's, one head's
     probabilities at a time), then walks the same half tiles once, every
-    head at once, rebuilding each one's probabilities and local outputs
+    head at once, rebuilding each block's probabilities and local outputs
     with the forward's arithmetic for the local backward, alpha's
-    gradient and (merged in place of the consumed output gradient) w_o's.
-    It adds
-    every score element it rebuilds to the counter's
-    recomputed_score_elements.  The forward counter sees one
-    l_g-by-l_g matrix per head and group and one m*l_s-by-m*l_s matrix
-    per head, however the groups are computed.
+    gradient and (merged in place of the consumed output gradient) w_o's;
+    a causal group's key and value gradients are the sum of its two
+    blocks'.  It adds every score element it rebuilds to the counter's
+    recomputed_score_elements.  The forward counter sees each block of
+    _stripes (one l_g-by-l_g matrix, or a causal group's h-by-h and
+    (l_g - h)-by-l_g ones) per head and group and one m*l_s-by-m*l_s
+    matrix per head, however the groups are computed.
     """
     l, d = x.shape
     if d != cfg.d:
@@ -394,9 +419,10 @@ def gsa_forward(x: Tensor, params: GsaLayerParams, cfg: GsaConfig,
     if taped and then is not None:
         raise ValueError("grouped attention: a continuation gets rows no tape records")
 
-    allow = _local_allow(cfg, m, real_len)
+    allow, stripes = _local_allow(cfg, m, real_len), _stripes(cfg)
     for _ in range(heads * m):
-        counter.add_scores(l_g, l_g)
+        for rows, keys in stripes:
+            counter.add_scores(rows.stop - rows.start, keys.stop - keys.start)
     if use_global:
         for _ in range(heads):
             counter.add_scores(n_s, n_s)
@@ -409,12 +435,14 @@ def gsa_forward(x: Tensor, params: GsaLayerParams, cfg: GsaConfig,
         local = out_rows[rows.start:groups.stop * l_g] if then is None else np.empty((n * l_g, d))
         qg = _grouped(_project(x_rows, params.w_q, params.b_q, n, l_g, pad, local), n, l_g, heads)
         kg = _grouped(_project(x_rows, params.w_k, params.b_k, n, l_g, pad), n, l_g, heads)
-        p = attention_probs(qg, kg.swapaxes(-1, -2), scale,
-                            None if allow is None else allow[groups])
+        ps = [attention_probs(qg[:, :, q_rows], kg[:, :, keys].swapaxes(-1, -2), scale,
+                              None if allow is None else allow[groups, q_rows, keys])
+              for q_rows, keys in stripes]
         del kg
         vg = _grouped(_project(x_rows, params.w_v, params.b_v, n, l_g, pad), n, l_g, heads)
-        np.matmul(p, vg, out=qg)
-        del p, vg           # else they would outlive their half tile
+        for (q_rows, keys), p in zip(stripes, ps):
+            np.matmul(p, vg[:, :, keys], out=qg[:, :, q_rows])
+        del ps, p, vg       # else they would outlive their half tile
         if use_global:
             _merge(qg, pooled[:, groups], params, groups.start)
         f = affine(local[:rows.stop - rows.start], params.w_o, params.b_o)
@@ -470,27 +498,37 @@ def gsa_forward(x: Tensor, params: GsaLayerParams, cfg: GsaConfig,
         # height a tile's probabilities, outputs and gradients fall out of
         # cache and the walk runs slower), the probabilities and outputs
         # rebuilt with the forward's arithmetic
-        counter.add_recomputed(heads * m * l_g, l_g)
+        for rows, keys in stripes:
+            counter.add_recomputed(heads * m * (rows.stop - rows.start), keys.stop - keys.start)
         allow = _local_allow(cfg, m, real_len)
         for _, groups in _tiles(l, l_g):
             q_t, k_t, v_t = qg[:, groups], kg[:, groups].swapaxes(-1, -2), vg[:, groups]
-            local, p = attention_forward(q_t, k_t, v_t, scale,
-                                         None if allow is None else allow[groups])
-            d_local = d_out[:, groups]
-            if use_global:
-                d_alpha[:, groups] = (d_local * local).reshape(
-                    *local.shape[:2], -1).sum(axis=-1)
-                d_local = d_local * params.alpha.data[0, groups, None, None]
-            d_q, d_k_t, d_v = attention_backward(q_t, k_t, v_t, p, d_local, scale)
-            d_out[:, groups] = local
-            for i, (blocks, d_block) in enumerate(zip((qg, kg, vg),
-                                                      (d_q, d_k_t.swapaxes(-1, -2), d_v))):
+            d_kv = None
+            for rows, keys in stripes:
+                q_s, k_s, v_s = q_t[:, :, rows], k_t[..., keys], v_t[:, :, keys]
+                local, p = attention_forward(q_s, k_s, v_s, scale,
+                                             None if allow is None else allow[groups, rows, keys])
+                d_local = d_out[:, groups, rows]
                 if use_global:
-                    e = (params.e_q, params.e_k, params.e_v)[i]
-                    d_block += np.matmul(e.data.T, d_summaries[i][:, groups])
-                blocks[:, groups] = d_block
+                    d_alpha[:, groups] = (d_local * local).reshape(
+                        *local.shape[:2], -1).sum(axis=-1)
+                    d_local = d_local * params.alpha.data[0, groups, None, None]
+                d_q, d_k_t, d_v = attention_backward(q_s, k_s, v_s, p, d_local, scale)
+                d_out[:, groups, rows] = local
+                q_s[...] = d_q      # no other stripe reads these queries
+                if d_kv is None:    # the first stripe's gradients span every key
+                    d_kv = d_k_t.swapaxes(-1, -2), d_v
+                else:
+                    d_kv[0][:, :, keys] += d_k_t.swapaxes(-1, -2)
+                    d_kv[1][:, :, keys] += d_v
+                del p, local, d_local, d_q, d_k_t, d_v
+            kg[:, groups], vg[:, groups] = d_kv
+            if use_global:
+                for e, blocks, d_s in zip((params.e_q, params.e_k, params.e_v), (qg, kg, vg),
+                                          d_summaries):
+                    blocks[:, groups] += np.matmul(e.data.T, d_s[:, groups])
             # else two tiles' arrays would be alive at once
-            del p, local, d_local, d_q, d_k_t, d_v, d_block
+            del d_kv
         if use_global:
             for param, d_slot in ((params.alpha, d_alpha), (params.beta, d_beta)):
                 full = np.zeros(param.shape)

@@ -4,15 +4,16 @@ self-attention and compressed cross-attention, and a linear output head.
 
 The decoder is generative-style: its input is the last label_len input rows
 followed by pred_len zero placeholders, and all horizons are predicted in
-one pass.  Every op in it is row-local, so without a tape it runs one row
-tile of whole groups at a time through every layer and the head, reading
-each layer's cross-attention keys, made once.  In an encoder layer only
-the GSA's pooled summary rows span the sequence, and the GSA makes them
-from its input first, so without a tape each layer streams over its own
-input: tile by tile, the GSA finishes its output and the rest of the
-layer (norm, FFN, norm) runs on it, writing the result over the tile's
-input rows.  Under a tape both run block by block over the whole
-length, so the tape holds one node per op.
+one pass.  It runs only the groups that reach the forecast, from
+ModelConfig.dec_start on.  Every op in it is row-local, so without a
+tape it runs one row tile of whole groups at a time through every layer
+and the head, reading each layer's cross-attention keys, made once.  In
+an encoder layer only the GSA's pooled summary rows span the sequence,
+and the GSA makes them from its input first, so without a tape each
+layer streams over its own input: tile by tile, the GSA finishes its
+output and the rest of the layer (norm, FFN, norm) runs on it, writing
+the result over the tile's input rows.  Under a tape both run block by
+block over the whole length, so the tape holds one node per op.
 """
 
 from __future__ import annotations
@@ -91,6 +92,15 @@ class ModelConfig:
     @property
     def dec_len(self) -> int:
         return self.label_len + self.pred_len
+
+    @property
+    def dec_start(self) -> int:
+        """The first decoder row the decoder runs: the start of the group
+        that holds the first forecast row.  A decoder row reads only its
+        own group's rows (the decoder's GSA is causal, with no global
+        path) and the memories, so the groups before it, all label rows,
+        never reach the forecast."""
+        return self.label_len // self.l_g * self.l_g
 
     def encoder_gsa(self) -> GsaConfig:
         return GsaConfig(
@@ -287,15 +297,17 @@ class ForecasterModel:
         so the encoder output is dropped before the decoder runs unless a
         layer reads it uncompressed.
 
-        Every op of the decoder is row-local (its GSA is causal, with no
-        global path, and its CCA reads fixed memories), so without a tape
-        the decoder runs one row tile of whole groups (tiles(dec_len, l_g))
-        at a time through every layer, and the head writes the tile's
-        forecast rows: it holds each layer's cross-attention keys, made
-        once (the memories are dropped once the keys exist), and no
-        decoder activation longer than a tile.  Under a tape it runs once
-        over the whole length, so the tape holds one node per op, and
-        each cross-attention call makes its own keys."""
+        The decoder runs its rows from cfg.dec_start on, in whole groups,
+        each row at its own position.  Every op of the decoder is
+        row-local (its GSA is causal, with no global path, and its CCA
+        reads fixed memories), so without a tape the decoder runs one row
+        tile of whole groups (tiles of those rows) at a time through every
+        layer, and the head writes the tile's forecast rows: it holds each
+        layer's cross-attention keys, made once (the memories are dropped
+        once the keys exist), and no decoder activation longer than a
+        tile.  Under a tape it runs once over its rows, so the tape holds
+        one node per op, and each cross-attention call makes its own
+        keys."""
         counter = counter if counter is not None else OpCounter()
         cfg = self.cfg
         enc_out = self.encoder_forward(x, counter)
@@ -303,11 +315,14 @@ class ForecasterModel:
                     for layer in self.decoder_layers]
         del enc_out
         taped = recording([*memories, *self.parameters().values()])
-        layers = [layer.blocks(memory, counter, None if taped else cfg.dec_len)
+        start = cfg.dec_start
+        layers = [layer.blocks(memory, counter, None if taped else cfg.dec_len - start)
                   for layer, memory in zip(self.decoder_layers, memories)]
         del memories        # held by the taped blocks; the streamed ones hold their keys
         dec_in = build_decoder_input(x, cfg).data
-        cut = [slice(0, cfg.dec_len)] if taped else tiles(cfg.dec_len, cfg.l_g)
+        cut = ([slice(start, cfg.dec_len)] if taped else
+               [slice(start + t.start, start + t.stop)
+                for t in tiles(cfg.dec_len - start, cfg.l_g)])
         parts = []
         for rows in cut:
             h = self._embed(Tensor(dec_in[rows]), rows.start)
@@ -327,11 +342,14 @@ class ForecasterModel:
 
     def closed_form_score_elements(self) -> int:
         """Score elements one full forward must spend, from the per-layer
-        count formulas; the instrumented counter must match this exactly."""
+        count formulas, the decoder's over its rows from dec_start on; the
+        instrumented counter must match this exactly."""
         cfg = self.cfg
         enc = gsa_op_count(cfg.seq_len, cfg.l_g, cfg.l_s, cfg.encoder_gsa().uses_global)
-        dec_self = gsa_op_count(cfg.dec_len, cfg.l_g, cfg.l_s, cfg.decoder_gsa().uses_global)
-        cross = cca_op_count(cfg.dec_len, cfg.seq_len, cfg.l_comp, heads=cfg.heads)
+        dec_rows = cfg.dec_len - cfg.dec_start
+        dec_self = gsa_op_count(dec_rows, cfg.l_g, cfg.l_s, cfg.decoder_gsa().uses_global,
+                                causal=True)
+        cross = cca_op_count(dec_rows, cfg.seq_len, cfg.l_comp, heads=cfg.heads)
         return cfg.e_l * cfg.heads * enc + cfg.d_l * (cfg.heads * dec_self + cross)
 
     def save(self, path) -> None:

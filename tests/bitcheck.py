@@ -5,8 +5,9 @@ produce, so two checkouts can be compared bit for bit with one diff.
     PYTHONPATH=<other checkout>/src python tests/bitcheck.py > before.txt
     diff before.txt after.txt
 
-For each config it hashes the forecast of an untaped forward and prints
-that forward's OpCounter totals (score_elements,
+For each config it prints the model's closed_form_score_elements(),
+hashes the forecast of an untaped forward and prints that forward's
+OpCounter totals (score_elements,
 recomputed_score_elements, peak_score_buffer), then, under a tape, hashes
 the forecast, the MSE loss and every parameter gradient after one
 backward, and prints the OpCounter totals of that taped forward and
@@ -28,7 +29,9 @@ d = 12 with 3 heads and 12 hidden units, whose products are 12, 4 and 7
 columns wide: OpenBLAS may round the rows of such products differently
 once they are cut, so a change of tile cuts shows in the same diff; and
 the 1025 one with label_len = 300, whose label rows end inside a row tile
-of the untaped decoder.
+of the untaped decoder; and the `gsaformer train` defaults with l_g = 7,
+l_s = 2 and label_len = 20, whose causal groups split at an odd h = 3 and
+whose decoder starts at row 14, inside the label rows.
 
 The grad.* and adam.* lines walk ForecasterModel.parameters(), which
 leaves out the constants a model holds: the key biases that softmax
@@ -51,21 +54,26 @@ the worse of the two thread counts; its floor is the larger of
 NOISE_MULTIPLE (10) times the parent's own deviation between 1 and 2
 threads on that array and ABSOLUTE_FLOOR (1e-12), the floor of an array
 whose bits the thread count does not change.
-Counter totals, missing gradients, shapes and the set of lines must be
-identical.  It prints every line that is not identical, then per config
-and family (forecast, loss, grad, adam, counter) the count of each
-verdict and the worst deviation, and exits 1 if any line is beyond the
-floor.  Adam's lines need the loose floors: Adam steps each coordinate
-by m/sqrt(v), so a small gradient coordinate's rounding reaches the
-parameter at full step size; the parent alone differs there by up to
-7.5e-12 between thread counts, against 1e-15 in forecasts.  With these
-floors, summing every bias gradient's rows in reverse order read within
-them at train_defaults, compressed_label20, local_only and train_long
+A counter line that differs is recounted, a change of work that the
+closed form names, when every run of both sides spent its own closed
+form (its untaped and taped score elements and its recomputed ones each
+equal its closed-form line); any other counter difference is beyond.
+Missing gradients, shapes and the set of lines must be identical.  It
+prints every line that is not identical, then per config and family
+(forecast, loss, grad, adam, counter) the count of each verdict and the
+worst deviation, and exits 1 if any line is beyond the floor.  Adam's
+lines need the loose floors: Adam steps each coordinate by m/sqrt(v), so
+a small gradient coordinate's rounding reaches the parameter at full
+step size; the parent alone differs there by up to 7.5e-12 between
+thread counts, against 1e-15 in forecasts.  With these floors, summing
+every bias gradient's rows in reverse order read within them at
+train_defaults, compressed_label20, local_only and train_long
 (gradients moved by up to 2.8e-14, Adam's parameters by up to 5.3e-12),
 and adding 1e-9 to every forecast row read beyond them on every
 forecast, loss and gradient line.
 tests/test_bitcheck.py runs check() on one tiny config as a smoke test,
-and compares this checkout's src with itself on it.
+compares this checkout's src with itself on it and checks the verdicts,
+recounted included.
 """
 
 from __future__ import annotations
@@ -106,6 +114,7 @@ def configs() -> dict[str, ModelConfig]:
         "bench_1025_d12": model_config_for("grouped", 1025,
                                            BenchConfig(d=12, heads=3, ffn_hidden=12)),
         "bench_1025_label300": model_config_for("grouped", 1025, BenchConfig(label_len=300)),
+        "odd_groups_label20": ModelConfig(**TRAIN_DEFAULTS, l_g=7, l_s=2, label_len=20),
     }
 
 
@@ -135,8 +144,9 @@ def arrays(name: str, cfg: ModelConfig) -> dict[str, np.ndarray | int | None]:
     rng = np.random.default_rng(1)
     x = Tensor(rng.normal(size=(cfg.seq_len, cfg.n_features_in)))
     y = Tensor(rng.normal(size=(cfg.pred_len, cfg.n_features_out)))
+    values = {f"{name} closed_form.score_elements": model.closed_form_score_elements()}
     counter = OpCounter()
-    values = {f"{name} forecast.untaped": model.forward(x, counter).data}
+    values[f"{name} forecast.untaped"] = model.forward(x, counter).data
     values.update(counter_values(f"{name} untaped.counter", counter))
     counter = OpCounter()
     with ComputationTape() as tape:
@@ -220,17 +230,23 @@ def deviation(a: np.ndarray, b: np.ndarray) -> float:
     return float(diff / scale) if scale > 0 else float("inf") if diff > 0 else 0.0
 
 
-def verdict(change: list, parent: list) -> tuple[str, float, float]:
+def verdict(change: list, parent: list, recounted: bool = False) -> tuple[str, float, float]:
     """(verdict, deviation, floor) of one line from its values under each
     thread count of THREADS: 'identical' when every value is the parent's
     under the same thread count; else 'within' when the worse deviation
     is at most the floor, max(NOISE_MULTIPLE times the parent's deviation
     between 1 and 2 threads, ABSOLUTE_FLOOR), and 'beyond' when it is
-    larger.  A counter total, a missing gradient or a shape that differs
-    is beyond."""
+    larger.  A counter total that differs is 'recounted' when recounted
+    is set (every run of both sides spent its own closed form, see
+    recounts()), its deviation the relative change of the count, and
+    beyond otherwise; a missing gradient or a shape that differs is
+    beyond."""
     if all(same(c, p) for c, p in zip(change, parent)):
         return "identical", 0.0, 0.0
     values = change + parent
+    if recounted and all(type(v) is int for v in values):
+        return "recounted", max(abs(c - p) / abs(p) if p else float("inf")
+                                for c, p in zip(change, parent)), 0.0
     if not all(isinstance(v, np.ndarray) and v.shape == values[0].shape for v in values):
         return "beyond", float("inf"), 0.0
     floor = max(NOISE_MULTIPLE * deviation(parent[1], parent[0]), ABSOLUTE_FLOOR)
@@ -239,32 +255,52 @@ def verdict(change: list, parent: list) -> tuple[str, float, float]:
 
 
 def family(line: str) -> str:
-    """The kind of value a line prints: forecast, loss, grad, adam or counter."""
+    """The kind of value a line prints: forecast, loss, grad, adam or
+    counter (the closed form's line too)."""
     what = line.split(" ", 1)[1]
-    if "counter" in what:
+    if "counter" in what or what.startswith("closed_form."):
         return "counter"
     return "grad" if what.startswith("batch2.") else what.split(".")[0]
 
 
+def recounts(values: dict, name: str) -> bool:
+    """Whether one run of config name spent its own closed form: the
+    untaped and the taped forward's score elements and the backward's
+    recomputed ones each equal its closed_form.score_elements line."""
+    closed = values[f"{name} closed_form.score_elements"]
+    return all(values[f"{name} {line}"] == closed
+               for line in ("untaped.counter.score_elements", "counter.score_elements",
+                            "counter.recomputed_score_elements"))
+
+
+def verdicts(name: str, parent: list[dict], change: list[dict]) -> dict[str, tuple]:
+    """verdict() of every line of config name, from the arrays() of each
+    side under each thread count of THREADS; counter changes are
+    recounted when every run recounts().  A line only one side prints is
+    'only in parent' or 'only in change'."""
+    recounted = all(recounts(run, name) for run in parent + change)
+    result = {}
+    for line in {**parent[0], **change[0]}:
+        if line not in change[0]:
+            result[line] = ("only in parent", float("inf"), 0.0)
+        elif line not in parent[0]:
+            result[line] = ("only in change", float("inf"), 0.0)
+        else:
+            result[line] = verdict([run[line] for run in change],
+                                   [run[line] for run in parent], recounted)
+    return result
+
+
 def compare(parent_src: Path, cfgs: dict[str, ModelConfig]) -> dict[str, tuple]:
-    """verdict() of every line of each config's arrays(), this checkout's
-    src against parent_src, under 1 and 2 BLAS threads, one config at a
-    time; a line only one side prints is 'only in parent' or 'only in
-    change'."""
+    """verdicts() of each config, this checkout's src against parent_src,
+    under 1 and 2 BLAS threads, one config at a time."""
     result = {}
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "arrays.pkl")
         for name, cfg in cfgs.items():
             parent, change = ([run_arrays(src, name, cfg, n, out) for n in THREADS]
                               for src in (Path(parent_src), SRC))
-            for line in {**parent[0], **change[0]}:
-                if line not in change[0]:
-                    result[line] = ("only in parent", float("inf"), 0.0)
-                elif line not in parent[0]:
-                    result[line] = ("only in change", float("inf"), 0.0)
-                else:
-                    result[line] = verdict([run[line] for run in change],
-                                           [run[line] for run in parent])
+            result.update(verdicts(name, parent, change))
     return result
 
 
@@ -297,7 +333,7 @@ def main() -> None:
     print("\n".join(report(result)))
     counts = Counter(v for v, _, _ in result.values())
     print(f"{len(result)} lines: " + ", ".join(f"{n} {v}" for v, n in counts.items()))
-    sys.exit(0 if set(counts) <= {"identical", "within"} else 1)
+    sys.exit(0 if set(counts) <= {"identical", "within", "recounted"} else 1)
 
 
 if __name__ == "__main__":

@@ -148,7 +148,8 @@ def whole_multi_head_attention(q, k, v, heads):
 
 def whole_grouped_attention(x, params, cfg, real_len=None):
     """gsa_forward's forward on an (l, d) array: Q, K and V of every group
-    projected at once, then local attention one head at a time, the
+    projected at once, then local attention one head at a time (in the
+    op's score blocks, gsa._stripes, so a causal group in two), the
     summary path (its summary rows made from x, as the op makes them, and
     attended by every head's whole rows at once), the merge and the output
     projection."""
@@ -168,7 +169,10 @@ def whole_grouped_attention(x, params, cfg, real_len=None):
     out_rows = np.empty((m * l_g, d))
     o = gsa._grouped(out_rows, m, l_g, heads)
     for h in range(heads):
-        attention_forward(qg[h], kg[h].swapaxes(-1, -2), vg[h], scale, allow, out=o[h])
+        for rows, keys in gsa._stripes(cfg):
+            attention_forward(qg[h][:, rows], kg[h][:, keys].swapaxes(-1, -2), vg[h][:, keys],
+                              scale, None if allow is None else allow[:, rows, keys],
+                              out=o[h][:, rows])
     if cfg.uses_global:
         qs, ks, vs = (a.reshape(heads, m * cfg.l_s, -1)
                       for a in gsa._summaries(x, params, m, l_g, real_len, heads))
@@ -455,7 +459,10 @@ def loop_multi_head_attention(q, k, v, heads, counter):
 def loop_gsa_forward(x, params, cfg, counter, real_len=None):
     """Grouped self-attention one head and one group at a time, built from
     the single-group helpers and canonical attention on the tape, so its
-    gradients are an oracle too.  Same contract as gsa_forward."""
+    gradients are an oracle too.  A causal group is attended as the two
+    score blocks gsa_forward computes: the first h = l_g // 2 rows on the
+    first h keys, the other rows on every key, joined by concat_rows.
+    Same contract as gsa_forward."""
     l, d = x.shape
     real_len = l if real_len is None else real_len
     m = math.ceil(real_len / cfg.l_g)
@@ -476,11 +483,19 @@ def loop_gsa_forward(x, params, cfg, counter, real_len=None):
             # pad keys (in the last group) masked, and the future when causal
             allow = np.ones((cfg.l_g, cfg.l_g), dtype=bool)
             allow[:, real_len - j * cfg.l_g:] = False
-            if cfg.causal:
-                allow = np.tril(allow)
-            local.append(scaled_dot_attention(
-                q_groups[j], k_groups[j], v_groups[j], AttentionMask.custom(allow),
-                counter))
+            if not cfg.causal:
+                local.append(scaled_dot_attention(
+                    q_groups[j], k_groups[j], v_groups[j], AttentionMask.custom(allow),
+                    counter))
+                continue
+            allow, h = np.tril(allow), cfg.l_g // 2
+            top = scaled_dot_attention(
+                *(slice_rows(t[j], 0, h) for t in (q_groups, k_groups, v_groups)),
+                AttentionMask.custom(allow[:h, :h]), counter)
+            bottom = scaled_dot_attention(
+                slice_rows(q_groups[j], h, cfg.l_g), k_groups[j], v_groups[j],
+                AttentionMask.custom(allow[h:]), counter)
+            local.append(concat_rows([top, bottom]))
         merged = local
         if cfg.uses_global:
             summaries = [summarize_group(q_groups[j], k_groups[j], v_groups[j],

@@ -33,6 +33,10 @@ class TestClosedForms:
         assert gsa_op_count(1024, 64, 4, True) == 69632
         ratio = 69632 / 33792
         assert abs(ratio - 2.06) < 0.01
+        # the whole bench model (train_long and infer_long), whose causal
+        # decoder groups score 3,072 of their 4,096 elements
+        assert [ForecasterModel(model_config_for("grouped", l, BenchConfig()))
+                .closed_form_score_elements() for l in (1440, 2880)] == [6503616, 13106880]
 
     def test_canonical_examples(self):
         assert 512 ** 2 == 262144

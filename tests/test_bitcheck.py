@@ -52,3 +52,39 @@ def test_the_floor_is_a_multiple_of_the_parents_thread_count_deviation():
     # counter totals and missing gradients must match
     assert bitcheck.verdict([7, 7], [6, 6])[0] == "beyond"
     assert bitcheck.verdict([x, x], [None, None])[0] == "beyond"
+
+
+
+def test_a_counter_change_is_recounted_only_when_every_run_spent_its_closed_form():
+    def run(closed, taped, recomputed):
+        return {"c closed_form.score_elements": closed,
+                "c untaped.counter.score_elements": closed,
+                "c counter.score_elements": taped,
+                "c counter.recomputed_score_elements": recomputed,
+                "c counter.peak_score_buffer": closed // 2,
+                "c forecast.untaped": np.ones(2)}
+
+    def read(parent, change):
+        return {line.split()[1]: v for line, (v, _, _) in
+                bitcheck.verdicts("c", parent, change).items()}
+
+    parent, change = [run(8, 8, 8)] * 2, [run(6, 6, 6)] * 2
+    assert read(parent, change) == {
+        "closed_form.score_elements": "recounted",
+        "untaped.counter.score_elements": "recounted",
+        "counter.score_elements": "recounted",
+        "counter.recomputed_score_elements": "recounted",
+        "counter.peak_score_buffer": "recounted",
+        "forecast.untaped": "identical"}
+    assert bitcheck.verdicts("c", parent, change)["c counter.score_elements"][1] == 0.25
+    # a count off its own closed form, on either side and under either
+    # thread count, leaves every counter change beyond
+    for off in ([parent, [run(6, 7, 6)] * 2], [[run(8, 8, 9)] * 2, change],
+                [parent, [change[0], run(6, 6, 7)]]):
+        verdicts = read(*off)
+        assert verdicts.pop("forecast.untaped") == "identical"
+        assert set(verdicts.values()) == {"beyond"}
+    # arrays and missing gradients are never recounted
+    x = np.ones((2, 2))
+    assert bitcheck.verdict([x + 1.0] * 2, [x, x], recounted=True)[0] == "beyond"
+    assert bitcheck.verdict([x, x], [None, None], recounted=True)[0] == "beyond"

@@ -243,6 +243,12 @@ def gsa_cases(draw):
 @example((GsaConfig(l_g=4, l_s=1, d=16, heads=2, m_max=5), 17, 17, 16, False, True, 1, 1))
 @example((GsaConfig(l_g=4, l_s=1, d=16, heads=2, m_max=5, causal=True), 17, 17, 16, False,
           True, 1, 0))
+# causal groups of odd l_g, split at h = 3 and h = 1, the real rows ending
+# inside the last group's top half
+@example((GsaConfig(l_g=7, l_s=2, d=8, heads=2, m_max=3, causal=True), 20, 16, 14, True, True,
+          2, 3))
+@example((GsaConfig(l_g=3, l_s=1, d=6, heads=2, m_max=4, causal=True), 12, 10, 3, False, True,
+          1, 5))
 def test_gsa_output_projection_rebuilds_the_merged_head_outputs(case):
     cfg, l, real_len, tile_rows, normed, x_grad, count, seed = case
     rng = np.random.default_rng(seed)

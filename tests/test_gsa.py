@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gsaformer import gsa, tensor
@@ -169,6 +169,9 @@ class TestOpCount:
         assert gsa_op_count(512, 64, 4, True) == 33792
         assert gsa_op_count(64, 64, 4, True) == 4096 + 16
         assert gsa_op_count(512, 64, 4, False) == 32768
+        # a causal group scores h*h + (l_g - h)*l_g, h = l_g // 2, of its l_g^2
+        assert gsa_op_count(1440, 64, 4, False, causal=True) == 23 * (32**2 + 32 * 64) == 70656
+        assert gsa_op_count(10, 3, 1, False, causal=True) == 4 * (1 + 2 * 3)
 
     def test_canonical_comparison_at_512(self):
         assert 512 * 512 == 262144
@@ -534,6 +537,12 @@ def gsa_cases(draw):
     return cfg, l, real_len, draw(st.integers(0, 2 ** 16))
 
 
+# causal layers whose groups split at an odd h = 3 or h = 1: over 16 and
+# 10 real rows the last group's real rows end inside its top half
+ODD_7 = GsaConfig(l_g=7, l_s=2, d=4, heads=2, m_max=3, causal=True)
+ODD_3 = GsaConfig(l_g=3, l_s=1, d=3, heads=1, m_max=4, causal=True)
+
+
 @st.composite
 def causal_cases(draw):
     """A random causal layer shape and padding, a row t to perturb, a seed."""
@@ -570,6 +579,10 @@ class TestFusedOpProperties:
     @settings(max_examples=30)
     @given(gsa_cases(), st.frozensets(st.sampled_from(
         ["x", "w_q", "w_k", "w_v", "b_q", "b_k", "b_v"])))
+    # causal groups of odd l_g, split at h = 3 and h = 1, the real rows
+    # ending inside the last group's top half
+    @example((ODD_7, 20, 16, 11), frozenset())
+    @example((ODD_3, 12, 10, 12), frozenset({"b_k"}))
     def test_matches_loop_oracle_forward_and_gradients(self, case, frozen):
         cfg, l, real_len, seed = case
         rng = np.random.default_rng(seed)
@@ -598,9 +611,16 @@ class TestFusedOpProperties:
                 assert np.abs(g - expected).max() < 1e-12, name
         assert fused_counter.score_elements == loop_counter.score_elements
         assert fused_counter.peak_score_buffer == loop_counter.peak_score_buffer
+        assert fused_counter.score_elements == cfg.heads * gsa_op_count(
+            l, cfg.l_g, cfg.l_s, cfg.uses_global, cfg.causal)
 
     @settings(max_examples=30)
     @given(causal_cases())
+    # a row of a group's top half (which scores only that half's keys), and
+    # one in the top half of a padded last group
+    @example((ODD_7, 20, 16, 8, 2))
+    @example((ODD_7, 20, 16, 15, 4))
+    @example((ODD_3, 12, 10, 9, 3))
     def test_causal_layer_never_reads_later_rows(self, case):
         cfg, l, real_len, t, seed = case
         rng = np.random.default_rng(seed)
@@ -634,6 +654,8 @@ class TestFusedOpProperties:
 
     @settings(max_examples=30)
     @given(gsa_cases().filter(lambda case: case[2] < case[1]))
+    @example((ODD_7, 21, 16, 5))
+    @example((ODD_3, 12, 10, 6))
     def test_pad_rows_reach_no_gradient(self, case):
         # the backward projects Q, K and V again from x, so it must zero
         # their pad rows again, as the forward does
@@ -773,6 +795,9 @@ class TestPropertiesOverRandomShapes:
 
     @settings(max_examples=40, deadline=None)
     @given(gsa_cases().filter(lambda case: case[2] < case[1]), st.integers(0, 2 ** 16))
+    # causal groups of odd l_g whose real rows end inside the top half
+    @example((ODD_7, 21, 16, 4), 9)
+    @example((ODD_3, 12, 10, 6), 1)
     def test_pad_invariance_over_random_shapes(self, case, pad_seed):
         # real rows are what the unpadded sequence gives, to 1e-12 (the
         # projections' products have another row count), and bit for bit

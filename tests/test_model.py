@@ -170,6 +170,13 @@ class TestModelForward:
 
     @settings(max_examples=40, deadline=None)
     @given(count_cases(), st.integers(0, 2 ** 16))
+    # odd l_g, label_len inside a group (the decoder starts at row 7 and
+    # 3), the last decoder group's one real row in its top half
+    @example(ModelConfig(seq_len=20, pred_len=6, label_len=9, n_features_in=2, n_features_out=2,
+                         d=4, heads=2, e_l=1, d_l=2, l_g=7, l_s=2, l_comp=8, ffn_hidden=4), 3)
+    @example(ModelConfig(seq_len=10, pred_len=5, label_len=5, n_features_in=2, n_features_out=2,
+                         d=4, heads=2, e_l=1, d_l=1, l_g=3, l_s=1, l_comp=8, ffn_hidden=4,
+                         ablation_local_only=True), 4)
     def test_total_count_matches_closed_form(self, cfg, seed):
         # the untaped forward, the taped forward and the taped backward's
         # rebuilds each spend the closed form's score elements
@@ -216,6 +223,12 @@ class TestModelForward:
 
     @settings(max_examples=40, deadline=None)
     @given(decoder_cases())
+    # odd l_g, a row in a group's top half, the last group's real rows
+    # ending inside its top half
+    @example((ModelConfig(seq_len=20, pred_len=4, label_len=12, n_features_in=2, n_features_out=2,
+                          d=4, heads=2, e_l=0, d_l=2, l_g=7, l_s=2, l_comp=8, ffn_hidden=4), 8, 1))
+    @example((ModelConfig(seq_len=12, pred_len=4, label_len=6, n_features_in=2, n_features_out=2,
+                          d=4, heads=2, e_l=0, d_l=1, l_g=3, l_s=1, l_comp=20, ffn_hidden=4), 6, 2))
     def test_causal_no_leak_through_the_whole_decoder(self, case):
         cfg, t, seed = case
         model = ForecasterModel(cfg, seed=seed)
@@ -264,6 +277,12 @@ def attention_over_the_encoder_output(h, enc_out, cca, heads, counter):
 class TestCcaBypass:
     @settings(max_examples=30)
     @given(bypass_cases())
+    # label_len inside a group of odd l_g: the decoder starts at row 6 and
+    # 14, and the last group's real rows end inside its top half
+    @example((ModelConfig(seq_len=10, pred_len=3, label_len=7, n_features_in=2, n_features_out=2,
+                          d=4, heads=2, e_l=1, d_l=2, l_g=3, l_s=1, l_comp=10, ffn_hidden=4), 7))
+    @example((ModelConfig(seq_len=20, pred_len=2, label_len=20, n_features_in=2, n_features_out=2,
+                          d=4, heads=2, e_l=0, d_l=1, l_g=7, l_s=2, l_comp=20, ffn_hidden=4), 8))
     def test_decoder_equals_attention_over_the_uncompressed_encoder_output(self, case):
         cfg, seed = case
         model = ForecasterModel(cfg, seed=seed)
@@ -275,15 +294,17 @@ class TestCcaBypass:
         y = Tensor(rng.normal(size=(cfg.pred_len, 2)))
 
         def reference(counter):
+            # the decoder's rows from dec_start on, as the model runs them
             enc_out = model.encoder_forward(x, counter)
-            h = model._embed(build_decoder_input(x, cfg))
+            start = cfg.dec_start
+            h = model._embed(Tensor(build_decoder_input(x, cfg).data[start:]), start)
             for layer in model.decoder_layers:
                 h = layer.norm1(h, gsa_forward(h, layer.gsa, layer.gsa_cfg, counter))
                 h = layer.norm2(h, attention_over_the_encoder_output(h, enc_out, layer.cca,
                                                                      cfg.heads, counter))
                 h = layer.norm3(h, layer.ffn(h))
-            return model.head(slice_rows(h, cfg.label_len, cfg.dec_len)
-                              if cfg.label_len > 0 else h)
+            return model.head(slice_rows(h, cfg.label_len - start, h.shape[0])
+                              if cfg.label_len > start else h)
 
         runs = []
         for forward in (lambda counter: model.forward(x, counter), reference):
